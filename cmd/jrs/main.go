@@ -67,7 +67,11 @@
 //	-remote ADDR  submit the experiment grid to a jrsd coordinator at
 //	              ADDR instead of running locally; the relayed output is
 //	              byte-identical to the local run and the remote exit
-//	              code (0/1/2/3) is propagated
+//	              code (0/1/2/3) is propagated. Local scheduler flags
+//	              (-parallel, -cachedir, -retries, -celltimeout,
+//	              -keepgoing, -resume, -chaos, -codecache, -codecachedir,
+//	              -nobatch) are rejected with exit 2: they belong to
+//	              the coordinator and workers
 //	-json         emit lint/analyze reports as JSON instead of text
 //	-nobatch      deliver trace instructions one at a time (disable the
 //	              batched transport; for debugging and A/B timing)
@@ -140,6 +144,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *remote != "" {
+		if name := localOnlyFlag(fs); name != "" {
+			fmt.Fprintf(stderr, "jrs: -%s has no effect with -remote (it is a jrsd coordinator or worker setting)\n", name)
+			return 2
+		}
+	}
 	if *nobatch {
 		trace.BatchSize = 1
 	}
@@ -314,6 +324,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return reportExit(runner, *keepgoing, stdout)
 	}
 	return 0
+}
+
+// localOnly names the flags that configure the local scheduler, caches
+// or fault injection; under -remote the jrsd coordinator and workers own
+// those settings.
+var localOnly = map[string]bool{
+	"parallel": true, "cachedir": true, "retries": true, "celltimeout": true,
+	"keepgoing": true, "resume": true, "chaos": true, "codecache": true,
+	"codecachedir": true, "nobatch": true,
+}
+
+// localOnlyFlag returns the first local-only flag set on the command
+// line, or "".
+func localOnlyFlag(fs *flag.FlagSet) (name string) {
+	fs.Visit(func(f *flag.Flag) {
+		if name == "" && localOnly[f.Name] {
+			name = f.Name
+		}
+	})
+	return name
 }
 
 // runRemote submits an experiment grid to a jrsd coordinator and

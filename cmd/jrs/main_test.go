@@ -309,3 +309,24 @@ func TestCheckRacesCommand(t *testing.T) {
 		t.Errorf("stderr = %q, want the mode restriction", errb.String())
 	}
 }
+
+// TestRemoteRejectsLocalFlags: under -remote the scheduler, cache and
+// fault-injection flags belong to the coordinator and workers, so each
+// one is a usage error naming the flag — checked before any dial.
+func TestRemoteRejectsLocalFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-parallel", "2"}, {"-cachedir", "x"}, {"-retries", "1"},
+		{"-celltimeout", "1s"}, {"-keepgoing"}, {"-resume"},
+		{"-chaos", "seed=1,panic=1"}, {"-codecache"}, {"-codecachedir", "x"},
+		{"-nobatch"},
+	} {
+		var out, errb bytes.Buffer
+		argv := append([]string{"-remote", "127.0.0.1:1"}, args...)
+		if code := run(append(argv, "fig2"), &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), args[0]+" has no effect with -remote") {
+			t.Errorf("%v: stderr does not name the flag: %q", args, errb.String())
+		}
+	}
+}

@@ -31,7 +31,8 @@
 //	               are served from the cache (continue a crashed run)
 //	-celltimeout D worker/inproc: watchdog deadline per cell attempt
 //	-chaos SPEC    worker/inproc: cell fault injection
-//	               (seed=N,panic=P,hang=P,err=P,upto=K,cell=S)
+//	               (seed=N,panic=P,hang=P,err=P,upto=K,cell=S; corrupt=
+//	               is refused — workers never write the result cache)
 //	-netchaos SPEC worker/inproc: network fault injection
 //	               (seed=N,drop=P,delay=P,dup=P,kill=P,maxdelay=D)
 //	-scale N, -quick, -w names, -checkpipe
@@ -43,6 +44,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -111,10 +113,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "jrsd: worker requires -connect ADDR")
 			return 2
 		}
-		w, code := buildWorker(*name, *connect, *celltimeout, *chaosSpec, *netSpec, logf, stderr)
+		cell, nets, code := parseChaos(*chaosSpec, *netSpec, stderr)
 		if code != 0 {
 			return code
 		}
+		w := buildWorker(*name, *connect, *celltimeout, cell, nets, 0, logf)
 		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer cancel()
 		w.Run(ctx)
@@ -129,10 +132,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if code != 0 {
 			return code
 		}
+		cell, nets, code := parseChaos(*chaosSpec, *netSpec, stderr)
+		if code != 0 {
+			return code
+		}
 		return inproc(coordConfig{
 			lease: *lease, retries: *retries, keepgoing: *keepgoing,
 			cachedir: *cachedir, resume: *resume, logf: logf,
-		}, *nworkers, *celltimeout, *chaosSpec, *netSpec,
+		}, *nworkers, *celltimeout, cell, nets,
 			dist.GridSpec{Experiments: fs.Args(), Opts: opts},
 			stdout, stderr)
 
@@ -204,8 +211,40 @@ func serve(cc coordConfig, listen string, stderr io.Writer) int {
 	return 0
 }
 
-// buildWorker assembles a worker from its flags.
-func buildWorker(name, connect string, celltimeout time.Duration, chaosSpec, netSpec string, logf func(string, ...any), stderr io.Writer) (*dist.Worker, int) {
+// parseChaos validates the -chaos and -netchaos specs once (nil = no
+// injection). Cache corruption is refused: jrsd workers never write the
+// result cache — the coordinator commits every payload — so corrupt=
+// would silently inject nothing.
+func parseChaos(cellSpec, netSpec string, stderr io.Writer) (*chaos.Spec, *chaos.NetSpec, int) {
+	var cell *chaos.Spec
+	var nets *chaos.NetSpec
+	if cellSpec != "" {
+		spec, err := chaos.ParseSpec(cellSpec)
+		if err == nil && spec.CorruptRate > 0 {
+			err = errors.New("-chaos corrupt= is not supported: jrsd workers never write the result cache (use jrs -cachedir -chaos corrupt=P)")
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "jrsd: %v\n", err)
+			return nil, nil, 2
+		}
+		cell = &spec
+	}
+	if netSpec != "" {
+		spec, err := chaos.ParseNetSpec(netSpec)
+		if err != nil {
+			fmt.Fprintf(stderr, "jrsd: %v\n", err)
+			return nil, nil, 2
+		}
+		nets = &spec
+	}
+	return cell, nets, 0
+}
+
+// buildWorker assembles worker number index from its flags. Each index
+// derives its own injector seeds from the validated specs (index 0 keeps
+// them): identical injector state on every worker would fault the same
+// cells in lockstep.
+func buildWorker(name, connect string, celltimeout time.Duration, cell *chaos.Spec, nets *chaos.NetSpec, index int, logf func(string, ...any)) *dist.Worker {
 	if name == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -219,23 +258,18 @@ func buildWorker(name, connect string, celltimeout time.Duration, chaosSpec, net
 		CellTimeout: celltimeout,
 		Logf:        logf,
 	}
-	if chaosSpec != "" {
-		spec, err := chaos.ParseSpec(chaosSpec)
-		if err != nil {
-			fmt.Fprintf(stderr, "jrsd: %v\n", err)
-			return nil, 2
-		}
+	seed := int64(index) * 1000003
+	if cell != nil {
+		spec := *cell
+		spec.Seed += seed
 		w.Chaos = chaos.New(spec)
 	}
-	if netSpec != "" {
-		spec, err := chaos.ParseNetSpec(netSpec)
-		if err != nil {
-			fmt.Fprintf(stderr, "jrsd: %v\n", err)
-			return nil, 2
-		}
+	if nets != nil {
+		spec := *nets
+		spec.Seed += seed
 		w.Net = chaos.NewNet(spec)
 	}
-	return w, 0
+	return w
 }
 
 // gridOptions assembles the submitted grid's option spec.
@@ -257,9 +291,8 @@ func gridOptions(scale int, quick, checkpipe bool, wsel string, stderr io.Writer
 // inproc runs the whole service in one process — coordinator, N
 // workers, one submitted grid — and prints the merged output. It is the
 // loopback smoke CI diffs against a serial jrs run; every worker gets
-// its own chaos injectors (distinct seeds derived per worker index) so
-// faults don't strike all workers identically.
-func inproc(cc coordConfig, nworkers int, celltimeout time.Duration, chaosSpec, netSpec string, grid dist.GridSpec, stdout, stderr io.Writer) int {
+// its own chaos injectors (see buildWorker).
+func inproc(cc coordConfig, nworkers int, celltimeout time.Duration, cell *chaos.Spec, nets *chaos.NetSpec, grid dist.GridSpec, stdout, stderr io.Writer) int {
 	if nworkers < 1 {
 		nworkers = 1
 	}
@@ -277,23 +310,7 @@ func inproc(cc coordConfig, nworkers int, celltimeout time.Duration, chaosSpec, 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for i := 0; i < nworkers; i++ {
-		w, code := buildWorker(fmt.Sprintf("w%d", i+1), addr, celltimeout, chaosSpec, netSpec, cc.logf, stderr)
-		if code != 0 {
-			return code
-		}
-		// Distinct per-worker seeds: identical injector state on every
-		// worker would fault the same cells in lockstep.
-		if w.Chaos != nil && chaosSpec != "" {
-			spec, _ := chaos.ParseSpec(chaosSpec)
-			spec.Seed += int64(i) * 1000003
-			w.Chaos = chaos.New(spec)
-		}
-		if w.Net != nil && netSpec != "" {
-			spec, _ := chaos.ParseNetSpec(netSpec)
-			spec.Seed += int64(i) * 1000003
-			w.Net = chaos.NewNet(spec)
-		}
-		go w.Run(ctx)
+		go buildWorker(fmt.Sprintf("w%d", i+1), addr, celltimeout, cell, nets, i, cc.logf).Run(ctx)
 	}
 
 	out, err := dist.Submit(addr, grid, 0)

@@ -72,11 +72,7 @@ func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
 
 // AblateInstall runs the three installation policies per workload.
 func AblateInstall(o Options) (*AblateInstallResult, error) {
-	p, res := ablateInstallPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateInstallPlan(o))
 }
 
 // Render formats the installation ablation.
@@ -148,11 +144,7 @@ func ablateInlinePlan(o Options) (*Plan, *AblateInlineResult) {
 // AblateInline measures the virtual-call optimization's effect on
 // indirect-branch frequency and predictability.
 func AblateInline(o Options) (*AblateInlineResult, error) {
-	p, res := ablateInlinePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateInlinePlan(o))
 }
 
 // Render formats the inline ablation.
@@ -228,11 +220,7 @@ func ablateThresholdPlan(o Options) (*Plan, *AblateThresholdResult) {
 // AblateThreshold sweeps translate policies (the adaptive-compilation
 // design space the paper's §3 opens).
 func AblateThreshold(o Options) (*AblateThresholdResult, error) {
-	p, res := ablateThresholdPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateThresholdPlan(o))
 }
 
 // Render formats the threshold ablation (normalized to jit-first).
@@ -307,11 +295,7 @@ func ablateScalePlan(o Options) (*Plan, *ScaleResult) {
 // AblateScale measures the translate fraction at multiples of each
 // workload's default scale.
 func AblateScale(o Options) (*ScaleResult, error) {
-	p, res := ablateScalePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateScalePlan(o))
 }
 
 // Render formats the scale study.

@@ -149,11 +149,7 @@ func ablateCodeCachePlan(o Options) (*Plan, *AblateCodeCacheResult) {
 
 // AblateCodeCache measures the shared translation cache per workload.
 func AblateCodeCache(o Options) (*AblateCodeCacheResult, error) {
-	p, res := ablateCodeCachePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateCodeCachePlan(o))
 }
 
 // Render formats the code-cache ablation.

@@ -76,11 +76,7 @@ func ablateDevirtPlan(o Options) (*Plan, *AblateDevirtResult) {
 
 // AblateDevirt measures the devirtualization ladder per workload.
 func AblateDevirt(o Options) (*AblateDevirtResult, error) {
-	p, res := ablateDevirtPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateDevirtPlan(o))
 }
 
 // Render formats the devirtualization ablation.
@@ -147,11 +143,7 @@ func ablateElidePlan(o Options) (*Plan, *AblateElideResult) {
 
 // AblateElide measures lock elision per workload.
 func AblateElide(o Options) (*AblateElideResult, error) {
-	p, res := ablateElidePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateElidePlan(o))
 }
 
 // Render formats the lock-elision ablation.

@@ -99,11 +99,7 @@ func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
 // AblateOoO sweeps ROB size, reservation-station count and LSQ depth
 // around the Figure 9 core on every workload's JIT-mode trace.
 func AblateOoO(o Options) (*AblateOoOResult, error) {
-	p, res := ablateOoOPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateOoOPlan(o))
 }
 
 // Render formats the sweep: one row per workload × axis, columns at

@@ -51,11 +51,7 @@ func table3Plan(o Options) (*Plan, *Table3Result) {
 
 // Table3 measures L1 reference and miss counts per workload and mode.
 func Table3(o Options) (*Table3Result, error) {
-	p, res := table3Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(table3Plan(o))
 }
 
 // Render formats Table 3.
@@ -144,11 +140,7 @@ func fig3Plan(o Options) (*Plan, *Fig3Result) {
 // Fig3 sweeps D-cache sizes, all caches attached to one run per
 // (workload, mode).
 func Fig3(o Options) (*Fig3Result, error) {
-	p, res := fig3Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig3Plan(o))
 }
 
 // Render formats Figure 3.
@@ -237,11 +229,7 @@ func fig4Plan(o Options) (*Plan, *Fig4Result) {
 
 // Fig4 measures interp, JIT and AOT (C-like) miss rates at 64K.
 func Fig4(o Options) (*Fig4Result, error) {
-	p, res := fig4Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig4Plan(o))
 }
 
 // Render formats Figure 4.
@@ -299,11 +287,7 @@ func fig5Plan(o Options) (*Plan, *Fig5Result) {
 
 // Fig5 runs JIT mode with phase-attributed caches.
 func Fig5(o Options) (*Fig5Result, error) {
-	p, res := fig5Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig5Plan(o))
 }
 
 // fig5Cell measures one workload's translate-portion cache behaviour.
@@ -399,11 +383,7 @@ func fig6Plan(o Options) (*Plan, *Fig6Result) {
 
 // Fig6 samples cache misses over execution windows.
 func Fig6(o Options) (*Fig6Result, error) {
-	p, res := fig6Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig6Plan(o))
 }
 
 // Render formats Figure 6 as two sparkline series.
@@ -478,11 +458,7 @@ func fig7Plan(o Options) (*Plan, *Fig7Result) {
 
 // Fig7 sweeps associativity 1/2/4/8 on 8K caches with 32B lines.
 func Fig7(o Options) (*Fig7Result, error) {
-	p, res := fig7Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig7Plan(o))
 }
 
 // Render formats Figure 7.
@@ -510,11 +486,7 @@ func fig8Plan(o Options) (*Plan, *Fig8Result) {
 
 // Fig8 sweeps line size 16/32/64/128 on 8K direct-mapped caches.
 func Fig8(o Options) (*Fig8Result, error) {
-	p, res := fig8Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig8Plan(o))
 }
 
 // Render formats Figure 8.

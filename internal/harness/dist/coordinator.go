@@ -2,22 +2,20 @@ package dist
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"jrs/internal/harness"
 )
 
-// Config parameterizes a Coordinator. The retry policy fields mirror
-// harness.Runner's: the coordinator is the distributed runner, applying
-// the same classification and deterministic backoff to cells that run
-// on the far side of a socket.
+// Config parameterizes a Coordinator. The retry, cache and journal
+// fields are the harness.LedgerConfig the coordinator's jobs run under —
+// the same policy harness.Runner applies, to cells that run on the far
+// side of a socket.
 type Config struct {
 	// LeaseTTL bounds how long a worker may sit on a cell without
 	// delivering a result or a heartbeat before the coordinator revokes
@@ -32,7 +30,7 @@ type Config struct {
 	// classify as timeouts, which are retryable.
 	Retries int
 	// BackoffBase/BackoffMax give the deterministic exponential delay
-	// before a cell's k-th re-lease (no jitter; see harness.BackoffDelay).
+	// before a cell's k-th re-lease (no jitter).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// KeepGoing drains every cell despite failures and reports them,
@@ -59,42 +57,16 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// groupState is one cell group's position in the lease state machine.
-type groupState uint8
-
-const (
-	gsPending groupState = iota // waiting for a lease (or for backoff)
-	gsLeased                    // granted to a worker, lease live
-	gsDone                      // payload committed (at most once, ever)
-	gsFailed                    // retry budget exhausted or deterministic error
-)
-
-// job is one submitted grid: the enumerated plans, every group's state,
-// and the accounting that becomes the run report. The coordinator runs
-// jobs FIFO; only the head of the queue grants leases.
+// job is one submitted grid: the enumerated plans and the ledger that
+// schedules their cell groups. The coordinator runs jobs FIFO; only the
+// head of the queue grants leases.
 type job struct {
 	grid       GridSpec
 	exps       []harness.Experiment
 	headerMode bool // render with "## name — desc" section headers
 	plans      []*harness.Plan
-	groups     []*harness.CellGroup
+	ledger     *harness.Ledger
 	index      map[string]int // Key.Hash() → group index
-
-	state     []groupState
-	attempts  []int
-	notBefore []time.Time
-	leaseOf   []uint64 // current lease id per group (0 = none)
-	attempted []bool   // ever leased or cache-served (Skipped = never attempted)
-
-	leased    int // live leases outstanding
-	remaining int // groups not yet done/failed
-	failed    bool
-	failures  []harness.CellFailure
-	order     []int // failure sort order (CellFailure.order is package-private)
-
-	simulated int64
-	cacheHits int64
-	retries   int64
 
 	workers []harness.WorkerStat // snapshot taken at completion
 	doneCh  chan Output
@@ -285,52 +257,36 @@ func (c *Coordinator) sweep() {
 }
 
 // loseLease re-queues (or fails) the group of a lease whose worker is
-// gone. Called with c.mu held. A lease that is no longer the group's
-// current one — the group already committed, failed, or was re-leased —
-// is just dropped.
+// gone: on the ledger, a lost lease is a timeout failure. Called with
+// c.mu held, the lease already out of the table. A group that committed
+// meanwhile (its payload arrived by key) is left alone.
+//
+// A group leaves flight only through its own lease's release (this
+// path, or commitResult), or by committing, so a group in flight has
+// exactly one live lease and no failure is ever counted twice.
 func (c *Coordinator) loseLease(l *lease, now time.Time, msg string) {
 	j := c.active()
-	if j == nil || l.group >= len(j.groups) {
+	if j == nil {
 		return
 	}
-	j.leased--
-	if j.state[l.group] != gsLeased || j.leaseOf[l.group] != l.id {
-		c.checkComplete()
-		return
+	if j.ledger.State(l.group) == harness.GroupInFlight {
+		c.cfg.Logf("dist: %s: %s", j.ledger.Groups()[l.group].Key, msg)
+		c.fail(j, l.group, harness.CauseTimeout, errors.New(msg), l.worker, now)
 	}
-	c.cfg.Logf("dist: %s: %s", j.groups[l.group].Key, msg)
-	c.retryOrFail(j, l.group, harness.CauseTimeout, msg, l.worker, now)
 	c.checkComplete()
 }
 
-// retryOrFail applies the shared retry policy to a failed attempt of
-// group idx: re-queue with deterministic backoff while the cause is
-// retryable and budget remains, otherwise fail the group. Called with
-// c.mu held; the group must be in gsLeased.
-func (c *Coordinator) retryOrFail(j *job, idx int, cause, errMsg, worker string, now time.Time) (retried bool) {
-	j.leaseOf[idx] = 0
-	if harness.RetryableCause(cause) && j.attempts[idx] < c.cfg.Retries+1 {
-		j.state[idx] = gsPending
-		j.notBefore[idx] = now.Add(harness.BackoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, j.attempts[idx]))
-		j.retries++
-		if w, ok := c.table.workers[worker]; ok {
-			w.stat.Retries++
-		}
-		return true
+// fail records a failed attempt of in-flight group idx on the ledger and
+// returns the ack for it, crediting a retry to the worker that lost it.
+// Called with c.mu held.
+func (c *Coordinator) fail(j *job, idx int, cause string, err error, worker string, now time.Time) string {
+	if retry, _ := j.ledger.Fail(idx, cause, err, worker, now); !retry {
+		return AckFailed
 	}
-	j.state[idx] = gsFailed
-	j.remaining--
-	j.failed = true
-	g := j.groups[idx]
-	j.failures = append(j.failures, harness.CellFailure{
-		Key:      g.Key,
-		Attempts: j.attempts[idx],
-		Cause:    cause,
-		Err:      errMsg,
-		Worker:   worker,
-	})
-	j.order = append(j.order, g.Order())
-	return false
+	if w, ok := c.table.workers[worker]; ok {
+		w.stat.Retries++
+	}
+	return AckRetry
 }
 
 // handleConn is one connection's read loop. The per-connection protocol
@@ -449,36 +405,26 @@ func (c *Coordinator) active() *job {
 	return c.jobs[0]
 }
 
-// answerLeaseReq grants the earliest eligible pending group, or tells
+// answerLeaseReq grants the ledger's earliest eligible group, or tells
 // the worker to wait.
 func (c *Coordinator) answerLeaseReq(cs *connState, req LeaseReq) error {
 	c.mu.Lock()
 	j := c.active()
 	now := time.Now()
-	grant := -1
-	if j != nil && !(j.failed && !c.cfg.KeepGoing) {
-		for i := range j.groups {
-			if j.state[i] == gsPending && !now.Before(j.notBefore[i]) {
-				grant = i
-				break
-			}
-		}
+	grant, attempt := -1, 0
+	if j != nil {
+		grant, attempt, _ = j.ledger.Claim(now)
 	}
 	if grant < 0 {
 		c.mu.Unlock()
 		return cs.send(MsgWait, Wait{Seq: req.Seq, Millis: c.cfg.WaitMillis})
 	}
-	j.state[grant] = gsLeased
-	j.attempts[grant]++
-	j.attempted[grant] = true
-	j.leased++
 	l := c.table.grant(grant, req.Worker, cs, now, c.cfg.LeaseTTL)
-	j.leaseOf[grant] = l.id
 	lease := Lease{
 		Seq:       req.Seq,
 		LeaseID:   l.id,
-		Key:       j.groups[grant].Key,
-		Attempt:   j.attempts[grant],
+		Key:       j.ledger.Groups()[grant].Key,
+		Attempt:   attempt,
 		TTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 		Grid:      j.grid,
 	}
@@ -489,76 +435,57 @@ func (c *Coordinator) answerLeaseReq(cs *connState, req LeaseReq) error {
 
 // commitResult merges one delivered result. Commit is at-most-once per
 // cell: the first successful delivery — whoever's lease it rode in on,
-// however late or duplicated — transitions the group to done, lands in
-// the cache and the journal, and every later delivery of the same cell
-// is acked as a duplicate without touching the merged state.
+// however late or duplicated — commits the group on the ledger (deliver,
+// cache, journal, done), and every later delivery of the same cell is
+// acked as a duplicate without touching the merged state.
 func (c *Coordinator) commitResult(res Result) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return AckStale
 	}
-	now := time.Now()
-	j := c.active()
 	l := c.table.release(res.LeaseID)
-	idx := -1
-	if l != nil && j != nil {
-		j.leased--
-		idx = l.group
-	} else if j != nil {
-		// Unknown lease: expired, evicted, or granted by a coordinator
-		// that has since restarted. The payload can still be useful —
-		// resolve it by cell key against the live grid.
-		if i, ok := j.index[res.Key.Hash()]; ok {
-			idx = i
-		}
+	j := c.active()
+	if j == nil {
+		return AckStale
 	}
-	if j == nil || idx < 0 {
+	// An unknown lease (expired, evicted, or granted by a coordinator
+	// that has since restarted) can still carry a useful payload:
+	// resolve it by cell key against the live grid.
+	idx, ok := j.index[res.Key.Hash()]
+	if l != nil {
+		idx, ok = l.group, true
+	}
+	if !ok {
 		return AckStale
 	}
 	defer c.checkComplete()
-	switch j.state[idx] {
-	case gsDone:
+	switch j.ledger.State(idx) {
+	case harness.GroupDone:
 		return AckDuplicate
-	case gsFailed:
+	case harness.GroupFailed:
 		return AckStale
 	}
-
 	worker := res.Worker
 	if worker == "" && l != nil {
 		worker = l.worker
 	}
-	// A failure only counts against the group's retry budget when it
-	// belongs to the group's *current* lease; a late failure from a
-	// lease the queue already moved past must not double-requeue.
-	wasLeased := l != nil && j.state[idx] == gsLeased && j.leaseOf[idx] == l.id
+	now := time.Now()
 
 	if res.ErrMsg == "" {
-		// Success path: deliver into every destination slot, persist,
-		// journal, then mark done — the order matters, a cell is only
-		// "done" once its completion would survive a crash.
-		if err := c.commitGroup(j, idx, res.Payload); err != nil {
-			cause, _ := harness.Classify(err)
+		if err := j.ledger.Commit(idx, res.Payload); err != nil {
 			c.cfg.Logf("dist: %s: commit: %v", res.Key, err)
-			if j.state[idx] == gsLeased {
-				if c.retryOrFail(j, idx, cause, err.Error(), worker, now) {
-					return AckRetry
-				}
-				return AckFailed
+			if l == nil {
+				return AckStale
 			}
-			return AckStale
+			cause, _ := harness.Classify(err)
+			return c.fail(j, idx, cause, err, worker, now)
 		}
-		if j.state[idx] == gsLeased {
-			j.leaseOf[idx] = 0
-		}
-		j.state[idx] = gsDone
-		j.remaining--
-		j.simulated++
 		c.commits++
 		if w, ok := c.table.workers[worker]; ok {
 			w.stat.Completed++
 		}
-		c.cfg.Logf("dist: commit %s (worker %s, %d remaining)", res.Key, worker, j.remaining)
+		c.cfg.Logf("dist: commit %s (worker %s)", res.Key, worker)
 		if c.cfg.CrashAfterCommits > 0 && c.commits >= c.cfg.CrashAfterCommits && !c.crashed {
 			c.crashed = true
 			c.cfg.Logf("dist: crash hook: stopping after %d commits", c.commits)
@@ -567,38 +494,15 @@ func (c *Coordinator) commitResult(res Result) string {
 		return AckCommitted
 	}
 
-	// Failure path: the worker already classified the error; apply the
-	// shared retry policy. A result for a lease we no longer consider
-	// current still counts as that attempt's outcome only if the group
-	// is still leased under it; otherwise the queue already moved on.
+	// Failure path: the worker already classified the error; the
+	// ledger applies the retry policy to its cause label. Only a result
+	// on the group's live lease speaks for its current attempt: a late
+	// one from a lease the queue moved past must not burn a retry.
 	c.cfg.Logf("dist: %s failed on %s (%s): %s", res.Key, worker, res.Cause, res.ErrMsg)
-	if !wasLeased {
+	if l == nil {
 		return AckStale
 	}
-	if c.retryOrFail(j, idx, res.Cause, res.ErrMsg, worker, now) {
-		return AckRetry
-	}
-	return AckFailed
-}
-
-// commitGroup makes one cell's completion durable: fan-out decode,
-// cache persist, journal record. Called with c.mu held.
-func (c *Coordinator) commitGroup(j *job, idx int, raw json.RawMessage) error {
-	g := j.groups[idx]
-	if err := g.Deliver(raw); err != nil {
-		return err
-	}
-	if c.cfg.Cache != nil {
-		if err := c.cfg.Cache.Put(g.Key, raw); err != nil {
-			return fmt.Errorf("persist cell payload: %w", err)
-		}
-	}
-	if c.cfg.Journal != nil {
-		if err := c.cfg.Journal.Record(g.Key.Hash(), g.Key); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.fail(j, idx, res.Cause, errors.New(res.ErrMsg), worker, now)
 }
 
 // runJob enumerates, queues and waits out one submitted grid. It runs
@@ -625,15 +529,11 @@ func (c *Coordinator) runJob(grid GridSpec) (out Output, ok bool) {
 }
 
 // newJob enumerates a grid spec into a job: plans built from the shared
-// registry, deduplicated groups, and a cache/journal pre-pass that
-// commits already-computed cells without leasing them (Resume trusts
-// only journaled hashes, exactly like the local runner).
+// registry and a ledger over their deduplicated groups, whose
+// cache/journal pre-pass commits already-computed cells without leasing
+// them.
 func (c *Coordinator) newJob(grid GridSpec) (*job, error) {
-	exps, headerMode, err := resolveExperiments(grid)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := grid.Opts.Options()
+	exps, plans, headerMode, err := enumerate(grid)
 	if err != nil {
 		return nil, err
 	}
@@ -641,56 +541,28 @@ func (c *Coordinator) newJob(grid GridSpec) (*job, error) {
 		grid:       grid,
 		exps:       exps,
 		headerMode: headerMode,
+		plans:      plans,
 		index:      make(map[string]int),
 		doneCh:     make(chan Output, 1),
 	}
-	for _, e := range exps {
-		j.plans = append(j.plans, e.Plan(opts))
-	}
-	j.groups = harness.GroupPlans(j.plans...)
-	n := len(j.groups)
-	j.state = make([]groupState, n)
-	j.attempts = make([]int, n)
-	j.notBefore = make([]time.Time, n)
-	j.leaseOf = make([]uint64, n)
-	j.attempted = make([]bool, n)
-	j.remaining = n
-	for i, g := range j.groups {
+	j.ledger = harness.NewLedger(harness.LedgerConfig{
+		Retries: c.cfg.Retries, BackoffBase: c.cfg.BackoffBase, BackoffMax: c.cfg.BackoffMax,
+		KeepGoing: c.cfg.KeepGoing, Cache: c.cfg.Cache, Journal: c.cfg.Journal, Resume: c.cfg.Resume,
+	}, j.plans...)
+	groups := j.ledger.Groups()
+	for i, g := range groups {
 		j.index[g.Key.Hash()] = i
-		if c.cfg.Cache == nil {
-			continue
-		}
-		if c.cfg.Resume && (c.cfg.Journal == nil || !c.cfg.Journal.Done(g.Key.Hash())) {
-			continue
-		}
-		raw, ok := c.cfg.Cache.Get(g.Key)
-		if !ok || g.Deliver(raw) != nil {
-			continue
-		}
-		j.state[i] = gsDone
-		j.attempted[i] = true
-		j.remaining--
-		j.cacheHits++
-		if c.cfg.Journal != nil {
-			c.cfg.Journal.Record(g.Key.Hash(), g.Key)
-		}
 	}
-	c.cfg.Logf("dist: job %s: %d cells (%d cached)", grid.Canonical(), n, j.cacheHits)
+	c.cfg.Logf("dist: job %s: %d cells (%d cached)", grid.Canonical(), len(groups), j.ledger.Report().CacheHits)
 	return j, nil
 }
 
-// checkComplete finalizes the active job when it has drained: every
-// group done/failed, or — fail-fast mode — a failure recorded and no
-// lease still outstanding. Called with c.mu held.
+// checkComplete finalizes the active job once its ledger drained.
+// Called with c.mu held.
 func (c *Coordinator) checkComplete() {
 	for {
 		j := c.active()
-		if j == nil {
-			return
-		}
-		drained := j.remaining == 0
-		failedOut := j.failed && !c.cfg.KeepGoing && j.leased == 0
-		if !drained && !failedOut {
+		if j == nil || !j.ledger.Drained() {
 			return
 		}
 		c.jobs = c.jobs[1:]
@@ -703,53 +575,22 @@ func (c *Coordinator) checkComplete() {
 	}
 }
 
-// finalize runs the aggregation steps in plan order and renders the
-// job's output — the merged grid is byte-identical to a serial local
-// run. Runs outside the coordinator lock.
+// finalize finishes the job's ledger (aggregation in plan order) and
+// renders its output — the merged grid is byte-identical to a serial
+// local run. Runs outside the coordinator lock.
 func (c *Coordinator) finalize(j *job) {
-	aggOrder := 0
-	for _, p := range j.plans {
-		aggOrder += len(p.Keys())
-	}
-	if !j.failed || c.cfg.KeepGoing {
-		for i, p := range j.plans {
-			if err := p.Finish(); err != nil {
-				if !c.cfg.KeepGoing {
-					j.doneCh <- Output{ExitCode: 1, ErrMsg: fmt.Sprintf("%s: %v", j.exps[i].Name, err)}
-					return
-				}
-				j.failed = true
-				j.failures = append(j.failures, harness.CellFailure{
-					Key:      harness.CellKey{Experiment: j.exps[i].Name, Config: "aggregate"},
-					Attempts: 1,
-					Cause:    harness.CauseAggregate,
-					Err:      err.Error(),
-				})
-				j.order = append(j.order, aggOrder)
-			}
-			aggOrder++
-		}
-	}
-	if j.failed && !c.cfg.KeepGoing {
-		f := j.earliestFailure()
-		j.doneCh <- Output{
-			ExitCode: 1,
-			ErrMsg: fmt.Sprintf("%s: cell %s failed (%s, %d attempt(s)): %s",
-				f.Key.Experiment, f.Key, f.Cause, f.Attempts, f.Err),
-		}
+	if err := j.ledger.Finish(); err != nil {
+		j.doneCh <- Output{ExitCode: 1, ErrMsg: err.Error()}
 		return
 	}
-	var out string
+	kg := c.cfg.KeepGoing
+	o := Output{Output: harness.RenderResult(j.plans[0].Result(), kg)}
 	if j.headerMode {
-		for i, e := range j.exps {
-			out += "## " + e.Name + " — " + e.Desc + "\n\n" + safeRender(j.plans[i].Result(), c.cfg.KeepGoing) + "\n"
-		}
-	} else {
-		out = safeRender(j.plans[0].Result(), c.cfg.KeepGoing)
+		o.Output = harness.RenderSections(j.exps, j.plans, kg)
 	}
-	o := Output{Output: out}
-	if c.cfg.KeepGoing {
-		rep := j.report()
+	if kg {
+		rep := j.ledger.Report()
+		rep.Workers = j.workers
 		o.Report = rep.Render()
 		if rep.Failed > 0 {
 			o.ExitCode = 3
@@ -758,84 +599,33 @@ func (c *Coordinator) finalize(j *job) {
 	j.doneCh <- o
 }
 
-// earliestFailure picks the failure belonging to the earliest cell in
-// enumeration order — independent of which worker reported first.
-func (j *job) earliestFailure() harness.CellFailure {
-	best := 0
-	for i := range j.failures {
-		if j.order[i] < j.order[best] {
-			best = i
-		}
-	}
-	return j.failures[best]
-}
-
-// report assembles the job's RunReport with per-worker attribution.
-// Failures are sorted in enumeration order so a fixed outcome renders
-// byte-identically.
-func (j *job) report() *harness.RunReport {
-	type of struct {
-		o int
-		f harness.CellFailure
-	}
-	ofs := make([]of, len(j.failures))
-	for i := range j.failures {
-		ofs[i] = of{j.order[i], j.failures[i]}
-	}
-	sort.Slice(ofs, func(a, b int) bool { return ofs[a].o < ofs[b].o })
-	rep := &harness.RunReport{
-		Cells:     len(j.groups),
-		Failed:    len(j.failures),
-		Simulated: j.simulated,
-		CacheHits: j.cacheHits,
-		Retries:   j.retries,
-		Workers:   j.workers,
-	}
-	for _, x := range ofs {
-		rep.Failures = append(rep.Failures, x.f)
-	}
-	for i := range j.groups {
-		if j.state[i] == gsDone {
-			rep.Completed++
-		}
-		if !j.attempted[i] {
-			rep.Skipped++
-		}
-	}
-	return rep
-}
-
-// resolveExperiments expands a grid spec's experiment names against the
-// registry. "all" expands to every registered experiment; more than one
-// experiment renders with section headers (the `jrs all` format).
-func resolveExperiments(grid GridSpec) ([]harness.Experiment, bool, error) {
-	if len(grid.Experiments) == 0 {
-		return nil, false, errors.New("dist: empty grid: no experiments")
-	}
-	if len(grid.Experiments) == 1 && grid.Experiments[0] == "all" {
-		return harness.Experiments(), true, nil
-	}
-	var exps []harness.Experiment
-	for _, name := range grid.Experiments {
-		e, ok := harness.Lookup(name)
-		if !ok {
-			return nil, false, fmt.Errorf("dist: unknown experiment %q", name)
-		}
-		exps = append(exps, e)
-	}
-	return exps, len(exps) > 1, nil
-}
-
-// safeRender renders a result; in keep-going mode a renderer panicking
-// over zero-valued slots left by failed cells degrades to a placeholder
-// (mirrors Runner.SafeRender, so degraded output matches local runs).
-func safeRender(res harness.Renderer, keepGoing bool) (out string) {
-	if keepGoing {
-		defer func() {
-			if rec := recover(); rec != nil {
-				out = fmt.Sprintf("(render failed: %v)\n", rec)
+// enumerate expands a grid spec against the registry and builds its
+// plans. "all" expands to every registered experiment; more than one
+// experiment renders with section headers (the `jrs all` format). The
+// coordinator and every worker enumerate through here, so a cell key
+// resolves to the same simulation closure on either side.
+func enumerate(grid GridSpec) (exps []harness.Experiment, plans []*harness.Plan, headerMode bool, err error) {
+	switch {
+	case len(grid.Experiments) == 0:
+		return nil, nil, false, errors.New("dist: empty grid: no experiments")
+	case len(grid.Experiments) == 1 && grid.Experiments[0] == "all":
+		exps, headerMode = harness.Experiments(), true
+	default:
+		for _, name := range grid.Experiments {
+			e, ok := harness.Lookup(name)
+			if !ok {
+				return nil, nil, false, fmt.Errorf("dist: unknown experiment %q", name)
 			}
-		}()
+			exps = append(exps, e)
+		}
+		headerMode = len(exps) > 1
 	}
-	return res.Render()
+	opts, err := grid.Opts.Options()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	for _, e := range exps {
+		plans = append(plans, e.Plan(opts))
+	}
+	return exps, plans, headerMode, nil
 }

@@ -48,11 +48,7 @@ func serialOutput(t *testing.T, grid GridSpec) string {
 	if len(exps) == 1 {
 		return plans[0].Result().Render()
 	}
-	out := ""
-	for i, e := range exps {
-		out += "## " + e.Name + " — " + e.Desc + "\n\n" + plans[i].Result().Render() + "\n"
-	}
-	return out
+	return harness.RenderSections(exps, plans, false)
 }
 
 // startCoord boots a coordinator on a loopback port and tears it down

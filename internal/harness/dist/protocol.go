@@ -5,12 +5,12 @@
 // streamed per-cell results deterministically in enumeration order; a
 // Worker holds the simulation closures (re-enumerated from the same
 // registry) and executes leased cells under panic isolation and a
-// watchdog. The robustness contract mirrors the local Runner's: worker
-// crashes, hangs, partitions, duplicated deliveries and coordinator
-// restarts must leave the merged grid byte-identical to an
-// uninterrupted serial run — leases recover lost cells, the PR 5
-// journal makes result commits at-most-once and restarts resumable, and
-// harness.Classify decides which failures retry.
+// watchdog. Scheduling is not the coordinator's: each job runs on a
+// harness.Ledger, the state machine the local Runner drives too, and the
+// coordinator only maps the network onto it — leases, heartbeats,
+// eviction, at-most-once resolution by key. Worker crashes, hangs,
+// partitions, duplicated deliveries and coordinator restarts must leave
+// the merged grid byte-identical to an uninterrupted serial run.
 package dist
 
 import (

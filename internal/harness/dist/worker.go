@@ -20,9 +20,9 @@ var errKilled = errors.New("dist: chaos killed worker")
 
 // Worker executes leased cells. It holds the simulation closures —
 // re-enumerated from the shared experiment registry per grid spec — and
-// runs each leased cell under the same panic isolation, watchdog and
-// fault-injection surface as the local runner; classification happens
-// here and ships to the coordinator as a cause label.
+// runs each leased cell through harness.CellGroup.Attempt, the same
+// attempt the local runner makes; classification happens here and ships
+// to the coordinator as a cause label.
 type Worker struct {
 	// Name is the worker's stable identity across reconnects.
 	Name string
@@ -174,7 +174,7 @@ func (w *Worker) execute(ctx context.Context, fc *frameConn, l Lease) Result {
 		return res
 	}
 	stop := w.heartbeat(fc, l)
-	raw, err := w.attempt(ctx, g, l.Attempt)
+	raw, err := g.Attempt(ctx, l.Attempt, w.CellTimeout, w.Chaos)
 	stop()
 	if err != nil {
 		cause, _ := harness.Classify(err)
@@ -213,45 +213,6 @@ func (w *Worker) heartbeat(fc *frameConn, l Lease) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// attempt makes one isolated attempt at a cell: chaos injection,
-// simulation under the watchdog context, panic isolation. The mirror of
-// Runner.attemptGroup's execution half (the coordinator owns the
-// cache/journal/deliver half).
-func (w *Worker) attempt(ctx context.Context, g *harness.CellGroup, attempt int) (raw []byte, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = harness.NewPanicError(rec)
-		}
-	}()
-	if w.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, w.CellTimeout)
-		defer cancel()
-	}
-	if w.Chaos != nil {
-		switch w.Chaos.Decide(g.Key.String(), attempt) {
-		case chaos.Panic:
-			panic(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
-		case chaos.Hang:
-			if _, ok := ctx.Deadline(); !ok {
-				return nil, fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", g.Key)
-			}
-			<-ctx.Done()
-			return nil, fmt.Errorf("%s: %w", g.Key, ctx.Err())
-		case chaos.Transient:
-			return nil, &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
-		}
-	}
-	out, err := g.Run(ctx)
-	if err != nil {
-		if cause := ctx.Err(); cause != nil {
-			return nil, fmt.Errorf("%s: %w (sim: %v)", g.Key, cause, err)
-		}
-		return nil, err
-	}
-	return out, nil
-}
-
 // group resolves a cell key against the grid's enumerated plans,
 // building (and caching) the plan set on first sight of a grid spec.
 // Coordinator and worker run the same registry code, so a key enumerated
@@ -265,17 +226,9 @@ func (w *Worker) group(grid GridSpec, key harness.CellKey) (*harness.CellGroup, 
 	}
 	m, ok := w.plans[canon]
 	if !ok {
-		exps, _, err := resolveExperiments(grid)
+		_, plans, _, err := enumerate(grid)
 		if err != nil {
 			return nil, err
-		}
-		opts, err := grid.Opts.Options()
-		if err != nil {
-			return nil, err
-		}
-		plans := make([]*harness.Plan, len(exps))
-		for i, e := range exps {
-			plans[i] = e.Plan(opts)
 		}
 		m = make(map[string]*harness.CellGroup)
 		for _, g := range harness.GroupPlans(plans...) {

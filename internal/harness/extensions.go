@@ -67,11 +67,7 @@ func ablateIndirectPlan(o Options) (*Plan, *AblateIndirectResult) {
 // the interpreter's indirect-branch misprediction burden (§4.2/§6: "a
 // predictor well-tailored for indirect branches should be used").
 func AblateIndirect(o Options) (*AblateIndirectResult, error) {
-	p, res := ablateIndirectPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateIndirectPlan(o))
 }
 
 // sinkUnit adapts a branch.Unit to trace.Sink.
@@ -179,11 +175,7 @@ func ablateTieredPlan(o Options) (*Plan, *AblateTieredResult) {
 // AblateTiered measures the §7 extension: recompiling hot methods with
 // the optimizing (register) code generator after a second threshold.
 func AblateTiered(o Options) (*AblateTieredResult, error) {
-	p, res := ablateTieredPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateTieredPlan(o))
 }
 
 // Render formats the tiered study.

@@ -66,11 +66,7 @@ func fig2Plan(o Options) (*Plan, *Fig2Result) {
 
 // Fig2 measures the native instruction mix in both modes.
 func Fig2(o Options) (*Fig2Result, error) {
-	p, res := fig2Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig2Plan(o))
 }
 
 // Render formats Figure 2.

@@ -74,11 +74,7 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 // Fig9 simulates each workload on out-of-order cores of width 1/2/4/8 in
 // both execution modes (all widths attached to one run).
 func Fig9(o Options) (*Fig9Result, error) {
-	p, res := fig9Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig9Plan(o))
 }
 
 // Render formats Figure 9.
@@ -151,11 +147,7 @@ func fig10Plan(o Options) (*Plan, *Fig10Result) {
 
 // Fig10 runs the ILP study and renders the time-normalization view.
 func Fig10(o Options) (*Fig10Result, error) {
-	p, res := fig10Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig10Plan(o))
 }
 
 // Render formats Figure 10.

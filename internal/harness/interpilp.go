@@ -70,11 +70,7 @@ func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
 // AblateInterpILP runs the interpreter through cores of width 1-8 with
 // both front ends attached to the same trace.
 func AblateInterpILP(o Options) (*AblateInterpILPResult, error) {
-	p, res := ablateInterpILPPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(ablateInterpILPPlan(o))
 }
 
 // Render formats the study.

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Renderer is any experiment result.
@@ -147,18 +148,29 @@ func RunAllWith(o Options, r *Runner, progress func(e Experiment)) (string, erro
 	if err := r.RunPlans(plans...); err != nil {
 		return "", err
 	}
-	out := ""
-	for i, e := range exps {
-		out += "## " + e.Name + " — " + e.Desc + "\n\n" + r.SafeRender(plans[i].Result()) + "\n"
-	}
-	return out, nil
+	return RenderSections(exps, plans, r.KeepGoing), nil
 }
 
-// SafeRender renders a plan result; in KeepGoing mode a renderer
+// RenderSections renders filled plans, one per experiment, under
+// "## name — desc" headers: the `jrs all` format, also used by jrsd for
+// multi-experiment grids.
+func RenderSections(exps []Experiment, plans []*Plan, keepGoing bool) string {
+	var b strings.Builder
+	for i, e := range exps {
+		b.WriteString("## " + e.Name + " — " + e.Desc + "\n\n" + RenderResult(plans[i].Result(), keepGoing) + "\n")
+	}
+	return b.String()
+}
+
+// SafeRender renders a plan result under the runner's KeepGoing mode
+// (see RenderResult).
+func (r *Runner) SafeRender(res Renderer) string { return RenderResult(res, r.KeepGoing) }
+
+// RenderResult renders a plan result; in keep-going mode a renderer
 // panicking over zero-valued slots left by failed cells degrades to a
 // placeholder instead of killing the degraded run it is reporting on.
-func (r *Runner) SafeRender(res Renderer) (out string) {
-	if r.KeepGoing {
+func RenderResult(res Renderer, keepGoing bool) (out string) {
+	if keepGoing {
 		defer func() {
 			if rec := recover(); rec != nil {
 				out = fmt.Sprintf("(render failed: %v)\n", rec)

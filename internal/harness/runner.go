@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"jrs/internal/harness/chaos"
@@ -110,15 +109,15 @@ func resolveScale(o Options, w workloads.Workload) int {
 }
 
 // Runner executes plan cells on a bounded worker pool under
-// supervision: each cell attempt runs with panic isolation (a panicking
-// simulator becomes a structured CellError, not a dead process), an
-// optional watchdog deadline, and bounded retry with deterministic
-// backoff for transient failures. Every cell owns its engine and
-// simulators, so cells never share mutable state; the merge into
-// experiment results is deterministic because each cell decodes into a
-// preallocated slot and post-aggregation runs in enumeration order. A
-// Runner with Workers <= 1 degenerates to the serial execution order of
-// the original per-experiment loops.
+// supervision: Workers goroutines drive one Ledger, each attempt running
+// with panic isolation (a panicking simulator becomes a structured
+// CellError, not a dead process), an optional watchdog deadline, and
+// bounded retry with deterministic backoff for transient failures. Every
+// cell owns its engine and simulators, so cells never share mutable
+// state; the merge into experiment results is deterministic because each
+// cell decodes into a preallocated slot and post-aggregation runs in
+// enumeration order. A Runner with Workers <= 1 degenerates to the serial
+// execution order of the original per-experiment loops.
 type Runner struct {
 	// Workers bounds concurrent cells; 0 (or negative) means
 	// runtime.GOMAXPROCS(0).
@@ -172,33 +171,26 @@ type Runner struct {
 	// sleep replaces time.Sleep in tests (nil = time.Sleep).
 	sleep func(time.Duration)
 
-	simulated  atomic.Int64
-	cacheHits  atomic.Int64
-	retried    atomic.Int64
-	progressMu sync.Mutex
-
-	reportMu  sync.Mutex
-	cells     int
-	attempted int
-	failures  []CellFailure
+	mu    sync.Mutex
+	total RunReport // summed over every RunPlans call
 }
 
 // Simulated returns how many cells this runner actually simulated
 // (cache misses included, cache hits excluded).
-func (r *Runner) Simulated() int64 { return r.simulated.Load() }
+func (r *Runner) Simulated() int64 { return r.Report().Simulated }
 
 // CacheHits returns how many cells were served from the result cache.
-func (r *Runner) CacheHits() int64 { return r.cacheHits.Load() }
+func (r *Runner) CacheHits() int64 { return r.Report().CacheHits }
 
 // Retried returns how many extra cell attempts supervision made beyond
 // each cell's first.
-func (r *Runner) Retried() int64 { return r.retried.Load() }
+func (r *Runner) Retried() int64 { return r.Report().Retries }
 
 // CellGroup is a set of cells sharing one key: simulated (or fetched)
 // once, decoded into every member's destination. The local Runner and
 // the distributed coordinator/worker split the same group differently:
-// the Runner does both halves in-process, a dist worker calls Run (it
-// holds the sims) while the coordinator calls Deliver (it holds the
+// the Runner does both halves in-process, a dist worker calls Attempt (it
+// holds the sims) while the coordinator's Ledger commits (it holds the
 // destinations).
 type CellGroup struct {
 	// Key identifies the cell; Key.Hash() is its wire and cache address.
@@ -207,10 +199,6 @@ type CellGroup struct {
 	dests []any
 	order int // lowest cell index, for deterministic error selection
 }
-
-// Order returns the group's position in plan enumeration order — the
-// deterministic tiebreak for error selection and failure reporting.
-func (g *CellGroup) Order() int { return g.order }
 
 // Run executes the group's simulation under ctx and marshals the
 // payload. No recovery: callers own their panic-isolation boundary.
@@ -224,6 +212,44 @@ func (g *CellGroup) Run(ctx context.Context) (json.RawMessage, error) {
 		return nil, fmt.Errorf("%s: encode cell payload: %w", g.Key, err)
 	}
 	return raw, nil
+}
+
+// Attempt makes attempt number attempt at the group in isolation: chaos
+// injection (inj may be nil), Run under a watchdog deadline (timeout 0 =
+// none), panic recovery into a *PanicError. An error surfacing after the
+// deadline fired is reported as the deadline's, even when the engine
+// dressed the cancellation in workload context, so it classifies as a
+// timeout.
+func (g *CellGroup) Attempt(ctx context.Context, attempt int, timeout time.Duration, inj *chaos.Injector) (raw json.RawMessage, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = newPanicError(rec)
+		}
+	}()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	if inj != nil {
+		switch inj.Decide(g.Key.String(), attempt) {
+		case chaos.Panic:
+			panic(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
+		case chaos.Hang:
+			if _, ok := ctx.Deadline(); !ok {
+				return nil, fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", g.Key)
+			}
+			<-ctx.Done()
+			return nil, fmt.Errorf("%s: %w", g.Key, ctx.Err())
+		case chaos.Transient:
+			return nil, &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
+		}
+	}
+	raw, err = g.Run(ctx)
+	if err != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("%s: %w (sim: %v)", g.Key, ctx.Err(), err)
+	}
+	return raw, err
 }
 
 // Deliver decodes a payload (fresh, cached, or received over the wire)
@@ -269,42 +295,57 @@ func GroupPlans(plans ...*Plan) []*CellGroup {
 // KeepGoing mode failures are collected into Report() instead and the
 // returned error is nil.
 func (r *Runner) RunPlans(plans ...*Plan) error {
-	groups := GroupPlans(plans...)
-	order := 0
-	for _, p := range plans {
-		order += len(p.cells)
+	l := NewLedger(LedgerConfig{
+		Retries: r.Retries, BackoffBase: r.BackoffBase, BackoffMax: r.BackoffMax,
+		KeepGoing: r.KeepGoing, Cache: r.Cache, Journal: r.Journal, Resume: r.Resume,
+		Chaos: r.Chaos, Progress: r.Progress,
+	}, plans...)
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(l.groups)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work(l)
+		}()
+	}
+	wg.Wait()
+	err := l.Finish()
+	r.add(l.Report())
+	return err
+}
 
-	if err := r.runGroups(groups); err != nil {
-		return err
-	}
-	for _, p := range plans {
-		if p.finish == nil {
+// work claims, attempts and commits groups until the ledger has nothing
+// left to claim. A retried group's backoff is slept here, by the worker
+// whose attempt failed.
+func (r *Runner) work(l *Ledger) {
+	for {
+		i, attempt, wait := l.Claim(time.Now())
+		if i < 0 {
+			if wait == 0 {
+				return
+			}
+			time.Sleep(wait)
 			continue
 		}
-		if err := p.Finish(); err != nil {
-			if r.KeepGoing {
-				// Degraded mode: a failed aggregation (possibly fed
-				// zero-valued slots from failed cells) is reported, not
-				// fatal; the plan renders whatever state it reached.
-				r.recordFailure(order, CellFailure{
-					Key:      CellKey{Experiment: p.experiment, Config: "aggregate"},
-					Attempts: 1,
-					Cause:    CauseAggregate,
-					Err:      err.Error(),
-				})
-				order++
-				continue
+		raw, err := l.groups[i].Attempt(context.Background(), attempt, r.CellTimeout, r.Chaos)
+		if err == nil {
+			err = l.Commit(i, raw)
+		}
+		if err != nil {
+			cause, _ := Classify(err)
+			if retry, delay := l.Fail(i, cause, err, "", time.Now()); retry {
+				r.sleepFor(delay)
 			}
-			return fmt.Errorf("%s: %w", p.experiment, err)
 		}
 	}
-	return nil
 }
 
 // Finish runs the plan's aggregation step (if any) with panic
-// isolation. The Runner calls it after every cell completed; the
-// distributed coordinator calls it in plan order once the grid drains.
+// isolation. A Ledger calls it in plan order once the grid drained.
 func (p *Plan) Finish() (err error) {
 	if p.finish == nil {
 		return nil
@@ -315,192 +356,6 @@ func (p *Plan) Finish() (err error) {
 		}
 	}()
 	return p.finish()
-}
-
-// runGroups drains the group list with Workers goroutines. Early-stop
-// semantics: once a worker claims a group, that group always runs to
-// completion and records its outcome (results, counters, progress,
-// journal) — a failure elsewhere only stops workers from claiming NEW
-// groups. Groups never claimed are accounted as skipped in Report().
-func (r *Runner) runGroups(groups []*CellGroup) error {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	r.reportMu.Lock()
-	r.cells += len(groups)
-	r.reportMu.Unlock()
-	if len(groups) == 0 {
-		return nil
-	}
-
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		mu      sync.Mutex
-		bestErr error
-		bestIdx int
-	)
-	fail := func(g *CellGroup, err error) {
-		mu.Lock()
-		if bestErr == nil || g.order < bestIdx {
-			bestErr, bestIdx = err, g.order
-		}
-		mu.Unlock()
-		if !r.KeepGoing {
-			stop.Store(true)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// The stop check precedes the claim: a group is either
-				// never claimed (skipped) or fully supervised — claimed
-				// work is never silently dropped mid-cell.
-				if stop.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				g := groups[i]
-				r.reportMu.Lock()
-				r.attempted++
-				r.reportMu.Unlock()
-				if ce := r.superviseGroup(g); ce != nil {
-					r.recordFailure(g.order, CellFailure{
-						Key:      ce.Key,
-						Attempts: ce.Attempts,
-						Cause:    ce.Cause,
-						Err:      ce.Err.Error(),
-					})
-					fail(g, fmt.Errorf("%s: %w", g.Key.Experiment, ce))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if r.KeepGoing {
-		return nil
-	}
-	return bestErr
-}
-
-// superviseGroup resolves one unique cell under the full supervision
-// policy: panic isolation, watchdog deadline, classification and
-// bounded retry with deterministic backoff. A nil return means the
-// cell's payload reached every destination.
-func (r *Runner) superviseGroup(g *CellGroup) *CellError {
-	maxAttempts := r.Retries + 1
-	for attempt := 1; ; attempt++ {
-		err := r.attemptGroup(g, attempt)
-		if err == nil {
-			return nil
-		}
-		cause, retryable := Classify(err)
-		if !retryable || attempt >= maxAttempts {
-			return &CellError{Key: g.Key, Attempts: attempt, Cause: cause, Err: err, Stack: panicStack(err)}
-		}
-		r.retried.Add(1)
-		r.sleepFor(backoffDelay(r.BackoffBase, r.BackoffMax, attempt))
-	}
-}
-
-// attemptGroup makes one isolated attempt at a cell: cache lookup
-// (journal-gated under Resume), chaos injection, simulation under the
-// watchdog context, persistence, fan-out decode, journaling, progress.
-// Any panic inside the simulation surfaces as a *PanicError.
-func (r *Runner) attemptGroup(g *CellGroup, attempt int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = newPanicError(rec)
-		}
-	}()
-	ctx := context.Background()
-	if r.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
-		defer cancel()
-	}
-
-	fault := chaos.None
-	if r.Chaos != nil {
-		fault = r.Chaos.Decide(g.Key.String(), attempt)
-	}
-
-	var raw json.RawMessage
-	cached := false
-	if r.Cache != nil && (!r.Resume || (r.Journal != nil && r.Journal.Done(g.Key.Hash()))) {
-		raw, cached = r.Cache.Get(g.Key)
-	}
-	if !cached {
-		switch fault {
-		case chaos.Panic:
-			panic(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
-		case chaos.Hang:
-			if _, ok := ctx.Deadline(); !ok {
-				return fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", g.Key)
-			}
-			<-ctx.Done()
-			return fmt.Errorf("%s: %w", g.Key, ctx.Err())
-		case chaos.Transient:
-			return &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
-		}
-		payload, err := g.sim(ctx)
-		if err != nil {
-			if cause := ctx.Err(); cause != nil {
-				// The watchdog fired mid-simulation: classify as a
-				// timeout even when the engine dressed the cancellation
-				// in workload context.
-				return fmt.Errorf("%s: %w (sim: %v)", g.Key, cause, err)
-			}
-			return err
-		}
-		raw, err = json.Marshal(payload)
-		if err != nil {
-			return fmt.Errorf("%s: encode cell payload: %w", g.Key, err)
-		}
-		r.simulated.Add(1)
-		if r.Cache != nil {
-			if err := r.Cache.Put(g.Key, raw); err != nil {
-				return fmt.Errorf("%s: persist cell payload: %w", g.Key, err)
-			}
-			if fault == chaos.Corrupt {
-				// Simulate a torn write by a crashed peer: the in-memory
-				// payload stays good (this run's result is unaffected),
-				// but the stored entry must degrade to a miss next read.
-				if err := r.Cache.Corrupt(g.Key); err != nil {
-					return fmt.Errorf("%s: chaos corrupt: %w", g.Key, err)
-				}
-			}
-		}
-	} else {
-		r.cacheHits.Add(1)
-	}
-	for _, dest := range g.dests {
-		if err := json.Unmarshal(raw, dest); err != nil {
-			return fmt.Errorf("%s: decode cell payload: %w", g.Key, err)
-		}
-	}
-	if r.Journal != nil {
-		if err := r.Journal.Record(g.Key.Hash(), g.Key); err != nil {
-			return fmt.Errorf("%s: %w", g.Key, err)
-		}
-	}
-	if r.Progress != nil {
-		r.progressMu.Lock()
-		r.Progress(g.Key, cached)
-		r.progressMu.Unlock()
-	}
-	return nil
 }
 
 // sleepFor waits d (0 is free), via the test hook when set.
@@ -515,15 +370,32 @@ func (r *Runner) sleepFor(d time.Duration) {
 	time.Sleep(d)
 }
 
-// recordFailure appends a failure at the given enumeration order.
-func (r *Runner) recordFailure(order int, f CellFailure) {
-	f.order = order
-	r.reportMu.Lock()
-	r.failures = append(r.failures, f)
-	r.reportMu.Unlock()
+// add folds one RunPlans call's report into the runner's totals.
+func (r *Runner) add(rep *RunReport) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := &r.total
+	t.Cells += rep.Cells
+	t.Completed += rep.Completed
+	t.Failed += rep.Failed
+	t.Skipped += rep.Skipped
+	t.Simulated += rep.Simulated
+	t.CacheHits += rep.CacheHits
+	t.Retries += rep.Retries
+	t.Failures = append(t.Failures, rep.Failures...)
 }
 
 // serialRunner is the default execution vehicle for the typed
 // experiment entry points (Fig1, Table2, ...): one worker, no cache —
 // the exact behavior of the historical serial loops.
 func serialRunner() *Runner { return &Runner{Workers: 1} }
+
+// runSerial runs a typed experiment plan on a serialRunner and returns
+// its filled result: the body of every typed entry point.
+func runSerial[T Renderer](p *Plan, res T) (T, error) {
+	if err := serialRunner().RunPlans(p); err != nil {
+		var zero T
+		return zero, err
+	}
+	return res, nil
+}

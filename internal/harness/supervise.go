@@ -46,11 +46,6 @@ func newPanicError(value any) *PanicError {
 	return &PanicError{Value: value, Stack: debug.Stack()}
 }
 
-// NewPanicError wraps a recovered panic value for classification. The
-// distributed worker uses it at its own recover boundary so remote
-// panics classify exactly like local ones.
-func NewPanicError(value any) *PanicError { return newPanicError(value) }
-
 // Error renders the panic value (not the stack — the stack is
 // nondeterministic and lives on CellError.Stack for humans).
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
@@ -86,8 +81,8 @@ type classifyRule struct {
 	Match     func(error) bool
 }
 
-// classifyRules is the single decision procedure shared by the local
-// supervisor and the distributed coordinator's lease-expiry path. Order
+// classifyRules is the single decision procedure behind every cause
+// label, local or remote. Order
 // matters: a panic wrapping a context error is still a panic.
 var classifyRules = []classifyRule{
 	{CausePanic, true, func(err error) bool {
@@ -111,7 +106,7 @@ var classifyRules = []classifyRule{
 }
 
 // Classify maps an attempt error to its cause label and retryability.
-// Policy (PR 5's contract, now shared with the distributed coordinator):
+// Policy:
 // panics, watchdog timeouts, transient I/O and injected faults retry;
 // deterministic simulation errors fail fast; a canceled parent context
 // aborts without retry.
@@ -124,10 +119,10 @@ func Classify(err error) (cause string, retryable bool) {
 	return CauseError, false
 }
 
-// RetryableCause reports whether a cause label (as produced by Classify,
+// retryableCause reports whether a cause label (as produced by Classify,
 // possibly on the far side of a network connection) names a retryable
 // failure class. Unknown labels are conservative: not retryable.
-func RetryableCause(cause string) bool {
+func retryableCause(cause string) bool {
 	switch cause {
 	case CausePanic, CauseTimeout, CauseTransient:
 		return true
@@ -142,13 +137,6 @@ func panicStack(err error) string {
 		return string(pe.Stack)
 	}
 	return ""
-}
-
-// BackoffDelay returns the deterministic exponential delay before the
-// k-th retry (k >= 1): min(base << (k-1), max) — the same schedule for
-// the local runner and the coordinator's re-lease path.
-func BackoffDelay(base, max time.Duration, k int) time.Duration {
-	return backoffDelay(base, max, k)
 }
 
 // backoffDelay returns the deterministic exponential delay before the
@@ -224,35 +212,20 @@ type RunReport struct {
 	CodeCache *codecache.Stats `json:"codeCache,omitempty"`
 }
 
-// Report snapshots the runner's supervision outcome. Failures appear in
-// cell enumeration order — independent of worker count and scheduling —
-// so a KeepGoing report is deterministic for a fixed plan and fault
-// spec.
+// Report snapshots the runner's supervision outcome, summed over its
+// RunPlans calls. Each call's failures appear in cell enumeration order
+// — independent of worker count and scheduling — so a KeepGoing report
+// is deterministic for a fixed plan and fault spec.
 func (r *Runner) Report() *RunReport {
-	r.reportMu.Lock()
-	defer r.reportMu.Unlock()
-	rep := &RunReport{
-		Cells:     r.cells,
-		Simulated: r.simulated.Load(),
-		CacheHits: r.cacheHits.Load(),
-		Retries:   r.retried.Load(),
-		Failures:  append([]CellFailure(nil), r.failures...),
-	}
+	r.mu.Lock()
+	rep := r.total
+	r.mu.Unlock()
+	rep.Failures = append([]CellFailure(nil), rep.Failures...)
 	if r.CodeCache != nil {
 		s := r.CodeCache.Stats()
 		rep.CodeCache = &s
 	}
-	sort.Slice(rep.Failures, func(i, j int) bool { return rep.Failures[i].order < rep.Failures[j].order })
-	cellFailures := 0
-	for _, f := range rep.Failures {
-		if f.Cause != CauseAggregate {
-			cellFailures++
-		}
-	}
-	rep.Failed = len(rep.Failures)
-	rep.Completed = r.attempted - cellFailures
-	rep.Skipped = r.cells - r.attempted
-	return rep
+	return &rep
 }
 
 // Render formats the report deterministically (fixed plan and fault

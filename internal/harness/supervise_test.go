@@ -529,14 +529,14 @@ func TestClassifyTable(t *testing.T) {
 		if cause != tc.cause || retryable != tc.retryable {
 			t.Errorf("%s: Classify = (%s, %v), want (%s, %v)", tc.name, cause, retryable, tc.cause, tc.retryable)
 		}
-		if RetryableCause(cause) != retryable {
-			t.Errorf("%s: RetryableCause(%s) = %v disagrees with Classify", tc.name, cause, retryable)
+		if retryableCause(cause) != retryable {
+			t.Errorf("%s: retryableCause(%s) = %v disagrees with Classify", tc.name, cause, retryable)
 		}
 	}
-	if RetryableCause("no-such-cause") {
+	if retryableCause("no-such-cause") {
 		t.Error("unknown cause labels must not be retryable")
 	}
-	if RetryableCause(CauseAggregate) {
+	if retryableCause(CauseAggregate) {
 		t.Error("aggregate failures must not be retryable")
 	}
 }

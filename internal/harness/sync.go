@@ -86,11 +86,7 @@ func fig11Plan(o Options) (*Plan, *Fig11Result) {
 
 // Fig11 runs every workload under the three synchronization managers.
 func Fig11(o Options) (*Fig11Result, error) {
-	p, res := fig11Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(fig11Plan(o))
 }
 
 // Render formats Figure 11.

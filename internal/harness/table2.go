@@ -63,11 +63,7 @@ func table2Plan(o Options) (*Plan, *Table2Result) {
 
 // Table2 runs the four predictors over each workload in both modes.
 func Table2(o Options) (*Table2Result, error) {
-	p, res := table2Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runSerial(table2Plan(o))
 }
 
 // Render formats Table 2.
