@@ -6,6 +6,7 @@
 //	jrs <experiment>         run one experiment (fig1..fig11, table1..table3, ablate-*)
 //	jrs all                  run every experiment
 //	jrs run <workload>       execute one workload and print its output
+//	jrs run prog.jrsc        execute a class bundle compiled by cmd/mjc
 //	jrs lint [file.mj ...]   run the static-analysis passes over every
 //	                         workload (default) or the given MiniJava
 //	                         sources; exits 1 if any finding is reported
@@ -31,7 +32,9 @@
 //
 //	-scale N      override every workload's input size (0 = default)
 //	-quick        use each workload's reduced benchmark scale
-//	-mode M       execution mode for `run` (interp, jit, aot, opt)
+//	-mode M       execution mode for `run` (interp, jit, aot, opt; a
+//	              class bundle takes interp, jit or aot, and rejects
+//	              -scale, -quick, -checkraces and -checkelide)
 //	-w names      comma-separated workload subset for experiments
 //	-parallel N   simulation workers (0 = GOMAXPROCS, 1 = serial)
 //	-cachedir D   persist per-cell results under D and reuse them on re-runs
@@ -69,12 +72,10 @@
 //	              byte-identical to the local run and the remote exit
 //	              code (0/1/2/3) is propagated. Local scheduler flags
 //	              (-parallel, -cachedir, -retries, -celltimeout,
-//	              -keepgoing, -resume, -chaos, -codecache, -codecachedir,
-//	              -nobatch) are rejected with exit 2: they belong to
-//	              the coordinator and workers
+//	              -keepgoing, -resume, -chaos, -codecache, -codecachedir)
+//	              are rejected with exit 2: they belong to the
+//	              coordinator and workers
 //	-json         emit lint/analyze reports as JSON instead of text
-//	-nobatch      deliver trace instructions one at a time (disable the
-//	              batched transport; for debugging and A/B timing)
 //	-cpuprofile F write a CPU profile to F
 //	-memprofile F write a heap profile to F on exit
 package main
@@ -91,13 +92,13 @@ import (
 	"strings"
 	"time"
 
+	"jrs/internal/classfile"
 	"jrs/internal/core"
 	"jrs/internal/harness"
 	"jrs/internal/harness/chaos"
 	"jrs/internal/harness/dist"
 	"jrs/internal/jit/codecache"
 	"jrs/internal/minijava"
-	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -113,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 0, "workload input scale (0 = workload default)")
 	quick := fs.Bool("quick", false, "use reduced benchmark scales")
-	mode := fs.String("mode", "jit", "execution mode for `run`: interp, jit, aot, opt")
+	mode := fs.String("mode", "jit", "execution mode for `run`: interp, jit, aot, opt (a class bundle: interp, jit, aot)")
 	wsel := fs.String("w", "", "comma-separated workload subset")
 	parallel := fs.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS, 1 = serial)")
 	cachedir := fs.String("cachedir", "", "directory for the persistent result cache (empty = no cache)")
@@ -125,7 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	resume := fs.Bool("resume", false, "resume an interrupted run from the -cachedir journal")
 	chaosSpec := fs.String("chaos", "", "deterministic fault-injection spec (seed=N,panic=P,hang=P,err=P,corrupt=P,upto=K,cell=S)")
 	jsonOut := fs.Bool("json", false, "emit lint/analyze reports as JSON")
-	nobatch := fs.Bool("nobatch", false, "disable the batched trace transport (per-instruction delivery)")
 	checkpipe := fs.Bool("checkpipe", false, "attach the pipeline invariant checker to every superscalar core (debug; slower)")
 	races := fs.Bool("races", false, "add the static race/deadlock analysis to lint and analyze reports")
 	checkraces := fs.Bool("checkraces", false, "attach the dynamic vector-clock race detector to `run` and check its findings against the static report (debug; slower)")
@@ -145,13 +145,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *remote != "" {
-		if name := localOnlyFlag(fs); name != "" {
+		if name := firstSet(fs, localOnly); name != "" {
 			fmt.Fprintf(stderr, "jrs: -%s has no effect with -remote (it is a jrsd coordinator or worker setting)\n", name)
 			return 2
 		}
-	}
-	if *nobatch {
-		trace.BatchSize = 1
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -187,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			w, ok := workloads.ByName(strings.TrimSpace(name))
 			if !ok {
 				fmt.Fprintf(stderr, "jrs: unknown workload %q\n", name)
-				return 1
+				return 2
 			}
 			opts.Workloads = append(opts.Workloads, w)
 		}
@@ -294,8 +291,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	case "run":
 		if fs.NArg() < 2 {
-			fmt.Fprintln(stderr, "jrs: run requires a workload name")
-			return 1
+			fmt.Fprintln(stderr, "jrs: run requires a workload name or a .jrsc class bundle")
+			return 2
+		}
+		if _, ok := engineModes[*mode]; !ok && *mode != "opt" {
+			fmt.Fprintf(stderr, "jrs: unknown mode %q\n", *mode)
+			return 2
+		}
+		if strings.HasSuffix(fs.Arg(1), ".jrsc") {
+			name := firstSet(fs, workloadOnly)
+			if name == "" && *mode == "opt" {
+				name = "mode opt"
+			}
+			if name != "" {
+				fmt.Fprintf(stderr, "jrs: -%s does not apply to a class bundle (it needs a workload)\n", name)
+				return 2
+			}
+			return runBundle(fs.Arg(1), engineModes[*mode], *schedseed, stdout, stderr)
 		}
 		return runWorkload(fs.Arg(1), *mode, opts, *checkraces, *checkelide, *schedseed, stdout, stderr)
 
@@ -332,14 +344,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 var localOnly = map[string]bool{
 	"parallel": true, "cachedir": true, "retries": true, "celltimeout": true,
 	"keepgoing": true, "resume": true, "chaos": true, "codecache": true,
-	"codecachedir": true, "nobatch": true,
+	"codecachedir": true,
 }
 
-// localOnlyFlag returns the first local-only flag set on the command
-// line, or "".
-func localOnlyFlag(fs *flag.FlagSet) (name string) {
+// workloadOnly names the `run` flags that need a workload: its scale,
+// its oracle profile (-mode opt) or its static analyses. A class bundle
+// rejects them.
+var workloadOnly = map[string]bool{
+	"scale": true, "quick": true, "checkraces": true, "checkelide": true,
+}
+
+// firstSet returns the first flag of names set on the command line, or
+// "".
+func firstSet(fs *flag.FlagSet, names map[string]bool) (name string) {
 	fs.Visit(func(f *flag.Flag) {
-		if name == "" && localOnly[f.Name] {
+		if name == "" && names[f.Name] {
 			name = f.Name
 		}
 	})
@@ -386,11 +405,16 @@ func reportExit(runner *harness.Runner, keepgoing bool, stdout io.Writer) int {
 	return 0
 }
 
+// engineModes maps the -mode names that select one execution engine.
+var engineModes = map[string]harness.Mode{
+	"interp": harness.ModeInterp, "jit": harness.ModeJIT, "aot": harness.ModeAOT,
+}
+
 func runWorkload(name, modeName string, opts harness.Options, checkraces, checkelide bool, schedseed uint64, stdout, stderr io.Writer) int {
 	w, ok := workloads.ByName(name)
 	if !ok {
 		fmt.Fprintf(stderr, "jrs: unknown workload %q\n", name)
-		return 1
+		return 2
 	}
 	scale := opts.Scale
 	if opts.Quick && scale == 0 {
@@ -404,22 +428,36 @@ func runWorkload(name, modeName string, opts harness.Options, checkraces, checke
 		return checkElide(w, scale, modeName, stdout, stderr)
 	}
 
-	var e *core.Engine
-	var err error
-	cfg := core.Config{SchedSeed: schedseed}
-	switch modeName {
-	case "interp":
-		e, err = harness.Run(w, scale, harness.ModeInterp, cfg)
-	case "jit":
-		e, err = harness.Run(w, scale, harness.ModeJIT, cfg)
-	case "aot":
-		e, err = harness.Run(w, scale, harness.ModeAOT, cfg)
-	case "opt":
-		e, _, err = harness.RunOracle(w, scale)
-	default:
-		fmt.Fprintf(stderr, "jrs: unknown mode %q\n", modeName)
+	if modeName == "opt" {
+		e, _, err := harness.RunOracleCtx(context.Background(), w, scale)
+		return printRun(w.Name, modeName, e, err, stdout, stderr)
+	}
+	e, err := harness.Run(w, scale, engineModes[modeName], core.Config{SchedSeed: schedseed})
+	return printRun(w.Name, modeName, e, err, stdout, stderr)
+}
+
+// runBundle executes a class bundle written by cmd/mjc through the same
+// harness path as a workload.
+func runBundle(path string, mode harness.Mode, schedseed uint64, stdout, stderr io.Writer) int {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "jrs: %v\n", err)
 		return 1
 	}
+	classes, err := classfile.Read(f)
+	f.Close()
+	if err != nil {
+		fmt.Fprintf(stderr, "jrs: %s: %v\n", path, err)
+		return 1
+	}
+	name := filepath.Base(path)
+	e, err := harness.RunClassesCtx(context.Background(), name, classes, mode, core.Config{SchedSeed: schedseed})
+	return printRun(name, mode.String(), e, err, stdout, stderr)
+}
+
+// printRun prints a finished run's program output and its instruction
+// summary line.
+func printRun(name, modeName string, e *core.Engine, err error, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "jrs: %v\n", err)
 		return 1
@@ -427,7 +465,7 @@ func runWorkload(name, modeName string, opts harness.Options, checkraces, checke
 	fmt.Fprint(stdout, e.VM.Out.String())
 	exec, translate, load := e.PhaseInstrs()
 	fmt.Fprintf(stdout, "\n[%s/%s] instructions: total=%d exec=%d translate=%d load=%d translations=%d footprint=%dKB\n",
-		w.Name, modeName, e.TotalInstrs(), exec, translate, load,
+		name, modeName, e.TotalInstrs(), exec, translate, load,
 		e.JIT.Translations, e.FootprintBytes()>>10)
 	return 0
 }
@@ -436,15 +474,8 @@ func runWorkload(name, modeName string, opts harness.Options, checkraces, checke
 // detector attached (jrs run -checkraces), reports what it observed,
 // and fails when a dynamic race escapes the static report.
 func checkRaces(w workloads.Workload, scale int, modeName string, schedseed uint64, stdout, stderr io.Writer) int {
-	var mode harness.Mode
-	switch modeName {
-	case "interp":
-		mode = harness.ModeInterp
-	case "jit":
-		mode = harness.ModeJIT
-	case "aot":
-		mode = harness.ModeAOT
-	default:
+	mode, ok := engineModes[modeName]
+	if !ok {
 		fmt.Fprintf(stderr, "jrs: -checkraces supports modes interp, jit, aot (got %q)\n", modeName)
 		return 2 // usage error, like any bad flag combination
 	}
@@ -473,15 +504,8 @@ func checkRaces(w workloads.Workload, scale int, modeName string, schedseed uint
 // run -checkelide) — and fails when outputs diverge or any elided check
 // would have fired.
 func checkElide(w workloads.Workload, scale int, modeName string, stdout, stderr io.Writer) int {
-	var mode harness.Mode
-	switch modeName {
-	case "interp":
-		mode = harness.ModeInterp
-	case "jit":
-		mode = harness.ModeJIT
-	case "aot":
-		mode = harness.ModeAOT
-	default:
+	mode, ok := engineModes[modeName]
+	if !ok {
 		fmt.Fprintf(stderr, "jrs: -checkelide supports modes interp, jit, aot (got %q)\n", modeName)
 		return 2 // usage error, like any bad flag combination
 	}
@@ -593,7 +617,7 @@ usage:
   jrs [flags] list
   jrs [flags] <experiment>   e.g. fig1, table2, ablate-install
   jrs [flags] all
-  jrs [flags] run <workload>
+  jrs [flags] run <workload | prog.jrsc>
   jrs [flags] lint [file.mj ...]
   jrs [flags] analyze [file.mj ...]
 

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"jrs/internal/classfile"
 	"jrs/internal/harness"
+	"jrs/internal/minijava"
 )
 
 // TestUnknownExperiment checks the CLI exits non-zero and lists every
@@ -30,14 +34,86 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestUnknownWorkload checks -w validation.
+// TestUnknownWorkload checks that every usage error of workload
+// selection and `run` exits 2 and names what was wrong: an unknown -w
+// or `run` workload, a missing `run` argument, an unknown -mode, and
+// each flag a class bundle rejects (checked before the bundle is read).
 func TestUnknownWorkload(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-w", "nosuch", "fig1"}, &out, &errb); code == 0 {
-		t.Fatalf("run(-w nosuch) exit code = 0, want non-zero")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-w", "nosuch", "fig1"}, `unknown workload "nosuch"`},
+		{[]string{"run"}, "run requires a workload name"},
+		{[]string{"run", "nosuch"}, `unknown workload "nosuch"`},
+		{[]string{"-mode", "nosuch", "run", "hello"}, `unknown mode "nosuch"`},
+		{[]string{"-mode", "opt", "run", "x.jrsc"}, "-mode opt does not apply to a class bundle"},
+		{[]string{"-checkraces", "run", "x.jrsc"}, "-checkraces does not apply to a class bundle"},
+		{[]string{"-checkelide", "run", "x.jrsc"}, "-checkelide does not apply to a class bundle"},
+		{[]string{"-scale", "5", "run", "x.jrsc"}, "-scale does not apply to a class bundle"},
+		{[]string{"-quick", "run", "x.jrsc"}, "-quick does not apply to a class bundle"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", tc.args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stderr = %q, want %q", tc.args, errb.String(), tc.want)
+		}
 	}
-	if !strings.Contains(errb.String(), `unknown workload "nosuch"`) {
-		t.Errorf("stderr = %q, want unknown-workload message", errb.String())
+}
+
+// TestRunClassBundle compiles an example with the cmd/mjc pipeline and
+// runs the bundle under every engine: the program output is identical
+// across modes, and only the interpreter translates nothing.
+func TestRunClassBundle(t *testing.T) {
+	const src = "../../examples/minijava/fib.mj"
+	text, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes, err := minijava.CompileSources(map[string]string{src: string(text)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := filepath.Join(t.TempDir(), "fib.jrsc")
+	f, err := os.Create(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := classfile.Write(f, classes); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want string
+	for _, mode := range []string{"interp", "jit", "aot"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-mode", mode, "run", bundle}, &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d (stderr: %s)", mode, code, errb.String())
+		}
+		s := out.String()
+		cut := strings.LastIndex(s, "\n[fib.jrsc/"+mode+"] instructions:")
+		if cut < 0 {
+			t.Fatalf("%s: no summary line:\n%s", mode, s)
+		}
+		prog, summary := s[:cut], s[cut:]
+		if mode == "interp" {
+			want = prog
+			if prog == "" {
+				t.Error("interp: the program printed nothing")
+			}
+			if !strings.Contains(summary, " translations=0 ") {
+				t.Errorf("interp translated methods: %s", summary)
+			}
+		} else if prog != want {
+			t.Errorf("%s output %q differs from interp %q", mode, prog, want)
+		}
+		if mode == "jit" && strings.Contains(summary, " translations=0 ") {
+			t.Errorf("jit translated nothing: %s", summary)
+		}
 	}
 }
 
@@ -318,7 +394,6 @@ func TestRemoteRejectsLocalFlags(t *testing.T) {
 		{"-parallel", "2"}, {"-cachedir", "x"}, {"-retries", "1"},
 		{"-celltimeout", "1s"}, {"-keepgoing"}, {"-resume"},
 		{"-chaos", "seed=1,panic=1"}, {"-codecache"}, {"-codecachedir", "x"},
-		{"-nobatch"},
 	} {
 		var out, errb bytes.Buffer
 		argv := append([]string{"-remote", "127.0.0.1:1"}, args...)

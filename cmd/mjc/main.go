@@ -1,5 +1,5 @@
 // Command mjc compiles MiniJava source files into a binary class bundle
-// executable with cmd/jrun.
+// executable with `jrs run prog.jrsc`.
 //
 // Usage:
 //

@@ -36,13 +36,13 @@ func (iv Interval) Contains(v int64) bool { return iv.Lo <= v && v <= iv.Hi }
 
 // Join is the interval hull (least upper bound).
 func (iv Interval) Join(o Interval) Interval {
-	return Interval{min64(iv.Lo, o.Lo), max64(iv.Hi, o.Hi)}
+	return Interval{min(iv.Lo, o.Lo), max(iv.Hi, o.Hi)}
 }
 
 // Meet intersects two intervals; ok is false when the intersection is
 // empty (the combination is unreachable).
 func (iv Interval) Meet(o Interval) (Interval, bool) {
-	r := Interval{max64(iv.Lo, o.Lo), min64(iv.Hi, o.Hi)}
+	r := Interval{max(iv.Lo, o.Lo), min(iv.Hi, o.Hi)}
 	return r, r.Lo <= r.Hi
 }
 
@@ -99,7 +99,7 @@ func (iv Interval) Mul(o Interval) Interval {
 			if !ok {
 				return Full()
 			}
-			lo, hi = min64(lo, p), max64(hi, p)
+			lo, hi = min(lo, p), max(hi, p)
 		}
 	}
 	return Interval{lo, hi}
@@ -139,20 +139,6 @@ func mulChecked(a, b int64) (int64, bool) {
 		return 0, false
 	}
 	return p, true
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Nullness is the three-point reference lattice: NonNull and Null are

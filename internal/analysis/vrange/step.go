@@ -407,7 +407,7 @@ func (s *msolver) arith(op bytecode.Op, a, b aval) aval {
 		case a.iv.Lo == a.iv.Hi && a.iv.Lo >= 0:
 			out.iv = Range(0, a.iv.Lo)
 		case a.iv.Lo >= 0 && b.iv.Lo >= 0:
-			out.iv = Range(0, min64(a.iv.Hi, b.iv.Hi))
+			out.iv = Range(0, min(a.iv.Hi, b.iv.Hi))
 		}
 	case bytecode.IOr, bytecode.IXor:
 		if a.iv.Lo >= 0 && b.iv.Lo >= 0 {

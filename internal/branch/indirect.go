@@ -115,13 +115,9 @@ func (u *IndirectUnit) Observe(in trace.Inst) bool {
 }
 
 // Emit implements trace.Sink.
-func (u *IndirectUnit) Emit(in trace.Inst) {
-	if in.Class.IsControl() {
-		u.Observe(in)
-	}
-}
+func (u *IndirectUnit) Emit(in trace.Inst) { u.EmitBatch([]trace.Inst{in}) }
 
-// EmitBatch implements trace.BatchSink, filtering non-control
+// EmitBatch implements trace.Sink, filtering non-control
 // instructions without per-instruction dispatch.
 func (u *IndirectUnit) EmitBatch(batch []trace.Inst) {
 	for i := range batch {

@@ -117,19 +117,12 @@ func NewSuite() *Suite {
 	}}
 }
 
-// Emit implements trace.Sink, feeding every control transfer to all units.
-func (s *Suite) Emit(in trace.Inst) {
-	if !in.Class.IsControl() {
-		return
-	}
-	for _, u := range s.Units {
-		u.Observe(in)
-	}
-}
+// Emit implements trace.Sink.
+func (s *Suite) Emit(in trace.Inst) { s.EmitBatch([]trace.Inst{in}) }
 
-// EmitBatch implements trace.BatchSink. Non-control instructions — the
-// bulk of the stream — are skipped in a tight concrete loop instead of
-// paying an interface dispatch each just to be discarded.
+// EmitBatch implements trace.Sink, feeding every control transfer to
+// all units. Non-control instructions — the bulk of the stream — are
+// skipped in a tight concrete loop.
 func (s *Suite) EmitBatch(batch []trace.Inst) {
 	for i := range batch {
 		if !batch[i].Class.IsControl() {

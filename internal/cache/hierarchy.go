@@ -35,11 +35,7 @@ func PaperDefault() *Hierarchy {
 }
 
 // Emit implements trace.Sink.
-func (h *Hierarchy) Emit(in trace.Inst) {
-	h.I.SetPhase(int(in.Phase))
-	h.D.SetPhase(int(in.Phase))
-	h.step(&in)
-}
+func (h *Hierarchy) Emit(in trace.Inst) { h.EmitBatch([]trace.Inst{in}) }
 
 // step is one instruction's probes, phase attribution already set.
 func (h *Hierarchy) step(in *trace.Inst) {
@@ -56,13 +52,12 @@ func (h *Hierarchy) step(in *trace.Inst) {
 	}
 }
 
-// EmitBatch implements trace.BatchSink. The per-instruction SetPhase
-// pair is hoisted to phase-change boundaries within the batch: runs of
-// same-phase instructions (the overwhelmingly common case — phase only
-// changes at interpreter/translator/loader transitions) pay for phase
-// attribution once instead of twice per instruction. Setting the same
-// phase repeatedly is idempotent, so results are byte-identical to the
-// per-instruction path.
+// EmitBatch implements trace.Sink. Phase attribution is set at
+// phase-change boundaries within the batch: runs of same-phase
+// instructions (the overwhelmingly common case — phase only changes at
+// interpreter/translator/loader transitions) pay for it once instead of
+// twice per instruction. Setting the same phase repeatedly is
+// idempotent, so batch boundaries never change results.
 func (h *Hierarchy) EmitBatch(batch []trace.Inst) {
 	const noPhase = trace.Phase(0xFF)
 	cur := noPhase
@@ -105,17 +100,11 @@ func NewSampler(h *Hierarchy, window uint64) *Sampler {
 }
 
 // Emit implements trace.Sink.
-func (s *Sampler) Emit(in trace.Inst) {
-	s.H.Emit(in)
-	s.count++
-	if s.count%s.Window == 0 {
-		s.flush()
-	}
-}
+func (s *Sampler) Emit(in trace.Inst) { s.EmitBatch([]trace.Inst{in}) }
 
-// EmitBatch implements trace.BatchSink, splitting the batch at sampling
+// EmitBatch implements trace.Sink, splitting the batch at sampling
 // window boundaries so every window closes at exactly the same
-// instruction as the per-instruction path.
+// instruction whatever the batch partition.
 func (s *Sampler) EmitBatch(batch []trace.Inst) {
 	for len(batch) > 0 {
 		room := s.Window - s.count%s.Window

@@ -1,7 +1,7 @@
 // Package classfile serializes compiled classes to a compact binary
 // format — the repository's analogue of .class files — so MiniJava
 // programs can be compiled once with cmd/mjc and executed later with
-// cmd/jrun. The format is versioned and self-describing enough for
+// `jrs run prog.jrsc`. The format is versioned and self-describing enough for
 // round-trip fidelity of everything the loader needs: fields, statics,
 // method bodies, flags and the symbolic constant pool.
 package classfile

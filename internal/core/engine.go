@@ -55,15 +55,10 @@ func (s MethodStats) ExecAvg() float64 {
 
 // Config assembles an engine.
 type Config struct {
-	// Sink receives the full native trace (nil = discard).
+	// Sink receives the full native trace (nil = discard), in
+	// trace.BatchSize batches. Batch boundaries never change simulated
+	// outcomes — only how often the downstream sinks are dispatched.
 	Sink trace.Sink
-	// BatchSize is the trace-transport delivery buffer length: emitted
-	// instructions accumulate in a Shade-style batch buffer and reach
-	// Sink in []Inst batches of this size (0 = the trace.BatchSize
-	// process default; 1 = per-instruction delivery, the -nobatch
-	// escape hatch). Batch boundaries never change simulated outcomes —
-	// only how often the downstream sinks are dispatched.
-	BatchSize int
 	// Policy is the translate decision (default CompileFirst).
 	Policy Policy
 	// JITOptions tunes the compiler.
@@ -236,7 +231,7 @@ func New(cfg Config) *Engine {
 		cfg.JITOptions = jit.DefaultOptions()
 	}
 	clock := &trace.Counter{}
-	batch := trace.NewBatcher(trace.Tee(clock, cfg.Sink), cfg.BatchSize)
+	batch := trace.NewBatcher(trace.Tee(clock, cfg.Sink), 0)
 	v := vm.New(batch, cfg.Monitors)
 	v.Verify = cfg.Verify
 	e := &Engine{

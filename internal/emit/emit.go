@@ -18,47 +18,37 @@ import (
 
 // Emitter is the per-engine handle to the trace stream.
 type Emitter struct {
-	// Sink receives all instructions. Must be non-nil (use
-	// trace.Discard for untraced runs).
-	Sink trace.Sink
+	// Batch receives all instructions: every emit is a concrete buffer
+	// append and the downstream interface dispatch happens once per
+	// batch, Shade-style. All of an engine's emitters (interpreter, JIT
+	// translator, native CPU, runtime services, class loading) share
+	// the engine's one Batcher, so the merged stream keeps exact
+	// program order. Hot per-inst call sites (Seq.emit, the native CPU)
+	// append to it directly so the append inlines without an
+	// intermediate call.
+	Batch *trace.Batcher
 	// Phase tags everything emitted.
 	Phase trace.Phase
 	// Count is the number of instructions emitted through this emitter,
 	// the time proxy used by the §3 cost accounting.
 	Count uint64
-
-	// Batch is the Shade-style fast path: when Sink is a
-	// *trace.Batcher, every emit is a concrete buffer append and the
-	// downstream interface dispatch happens once per batch. All of an
-	// engine's emitters (interpreter, JIT translator, native CPU,
-	// runtime services, class loading) share the engine's one Batcher,
-	// so the merged stream keeps exact program order. Hot per-inst call
-	// sites (Seq.emit, the native CPU) test it directly so the append
-	// inlines without an intermediate call.
-	Batch *trace.Batcher
 }
 
-// New returns an emitter over sink in phase p.
+// New returns an emitter over sink in phase p. A sink that is not
+// already a *trace.Batcher (nil = trace.Discard) is wrapped in a
+// capacity-1 Batcher, so delivery stays immediate and in order.
 func New(sink trace.Sink, p trace.Phase) *Emitter {
-	if sink == nil {
-		sink = trace.Discard
+	b, ok := sink.(*trace.Batcher)
+	if !ok {
+		b = trace.NewBatcher(sink, 1)
 	}
-	e := &Emitter{Sink: sink, Phase: p}
-	if b, ok := sink.(*trace.Batcher); ok {
-		e.Batch = b
-	}
-	return e
+	return &Emitter{Batch: b, Phase: p}
 }
 
-// Emit delivers one instruction, counting it and taking the batched
-// fast path when available.
+// Emit delivers one instruction, counting it.
 func (e *Emitter) Emit(in trace.Inst) {
 	e.Count++
-	if e.Batch != nil {
-		e.Batch.Add(in)
-		return
-	}
-	e.Sink.Emit(in)
+	e.Batch.Add(in)
 }
 
 // Seq walks a template starting at a fixed PC. The zero register
@@ -101,11 +91,7 @@ func (s *Seq) emit(in trace.Inst) *Seq {
 	// whole-grid time.
 	e := s.e
 	e.Count++
-	if e.Batch != nil {
-		e.Batch.Add(in)
-	} else {
-		e.Sink.Emit(in)
-	}
+	e.Batch.Add(in)
 	s.pc += isa.WordSize
 	if in.Dst != trace.RegNone {
 		s.prevDst = in.Dst

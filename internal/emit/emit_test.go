@@ -10,7 +10,9 @@ import (
 // capture records emitted instructions.
 type capture struct{ got []trace.Inst }
 
-func (c *capture) Emit(i trace.Inst) { c.got = append(c.got, i) }
+func (c *capture) Emit(i trace.Inst) { c.EmitBatch([]trace.Inst{i}) }
+
+func (c *capture) EmitBatch(b []trace.Inst) { c.got = append(c.got, b...) }
 
 func TestSequencePCsAdvance(t *testing.T) {
 	c := &capture{}

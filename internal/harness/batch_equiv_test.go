@@ -19,11 +19,15 @@ func engineFingerprint(e *core.Engine, sink *trace.Counter) string {
 }
 
 // runFingerprint executes one workload/mode cell at the given transport
-// batch size and returns its fingerprint.
+// batch size (trace.BatchSize, restored on return) and returns its
+// fingerprint.
 func runFingerprint(t testing.TB, w workloads.Workload, mode Mode, batchSize int) string {
 	t.Helper()
+	old := trace.BatchSize
+	defer func() { trace.BatchSize = old }()
+	trace.BatchSize = batchSize
 	var sink trace.Counter
-	e, err := Run(w, w.BenchN, mode, core.Config{BatchSize: batchSize}, &sink)
+	e, err := Run(w, w.BenchN, mode, core.Config{}, &sink)
 	if err != nil {
 		t.Fatalf("%s/%v batch=%d: %v", w.Name, mode, batchSize, err)
 	}
@@ -54,9 +58,8 @@ func TestBatchedTransportEquivalence(t *testing.T) {
 		}
 	}
 
-	// The experiment grid builds its engines internally, so the only
-	// knob is the process-wide default. Every experiment's formatted
-	// report must be byte-identical either way.
+	// Every experiment's formatted report must be byte-identical
+	// either way.
 	t.Run("experiments", func(t *testing.T) {
 		o := helloOpts()
 		old := trace.BatchSize

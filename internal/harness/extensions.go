@@ -74,13 +74,9 @@ func AblateIndirect(o Options) (*AblateIndirectResult, error) {
 type sinkUnit struct{ u *branch.Unit }
 
 // Emit implements trace.Sink.
-func (s sinkUnit) Emit(in trace.Inst) {
-	if in.Class.IsControl() {
-		s.u.Observe(in)
-	}
-}
+func (s sinkUnit) Emit(in trace.Inst) { s.EmitBatch([]trace.Inst{in}) }
 
-// EmitBatch implements trace.BatchSink, filtering the non-control bulk
+// EmitBatch implements trace.Sink, filtering the non-control bulk
 // of the batch without per-instruction dispatch.
 func (s sinkUnit) EmitBatch(batch []trace.Inst) {
 	for i := range batch {

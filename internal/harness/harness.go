@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"jrs/internal/bytecode"
 	"jrs/internal/core"
 	"jrs/internal/emit"
 	"jrs/internal/jit"
@@ -122,6 +123,13 @@ func Run(w workloads.Workload, scale int, mode Mode, cfg core.Config, sinks ...t
 // instead of a stuck goroutine. A context that never cancels behaves
 // exactly like Run.
 func RunCtx(ctx context.Context, w workloads.Workload, scale int, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
+	return RunClassesCtx(ctx, w.Name, w.Classes(scale), mode, cfg, sinks...)
+}
+
+// RunClassesCtx is RunCtx over an already-compiled program — a
+// workload's classes, or a class bundle written by cmd/mjc. name
+// prefixes every error.
+func RunClassesCtx(ctx context.Context, name string, classes []*bytecode.Class, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
 	if ctx != nil && ctx.Done() != nil && cfg.Cancel == nil {
 		cfg.Cancel = ctx.Err
 	}
@@ -148,35 +156,30 @@ func RunCtx(ctx context.Context, w workloads.Workload, scale int, mode Mode, cfg
 	cfg.Sink = sw
 
 	e := core.New(cfg)
-	if err := e.VM.Load(w.Classes(scale)); err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+	if err := e.VM.Load(classes); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if mode == ModeAOT {
 		if err := e.PrecompileAll(); err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		sw.S = measured
 	}
 	main, err := e.VM.LookupMain()
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if err := e.Run(main); err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", w.Name, mode, err)
+		return nil, fmt.Errorf("%s (%v): %w", name, mode, err)
 	}
 	return e, nil
 }
 
-// ComputeOracle runs the two profiling passes of §3 (interpret-only and
-// JIT-always) and derives the opt set: compile method i iff invoking it
-// n_i times is cheaper translated, i.e. n_i > N_i = T_i / (I_i - E_i).
-func ComputeOracle(w workloads.Workload, scale int) (set map[int]bool, interp, jitRun *core.Engine, err error) {
-	return ComputeOracleCtx(context.Background(), w, scale)
-}
-
-// ComputeOracleCtx is ComputeOracle under a cancellable context. Workload
-// setup failures return as errors (never panics), so they flow through
-// the supervised runner path like any other cell failure.
+// ComputeOracleCtx runs the two profiling passes of §3 (interpret-only
+// and JIT-always) and derives the opt set: compile method i iff invoking
+// it n_i times is cheaper translated, i.e. n_i > N_i = T_i / (I_i - E_i).
+// Workload setup failures return as errors (never panics), so they flow
+// through the supervised runner path like any other cell failure.
 func ComputeOracleCtx(ctx context.Context, w workloads.Workload, scale int) (set map[int]bool, interp, jitRun *core.Engine, err error) {
 	interp, err = RunCtx(ctx, w, scale, ModeInterp, core.Config{})
 	if err != nil {
@@ -210,12 +213,7 @@ func ComputeOracleCtx(ctx context.Context, w workloads.Workload, scale int) (set
 	return set, interp, jitRun, nil
 }
 
-// RunOracle executes w under the opt policy derived from profiling.
-func RunOracle(w workloads.Workload, scale int, sinks ...trace.Sink) (*core.Engine, map[int]bool, error) {
-	return RunOracleCtx(context.Background(), w, scale, sinks...)
-}
-
-// RunOracleCtx is RunOracle under a cancellable context.
+// RunOracleCtx executes w under the opt policy derived from profiling.
 func RunOracleCtx(ctx context.Context, w workloads.Workload, scale int, sinks ...trace.Sink) (*core.Engine, map[int]bool, error) {
 	set, _, _, err := ComputeOracleCtx(ctx, w, scale)
 	if err != nil {

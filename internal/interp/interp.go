@@ -85,7 +85,7 @@ type Interp struct {
 // handler templates interleaved in exact program order with runtime and
 // JIT emissions while the transport buffers deliveries downstream.
 func New(v *vm.VM) *Interp {
-	return &Interp{VM: v, EM: emit.New(v.RT.Sink, trace.PhaseExec)}
+	return &Interp{VM: v, EM: emit.New(v.RT.Batch, trace.PhaseExec)}
 }
 
 // NewFrame builds a frame for m with args (receiver first for instance

@@ -159,7 +159,7 @@ type Compiler struct {
 func New(v *vm.VM, opt Options) *Compiler {
 	return &Compiler{
 		VM:       v,
-		EM:       emit.New(v.RT.Sink, trace.PhaseTranslate),
+		EM:       emit.New(v.RT.Batch, trace.PhaseTranslate),
 		Opt:      opt,
 		codeNext: vm.CodeArea,
 		ByID:     make(map[int]*Compiled),

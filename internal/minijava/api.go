@@ -1,6 +1,10 @@
 package minijava
 
-import "jrs/internal/bytecode"
+import (
+	"slices"
+
+	"jrs/internal/bytecode"
+)
 
 // Compile parses, checks and lowers one MiniJava source file, returning
 // the bytecode classes (with the Sys intrinsic class appended).
@@ -41,10 +45,6 @@ func sortedKeys(m map[string]string) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }

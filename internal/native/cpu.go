@@ -87,9 +87,9 @@ type CPU struct {
 	Cancel func() error
 }
 
-// New builds a CPU for v emitting to the VM's sink.
+// New builds a CPU for v emitting to the VM's trace transport.
 func New(v *vm.VM) *CPU {
-	return &CPU{VM: v, EM: emit.New(v.RT.Sink, trace.PhaseExec)}
+	return &CPU{VM: v, EM: emit.New(v.RT.Batch, trace.PhaseExec)}
 }
 
 // Run executes up to quantum instructions of a, returning the suspending
@@ -460,11 +460,7 @@ func SetResult(a *Activation, ret bytecode.Type, val int64) {
 func (c *CPU) put(in trace.Inst) {
 	em := c.EM
 	em.Count++
-	if em.Batch != nil {
-		em.Batch.Add(in)
-	} else {
-		em.Sink.Emit(in)
-	}
+	em.Batch.Add(in)
 }
 
 func (c *CPU) emitALU(pc uint64, in isa.Inst) {

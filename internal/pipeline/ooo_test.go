@@ -99,21 +99,35 @@ func TestMoreResourcesNeverSlower(t *testing.T) {
 	}
 }
 
-// TestNewVsLegacySynthetic pins the rewrite against the old window
+// TestNewVsLegacySynthetic pins the core against the retired window
 // model on a synthetic mixed stream: both are timing models of the same
 // machine, so their cycle counts must stay within a coarse envelope at
 // every width (the harness pins a tighter envelope on real workloads).
+// The legacy results are frozen; to regenerate them, check out commit
+// 0df0c36, the last with internal/pipeline/legacy.go, and time
+// mixedTrace(50000, 3) there with the legacy model at DefaultConfig(w).
 func TestNewVsLegacySynthetic(t *testing.T) {
 	tr := mixedTrace(50000, 3)
-	for _, w := range []int{1, 2, 4, 8} {
-		ooo := New(DefaultConfig(w))
+	for _, ref := range []struct {
+		width          int
+		instrs, cycles uint64
+	}{
+		{1, 50000, 78268},
+		{2, 50000, 55726},
+		{4, 50000, 46174},
+		{8, 50000, 42522},
+	} {
+		ooo := New(DefaultConfig(ref.width))
 		ooo.EmitBatch(tr)
-		old := NewLegacy(DefaultConfig(w))
-		old.EmitBatch(tr)
-		ratio := ooo.IPC() / old.IPC()
+		if ooo.Instrs != ref.instrs {
+			t.Fatalf("width %d: core timed %d instructions, the frozen legacy reference %d",
+				ref.width, ooo.Instrs, ref.instrs)
+		}
+		legacy := float64(ref.instrs) / float64(ref.cycles)
+		ratio := ooo.IPC() / legacy
 		if ratio < 0.5 || ratio > 2.0 {
 			t.Errorf("width %d: new core IPC %.3f vs legacy %.3f (ratio %.2f) outside envelope",
-				w, ooo.IPC(), old.IPC(), ratio)
+				ref.width, ooo.IPC(), legacy, ratio)
 		}
 	}
 }

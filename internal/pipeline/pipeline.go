@@ -38,9 +38,6 @@ type Config struct {
 	// IssueWidth is the fetch, dispatch and commit bandwidth per cycle
 	// (1, 2, 4, 8 in the paper's sweep).
 	IssueWidth int
-	// WindowSize is the reorder-window capacity of the Legacy
-	// approximation (unused by the Tomasulo core).
-	WindowSize int
 	// ROBSize is the reorder-buffer capacity: the number of
 	// instructions that may be in flight between dispatch and in-order
 	// commit.
@@ -79,14 +76,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used by the Figure 9/10
-// reproduction at the given issue width: 64-entry ROB (matching the old
-// model's 64-entry window), 16 reservation stations per class, 32-entry
-// LSQ with memory-dependence speculation, 64KB L1s as in the cache
-// study, 20-cycle miss penalty, 5-cycle mispredict redirect.
+// reproduction at the given issue width: 64-entry ROB, 16 reservation
+// stations per class, 32-entry LSQ with memory-dependence speculation,
+// 64KB L1s as in the cache study, 20-cycle miss penalty, 5-cycle
+// mispredict redirect.
 func DefaultConfig(width int) Config {
 	return Config{
 		IssueWidth:        width,
-		WindowSize:        64,
 		ROBSize:           64,
 		RSPerClass:        16,
 		LSQSize:           32,
@@ -276,14 +272,7 @@ func (c *Core) IPC() float64 {
 // Cycles returns the total simulated cycles.
 func (c *Core) Cycles() uint64 { return c.LastCycle }
 
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// EmitBatch implements trace.BatchSink: the front end consumes whole
+// EmitBatch implements trace.Sink: the front end consumes whole
 // fetch batches through one dispatch, timing each instruction in place
 // (no per-instruction 40-byte Inst copy) with a direct call into the
 // core.
@@ -365,10 +354,10 @@ func (c *Core) step(in *trace.Inst) {
 	// broadcast on the CDB. ----
 	ready := dispatchAt
 	if in.Src1 != trace.RegNone {
-		ready = maxU64(ready, c.regReady[in.Src1])
+		ready = max(ready, c.regReady[in.Src1])
 	}
 	if in.Src2 != trace.RegNone {
-		ready = maxU64(ready, c.regReady[in.Src2])
+		ready = max(ready, c.regReady[in.Src2])
 	}
 	word := in.Addr >> 3
 	var fwdCycle uint64

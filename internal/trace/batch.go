@@ -7,7 +7,7 @@ package trace
 // per-record delivery cost over the buffer length. The same structure is
 // reproduced here: producers append instructions to a Batcher's buffer
 // with a concrete (devirtualized) call, and consumers receive fixed-size
-// []Inst batches through the BatchSink interface, paying the interface
+// []Inst batches through Sink.EmitBatch, paying the interface
 // dispatch, fan-out and phase-bookkeeping costs once per batch instead
 // of once per simulated instruction.
 
@@ -17,39 +17,16 @@ package trace
 // *host* cache while the consumers walk it.
 const DefaultBatchSize = 1024
 
-// BatchSize is the process-wide default batch capacity picked up by
-// engines whose configuration does not set one explicitly. Setting it
-// to 1 (the cmd/jrs -nobatch escape hatch) restores per-instruction
-// delivery while keeping the single code path.
+// BatchSize is the process-wide batch capacity of every engine's
+// transport. The batching tests vary it (1 = per-instruction delivery)
+// to check that batch boundaries never change results.
 var BatchSize = DefaultBatchSize
 
-// BatchSink is the batched counterpart of Sink. EmitBatch receives one
-// or more instructions in program order; the slice is only valid for
-// the duration of the call (the transport reuses its buffer), so
-// implementations must not retain it.
-//
-// Batch boundaries carry no meaning: a stream delivered as any
-// partition into batches must produce byte-identical simulation results
-// to the same stream delivered per-instruction. Flush points at phase
-// switches, engine mode switches and end-of-run only affect *when*
-// instructions arrive, never their order or content.
-type BatchSink interface {
-	EmitBatch([]Inst)
-}
-
-// EmitBatchTo delivers batch to s in order, using the native batch
-// entry point when s implements BatchSink and unrolling into
-// per-instruction Emit calls otherwise (the legacy-sink fallback).
+// EmitBatchTo delivers a non-empty batch to s; an empty batch is
+// dropped.
 func EmitBatchTo(s Sink, batch []Inst) {
-	if len(batch) == 0 {
-		return
-	}
-	if bs, ok := s.(BatchSink); ok {
-		bs.EmitBatch(batch)
-		return
-	}
-	for i := range batch {
-		s.Emit(batch[i])
+	if len(batch) > 0 {
+		s.EmitBatch(batch)
 	}
 }
 
@@ -103,7 +80,7 @@ func (b *Batcher) Add(in Inst) {
 // Emit implements Sink.
 func (b *Batcher) Emit(in Inst) { b.Add(in) }
 
-// EmitBatch implements BatchSink: buffered instructions flush first so
+// EmitBatch implements Sink: buffered instructions flush first so
 // order is preserved, then the incoming batch is forwarded whole.
 func (b *Batcher) EmitBatch(batch []Inst) {
 	if len(batch) == 0 {

@@ -23,11 +23,6 @@ func (r *recorder) EmitBatch(batch []Inst) {
 	r.batches = append(r.batches, len(batch))
 }
 
-// legacyRecorder only implements Sink, to exercise the unroll fallback.
-type legacyRecorder struct{ insts []Inst }
-
-func (r *legacyRecorder) Emit(in Inst) { r.insts = append(r.insts, in) }
-
 func seqInsts(n int) []Inst {
 	out := make([]Inst, n)
 	for i := range out {
@@ -119,19 +114,6 @@ func TestBatcherEmitBatchPreservesOrderAroundBuffered(t *testing.T) {
 	b.Flush()
 	if !reflect.DeepEqual(rec.insts, in) {
 		t.Fatalf("order across Add/EmitBatch interleave broken")
-	}
-}
-
-func TestEmitBatchToUnrollsForLegacySinks(t *testing.T) {
-	leg := &legacyRecorder{}
-	in := seqInsts(6)
-	EmitBatchTo(leg, in)
-	if !reflect.DeepEqual(leg.insts, in) {
-		t.Fatalf("legacy unroll lost or reordered instructions")
-	}
-	EmitBatchTo(leg, nil) // empty batch is a no-op
-	if len(leg.insts) != 6 {
-		t.Fatal("empty batch changed stream")
 	}
 }
 

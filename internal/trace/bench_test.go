@@ -28,8 +28,8 @@ func benchStream(n int) []Inst {
 	return out
 }
 
-// BenchmarkTraceTransportEmit is the legacy per-instruction interface
-// path into a Counter.
+// BenchmarkTraceTransportEmit delivers the stream one instruction per
+// interface call into a Counter.
 func BenchmarkTraceTransportEmit(b *testing.B) {
 	stream := benchStream(4096)
 	var c Counter
@@ -94,10 +94,9 @@ func BenchmarkTraceTransportTeeEmitBatch(b *testing.B) {
 	stream := benchStream(4096)
 	var c [4]Counter
 	s := Tee(&c[0], &c[1], &c[2], &c[3])
-	bs := s.(BatchSink)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bs.EmitBatch(stream)
+		s.EmitBatch(stream)
 	}
 }

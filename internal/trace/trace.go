@@ -141,17 +141,22 @@ type Inst struct {
 // RegNone marks an unused register slot in an Inst.
 const RegNone uint8 = 0xFF
 
-// Sink receives the instruction stream. Emit is called once per retired
-// instruction in program order per simulated core.
+// Sink receives the instruction stream in program order per simulated
+// core. EmitBatch is the delivery path: it receives one or more
+// instructions, and the slice is only valid for the duration of the call
+// (the transport reuses its buffer), so implementations must not retain
+// it. Emit delivers a single instruction and must behave exactly like
+// EmitBatch of a one-element batch; the simulator sinks implement it as
+// that call, so their logic exists once.
+//
+// Batch boundaries carry no meaning: a stream delivered as any
+// partition into batches must produce byte-identical simulation results.
+// Flush points at phase switches, engine mode switches and end-of-run
+// only affect *when* instructions arrive, never their order or content.
 type Sink interface {
 	Emit(Inst)
+	EmitBatch([]Inst)
 }
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Inst)
-
-// Emit calls f(i).
-func (f SinkFunc) Emit(i Inst) { f(i) }
 
 // Discard is a Sink that drops every instruction. Useful for running an
 // engine purely for its architectural side counters.
@@ -162,7 +167,7 @@ type discard struct{}
 // Emit implements Sink by dropping the instruction.
 func (discard) Emit(Inst) {}
 
-// EmitBatch implements BatchSink by dropping the batch.
+// EmitBatch implements Sink by dropping the batch.
 func (discard) EmitBatch([]Inst) {}
 
 // Tee fans the stream out to several sinks in order. A nil or Discard
@@ -196,15 +201,10 @@ func Tee(sinks ...Sink) Sink {
 
 type tee struct{ sinks []Sink }
 
-// Emit implements Sink, fanning the instruction to every member.
-func (t *tee) Emit(i Inst) {
-	for _, s := range t.sinks {
-		s.Emit(i)
-	}
-}
+// Emit implements Sink.
+func (t *tee) Emit(i Inst) { t.EmitBatch([]Inst{i}) }
 
-// EmitBatch implements BatchSink, fanning the whole batch to every
-// member (members that only implement Sink receive it unrolled).
+// EmitBatch implements Sink, fanning the whole batch to every member.
 func (t *tee) EmitBatch(batch []Inst) {
 	for _, s := range t.sinks {
 		EmitBatchTo(s, batch)
@@ -219,13 +219,9 @@ func (t *tee) EmitBatch(batch []Inst) {
 type Switchable struct{ S Sink }
 
 // Emit implements Sink.
-func (s *Switchable) Emit(i Inst) {
-	if s.S != nil {
-		s.S.Emit(i)
-	}
-}
+func (s *Switchable) Emit(i Inst) { s.EmitBatch([]Inst{i}) }
 
-// EmitBatch implements BatchSink. Engines flush their transport before
+// EmitBatch implements Sink. Engines flush their transport before
 // the destination is swapped, so a batch is never split across two
 // destinations and the swap point stays an exact observation boundary.
 func (s *Switchable) EmitBatch(batch []Inst) {
@@ -247,12 +243,9 @@ type Counter struct {
 }
 
 // Emit implements Sink.
-func (c *Counter) Emit(i Inst) {
-	c.Total++
-	c.ByClassPhase[i.Class][i.Phase]++
-}
+func (c *Counter) Emit(i Inst) { c.EmitBatch([]Inst{i}) }
 
-// EmitBatch implements BatchSink, accumulating the whole batch with one
+// EmitBatch implements Sink, accumulating the whole batch with one
 // dispatch.
 func (c *Counter) EmitBatch(batch []Inst) {
 	c.Total += uint64(len(batch))

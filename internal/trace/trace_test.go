@@ -125,15 +125,6 @@ func TestSwitchable(t *testing.T) {
 	}
 }
 
-func TestSinkFunc(t *testing.T) {
-	n := 0
-	s := SinkFunc(func(Inst) { n++ })
-	s.Emit(Inst{})
-	if n != 1 {
-		t.Fatal("SinkFunc not invoked")
-	}
-}
-
 func TestPhaseString(t *testing.T) {
 	if PhaseExec.String() != "exec" || PhaseTranslate.String() != "translate" ||
 		PhaseLoad.String() != "load" {

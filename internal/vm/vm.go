@@ -133,7 +133,7 @@ type VM struct {
 // manager factory (which receives the VM's runtime emitter).
 func New(sink trace.Sink, makeMonitors func(*emit.Emitter) monitor.Manager) *VM {
 	rt := emit.New(sink, trace.PhaseExec)
-	ld := emit.New(sink, trace.PhaseLoad)
+	ld := emit.New(rt.Batch, trace.PhaseLoad)
 	v := &VM{
 		Mem:         mem.New(),
 		Classes:     make(map[string]*bytecode.Class),
