@@ -560,7 +560,7 @@ func lint(files []string, opts harness.Options, jsonOut bool, stdout, stderr io.
 	if !ok {
 		return 1
 	}
-	report, err := harness.BuildLintReportOpts(progs, opts.Races, opts.Checks)
+	report, err := harness.BuildLintReport(progs, opts.Races, opts.Checks)
 	if err != nil {
 		fmt.Fprintf(stderr, "jrs: %v\n", err)
 		return 1

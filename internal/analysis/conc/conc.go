@@ -1,6 +1,10 @@
 // Package conc implements whole-program static race and deadlock
 // detection over a loaded class set, Chord-style, on top of the
-// interprocedural facts from internal/analysis/ipa:
+// interprocedural facts from internal/analysis/ipa. It interprets no
+// method body itself: its per-method facts (call sites and arguments,
+// field/static/array accesses and their receivers, reference stores,
+// monitor operands, spawn and join arguments, returned references) and
+// CFGs are the ones ipa's abstract interpreter recorded (ipa.Facts).
 //
 //   - a thread-structure analysis locates every Sys.spawn site on the
 //     RTA call graph and derives the abstract threads of the program
@@ -163,7 +167,6 @@ func (r *Report) RacySites() map[ipa.Site]bool { return r.racySites }
 // Analyze runs the full static race/deadlock pipeline.
 func Analyze(classes []*bytecode.Class, res *ipa.Result) *Report {
 	a := newAnalyzer(classes, res)
-	a.collectFacts()
 	a.findThreads()
 	a.solveContexts()
 	a.solveShared()
@@ -211,13 +214,7 @@ type analyzer struct {
 	classes []*bytecode.Class
 	ipa     *ipa.Result
 
-	// methods is every reachable non-Sys method with code, in class
-	// list / declaration order (deterministic).
-	methods []*bytecode.Method
-	byID    map[int]*bytecode.Method
-	facts   map[int]*methodFacts
-	graphs  map[int]*analysis.Graph
-	inLoop  map[int][]bool // per method, per pc: inside a CFG cycle
+	inLoop map[int][]bool // per method, per pc: inside a CFG cycle
 	// calledFrom marks methods with at least one incoming call edge
 	// (used to decide whether a root really runs once).
 	calledFrom map[int]bool
@@ -251,9 +248,6 @@ func newAnalyzer(classes []*bytecode.Class, res *ipa.Result) *analyzer {
 	a := &analyzer{
 		classes:    classes,
 		ipa:        res,
-		byID:       map[int]*bytecode.Method{},
-		facts:      map[int]*methodFacts{},
-		graphs:     map[int]*analysis.Graph{},
 		inLoop:     map[int][]bool{},
 		calledFrom: map[int]bool{},
 		threadBy:   map[ipa.Site]int{},
@@ -271,32 +265,57 @@ func newAnalyzer(classes []*bytecode.Class, res *ipa.Result) *analyzer {
 		entryLocks: map[ctxMethod]lockSet{},
 		lockStacks: map[int][][]int{},
 	}
-	for _, c := range classes {
-		for _, m := range c.Methods {
-			if !res.Reachable[m] || m.Class.Name == "Sys" || len(m.Code) == 0 {
-				continue
-			}
-			a.methods = append(a.methods, m)
-			a.byID[m.ID] = m
-			if m.IsStatic() && m.Name == "main" && len(m.Sig.Params) == 0 {
-				a.mainRoots[m.ID] = true
-			}
+	for _, m := range res.Roots {
+		if res.Facts(m) != nil {
+			a.mainRoots[m.ID] = true
 		}
-		if rm := runOf(c); rm != nil {
+	}
+	for _, m := range res.Methods() {
+		if g := res.Facts(m).Graph; g != nil {
+			a.inLoop[m.ID] = loopMembership(g)
+		}
+	}
+	for _, c := range classes {
+		if rm := ipa.RunMethod(c); rm != nil {
 			a.runMethods[rm.ID] = true
 		}
 	}
 	return a
 }
 
-// runOf finds the run()V entry a spawned thread of class c executes.
-func runOf(c *bytecode.Class) *bytecode.Method {
-	for _, m := range c.VTable {
-		if m.Name == "run" && len(m.Sig.Params) == 0 && m.Sig.Ret == bytecode.TVoid {
-			return m
+// loopMembership marks each pc whose block lies on a CFG cycle
+// (block reaches itself through at least one edge).
+func loopMembership(g *analysis.Graph) []bool {
+	n := len(g.Blocks)
+	// reach[i][j] via simple transitive closure; method bodies are small.
+	reach := make([][]bool, n)
+	for i, b := range g.Blocks {
+		reach[i] = make([]bool, n)
+		for _, s := range b.Succs {
+			reach[i][s] = true
 		}
 	}
-	return nil
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			if !reach[i][k] {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if reach[k][j] {
+					reach[i][j] = true
+				}
+			}
+		}
+	}
+	out := make([]bool, len(g.M.Code))
+	for i, b := range g.Blocks {
+		if reach[i][i] {
+			for pc := b.Start; pc < b.End; pc++ {
+				out[pc] = true
+			}
+		}
+	}
+	return out
 }
 
 // threadName renders a context for reports.
@@ -317,19 +336,4 @@ func (a *analyzer) ownersOf(mid int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// targetsAt resolves the possible callees of one recorded call site,
-// mirroring ipa's resolution (direct edge, or the CHA target set).
-func (a *analyzer) targetsAt(m *bytecode.Method, cf *callFact) []*bytecode.Method {
-	if cf.sys {
-		return nil
-	}
-	if cf.virtual {
-		return a.ipa.Targets[ipa.Site{Method: m.ID, PC: cf.pc}]
-	}
-	if cf.callee == nil {
-		return nil
-	}
-	return []*bytecode.Method{cf.callee}
 }

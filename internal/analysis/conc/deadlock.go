@@ -3,6 +3,7 @@ package conc
 import (
 	"sort"
 
+	"jrs/internal/analysis"
 	"jrs/internal/bytecode"
 )
 
@@ -33,8 +34,8 @@ func (a *analyzer) collectEdges() []lockEdge {
 			}
 		}
 	}
-	for _, m := range a.methods {
-		f := a.facts[m.ID]
+	for _, m := range a.ipa.Methods() {
+		f := a.ipa.Facts(m)
 		for _, ctx := range a.ownersOf(m.ID) {
 			entry := notTop(a.entryLocks[ctxMethod{ctx, m.ID}])
 			sync := a.syncSyms(ctx, m)
@@ -42,34 +43,34 @@ func (a *analyzer) collectEdges() []lockEdge {
 			emit(entry, sync, ctx, m, 0)
 			base := lockUnion(entry, lockSet{syms: sync})
 			// Nested MonitorEnter.
-			for _, pc := range sortedPCs(f.monOps) {
+			for _, pc := range sortedPCs(f.Monitors) {
 				if m.Code[pc].Op != bytecode.MonitorEnter {
 					continue
 				}
 				held := lockUnion(base, a.intraSyms(ctx, m, pc))
-				emit(held, a.resolveLockVal(ctx, m, f.monOps[pc]), ctx, m, pc)
+				emit(held, a.resolveLockVal(ctx, m, f.Monitors[pc]), ctx, m, pc)
 			}
 			// Calls into synchronized methods.
-			for i := range f.calls {
-				cf := &f.calls[i]
-				if cf.sys {
+			for i := range f.Calls {
+				cf := &f.Calls[i]
+				if cf.Sys {
 					continue
 				}
-				held := lockUnion(base, a.intraSyms(ctx, m, cf.pc))
+				held := lockUnion(base, a.intraSyms(ctx, m, cf.PC))
 				if len(held.syms) == 0 {
 					continue
 				}
-				for _, t := range a.targetsAt(m, cf) {
+				for _, t := range cf.Targets {
 					if !t.IsSynchronized() {
 						continue
 					}
 					var acq []lockSym
 					if t.IsStatic() {
 						acq = []lockSym{{kind: 1, class: t.Class.Name}}
-					} else if len(cf.args) > 0 {
-						acq = a.resolveLockVal(ctx, m, cf.args[0])
+					} else if len(cf.Args) > 0 {
+						acq = a.resolveLockVal(ctx, m, cf.Args[0])
 					}
-					emit(held, acq, ctx, m, cf.pc)
+					emit(held, acq, ctx, m, cf.PC)
 				}
 			}
 		}
@@ -95,27 +96,26 @@ func (a *analyzer) deadlocks(report *Report) {
 		syms = append(syms, s)
 		return len(syms) - 1
 	}
-	adj := map[int][]int{}
 	for _, e := range edges {
-		f, t := intern(e.from), intern(e.to)
-		adj[f] = append(adj[f], t)
+		intern(e.from)
+		intern(e.to)
+	}
+	adj := make([][]int, len(syms))
+	for _, e := range edges {
+		adj[idx[e.from]] = append(adj[idx[e.from]], idx[e.to])
 	}
 
-	comp := scc(len(syms), adj)
-	// Group symbols per component.
-	groups := map[int][]int{}
-	for v, c := range comp {
-		groups[c] = append(groups[c], v)
-	}
-	cids := make([]int, 0, len(groups))
-	for c, vs := range groups {
-		if len(vs) >= 2 {
-			cids = append(cids, c)
+	comps := analysis.SCCs(adj)
+	comp := make([]int, len(syms))
+	for c, vs := range comps {
+		for _, v := range vs {
+			comp[v] = c
 		}
 	}
-	sort.Ints(cids)
-
-	for _, c := range cids {
+	for c, vs := range comps {
+		if len(vs) < 2 {
+			continue
+		}
 		var cycleEdges []lockEdge
 		ctxs := map[int]bool{}
 		multi := false
@@ -134,7 +134,7 @@ func (a *analyzer) deadlocks(report *Report) {
 			continue
 		}
 		d := Deadlock{}
-		for _, v := range groups[c] {
+		for _, v := range vs {
 			d.Locks = append(d.Locks, a.lockName(syms[v]))
 		}
 		sort.Strings(d.Locks)
@@ -143,7 +143,7 @@ func (a *analyzer) deadlocks(report *Report) {
 			le := LockEdge{
 				From:   a.lockName(e.from),
 				To:     a.lockName(e.to),
-				Method: a.byID[e.mid].FullName(),
+				Method: a.ipa.MethodByID(e.mid).FullName(),
 				PC:     e.pc,
 				Thread: a.threadName(e.ctx),
 			}
@@ -170,71 +170,4 @@ func (a *analyzer) deadlocks(report *Report) {
 		})
 		report.Deadlocks = append(report.Deadlocks, d)
 	}
-}
-
-// scc is Tarjan's algorithm (iterative), returning a component id per
-// vertex; ids are deterministic for a fixed graph.
-func scc(n int, adj map[int][]int) []int {
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	next, ncomp := 0, 0
-
-	type frame struct{ v, ei int }
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		work := []frame{{root, 0}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			v := f.v
-			if f.ei < len(adj[v]) {
-				w := adj[v][f.ei]
-				f.ei++
-				if index[w] == -1 {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, frame{w, 0})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-				continue
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				p := work[len(work)-1].v
-				if low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = ncomp
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-		}
-	}
-	return comp
 }

@@ -1,8 +1,11 @@
 package conc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"jrs/internal/analysis"
 	"jrs/internal/analysis/ipa"
@@ -25,17 +28,14 @@ type lockSym struct {
 	class string
 }
 
-func lockSymLess(x, y lockSym) bool {
+func cmpLockSym(x, y lockSym) int {
 	if x.kind != y.kind {
-		return x.kind < y.kind
+		return cmp.Compare(x.kind, y.kind)
 	}
 	if x.kind == 1 {
-		return x.class < y.class
+		return strings.Compare(x.class, y.class)
 	}
-	if x.site.Method != y.site.Method {
-		return x.site.Method < y.site.Method
-	}
-	return x.site.PC < y.site.PC
+	return cmpSite(x.site, y.site)
 }
 
 // lockName renders a symbol for reports.
@@ -43,12 +43,7 @@ func (a *analyzer) lockName(s lockSym) string {
 	if s.kind == 1 {
 		return "class:" + s.class
 	}
-	m := a.byID[s.site.Method]
-	name := "?"
-	if m != nil {
-		name = m.FullName()
-	}
-	return fmt.Sprintf("alloc:%s@%d", name, s.site.PC)
+	return fmt.Sprintf("alloc:%s@%d", a.ipa.MethodByID(s.site.Method).FullName(), s.site.PC)
 }
 
 // lockSet is a sorted set of lock symbols; top is the must-analysis ⊤
@@ -64,15 +59,8 @@ func lockUnion(a, b lockSet) lockSet {
 	// top never participates in unions (callers strip it first).
 	out := lockSet{}
 	out.syms = append(append([]lockSym(nil), a.syms...), b.syms...)
-	sort.Slice(out.syms, func(i, j int) bool { return lockSymLess(out.syms[i], out.syms[j]) })
-	w := 0
-	for i, s := range out.syms {
-		if i == 0 || s != out.syms[w-1] {
-			out.syms[w] = s
-			w++
-		}
-	}
-	out.syms = out.syms[:w]
+	slices.SortFunc(out.syms, cmpLockSym)
+	out.syms = slices.Compact(out.syms)
 	return out
 }
 
@@ -91,7 +79,7 @@ func lockIntersect(a, b lockSet) lockSet {
 			out.syms = append(out.syms, a.syms[i])
 			i++
 			j++
-		case lockSymLess(a.syms[i], b.syms[j]):
+		case cmpLockSym(a.syms[i], b.syms[j]) < 0:
 			i++
 		default:
 			j++
@@ -101,15 +89,7 @@ func lockIntersect(a, b lockSet) lockSet {
 }
 
 func lockEqual(a, b lockSet) bool {
-	if a.top != b.top || len(a.syms) != len(b.syms) {
-		return false
-	}
-	for i := range a.syms {
-		if a.syms[i] != b.syms[i] {
-			return false
-		}
-	}
-	return true
+	return a.top == b.top && slices.Equal(a.syms, b.syms)
 }
 
 func lockDisjoint(a, b lockSet) bool {
@@ -129,17 +109,13 @@ func notTop(s lockSet) lockSet {
 // uniqueSite reports whether the allocation site executes at most once
 // per program run: it sits in a run-once main root, outside any loop.
 func (a *analyzer) uniqueSite(s ipa.Site) bool {
-	m := a.byID[s.Method]
-	if m == nil {
-		return false
-	}
-	return a.mainRoots[m.ID] && !a.calledFrom[m.ID] &&
-		a.ownersExactly(m.ID, 0) && !a.siteInLoop(m.ID, s.PC)
+	return a.mainRoots[s.Method] && !a.calledFrom[s.Method] &&
+		a.ownersExactly(s.Method, 0) && !a.siteInLoop(s.Method, s.PC)
 }
 
 // resolveLockVal maps a monitor operand to its unique lock symbol, or
 // none when the operand is not provably one unique object.
-func (a *analyzer) resolveLockVal(ctx int, m *bytecode.Method, v absVal) []lockSym {
+func (a *analyzer) resolveLockVal(ctx int, m *bytecode.Method, v ipa.Value) []lockSym {
 	s := a.globalize(ctx, m, v)
 	if s.unknown || len(s.sites) != 1 {
 		return nil
@@ -160,7 +136,7 @@ func (a *analyzer) syncSyms(ctx int, m *bytecode.Method) []lockSym {
 	if m.IsStatic() {
 		return []lockSym{{kind: 1, class: m.Class.Name}}
 	}
-	return a.resolveLockVal(ctx, m, val(cParam, 0))
+	return a.resolveLockVal(ctx, m, ipa.ValueOf(ipa.SrcParam, 0))
 }
 
 // ---------------------------------------------------------------------
@@ -210,10 +186,10 @@ func (lockFlow) Join(g *analysis.Graph, b *analysis.Block, have, incoming lockSt
 // solveLocks runs the intraprocedural stacks and the interprocedural
 // entry-lock intersection fixpoint.
 func (a *analyzer) solveLocks() {
-	for _, m := range a.methods {
-		g := a.graphs[m.ID]
-		f := a.facts[m.ID]
-		if g == nil || f.noFlow {
+	for _, m := range a.ipa.Methods() {
+		f := a.ipa.Facts(m)
+		g := f.Graph
+		if g == nil || f.NoFlow {
 			continue
 		}
 		entries, err := analysis.Solve[lockStack](g, lockFlow{})
@@ -249,7 +225,7 @@ func (a *analyzer) solveLocks() {
 	// Entry locks: roots hold nothing; every other (ctx, method)
 	// instance starts at ⊤ and intersects the held sets over all
 	// in-context call edges.
-	for _, m := range a.methods {
+	for _, m := range a.ipa.Methods() {
 		for _, ctx := range a.ownersOf(m.ID) {
 			key := ctxMethod{ctx, m.ID}
 			if a.isRootInstance(ctx, m) {
@@ -261,21 +237,21 @@ func (a *analyzer) solveLocks() {
 	}
 	for {
 		changed := false
-		for _, m := range a.methods {
-			f := a.facts[m.ID]
+		for _, m := range a.ipa.Methods() {
+			f := a.ipa.Facts(m)
 			for _, ctx := range a.ownersOf(m.ID) {
 				cur := a.entryLocks[ctxMethod{ctx, m.ID}]
 				if cur.top {
 					continue
 				}
 				base := lockUnion(cur, lockSet{syms: a.syncSyms(ctx, m)})
-				for i := range f.calls {
-					cf := &f.calls[i]
-					if cf.sys {
+				for i := range f.Calls {
+					cf := &f.Calls[i]
+					if cf.Sys {
 						continue
 					}
-					held := lockUnion(base, a.intraSyms(ctx, m, cf.pc))
-					for _, t := range a.targetsAt(m, cf) {
+					held := lockUnion(base, a.intraSyms(ctx, m, cf.PC))
+					for _, t := range cf.Targets {
 						tk := ctxMethod{ctx, t.ID}
 						if _, ok := a.entryLocks[tk]; !ok {
 							continue
@@ -307,7 +283,7 @@ func (a *analyzer) isRootInstance(ctx int, m *bytecode.Method) bool {
 	}
 	t := a.threads[ctx-1]
 	for c := range t.recvClasses {
-		if rm := runOf(c); rm != nil && rm.ID == m.ID {
+		if rm := ipa.RunMethod(c); rm != nil && rm.ID == m.ID {
 			return true
 		}
 	}
@@ -321,13 +297,13 @@ func (a *analyzer) intraSyms(ctx int, m *bytecode.Method, pc int) lockSet {
 	if per == nil || pc >= len(per) {
 		return lockSet{}
 	}
-	f := a.facts[m.ID]
+	f := a.ipa.Facts(m)
 	out := lockSet{}
 	for _, epc := range per[pc] {
 		if epc < 0 {
 			continue
 		}
-		if v, ok := f.monOps[epc]; ok {
+		if v, ok := f.Monitors[epc]; ok {
 			out = lockUnion(out, lockSet{syms: a.resolveLockVal(ctx, m, v)})
 		}
 	}

@@ -56,7 +56,7 @@ func (m threadMask) union(o threadMask) threadMask {
 // pendFlow adapts the pending-spawn transfer to analysis.Solve.
 type pendFlow struct {
 	a *analyzer
-	f *methodFacts
+	f *ipa.MethodFacts
 }
 
 func (p pendFlow) Entry(g *analysis.Graph) threadMask {
@@ -66,7 +66,7 @@ func (p pendFlow) Entry(g *analysis.Graph) threadMask {
 func (p pendFlow) Transfer(g *analysis.Graph, b *analysis.Block, in threadMask) (threadMask, error) {
 	m := in
 	for pc := b.Start; pc < b.End; pc++ {
-		m = p.a.stepPend(p.f, pc, m)
+		m = p.a.stepPend(g.M, p.f, pc, m)
 	}
 	return m, nil
 }
@@ -76,27 +76,30 @@ func (p pendFlow) Join(_ *analysis.Graph, _ *analysis.Block, have, incoming thre
 	return u, u != have, nil
 }
 
-// stepPend applies one instruction to the pending set.
-func (a *analyzer) stepPend(f *methodFacts, pc int, m threadMask) threadMask {
-	if _, ok := f.spawnAt[pc]; ok {
-		if ti, ok := a.threadBy[ipa.Site{Method: f.m.ID, PC: pc}]; ok {
-			m = m.set(ti)
+// stepPend applies instruction pc of method m to the pending set.
+func (a *analyzer) stepPend(m *bytecode.Method, f *ipa.MethodFacts, pc int, mask threadMask) threadMask {
+	if !m.Code[pc].Op.IsInvoke() {
+		return mask
+	}
+	if ti, ok := a.threadBy[ipa.Site{Method: m.ID, PC: pc}]; ok {
+		return mask.set(ti)
+	}
+	cf := f.CallAt(pc)
+	switch {
+	case cf == nil:
+	case cf.Sys:
+		tid, _ := cf.SysArg("join")
+		if spc, one := tid.Single(ipa.SrcTid); one {
+			if ti, ok := a.threadBy[ipa.Site{Method: m.ID, PC: spc}]; ok && !a.threads[ti].multi {
+				mask = mask.clear(ti)
+			}
 		}
-	} else if i, ok := f.callIdx[pc]; ok {
-		cf := &f.calls[i]
-		if jv, isJoin := f.joinAt[pc]; isJoin {
-			if spc, one := jv.singleTid(); one {
-				if ti, ok := a.threadBy[ipa.Site{Method: f.m.ID, PC: spc}]; ok && !a.threads[ti].multi {
-					m = m.clear(ti)
-				}
-			}
-		} else if !cf.sys {
-			for _, t := range a.targetsAt(f.m, cf) {
-				m = m.union(a.maySpawn[t.ID])
-			}
+	default:
+		for _, t := range cf.Targets {
+			mask = mask.union(a.maySpawn[t.ID])
 		}
 	}
-	return m
+	return mask
 }
 
 // solvePending computes may-spawn summaries, then the interprocedural
@@ -106,16 +109,15 @@ func (a *analyzer) solvePending() {
 	// May-spawn summaries (transitive).
 	for {
 		changed := false
-		for _, m := range a.methods {
-			f := a.facts[m.ID]
+		for _, m := range a.ipa.Methods() {
+			f := a.ipa.Facts(m)
 			mask := a.maySpawn[m.ID]
-			for pc := range f.spawnAt {
-				if ti, ok := a.threadBy[ipa.Site{Method: m.ID, PC: pc}]; ok {
+			for i := range f.Calls {
+				cf := &f.Calls[i]
+				if ti, ok := a.threadBy[ipa.Site{Method: m.ID, PC: cf.PC}]; ok {
 					mask = mask.set(ti)
 				}
-			}
-			for i := range f.calls {
-				for _, t := range a.targetsAt(m, &f.calls[i]) {
+				for _, t := range cf.Targets {
 					mask = mask.union(a.maySpawn[t.ID])
 				}
 			}
@@ -132,23 +134,23 @@ func (a *analyzer) solvePending() {
 	// Interprocedural pending fixpoint over main-owned methods.
 	for {
 		changed := false
-		for _, m := range a.methods {
+		for _, m := range a.ipa.Methods() {
 			if !a.owners[m.ID][0] {
 				continue
 			}
-			f := a.facts[m.ID]
+			f := a.ipa.Facts(m)
 			per := a.solvePendMethod(m, f)
 			a.pendAt[m.ID] = per
 			if per == nil {
 				continue
 			}
-			for i := range f.calls {
-				cf := &f.calls[i]
-				if cf.sys || cf.pc >= len(per) {
+			for i := range f.Calls {
+				cf := &f.Calls[i]
+				if cf.Sys || cf.PC >= len(per) {
 					continue
 				}
-				at := per[cf.pc]
-				for _, t := range a.targetsAt(m, cf) {
+				at := per[cf.PC]
+				for _, t := range cf.Targets {
 					u := a.entryPend[t.ID].union(at)
 					if u != a.entryPend[t.ID] {
 						a.entryPend[t.ID] = u
@@ -165,9 +167,9 @@ func (a *analyzer) solvePending() {
 
 // solvePendMethod returns the pending set before each pc, or nil when
 // the body has no usable flow (treated as all-pending by pendingAt).
-func (a *analyzer) solvePendMethod(m *bytecode.Method, f *methodFacts) []threadMask {
-	g := a.graphs[m.ID]
-	if g == nil || f.noFlow {
+func (a *analyzer) solvePendMethod(m *bytecode.Method, f *ipa.MethodFacts) []threadMask {
+	g := f.Graph
+	if g == nil || f.NoFlow {
 		return nil
 	}
 	entries, err := analysis.Solve[threadMask](g, pendFlow{a: a, f: f})
@@ -182,7 +184,7 @@ func (a *analyzer) solvePendMethod(m *bytecode.Method, f *methodFacts) []threadM
 		cur := entries[bi]
 		for pc := b.Start; pc < b.End; pc++ {
 			per[pc] = cur
-			cur = a.stepPend(f, pc, cur)
+			cur = a.stepPend(m, f, pc, cur)
 		}
 	}
 	return per

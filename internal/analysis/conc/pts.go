@@ -1,6 +1,8 @@
 package conc
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"jrs/internal/analysis/ipa"
@@ -37,11 +39,11 @@ type siteSet struct {
 	sites   []ipa.Site
 }
 
-func siteLess(a, b ipa.Site) bool {
+func cmpSite(a, b ipa.Site) int {
 	if a.Method != b.Method {
-		return a.Method < b.Method
+		return cmp.Compare(a.Method, b.Method)
 	}
-	return a.PC < b.PC
+	return cmp.Compare(a.PC, b.PC)
 }
 
 func joinSites(a, b siteSet) siteSet {
@@ -50,28 +52,13 @@ func joinSites(a, b siteSet) siteSet {
 	}
 	out := siteSet{unknown: a.unknown || b.unknown}
 	out.sites = append(append([]ipa.Site(nil), a.sites...), b.sites...)
-	sort.Slice(out.sites, func(i, j int) bool { return siteLess(out.sites[i], out.sites[j]) })
-	w := 0
-	for i, s := range out.sites {
-		if i == 0 || s != out.sites[w-1] {
-			out.sites[w] = s
-			w++
-		}
-	}
-	out.sites = out.sites[:w]
+	slices.SortFunc(out.sites, cmpSite)
+	out.sites = slices.Compact(out.sites)
 	return out
 }
 
 func equalSites(a, b siteSet) bool {
-	if a.unknown != b.unknown || len(a.sites) != len(b.sites) {
-		return false
-	}
-	for i := range a.sites {
-		if a.sites[i] != b.sites[i] {
-			return false
-		}
-	}
-	return true
+	return a.unknown == b.unknown && slices.Equal(a.sites, b.sites)
 }
 
 // mayAlias reports whether two receiver sets can name the same object.
@@ -84,7 +71,7 @@ func mayAlias(a, b siteSet) bool {
 		switch {
 		case a.sites[i] == b.sites[j]:
 			return true
-		case siteLess(a.sites[i], b.sites[j]):
+		case cmpSite(a.sites[i], b.sites[j]) < 0:
 			i++
 		default:
 			j++
@@ -121,37 +108,35 @@ func fieldKeyOf(m *bytecode.Method, idx int32) (fieldKey, bool) {
 // globalize lifts a per-method abstract value to a set of allocation
 // sites under one context, resolving heap members through the global
 // points-to maps and call results through return summaries.
-func (a *analyzer) globalize(ctx int, m *bytecode.Method, v absVal) siteSet {
-	out := siteSet{unknown: v.unknown}
-	for _, mem := range v.members {
-		switch mem.kind {
-		case cNull, cTid:
-		case cAlloc:
-			out = joinSites(out, siteSet{sites: []ipa.Site{{Method: m.ID, PC: int(mem.a)}}})
-		case cParam:
+func (a *analyzer) globalize(ctx int, m *bytecode.Method, v ipa.Value) siteSet {
+	out := siteSet{unknown: v.Unknown}
+	for _, src := range v.Srcs {
+		switch src.Kind {
+		case ipa.SrcNull, ipa.SrcTid:
+		case ipa.SrcAlloc:
+			out = joinSites(out, siteSet{sites: []ipa.Site{{Method: m.ID, PC: int(src.A)}}})
+		case ipa.SrcParam:
 			pp := a.paramPts[ctxMethod{ctx, m.ID}]
-			if int(mem.a) < len(pp) {
-				out = joinSites(out, pp[mem.a])
+			if int(src.A) < len(pp) {
+				out = joinSites(out, pp[src.A])
 			}
-		case cField:
-			if k, ok := fieldKeyOf(m, mem.a); ok {
+		case ipa.SrcField:
+			if k, ok := fieldKeyOf(m, src.A); ok {
 				out = joinSites(out, a.fieldPts[k])
 			} else {
 				out.unknown = true
 			}
-		case cStatic:
-			if k, ok := fieldKeyOf(m, mem.a); ok {
+		case ipa.SrcStatic:
+			if k, ok := fieldKeyOf(m, src.A); ok {
 				out = joinSites(out, a.staticPts[k])
 			} else {
 				out.unknown = true
 			}
-		case cElem:
+		case ipa.SrcElem:
 			out = joinSites(out, a.elemPts)
-		case cCall:
-			f := a.facts[m.ID]
-			if i, ok := f.callIdx[int(mem.a)]; ok {
-				cf := &f.calls[i]
-				for _, t := range a.targetsAt(m, cf) {
+		case ipa.SrcCall:
+			if cf := a.ipa.Facts(m).CallAt(int(src.A)); cf != nil {
+				for _, t := range cf.Targets {
 					out = joinSites(out, a.retPts[ctxMethod{ctx, t.ID}])
 				}
 			} else {
@@ -164,14 +149,13 @@ func (a *analyzer) globalize(ctx int, m *bytecode.Method, v absVal) siteSet {
 
 // findThreads enumerates spawn sites in deterministic order.
 func (a *analyzer) findThreads() {
-	for _, m := range a.methods {
-		f := a.facts[m.ID]
-		pcs := make([]int, 0, len(f.spawnAt))
-		for pc := range f.spawnAt {
-			pcs = append(pcs, pc)
-		}
-		sort.Ints(pcs)
-		for _, pc := range pcs {
+	for _, m := range a.ipa.Methods() {
+		f := a.ipa.Facts(m)
+		for i := range f.Calls {
+			if _, ok := f.Calls[i].SysArg("spawn"); !ok {
+				continue
+			}
+			pc := f.Calls[i].PC
 			t := &threadInfo{
 				ctx:         len(a.threads) + 1,
 				site:        ipa.Site{Method: m.ID, PC: pc},
@@ -246,59 +230,56 @@ func (a *analyzer) siteInLoop(mid, pc int) bool {
 // sweep performs one monotone pass; reports change.
 func (a *analyzer) sweep() bool {
 	changed := false
-	for _, m := range a.methods {
-		f := a.facts[m.ID]
+	for _, m := range a.ipa.Methods() {
+		f := a.ipa.Facts(m)
 		for _, ctx := range a.ownersOf(m.ID) {
 			// Call edges: owners and parameter sets flow to callees.
-			for i := range f.calls {
-				cf := &f.calls[i]
-				for _, t := range a.targetsAt(m, cf) {
-					if a.byID[t.ID] == nil {
+			for i := range f.Calls {
+				cf := &f.Calls[i]
+				for _, t := range cf.Targets {
+					if a.ipa.Facts(t) == nil {
 						continue
 					}
 					if a.addOwner(t.ID, ctx) {
 						changed = true
 					}
 					a.calledFrom[t.ID] = true
-					for j, arg := range cf.args {
-						if a.mergeParam(ctx, t.ID, j, len(cf.args), a.globalize(ctx, m, arg)) {
+					for j, arg := range cf.Args {
+						if a.mergeParam(ctx, t.ID, j, len(cf.Args), a.globalize(ctx, m, arg)) {
 							changed = true
 						}
 					}
 				}
 			}
-			// Heap stores feed the global points-to maps.
-			for _, st := range f.stores {
-				s := a.globalize(ctx, m, st.val)
-				switch st.kind {
-				case 0:
-					if k, ok := fieldKeyOf(m, st.fieldIdx); ok {
-						j := joinSites(a.fieldPts[k], s)
-						if !equalSites(j, a.fieldPts[k]) {
-							a.fieldPts[k] = j
-							changed = true
-						}
-					}
-				case 1:
-					if k, ok := fieldKeyOf(m, st.fieldIdx); ok {
-						j := joinSites(a.staticPts[k], s)
-						if !equalSites(j, a.staticPts[k]) {
-							a.staticPts[k] = j
-							changed = true
-						}
-					}
-				case 2:
-					j := joinSites(a.elemPts, s)
-					if !equalSites(j, a.elemPts) {
+			// Reference stores feed the global points-to maps.
+			for i := range f.Accesses {
+				af := &f.Accesses[i]
+				if !af.Write || !af.Ref {
+					continue
+				}
+				s := a.globalize(ctx, m, af.Stored)
+				if af.Array {
+					if j := joinSites(a.elemPts, s); !equalSites(j, a.elemPts) {
 						a.elemPts = j
+						changed = true
+					}
+					continue
+				}
+				pts := a.fieldPts
+				if af.Static {
+					pts = a.staticPts
+				}
+				if k, ok := fieldKeyOf(m, af.Field); ok {
+					if j := joinSites(pts[k], s); !equalSites(j, pts[k]) {
+						pts[k] = j
 						changed = true
 					}
 				}
 			}
 			// Return summary.
-			if f.rets.unknown || len(f.rets.members) > 0 {
+			if f.Returns.Unknown || len(f.Returns.Srcs) > 0 {
 				key := ctxMethod{ctx, m.ID}
-				j := joinSites(a.retPts[key], a.globalize(ctx, m, f.rets))
+				j := joinSites(a.retPts[key], a.globalize(ctx, m, f.Returns))
 				if !equalSites(j, a.retPts[key]) {
 					a.retPts[key] = j
 					changed = true
@@ -306,22 +287,20 @@ func (a *analyzer) sweep() bool {
 			}
 			// Spawn sites: grow the thread's receiver classes and root its
 			// context at the run()V entries.
-			pcs := make([]int, 0, len(f.spawnAt))
-			for pc := range f.spawnAt {
-				pcs = append(pcs, pc)
-			}
-			sort.Ints(pcs)
-			for _, pc := range pcs {
-				ti := a.threadBy[ipa.Site{Method: m.ID, PC: pc}]
-				t := a.threads[ti]
-				s := a.globalize(ctx, m, f.spawnAt[pc])
+			for i := range f.Calls {
+				arg, ok := f.Calls[i].SysArg("spawn")
+				if !ok {
+					continue
+				}
+				t := a.threads[a.threadBy[ipa.Site{Method: m.ID, PC: f.Calls[i].PC}]]
+				s := a.globalize(ctx, m, arg)
 				if j := joinSites(t.argSet, s); !equalSites(j, t.argSet) {
 					t.argSet = j
 					changed = true
 				}
 				for _, c := range a.receiverClasses(s) {
-					rm := runOf(c)
-					if rm == nil || a.byID[rm.ID] == nil {
+					rm := ipa.RunMethod(c)
+					if rm == nil || a.ipa.Facts(rm) == nil {
 						continue
 					}
 					if !t.recvClasses[c] {
@@ -347,7 +326,7 @@ func (a *analyzer) receiverClasses(s siteSet) []*bytecode.Class {
 	var out []*bytecode.Class
 	if s.unknown {
 		for _, c := range a.classes {
-			if a.ipa.Instantiated[c] && runOf(c) != nil {
+			if a.ipa.Instantiated[c] && ipa.RunMethod(c) != nil {
 				out = append(out, c)
 			}
 		}

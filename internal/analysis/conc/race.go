@@ -3,6 +3,7 @@ package conc
 import (
 	"sort"
 
+	"jrs/internal/analysis/ipa"
 	"jrs/internal/bytecode"
 )
 
@@ -55,21 +56,21 @@ func ElemName(kind int) string {
 type accessInst struct {
 	ref   instRef
 	m     *bytecode.Method
-	af    *accessFact
+	af    *ipa.AccessFact
 	recv  siteSet
 	locks lockSet
 }
 
 // locOf maps an access fact to its abstract location.
-func locOf(m *bytecode.Method, af *accessFact) (locKey, bool) {
-	if af.array {
-		return locKey{kind: "array", elem: ElemName(af.elem)}, true
+func locOf(m *bytecode.Method, af *ipa.AccessFact) (locKey, bool) {
+	if af.Array {
+		return locKey{kind: "array", elem: ElemName(af.Elem)}, true
 	}
-	fr := &m.Class.Pool.Fields[af.fieldIdx]
+	fr := &m.Class.Pool.Fields[af.Field]
 	if fr.Resolved == nil || fr.Owner == nil {
 		return locKey{}, false
 	}
-	if af.static {
+	if af.Static {
 		return locKey{kind: "static", class: fr.Owner.Name, field: fr.Name}, true
 	}
 	decl := declaringOf(fr.Owner, fr.Resolved.Slot)
@@ -79,18 +80,18 @@ func locOf(m *bytecode.Method, af *accessFact) (locKey, bool) {
 // census builds the shared-access table and fills the report's races.
 func (a *analyzer) census(report *Report) {
 	perLoc := map[locKey][]accessInst{}
-	for _, m := range a.methods {
-		f := a.facts[m.ID]
+	for _, m := range a.ipa.Methods() {
+		f := a.ipa.Facts(m)
 		for _, ctx := range a.ownersOf(m.ID) {
-			for i := range f.accesses {
-				af := &f.accesses[i]
+			for i := range f.Accesses {
+				af := &f.Accesses[i]
 				inst := accessInst{
-					ref: instRef{ctx: ctx, mid: m.ID, pc: af.pc},
+					ref: instRef{ctx: ctx, mid: m.ID, pc: af.PC},
 					m:   m,
 					af:  af,
 				}
-				if !af.static {
-					inst.recv = a.globalize(ctx, m, af.recv)
+				if !af.Static {
+					inst.recv = a.globalize(ctx, m, af.Recv)
 					if !a.sharedRecv(inst.recv) {
 						continue
 					}
@@ -99,7 +100,7 @@ func (a *analyzer) census(report *Report) {
 				if !ok {
 					continue
 				}
-				inst.locks = a.locksAt(ctx, m, af.pc)
+				inst.locks = a.locksAt(ctx, m, af.PC)
 				perLoc[key] = append(perLoc[key], inst)
 			}
 		}
@@ -142,7 +143,7 @@ func (a *analyzer) findPair(key locKey, insts []accessInst) (Race, bool) {
 	for i := 0; i < len(insts); i++ {
 		for j := i; j < len(insts); j++ {
 			x, y := &insts[i], &insts[j]
-			if !x.af.write && !y.af.write {
+			if !x.af.Write && !y.af.Write {
 				continue
 			}
 			if !a.mhp(x.ref, y.ref) {
@@ -170,8 +171,8 @@ func (a *analyzer) findPair(key locKey, insts []accessInst) (Race, bool) {
 func (a *analyzer) accessOf(inst *accessInst) Access {
 	return Access{
 		Method: inst.m.FullName(),
-		PC:     inst.af.pc,
-		Op:     inst.af.op.String(),
+		PC:     inst.af.PC,
+		Op:     inst.af.Op.String(),
 		Thread: a.threadName(inst.ref.ctx),
 		Locks:  a.lockNames(notTop(inst.locks)),
 	}

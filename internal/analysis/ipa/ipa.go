@@ -1,10 +1,12 @@
 // Package ipa implements whole-program interprocedural analysis over a
 // loaded class set: a rapid-type-analysis call graph (direct edges for
 // invokestatic/invokespecial, CHA-resolved target sets for
-// invokevirtual restricted to instantiated receivers), single-target
-// devirtualization facts, a flow-insensitive interprocedural escape
-// pass driving lock elision, and per-method side-effect summaries
-// cached bottom-up over SCCs of the call graph.
+// invokevirtual restricted to instantiated receivers), the per-method
+// abstract interpreter whose facts every whole-program analysis reads
+// (see Facts), single-target devirtualization facts, a
+// flow-insensitive interprocedural escape pass driving lock elision,
+// and per-method side-effect summaries cached bottom-up over SCCs of
+// the call graph.
 //
 // The paper's two sharpest costs — indirect-jump mispredictions from
 // virtual dispatch (§4.2, Table 2) and thread-local lock operations
@@ -113,7 +115,8 @@ type Result struct {
 	classes   []*bytecode.Class
 	byID      map[int]*bytecode.Method
 	byName    map[string]*bytecode.Class
-	facts     map[*bytecode.Method]*methodFacts
+	methods   []*bytecode.Method // interpreted methods, by id
+	facts     map[*bytecode.Method]*MethodFacts
 	spawnUsed bool
 }
 
@@ -135,7 +138,7 @@ func Analyze(classes []*bytecode.Class) *Result {
 		classes:           classes,
 		byID:              map[int]*bytecode.Method{},
 		byName:            map[string]*bytecode.Class{},
-		facts:             map[*bytecode.Method]*methodFacts{},
+		facts:             map[*bytecode.Method]*MethodFacts{},
 	}
 	for _, c := range classes {
 		r.byName[c.Name] = c
@@ -155,6 +158,14 @@ func Analyze(classes []*bytecode.Class) *Result {
 
 // MethodByID resolves a global method id within the analyzed set.
 func (r *Result) MethodByID(id int) *bytecode.Method { return r.byID[id] }
+
+// Methods lists the interpreted methods — every reachable non-Sys
+// method with code — in method-id order.
+func (r *Result) Methods() []*bytecode.Method { return r.methods }
+
+// Facts returns the abstract interpreter's facts for m, or nil when m
+// was not interpreted.
+func (r *Result) Facts(m *bytecode.Method) *MethodFacts { return r.facts[m] }
 
 // DevirtTargetID returns the proven unique target of the invokevirtual
 // at (method id, instruction index), or nil when the site stays
@@ -194,7 +205,7 @@ func (r *Result) buildCallGraph() {
 		if r.spawnUsed {
 			for _, c := range r.classes {
 				if r.Instantiated[c] {
-					mark(runMethod(c))
+					mark(RunMethod(c))
 				}
 			}
 		}
@@ -281,8 +292,9 @@ func descends(c, anc *bytecode.Class) bool {
 	return false
 }
 
-// runMethod finds the run()V entry vm uses for spawned threads.
-func runMethod(c *bytecode.Class) *bytecode.Method {
+// RunMethod finds the run()V entry vm uses for threads spawned on an
+// object of class c.
+func RunMethod(c *bytecode.Class) *bytecode.Method {
 	for _, m := range c.VTable {
 		if m.Name == "run" && len(m.Sig.Params) == 0 && m.Sig.Ret == bytecode.TVoid {
 			return m
@@ -291,12 +303,15 @@ func runMethod(c *bytecode.Class) *bytecode.Method {
 	return nil
 }
 
-// siteTargets returns the possible callees of one recorded call site.
-func (r *Result) siteTargets(m *bytecode.Method, cf *callFact) []*bytecode.Method {
-	if cf.virtual {
-		return r.Targets[Site{m.ID, cf.pc}]
+// siteTargets returns the possible callees of one call site.
+func (r *Result) siteTargets(m *bytecode.Method, cf *CallFact) []*bytecode.Method {
+	switch {
+	case cf.Sys:
+		return nil
+	case cf.Virtual:
+		return r.Targets[Site{m.ID, cf.PC}]
 	}
-	return []*bytecode.Method{cf.callee}
+	return []*bytecode.Method{cf.Callee}
 }
 
 // decideDevirt fills Devirt: CHA singletons plus exact-receiver-type
@@ -313,14 +328,14 @@ func (r *Result) decideDevirt() {
 		if f == nil {
 			continue
 		}
-		cf := f.callAt(site.PC)
-		if cf == nil || len(cf.args) == 0 {
+		cf := f.CallAt(site.PC)
+		if cf == nil || len(cf.Args) == 0 {
 			continue
 		}
-		if id, ok := cf.args[0].singleAlloc(); ok {
+		if id, ok := cf.Args[0].Single(SrcAlloc); ok {
 			cls := r.AllocClass[Site{m.ID, id}]
-			if cls != nil && cf.callee.VIndex >= 0 && cf.callee.VIndex < len(cls.VTable) {
-				r.Devirt[site] = cls.VTable[cf.callee.VIndex]
+			if cls != nil && cf.Callee.VIndex >= 0 && cf.Callee.VIndex < len(cls.VTable) {
+				r.Devirt[site] = cls.VTable[cf.Callee.VIndex]
 			}
 		}
 	}
@@ -331,40 +346,35 @@ func (r *Result) decideDevirt() {
 // a synchronized unique target; monitor elision is all-or-nothing per
 // method so enter/exit pairing is preserved trivially.
 func (r *Result) decideElision() {
-	for _, c := range r.classes {
-		for _, m := range c.Methods {
-			f := r.facts[m]
-			if f == nil {
+	for _, m := range r.methods {
+		f := r.facts[m]
+		for i := range f.Calls {
+			cf := &f.Calls[i]
+			if !cf.Virtual || len(cf.Args) == 0 {
 				continue
 			}
-			for i := range f.calls {
-				cf := &f.calls[i]
-				if !cf.virtual || len(cf.args) == 0 {
-					continue
-				}
-				id, ok := cf.args[0].singleAlloc()
-				if !ok {
-					continue
-				}
-				as := Site{m.ID, id}
-				cls := r.AllocClass[as]
-				if cls == nil || r.Escaped[as] {
-					continue
-				}
-				if cf.callee.VIndex < 0 || cf.callee.VIndex >= len(cls.VTable) {
-					continue
-				}
-				if t := cls.VTable[cf.callee.VIndex]; t.IsSynchronized() {
-					r.ElideCalls[Site{m.ID, cf.pc}] = t
-					r.ElideRecv[Site{m.ID, cf.pc}] = as
-				}
+			id, ok := cf.Args[0].Single(SrcAlloc)
+			if !ok {
+				continue
 			}
-			r.decideMonitorElision(m, f)
+			as := Site{m.ID, id}
+			cls := r.AllocClass[as]
+			if cls == nil || r.Escaped[as] {
+				continue
+			}
+			if cf.Callee.VIndex < 0 || cf.Callee.VIndex >= len(cls.VTable) {
+				continue
+			}
+			if t := cls.VTable[cf.Callee.VIndex]; t.IsSynchronized() {
+				r.ElideCalls[Site{m.ID, cf.PC}] = t
+				r.ElideRecv[Site{m.ID, cf.PC}] = as
+			}
 		}
+		r.decideMonitorElision(m, f)
 	}
 }
 
-func (r *Result) decideMonitorElision(m *bytecode.Method, f *methodFacts) {
+func (r *Result) decideMonitorElision(m *bytecode.Method, f *MethodFacts) {
 	total := 0
 	for _, ins := range m.Code {
 		if ins.Op == bytecode.MonitorEnter || ins.Op == bytecode.MonitorExit {
@@ -377,19 +387,19 @@ func (r *Result) decideMonitorElision(m *bytecode.Method, f *methodFacts) {
 	// Every monitor operand in the method must be a provably
 	// thread-local allocation (class or array), including operands in
 	// code the abstract interpreter never reached.
-	if len(f.monitors) != total {
+	if len(f.Monitors) != total {
 		return
 	}
 	var sites []Site
-	for _, v := range f.monitors {
-		if v.unknown || len(v.members) == 0 {
+	for _, v := range f.Monitors {
+		if v.Unknown || len(v.Srcs) == 0 {
 			return
 		}
-		for _, mr := range v.members {
-			if mr.kind != rAlloc || r.Escaped[Site{m.ID, mr.id}] {
+		for _, src := range v.Srcs {
+			if src.Kind != SrcAlloc || r.Escaped[Site{m.ID, int(src.A)}] {
 				return
 			}
-			sites = append(sites, Site{m.ID, mr.id})
+			sites = append(sites, Site{m.ID, int(src.A)})
 		}
 	}
 	r.ElideMonitors[m] = true

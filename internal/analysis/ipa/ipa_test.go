@@ -340,3 +340,65 @@ func TestAnalyzeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedBodyDegrades: a reachable body the interpreter cannot
+// process (here h, whose iadd underflows the stack; structural
+// verification admits it) gets no facts and is treated soundly: its
+// parameters and allocations escape, its effects are every bit, and an
+// object its caller passes in escapes with it. The caller's other
+// allocation stays local.
+func TestMalformedBodyDegrades(t *testing.T) {
+	classes, err := minijava.Compile("test.mj", `
+class Obj { int x; }
+class Main {
+	static void h(Obj o) { }
+	static void main() {
+		Obj a = new Obj();
+		h(a);
+		Obj b = new Obj();
+		b.x = 1;
+	}
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main, h := method(t, classes, "Main", "main"), method(t, classes, "Main", "h")
+	var allocs []int
+	for pc, ins := range main.Code {
+		if ins.Op == bytecode.New {
+			allocs = append(allocs, pc)
+		}
+	}
+	if len(allocs) != 2 {
+		t.Fatalf("main allocations at %v, want 2", allocs)
+	}
+	h.Code = []bytecode.Instr{main.Code[allocs[0]], {Op: bytecode.IAdd}, {Op: bytecode.Pop}, {Op: bytecode.Return}}
+	v := vm.New(nil, nil)
+	v.Verify = vm.VerifyStructural
+	if err := v.Load(classes); err != nil {
+		t.Fatal(err)
+	}
+	r := ipa.Analyze(classes)
+
+	if f := r.Facts(h); f == nil || !f.NoFlow || len(f.Calls) != 0 {
+		t.Fatalf("h facts = %+v, want NoFlow with no facts", f)
+	}
+	if pe := r.ParamEscapes[h]; len(pe) != 1 || !pe[0] {
+		t.Errorf("h param escapes = %v, want [true]", pe)
+	}
+	if s := (ipa.Site{Method: h.ID, PC: 0}); r.AllocClass[s] == nil || !r.Escaped[s] {
+		t.Errorf("h's allocation: class %v escaped %v, want Obj and escaped", r.AllocClass[s], r.Escaped[s])
+	}
+	if got := r.Effects[h].String(); got != "RWALIT" {
+		t.Errorf("h effects = %s, want RWALIT", got)
+	}
+	if got := r.Effects[main].String(); got != "RWALIT" {
+		t.Errorf("main effects = %s, want h's folded in (RWALIT)", got)
+	}
+	if !r.Escaped[ipa.Site{Method: main.ID, PC: allocs[0]}] {
+		t.Error("object passed to h must escape")
+	}
+	if r.Escaped[ipa.Site{Method: main.ID, PC: allocs[1]}] {
+		t.Error("object never passed out must stay local")
+	}
+}

@@ -3,78 +3,39 @@ package ipa
 import (
 	"sort"
 
+	"jrs/internal/analysis"
 	"jrs/internal/bytecode"
 )
 
-// condense runs Tarjan's algorithm over the reachable call graph and
-// stores the components in emission order, which for Tarjan is reverse
+// condense splits the reachable call graph into strongly connected
+// components, stored in Tarjan's emission order, which is reverse
 // topological: every SCC appears after all SCCs it calls into. The
 // bottom-up solvers walk this order so callee summaries are (mostly)
 // final before callers read them; cycles converge in the outer
 // fixpoint.
 func (r *Result) condense() {
-	var nodes []*bytecode.Method
-	for _, c := range r.classes {
-		for _, m := range c.Methods {
-			if r.facts[m] != nil {
-				nodes = append(nodes, m)
-			}
-		}
+	vertex := make(map[*bytecode.Method]int, len(r.methods))
+	for i, m := range r.methods {
+		vertex[m] = i
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-
-	index := map[*bytecode.Method]int{}
-	low := map[*bytecode.Method]int{}
-	onStack := map[*bytecode.Method]bool{}
-	var stack []*bytecode.Method
-	next := 0
-
-	var strong func(m *bytecode.Method)
-	strong = func(m *bytecode.Method) {
-		index[m] = next
-		low[m] = next
-		next++
-		stack = append(stack, m)
-		onStack[m] = true
+	adj := make([][]int, len(r.methods))
+	for i, m := range r.methods {
 		f := r.facts[m]
-		for i := range f.calls {
-			cf := &f.calls[i]
-			if cf.sys {
-				continue
-			}
-			for _, t := range r.siteTargets(m, cf) {
-				if r.facts[t] == nil {
-					continue
-				}
-				if _, seen := index[t]; !seen {
-					strong(t)
-					if low[t] < low[m] {
-						low[m] = low[t]
-					}
-				} else if onStack[t] && index[t] < low[m] {
-					low[m] = index[t]
+		for j := range f.Calls {
+			for _, t := range f.Calls[j].Targets {
+				if v, ok := vertex[t]; ok {
+					adj[i] = append(adj[i], v)
 				}
 			}
-		}
-		if low[m] == index[m] {
-			var scc []*bytecode.Method
-			for {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[n] = false
-				scc = append(scc, n)
-				if n == m {
-					break
-				}
-			}
-			sort.Slice(scc, func(i, j int) bool { return scc[i].ID < scc[j].ID })
-			r.SCCs = append(r.SCCs, scc)
 		}
 	}
-	for _, m := range nodes {
-		if _, seen := index[m]; !seen {
-			strong(m)
+	for _, comp := range analysis.SCCs(adj) {
+		sort.Ints(comp)
+		scc := make([]*bytecode.Method, len(comp))
+		for i, v := range comp {
+			scc[i] = r.methods[v]
 		}
+		r.SCCs = append(r.SCCs, scc)
 	}
 }
 
@@ -90,20 +51,22 @@ func (r *Result) solveEscapes() {
 		for _, scc := range r.SCCs {
 			for _, m := range scc {
 				f := r.facts[m]
-				for _, v := range f.stores {
-					changed = r.escape(m, v) || changed
-				}
-				for _, v := range f.spawned {
-					changed = r.escape(m, v) || changed
-				}
-				for i := range f.calls {
-					cf := &f.calls[i]
-					if cf.sys {
-						continue // only spawn captures; handled above
+				for i := range f.Accesses {
+					if af := &f.Accesses[i]; af.Write && af.Ref {
+						changed = r.escape(m, af.Stored) || changed
 					}
-					targets := r.siteTargets(m, cf)
-					for j, av := range cf.args {
-						if r.argEscapes(targets, j) {
+				}
+				changed = r.escape(m, f.Returns) || changed
+				for i := range f.Calls {
+					cf := &f.Calls[i]
+					if v, ok := cf.SysArg("spawn"); ok {
+						changed = r.escape(m, v) || changed
+					}
+					if cf.Sys {
+						continue // only spawn captures
+					}
+					for j, av := range cf.Args {
+						if refSlot(cf.Callee, j) && r.argEscapes(cf.Targets, j) {
 							changed = r.escape(m, av) || changed
 						}
 					}
@@ -111,6 +74,18 @@ func (r *Result) solveEscapes() {
 			}
 		}
 	}
+}
+
+// refSlot reports whether argument slot j of m (receiver included)
+// holds a reference: only references can escape.
+func refSlot(m *bytecode.Method, j int) bool {
+	if !m.IsStatic() {
+		if j == 0 {
+			return true
+		}
+		j--
+	}
+	return j < len(m.Sig.Params) && m.Sig.Params[j] == bytecode.TRef
 }
 
 // argEscapes reports whether argument slot j may escape through any of
@@ -125,21 +100,22 @@ func (r *Result) argEscapes(targets []*bytecode.Method, j int) bool {
 	return false
 }
 
-// escape marks every named constituent of v escaped in m's frame.
-func (r *Result) escape(m *bytecode.Method, v absVal) bool {
+// escape marks every allocation and parameter source of v escaped in
+// m's frame; the other source kinds name values already in the heap.
+func (r *Result) escape(m *bytecode.Method, v Value) bool {
 	changed := false
-	for _, mr := range v.members {
-		switch mr.kind {
-		case rAlloc:
-			s := Site{m.ID, mr.id}
+	for _, src := range v.Srcs {
+		switch id := int(src.A); src.Kind {
+		case SrcAlloc:
+			s := Site{m.ID, id}
 			if !r.Escaped[s] {
 				r.Escaped[s] = true
 				changed = true
 			}
-		case rParam:
+		case SrcParam:
 			pe := r.ParamEscapes[m]
-			if mr.id < len(pe) && !pe[mr.id] {
-				pe[mr.id] = true
+			if id < len(pe) && !pe[id] {
+				pe[id] = true
 				changed = true
 			}
 		}
@@ -155,14 +131,13 @@ func (r *Result) solveEffects() {
 		for _, scc := range r.SCCs {
 			for _, m := range scc {
 				f := r.facts[m]
-				e := f.intra
-				for i := range f.calls {
-					cf := &f.calls[i]
-					if cf.sys {
-						e |= sysEffect(cf.callee.Name)
-						continue
+				e := f.Intra
+				for i := range f.Calls {
+					cf := &f.Calls[i]
+					if cf.Sys {
+						e |= sysEffect(cf.Callee.Name)
 					}
-					for _, t := range r.siteTargets(m, cf) {
+					for _, t := range cf.Targets {
 						e |= r.Effects[t]
 					}
 				}
@@ -224,11 +199,10 @@ func (r *Result) Summarize() Summary {
 		}
 	}
 	s.DevirtSites = len(r.Devirt)
-	for _, m := range r.sortedMethods() {
+	for _, m := range r.methods {
 		f := r.facts[m]
-		for i := range f.calls {
-			cf := &f.calls[i]
-			if !cf.virtual && !cf.sys {
+		for i := range f.Calls {
+			if cf := &f.Calls[i]; !cf.Virtual && !cf.Sys {
 				s.DirectEdges++
 			}
 		}
@@ -253,19 +227,6 @@ func (r *Result) Summarize() Summary {
 		}
 	}
 	return s
-}
-
-func (r *Result) sortedMethods() []*bytecode.Method {
-	ms := make([]*bytecode.Method, 0, len(r.facts))
-	for _, c := range r.classes {
-		for _, m := range c.Methods {
-			if r.facts[m] != nil {
-				ms = append(ms, m)
-			}
-		}
-	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
-	return ms
 }
 
 // SiteFact is one (site, target) fact rendered for reports.

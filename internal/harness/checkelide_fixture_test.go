@@ -218,7 +218,7 @@ func checkFixturePrograms(t *testing.T) []LintProgram {
 // TestCheckLintGolden pins the `jrs lint -checkelide` census block over
 // the bounds fixture plus a real workload. Refresh with -update.
 func TestCheckLintGolden(t *testing.T) {
-	report, err := BuildLintReportOpts(checkFixturePrograms(t), false, true)
+	report, err := BuildLintReport(checkFixturePrograms(t), false, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,25 +69,11 @@ type LintReport struct {
 }
 
 // BuildLintReport lints every program into the structured report. A
-// program that fails to link at all is an error.
-func BuildLintReport(progs []LintProgram) (*LintReport, error) {
-	return buildLintReport(progs, false, false)
-}
-
-// BuildRaceLintReport is BuildLintReport with the static race and
-// deadlock analysis added (the jrs lint -races path); every race pair
-// and deadlock cycle counts as a finding.
-func BuildRaceLintReport(progs []LintProgram) (*LintReport, error) {
-	return buildLintReport(progs, true, false)
-}
-
-// BuildLintReportOpts is BuildLintReport with the optional passes
-// selected individually (the cmd/jrs flag path).
-func BuildLintReportOpts(progs []LintProgram, races, checks bool) (*LintReport, error) {
-	return buildLintReport(progs, races, checks)
-}
-
-func buildLintReport(progs []LintProgram, races, checks bool) (*LintReport, error) {
+// program that fails to link at all is an error. races adds the static
+// race and deadlock analysis (jrs lint -races): every race pair and
+// deadlock cycle counts as a finding. checks adds the provable
+// runtime-check census (jrs lint -checkelide), which never does.
+func BuildLintReport(progs []LintProgram, races, checks bool) (*LintReport, error) {
 	r := &LintReport{Passes: analysis.PassNames()}
 	if races {
 		r.Passes = append(r.Passes, "races")
@@ -194,7 +180,7 @@ func (r *LintReport) JSON() (string, error) {
 // Lint renders the text diagnostic report over progs and returns it
 // with the total finding count.
 func Lint(progs []LintProgram) (string, int, error) {
-	r, err := BuildLintReport(progs)
+	r, err := BuildLintReport(progs, false, false)
 	if err != nil {
 		return "", 0, err
 	}

@@ -152,7 +152,7 @@ func TestLintJSONRoundTrip(t *testing.T) {
 	progs := append(WorkloadPrograms(helloOpts()),
 		LintProgram{Name: "bugs", Classes: []*bytecode.Class{buggy}})
 
-	report, err := BuildLintReport(progs)
+	report, err := BuildLintReport(progs, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

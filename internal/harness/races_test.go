@@ -191,7 +191,7 @@ func fixturePrograms(t *testing.T) []LintProgram {
 // fixtures plus the multithreaded workload. Refresh with -update.
 func TestRaceLintGolden(t *testing.T) {
 	progs := append(fixturePrograms(t), WorkloadPrograms(quickOpts("mtrt"))...)
-	report, err := BuildRaceLintReport(progs)
+	report, err := BuildLintReport(progs, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRaceAnalyzeGolden(t *testing.T) {
 // TestRaceLintJSONRoundTrip: the extended LintReport (race and deadlock
 // findings, locksets, MHP witnesses) survives the JSON round trip.
 func TestRaceLintJSONRoundTrip(t *testing.T) {
-	report, err := BuildRaceLintReport(fixturePrograms(t))
+	report, err := BuildLintReport(fixturePrograms(t), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRaceLintJSONRoundTrip(t *testing.T) {
 // TestPlainLintIgnoresRaces: without -races the fixtures stay clean —
 // race findings are opt-in and must not fail plain lint runs.
 func TestPlainLintIgnoresRaces(t *testing.T) {
-	report, err := BuildLintReport(fixturePrograms(t))
+	report, err := BuildLintReport(fixturePrograms(t), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +263,38 @@ func TestPlainLintIgnoresRaces(t *testing.T) {
 		if len(p.Races) != 0 || len(p.Deadlocks) != 0 {
 			t.Errorf("%s: plain lint carries race findings", p.Name)
 		}
+	}
+}
+
+// TestRaceLintMalformedBody: lint links with structural verification
+// only, so an ill-typed body reaches the whole-program analyses. A main
+// whose first instruction underflows the stack must come back as a
+// typecheck finding with no races, next to the unchanged fixture
+// reports, with the races and checks passes both on.
+func TestRaceLintMalformedBody(t *testing.T) {
+	sigV, _ := bytecode.ParseSignature("()V")
+	under := &bytecode.Class{Name: "Under", Methods: []*bytecode.Method{
+		{Name: "main", Sig: sigV, Flags: bytecode.FlagStatic, MaxLocals: 1,
+			Code: []bytecode.Instr{{Op: bytecode.IAdd}, {Op: bytecode.Pop}, {Op: bytecode.Return}}},
+	}}
+	want, err := BuildLintReport(fixturePrograms(t), true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := append(fixturePrograms(t), LintProgram{Name: "under", Classes: []*bytecode.Class{under}})
+	report, err := BuildLintReport(progs, true, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(report.Programs[:len(want.Programs)], want.Programs) {
+		t.Errorf("fixture reports changed next to the malformed program:\n%s", report.Render())
+	}
+	got := report.Programs[len(want.Programs)]
+	if len(got.Findings) == 0 || got.Findings[0].Pass != "typecheck" || got.Findings[0].PC != 0 {
+		t.Errorf("underflowing main: findings %v, want a typecheck error at pc 0", got.Findings)
+	}
+	if len(got.Races) != 0 || len(got.Deadlocks) != 0 || got.Checks == nil {
+		t.Errorf("underflowing main: races %v deadlocks %v checks %v", got.Races, got.Deadlocks, got.Checks)
 	}
 }
 

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+
+	"jrs/internal/atomicfile"
 )
 
 // ResultCache is a content-addressed store of cell payloads under a
@@ -18,7 +19,6 @@ import (
 // the directory (see README).
 type ResultCache struct {
 	dir string
-	seq atomic.Int64 // temp-file uniquifier
 }
 
 // cacheEntry is the on-disk envelope: the full key is stored alongside
@@ -67,57 +67,15 @@ func (c *ResultCache) Get(k CellKey) (json.RawMessage, bool) {
 	return e.Payload, true
 }
 
-// Put stores the payload for k crash-safely: write to a temp file,
-// fsync the data, rename over the final path, fsync the directory. A
-// concurrent reader never observes a torn entry (rename is atomic), and
-// a crash at any point leaves either the old state or the complete new
-// entry — never a short file under the final name. Failed writes remove
-// their temp file so an interrupted run doesn't litter the cache.
+// Put stores the payload for k crash-safely (atomicfile.Publish): a
+// concurrent reader never observes a torn entry, and a crash leaves
+// either the old state or the complete new entry.
 func (c *ResultCache) Put(k CellKey, payload json.RawMessage) error {
 	data, err := json.Marshal(cacheEntry{Schema: CacheSchema, Key: k, Payload: payload})
 	if err != nil {
 		return err
 	}
-	final := c.path(k.Hash())
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return err
-	}
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", final, os.Getpid(), c.seq.Add(1))
-	if err := writeSync(tmp, data); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Durability of the rename itself: fsync the containing directory
-	// so the entry survives the machine dying right after Put returns.
-	// Best effort — some filesystems refuse directory fsync.
-	if d, err := os.Open(filepath.Dir(final)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// writeSync writes data to path and fsyncs it before close, so the
-// subsequent rename never publishes a name whose bytes are still only
-// in the page cache.
-func writeSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Publish(c.path(k.Hash()), data)
 }
 
 // Corrupt truncates the stored entry for k to half its length —

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"jrs/internal/atomicfile"
 	"jrs/internal/isa"
 )
 
@@ -116,7 +117,6 @@ type Cache struct {
 	mu    sync.Mutex
 	mem   map[string]*Entry
 	locks map[string]*sync.Mutex
-	seq   atomic.Int64
 
 	hits, misses, diskHits, stores, storeErrors, codeBytes atomic.Int64
 }
@@ -266,50 +266,15 @@ func (c *Cache) readDisk(key string) *Entry {
 	return de.Entry
 }
 
-// writeDisk persists one entry crash-safely: temp file, fsync, atomic
-// rename, directory fsync — a concurrent reader never observes a torn
-// entry, and a crash leaves either nothing or the complete entry.
+// writeDisk persists one entry crash-safely (atomicfile.Publish): a
+// concurrent reader never observes a torn entry, and a crash leaves
+// either nothing or the complete entry.
 func (c *Cache) writeDisk(key string, e *Entry) error {
 	data, err := json.Marshal(diskEntry{Schema: EntrySchema, Key: key, Entry: e})
 	if err != nil {
 		return err
 	}
-	final := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return err
-	}
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", final, os.Getpid(), c.seq.Add(1))
-	if err := writeSync(tmp, data); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(final)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// writeSync writes data to path and fsyncs before close, so the rename
-// never publishes a name whose bytes are only in the page cache.
-func writeSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Publish(c.path(key), data)
 }
 
 // Keys returns the sorted keys currently held in memory.
