@@ -251,3 +251,113 @@ class Main {
 		t.Fatalf("census proved nothing: %+v", c)
 	}
 }
+
+// TestRefutedEdgesRecordNoSites: code the analysis proves unreachable
+// records no verdict. Two shapes: the null arm of an ifnonnull on a
+// reference already dereferenced (branch refinement refutes the edge),
+// and everything after a call whose only callee never returns.
+func TestRefutedEdgesRecordNoSites(t *testing.T) {
+	classes, err := minijava.Compile("test.mj", `
+class Box { int v; }
+class Main {
+	static void use(Box x) {
+		Sys.printi(x.v);
+		if (x == null) {
+			Sys.printi(x.v);
+			int[] a = new int[2];
+			a[1] = 3;
+		}
+		Sys.printi(x.v);
+	}
+	static void spin() {
+		while (0 == 0) { }
+	}
+	static void main() {
+		Main.use(new Box());
+		Main.use(null);
+		Main.spin();
+		Box b = new Box();
+		int[] c = new int[4];
+		c[2] = b.v;
+	}
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MiniJava compiles x == null to aload; aconst_null; if_acmpne.
+	// Rewrite it in place to aload; nop; ifnonnull, the form whose null
+	// edge branch refinement drops.
+	var use *bytecode.Method
+	for _, c := range classes {
+		for _, m := range c.Methods {
+			if c.Name == "Main" && m.Name == "use" {
+				use = m
+			}
+		}
+	}
+	armStart, armEnd := -1, -1
+	for pc, ins := range use.Code {
+		if ins.Op == bytecode.AConstNull && use.Code[pc+1].Op == bytecode.IfACmpNe {
+			use.Code[pc] = bytecode.Instr{Op: bytecode.Nop}
+			use.Code[pc+1] = bytecode.Instr{Op: bytecode.IfNonNull, A: use.Code[pc+1].A}
+			armStart, armEnd = pc+2, int(use.Code[pc+1].A)
+		}
+	}
+	if armStart < 0 {
+		t.Fatal("fixture shape: no x == null comparison in Main.use")
+	}
+	v := vm.New(nil, nil)
+	v.Verify = vm.VerifyStructural
+	if err := v.Load(classes); err != nil {
+		t.Fatal(err)
+	}
+	r := vrange.Analyze(v.ClassList, ipa.Analyze(v.ClassList))
+
+	// checkSite reports whether the instruction carries a bounds or null
+	// check the analysis records.
+	checkSite := func(op bytecode.Op) bool {
+		switch op {
+		case bytecode.GetField, bytecode.PutField, bytecode.IAStore, bytecode.IALoad,
+			bytecode.InvokeVirtual, bytecode.ArrayLength:
+			return true
+		}
+		return false
+	}
+	recorded := func(m *bytecode.Method, pc int) bool {
+		site := ipa.Site{Method: m.ID, PC: pc}
+		_, b := r.Bounds[site]
+		_, n := r.Null[site]
+		return b || n
+	}
+	expect := func(m *bytecode.Method, from, to int, want bool) {
+		t.Helper()
+		n := 0
+		for pc := from; pc < to; pc++ {
+			if !checkSite(m.Code[pc].Op) {
+				continue
+			}
+			n++
+			if got := recorded(m, pc); got != want {
+				t.Errorf("%s @%d %s: recorded=%v, want %v", m.FullName(), pc, m.Code[pc].Op, got, want)
+			}
+		}
+		if n == 0 {
+			t.Errorf("fixture shape: no check site in %s [%d,%d)", m.FullName(), from, to)
+		}
+	}
+	expect(use, 0, armStart, true)
+	expect(use, armStart, armEnd, false)
+	expect(use, armEnd, len(use.Code), true)
+
+	main := findMethod(t, v.ClassList, "Main", "main")
+	spinAt := -1
+	for pc, ins := range main.Code {
+		if ins.Op == bytecode.InvokeStatic && main.Class.Pool.Methods[ins.A].Resolved.Name == "spin" {
+			spinAt = pc
+		}
+	}
+	if spinAt < 0 {
+		t.Fatal("fixture shape: no call to spin in Main.main")
+	}
+	expect(main, spinAt+1, len(main.Code), false)
+}

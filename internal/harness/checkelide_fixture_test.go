@@ -254,3 +254,15 @@ func TestCheckAnalyzeGolden(t *testing.T) {
 	}
 	checkGolden(t, "analyze-checks.txt", res.Render())
 }
+
+// TestCheckAnalyzeAllGolden pins every proven check site of all eight
+// workloads at their default scale (`jrs analyze -checkelide`), so a
+// change to the value-range solver that moves any per-site verdict
+// shows up here. Refresh with -update.
+func TestCheckAnalyzeAllGolden(t *testing.T) {
+	res, err := Analyze(Options{Checks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "analyze-checks-all.txt", res.Render())
+}
