@@ -296,37 +296,11 @@ func (in *interp) Transfer(_ *analysis.Graph, b *analysis.Block, s absState) (ab
 	return st, nil
 }
 
-// pops is how many operands each fixed-arity instruction consumes
-// (invokes are checked against their callee's arity).
-func pops(op bytecode.Op) int {
-	switch {
-	case op == bytecode.IStore || op == bytecode.FStore || op == bytecode.AStore ||
-		op == bytecode.Pop || op == bytecode.Dup || op == bytecode.INeg ||
-		op == bytecode.FNeg || op == bytecode.I2F || op == bytecode.F2I ||
-		op == bytecode.NewArray || op == bytecode.ArrayLength ||
-		(op >= bytecode.IfEq && op <= bytecode.IfLe) ||
-		op == bytecode.IfNull || op == bytecode.IfNonNull ||
-		op == bytecode.GetField || op == bytecode.PutStatic ||
-		op == bytecode.IReturn || op == bytecode.FReturn || op == bytecode.AReturn ||
-		op == bytecode.MonitorEnter || op == bytecode.MonitorExit:
-		return 1
-	case op == bytecode.Swap || (op >= bytecode.IAdd && op <= bytecode.FCmp) ||
-		op == bytecode.IALoad || op == bytecode.FALoad || op == bytecode.AALoad ||
-		op == bytecode.CALoad || (op >= bytecode.IfICmpEq && op <= bytecode.IfACmpNe) ||
-		op == bytecode.PutField:
-		return 2
-	case op == bytecode.IAStore || op == bytecode.FAStore || op == bytecode.AAStore ||
-		op == bytecode.CAStore:
-		return 3
-	}
-	return 0
-}
-
 // step applies one instruction to st and records its facts.
 func (in *interp) step(pc int, st *absState) error {
 	m, f := in.m, in.f
 	ins := m.Code[pc]
-	if len(st.stack) < pops(ins.Op) {
+	if len(st.stack) < ins.Op.Pops() {
 		return errUnderflow
 	}
 	push := func(v Value) { st.stack = append(st.stack, v) }
@@ -359,7 +333,7 @@ func (in *interp) step(pc int, st *absState) error {
 		st.stack[n-1], st.stack[n-2] = st.stack[n-2], st.stack[n-1]
 	case op >= bytecode.IAdd && op <= bytecode.FCmp, op == bytecode.I2F, op == bytecode.F2I,
 		op == bytecode.ArrayLength:
-		drop(pops(op))
+		drop(op.Pops())
 		push(top)
 	case op == bytecode.New:
 		in.r.AllocClass[Site{m.ID, pc}] = m.Class.Pool.Classes[ins.A].Resolved
@@ -388,7 +362,7 @@ func (in *interp) step(pc int, st *absState) error {
 		in.access(af)
 		drop(3)
 	case op.IsBranch():
-		drop(pops(op))
+		drop(op.Pops())
 	case op == bytecode.GetField:
 		ref := fieldType(m, ins.A) == bytecode.TRef
 		in.access(AccessFact{PC: pc, Op: op, Field: ins.A, Ref: ref, Recv: pop()})

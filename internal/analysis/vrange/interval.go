@@ -1,6 +1,7 @@
 // Package vrange is a whole-program value-range and nullness analysis
-// over the loaded class set: an SCCP-style per-method dataflow on an
-// interval lattice with widening at loop heads, flow-sensitive
+// over the loaded class set: an SCCP-style per-method dataflow
+// (analysis.Solve on the CFGs ipa built) on an interval lattice with
+// widening at loop heads, flow-sensitive
 // nullness, and symbolic array-length facts (len(a) threaded through
 // newarray/arraylength and interprocedural argument/return summaries
 // on the ipa RTA call graph). Its verdicts — BoundsProven / NullProven

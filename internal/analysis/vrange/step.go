@@ -11,162 +11,95 @@ import (
 // st (a private clone the caller hands over) and returns the outgoing
 // CFG edges with their refined states. An empty slice means the
 // instruction never falls through (return, throw-only, or a branch
-// whose both edges are refuted).
-func (s *msolver) step(pc int, st *state) []edge {
+// whose both edges are refuted); an error means the body is outside
+// the model and the method bails.
+func (s *msolver) step(pc int, st *state) ([]edge, error) {
 	ins := s.m.Code[pc]
-	fall := func() []edge { return []edge{{pc + 1, st}} }
+	if len(st.stack) < ins.Op.Pops() {
+		return nil, errUnderflow
+	}
 	switch ins.Op {
 	case bytecode.Nop:
-		return fall()
 
 	case bytecode.IConst:
 		st.push(intVal(Point(int64(ins.A))))
-		return fall()
 	case bytecode.FConst:
 		st.push(top())
-		return fall()
 	case bytecode.SConst:
 		o := s.defRef(st, pc)
 		s.noteLen(o, Range(0, math.MaxInt64))
 		st.push(aval{iv: Full(), null: NonNull, orig: o, from: -1, eqLen: noOrigin})
-		return fall()
 	case bytecode.AConstNull:
 		v := top()
 		v.null = IsNull
 		st.push(v)
-		return fall()
 
 	case bytecode.ILoad, bytecode.FLoad, bytecode.ALoad:
-		l := int(ins.A)
-		if l < 0 || l >= len(st.locals) {
-			s.bailed = true
-			return nil
-		}
-		v := st.locals[l]
-		v.from = int16(l)
+		v := st.locals[ins.A]
+		v.from = int16(ins.A)
 		st.push(v)
-		return fall()
 	case bytecode.IStore, bytecode.FStore, bytecode.AStore:
-		v := s.pop(st)
-		l := int(ins.A)
-		if s.bailed || l < 0 || l >= len(st.locals) {
-			s.bailed = true
-			return nil
-		}
-		st.killFrom(l)
+		v := st.pop()
+		st.killFrom(int(ins.A))
 		v.from = -1
-		st.locals[l] = v
-		return fall()
+		st.locals[ins.A] = v
 	case bytecode.IInc:
-		l := int(ins.A)
-		if l < 0 || l >= len(st.locals) {
-			s.bailed = true
-			return nil
-		}
-		st.killFrom(l)
-		v := st.locals[l]
+		st.killFrom(int(ins.A))
+		v := st.locals[ins.A]
 		v.iv = v.iv.Add(Point(int64(ins.B)))
 		v.eqLen, v.lt = noOrigin, nil
-		st.locals[l] = v
-		return fall()
+		st.locals[ins.A] = v
 
 	case bytecode.Pop:
-		s.pop(st)
-		return fall()
+		st.pop()
 	case bytecode.Dup:
-		if len(st.stack) == 0 {
-			s.bailed = true
-			return nil
-		}
 		st.push(st.stack[len(st.stack)-1])
-		return fall()
 	case bytecode.Swap:
-		v2 := s.pop(st)
-		v1 := s.pop(st)
-		if s.bailed {
-			return nil
-		}
-		st.push(v2)
-		st.push(v1)
-		return fall()
+		n := len(st.stack)
+		st.stack[n-1], st.stack[n-2] = st.stack[n-2], st.stack[n-1]
 
 	case bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv, bytecode.IRem,
 		bytecode.IAnd, bytecode.IOr, bytecode.IXor,
 		bytecode.IShl, bytecode.IShr, bytecode.IUshr:
-		b := s.pop(st)
-		a := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		b := st.pop()
+		a := st.pop()
 		st.push(s.arith(ins.Op, a, b))
-		return fall()
 	case bytecode.INeg:
-		a := s.pop(st)
-		st.push(intVal(a.iv.Neg()))
-		return fall()
-
-	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv:
-		s.pop(st)
-		s.pop(st)
+		st.push(intVal(st.pop().iv.Neg()))
+	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv, bytecode.FNeg,
+		bytecode.I2F, bytecode.F2I:
+		st.drop(ins.Op.Pops())
 		st.push(top())
-		return fall()
-	case bytecode.FNeg:
-		s.pop(st)
-		st.push(top())
-		return fall()
 	case bytecode.FCmp:
-		s.pop(st)
-		s.pop(st)
+		st.drop(2)
 		st.push(intVal(Range(-1, 1)))
-		return fall()
-	case bytecode.I2F:
-		s.pop(st)
-		st.push(top())
-		return fall()
-	case bytecode.F2I:
-		s.pop(st)
-		st.push(intVal(Full()))
-		return fall()
 
 	case bytecode.New:
 		o := s.defRef(st, pc)
 		st.push(aval{iv: Full(), null: NonNull, orig: o, from: -1, eqLen: noOrigin})
-		return fall()
 	case bytecode.NewArray:
-		n := s.pop(st)
-		if s.bailed {
-			return nil
-		}
-		lenIv, ok := n.iv.Meet(Range(0, math.MaxInt64))
+		lenIv, ok := st.pop().iv.Meet(Range(0, math.MaxInt64))
 		if !ok {
-			return nil // provably negative length: always throws
+			return nil, nil // provably negative length: always throws
 		}
 		o := s.defRef(st, pc)
 		s.noteLen(o, lenIv)
 		st.push(aval{iv: Full(), null: NonNull, orig: o, from: -1, eqLen: noOrigin})
-		return fall()
 	case bytecode.ArrayLength:
-		arr := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		arr := st.pop()
 		if arr.null == IsNull {
-			return nil // always throws
+			return nil, nil // always throws
 		}
 		derefNonNull(st, arr)
 		v := intVal(lenBound(s.lenOf, arr))
 		v.eqLen = arr.orig
 		st.push(v)
-		return fall()
 
 	case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad, bytecode.CALoad:
-		idx := s.pop(st)
-		arr := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		idx := st.pop()
+		arr := st.pop()
 		if arr.null == IsNull {
-			return nil
+			return nil, nil
 		}
 		s.postAccess(st, arr, idx)
 		switch ins.Op {
@@ -181,86 +114,58 @@ func (s *msolver) step(pc int, st *state) []edge {
 		default:
 			st.push(top())
 		}
-		return fall()
 	case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore, bytecode.CAStore:
-		s.pop(st)
-		idx := s.pop(st)
-		arr := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		st.pop()
+		idx := st.pop()
+		arr := st.pop()
 		if arr.null == IsNull {
-			return nil
+			return nil, nil
 		}
 		s.postAccess(st, arr, idx)
-		return fall()
 
 	case bytecode.GetField:
-		obj := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		obj := st.pop()
 		if obj.null == IsNull {
-			return nil
+			return nil, nil
 		}
 		derefNonNull(st, obj)
 		st.push(s.fieldVal(st, pc, ins))
-		return fall()
 	case bytecode.PutField:
-		s.pop(st)
-		obj := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		st.pop()
+		obj := st.pop()
 		if obj.null == IsNull {
-			return nil
+			return nil, nil
 		}
 		derefNonNull(st, obj)
-		return fall()
 	case bytecode.GetStatic:
 		st.push(s.fieldVal(st, pc, ins))
-		return fall()
 	case bytecode.PutStatic:
-		s.pop(st)
-		return fall()
+		st.pop()
 
 	case bytecode.MonitorEnter, bytecode.MonitorExit:
-		obj := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		obj := st.pop()
 		if obj.null == IsNull {
-			return nil
+			return nil, nil
 		}
 		derefNonNull(st, obj)
-		return fall()
 
 	case bytecode.Goto:
-		return []edge{{int(ins.A), st}}
+		return []edge{{int(ins.A), st}}, nil
 
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe,
 		bytecode.IfGt, bytecode.IfLe:
-		v := s.pop(st)
-		if s.bailed {
-			return nil
-		}
-		return s.branch2(pc, int(ins.A), st, v, intVal(Point(0)), unaryRel(ins.Op))
+		v := st.pop()
+		return s.branch2(pc, int(ins.A), st, v, intVal(Point(0)), unaryRel(ins.Op)), nil
 
 	case bytecode.IfICmpEq, bytecode.IfICmpNe, bytecode.IfICmpLt,
 		bytecode.IfICmpGe, bytecode.IfICmpGt, bytecode.IfICmpLe:
-		v2 := s.pop(st)
-		v1 := s.pop(st)
-		if s.bailed {
-			return nil
-		}
-		return s.branch2(pc, int(ins.A), st, v1, v2, cmpRel(ins.Op))
+		v2 := st.pop()
+		v1 := st.pop()
+		return s.branch2(pc, int(ins.A), st, v1, v2, cmpRel(ins.Op)), nil
 
 	case bytecode.IfACmpEq, bytecode.IfACmpNe:
-		v2 := s.pop(st)
-		v1 := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		v2 := st.pop()
+		v1 := st.pop()
 		taken := st.clone()
 		eqSt, neSt := taken, st
 		if ins.Op == bytecode.IfACmpNe {
@@ -268,13 +173,10 @@ func (s *msolver) step(pc int, st *state) []edge {
 		}
 		refineAgainstNull(eqSt, v1, v2, true)
 		refineAgainstNull(neSt, v1, v2, false)
-		return []edge{{pc + 1, st}, {int(ins.A), taken}}
+		return []edge{{pc + 1, st}, {int(ins.A), taken}}, nil
 
 	case bytecode.IfNull, bytecode.IfNonNull:
-		v := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		v := st.pop()
 		refineNull := func(s2 *state, isNull bool) bool {
 			if isNull {
 				if v.null == NonNull {
@@ -298,32 +200,26 @@ func (s *msolver) step(pc int, st *state) []edge {
 		if refineNull(st, !takenNull) {
 			edges = append(edges, edge{pc + 1, st})
 		}
-		return edges
+		return edges, nil
 
 	case bytecode.InvokeVirtual, bytecode.InvokeStatic, bytecode.InvokeSpecial:
 		return s.call(st, pc, ins)
 
 	case bytecode.Return:
 		s.a.markReturnsVoid(s.m)
-		return nil
+		return nil, nil
 	case bytecode.IReturn, bytecode.FReturn:
-		v := s.pop(st)
-		if s.bailed {
-			return nil
-		}
-		s.a.mergeRet(s.m, v, Range(0, math.MaxInt64))
-		return nil
+		s.a.mergeRet(s.m, st.pop(), Range(0, math.MaxInt64))
+		return nil, nil
 	case bytecode.AReturn:
-		v := s.pop(st)
-		if s.bailed {
-			return nil
-		}
+		v := st.pop()
 		s.a.mergeRet(s.m, v, lenBound(s.lenOf, v))
-		return nil
+		return nil, nil
+
+	default:
+		return nil, errModel
 	}
-	// Unknown opcode: the model is incomplete for this body.
-	s.bailed = true
-	return nil
+	return []edge{{pc + 1, st}}, nil
 }
 
 // postAccess records what a completed (non-throwing) array access
@@ -349,13 +245,7 @@ func (s *msolver) postAccess(st *state, arr, idx aval) {
 
 // fieldVal models the value loaded by getfield/getstatic at pc.
 func (s *msolver) fieldVal(st *state, pc int, ins bytecode.Instr) aval {
-	var t bytecode.Type = bytecode.TInt
-	if int(ins.A) < len(s.m.Class.Pool.Fields) {
-		if f := s.m.Class.Pool.Fields[ins.A].Resolved; f != nil {
-			t = f.Type
-		}
-	}
-	if t == bytecode.TRef {
+	if f := s.m.Class.Pool.Fields[ins.A].Resolved; f != nil && f.Type == bytecode.TRef {
 		o := s.defRef(st, pc)
 		s.noteLen(o, Range(0, math.MaxInt64))
 		return aval{iv: Full(), null: MaybeNull, orig: o, from: -1, eqLen: noOrigin}
@@ -653,30 +543,22 @@ func refineAgainstNull(st *state, a, b aval, equal bool) {
 // callees' return summaries. A site none of whose callees has been
 // seen to return yet has no fall-through (the interprocedural rounds
 // revisit it once a callee's summary grows).
-func (s *msolver) call(st *state, pc int, ins bytecode.Instr) []edge {
-	if int(ins.A) >= len(s.m.Class.Pool.Methods) {
-		s.bailed = true
-		return nil
-	}
+func (s *msolver) call(st *state, pc int, ins bytecode.Instr) ([]edge, error) {
 	callee := s.m.Class.Pool.Methods[ins.A].Resolved
 	if callee == nil {
-		s.bailed = true
-		return nil
+		return nil, errModel
 	}
-	nargs := len(callee.Sig.Params)
-	if !callee.IsStatic() {
-		nargs++
+	nargs := callee.NumArgs()
+	if len(st.stack) < nargs {
+		return nil, errUnderflow
 	}
-	args := make([]aval, nargs)
-	for i := nargs - 1; i >= 0; i-- {
-		args[i] = s.pop(st)
-	}
-	if s.bailed {
-		return nil
-	}
+	// args aliases the popped slots: it is read before the result push
+	// reuses them.
+	args := st.stack[len(st.stack)-nargs:]
+	st.drop(nargs)
 	if !callee.IsStatic() {
 		if args[0].null == IsNull {
-			return nil // guaranteed NullPointer: no fall-through
+			return nil, nil // guaranteed NullPointer: no fall-through
 		}
 		derefNonNull(st, args[0])
 	}
@@ -699,7 +581,7 @@ func (s *msolver) call(st *state, pc int, ins bytecode.Instr) []edge {
 		if len(targets) == 0 {
 			// No instantiated receiver class: the receiver can only be
 			// null, so the call always throws.
-			return nil
+			return nil, nil
 		}
 	} else {
 		targets = []*bytecode.Method{callee}
@@ -721,7 +603,7 @@ func (s *msolver) call(st *state, pc int, ins bytecode.Instr) []edge {
 		}
 	}
 	if !returns {
-		return nil
+		return nil, nil
 	}
 
 	switch callee.Sig.Ret {
@@ -735,5 +617,5 @@ func (s *msolver) call(st *state, pc int, ins bytecode.Instr) []edge {
 	default:
 		st.push(top())
 	}
-	return []edge{{pc + 1, st}}
+	return []edge{{pc + 1, st}}, nil
 }

@@ -1,9 +1,11 @@
 package vrange
 
 import (
+	"errors"
 	"math"
 	"sort"
 
+	"jrs/internal/analysis"
 	"jrs/internal/analysis/ipa"
 	"jrs/internal/bytecode"
 )
@@ -144,14 +146,14 @@ func (s *state) clone() *state {
 
 func (s *state) push(v aval) { s.stack = append(s.stack, v) }
 
-func (s *state) pop() (aval, bool) {
-	if len(s.stack) == 0 {
-		return aval{}, false
-	}
+// pop and drop assume the depth step checked against Op.Pops.
+func (s *state) pop() aval {
 	v := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
-	return v, true
+	return v
 }
+
+func (s *state) drop(n int) { s.stack = s.stack[:len(s.stack)-n] }
 
 // each visits every slot (stack then locals) of the state.
 func (s *state) each(f func(v *aval)) {
@@ -206,32 +208,42 @@ func (s *state) refineFrom(v aval, apply func(*aval)) {
 	}
 }
 
-// mergeInto joins src into dst (widening intervals when dst is a loop
-// head) and reports whether dst changed.
-func mergeInto(dst, src *state, widen bool) (bool, bool) {
-	if len(dst.stack) != len(src.stack) || len(dst.locals) != len(src.locals) {
-		return false, false // inconsistent shapes: caller bails
+// join merges in into have, widening intervals when widen is set (a
+// loop head). It returns nil when have already covers in; otherwise a
+// copy of have, so neither argument is mutated.
+func join(have, in *state, widen bool) (*state, error) {
+	if len(have.stack) != len(in.stack) || len(have.locals) != len(in.locals) {
+		return nil, errShape
 	}
-	changed := false
-	mix := func(d *aval, s aval) {
-		var n aval
-		if widen {
-			n = widenVal(*d, s)
-		} else {
-			n = joinVal(*d, s)
-		}
-		if !equalVal(*d, n) {
-			*d = n
-			changed = true
+	var out *state
+	for i := range have.stack {
+		if n, ok := mixVal(have.stack[i], in.stack[i], widen); ok {
+			if out == nil {
+				out = have.clone()
+			}
+			out.stack[i] = n
 		}
 	}
-	for i := range dst.stack {
-		mix(&dst.stack[i], src.stack[i])
+	for i := range have.locals {
+		if n, ok := mixVal(have.locals[i], in.locals[i], widen); ok {
+			if out == nil {
+				out = have.clone()
+			}
+			out.locals[i] = n
+		}
 	}
-	for i := range dst.locals {
-		mix(&dst.locals[i], src.locals[i])
+	return out, nil
+}
+
+// mixVal joins (or widens) v into d, reporting whether d changes.
+func mixVal(d, v aval, widen bool) (aval, bool) {
+	var n aval
+	if widen {
+		n = widenVal(d, v)
+	} else {
+		n = joinVal(d, v)
 	}
-	return changed, true
+	return n, !equalVal(d, n)
 }
 
 // msum is one method's interprocedural summary: the join of entry
@@ -428,14 +440,8 @@ func Analyze(classes []*bytecode.Class, res *ipa.Result) *Result {
 			a.solve(m, true)
 		}
 	}
-	if debugSums != nil {
-		debugSums(a)
-	}
 	return a.result
 }
-
-// debugSums, when set (tests only), observes the final analyzer state.
-var debugSums func(a *analyzer)
 
 func newSum(m *bytecode.Method) *msum {
 	n := m.NumArgs()
@@ -578,42 +584,51 @@ func lenBound(lenOf map[origin]Interval, v aval) Interval {
 	return Range(0, math.MaxInt64)
 }
 
-// msolver runs the flow-sensitive dataflow over one method body.
+// msolver is the flow-sensitive dataflow over one method body: an
+// analysis.Flow on the CFG ipa built, whose fact is the list of edges a
+// block leaves by. Branch refinement gives each successor its own
+// state, so Join and Transfer read only the edge addressed to their
+// block's Start; a block no edge addresses is bottom (unreachable
+// under the refinements so far).
 type msolver struct {
-	a      *analyzer
-	m      *bytecode.Method
-	record bool
+	a     *analyzer
+	m     *bytecode.Method
+	entry *state
 
-	in       map[int]*state
-	loopHead map[int]bool
 	lenOf    map[origin]Interval
 	lenDirty map[origin]bool
-	bailed   bool
-	bailPC   int
+	steps    int
 }
 
-// debugBail, when set (tests only), observes every method the solver
-// abandons with the pc it gave up at.
-var debugBail func(m *bytecode.Method, pc int)
-
+// edge is one CFG edge with the state flowing along it.
 type edge struct {
 	to int
 	st *state
 }
 
+// maxSteps bounds the instructions one solve may transfer; a body that
+// needs more bails.
+const maxSteps = 200000
+
+var (
+	errUnderflow = errors.New("abstract stack underflow")
+	errShape     = errors.New("stack shape mismatch at a join")
+	errBudget    = errors.New("step budget exhausted")
+	errModel     = errors.New("instruction outside the model")
+)
+
 func (a *analyzer) solve(m *bytecode.Method, record bool) {
-	s := &msolver{a: a, m: m, record: record, loopHead: map[int]bool{}}
-	for pc, ins := range m.Code {
-		if ins.Op.IsBranch() && int(ins.A) <= pc {
-			s.loopHead[int(ins.A)] = true
-		}
+	f := a.res.Facts(m)
+	if f == nil || f.Graph == nil {
+		a.bail(m)
+		return
 	}
 	sum := a.sums[m]
 	entry := &state{locals: make([]aval, m.MaxLocals)}
 	for i := range entry.locals {
 		entry.locals[i] = top()
 	}
-	baseLen := map[origin]Interval{}
+	s := &msolver{a: a, m: m, entry: entry, lenOf: map[origin]Interval{}}
 	for i := 0; i < m.NumArgs() && i < len(entry.locals); i++ {
 		p := sum.params[i]
 		if p.iv.Lo > p.iv.Hi { // bottom param on an entered method: treat as top
@@ -624,23 +639,18 @@ func (a *analyzer) solve(m *bytecode.Method, record bool) {
 			v.null = NonNull
 		}
 		entry.locals[i] = v
-		baseLen[paramOrigin(i)] = sum.paramLen[i]
+		s.lenOf[paramOrigin(i)] = sum.paramLen[i]
 	}
 
 	// The symbolic length table is monotone within the solve but feeds
-	// transfer functions, so re-run the worklist until it stabilizes
-	// (widening surviving dirty entries before the final pass).
-	s.lenOf = map[origin]Interval{}
-	for k, v := range baseLen {
-		s.lenOf[k] = v
-	}
+	// transfer functions, so re-solve until it stabilizes (widening
+	// surviving dirty entries before the final pass).
+	var in [][]edge
 	for round := 0; round < 4; round++ {
 		s.lenDirty = map[origin]bool{}
-		s.run(entry)
-		if s.bailed {
-			if debugBail != nil {
-				debugBail(m, s.bailPC)
-			}
+		s.steps = 0
+		var err error
+		if in, err = analysis.Solve[[]edge](f.Graph, s); err != nil {
 			a.bail(m)
 			return
 		}
@@ -654,58 +664,75 @@ func (a *analyzer) solve(m *bytecode.Method, record bool) {
 		}
 	}
 	if record {
-		s.collect()
+		s.collect(f.Graph, in)
 	}
 }
 
-func (s *msolver) run(entry *state) {
-	s.in = map[int]*state{0: entry.clone()}
-	work := []int{0}
-	queued := map[int]bool{0: true}
-	steps := 0
-	for len(work) > 0 {
-		steps++
-		if steps > 200000 {
-			s.bailed = true
-			return
-		}
-		pc := work[0]
-		work = work[1:]
-		queued[pc] = false
-		if pc < 0 || pc >= len(s.m.Code) {
-			s.bailed = true
-			return
-		}
-		st := s.in[pc].clone()
-		edges := s.step(pc, st)
-		if s.bailed {
-			s.bailPC = pc
-			return
-		}
-		for _, e := range edges {
-			if e.to < 0 || e.to >= len(s.m.Code) {
-				s.bailed, s.bailPC = true, pc
-				return
-			}
-			cur, ok := s.in[e.to]
-			if !ok {
-				s.in[e.to] = e.st.clone()
-			} else {
-				changed, shapeOK := mergeInto(cur, e.st, s.loopHead[e.to])
-				if !shapeOK {
-					s.bailed, s.bailPC = true, pc
-					return
-				}
-				if !changed {
-					continue
-				}
-			}
-			if !queued[e.to] {
-				queued[e.to] = true
-				work = append(work, e.to)
-			}
+// edgeTo returns the state on the edge of out addressed to pc, nil
+// (bottom) when there is none.
+func edgeTo(out []edge, pc int) *state {
+	for _, e := range out {
+		if e.to == pc {
+			return e.st
 		}
 	}
+	return nil
+}
+
+func (s *msolver) Entry(*analysis.Graph) []edge { return []edge{{0, s.entry}} }
+
+func (s *msolver) Transfer(_ *analysis.Graph, b *analysis.Block, in []edge) ([]edge, error) {
+	st := edgeTo(in, b.Start)
+	if st == nil {
+		return nil, nil
+	}
+	st = st.clone()
+	var out []edge
+	for pc := b.Start; pc < b.End; pc++ {
+		if s.steps++; s.steps > maxSteps {
+			return nil, errBudget
+		}
+		var err error
+		if out, err = s.step(pc, st); err != nil || len(out) == 0 {
+			return nil, err
+		}
+		st = out[0].st
+	}
+	if len(out) == 2 && out[0].to == out[1].to {
+		// A branch to the next instruction: both edges enter one block.
+		if j, _ := join(out[0].st, out[1].st, false); j != nil {
+			out[0].st = j
+		}
+		out = out[:1]
+	}
+	return out, nil
+}
+
+func (s *msolver) Join(_ *analysis.Graph, b *analysis.Block, have, incoming []edge) ([]edge, bool, error) {
+	src := edgeTo(incoming, b.Start)
+	if src == nil {
+		return have, false, nil
+	}
+	dst := edgeTo(have, b.Start)
+	if dst == nil {
+		return []edge{{b.Start, src}}, true, nil
+	}
+	merged, err := join(dst, src, loopHead(b))
+	if merged == nil || err != nil {
+		return have, false, err
+	}
+	return []edge{{b.Start, merged}}, true, nil
+}
+
+// loopHead reports whether b is the target of a backward branch, where
+// joins widen.
+func loopHead(b *analysis.Block) bool {
+	for _, p := range b.Preds {
+		if p >= b.Index {
+			return true
+		}
+	}
+	return false
 }
 
 // noteLen joins a symbolic length observation for origin o.
@@ -731,15 +758,6 @@ func (s *msolver) defRef(st *state, pc int) origin {
 	return o
 }
 
-func (s *msolver) pop(st *state) aval {
-	v, ok := st.pop()
-	if !ok {
-		s.bailed = true
-		return top()
-	}
-	return v
-}
-
 // derefNonNull records the post-dereference fact: the VM throws (and
 // the method never continues) on a null dereference, so on the
 // fall-through path the reference — and the local it came from — is
@@ -760,53 +778,51 @@ func (s *msolver) boundsProven(arr, idx aval) bool {
 	return idx.iv.Hi < lb.Lo
 }
 
-func (s *msolver) site(pc int) ipa.Site { return ipa.Site{Method: s.m.ID, PC: pc} }
-
-// collect records the per-site verdicts from the fixpoint in-states.
-func (s *msolver) collect() {
-	for pc, st := range s.in {
-		ins := s.m.Code[pc]
-		n := len(st.stack)
-		at := func(depth int) (aval, bool) {
-			if n < depth {
-				return aval{}, false
-			}
-			return st.stack[n-depth], true
+// collect records the per-site verdicts by replaying each reachable
+// block from its solved entry state.
+func (s *msolver) collect(g *analysis.Graph, in [][]edge) {
+	for _, bi := range g.RPO {
+		b := g.Blocks[bi]
+		st := edgeTo(in[bi], b.Start)
+		if st == nil {
+			continue
 		}
-		switch ins.Op {
-		case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad, bytecode.CALoad:
-			arr, ok1 := at(2)
-			idx, ok2 := at(1)
-			if ok1 && ok2 {
-				s.a.result.Bounds[s.site(pc)] = s.boundsProven(arr, idx)
+		st = st.clone()
+		for pc := b.Start; ; pc++ {
+			s.record(pc, st)
+			if pc == b.End-1 {
+				break
 			}
-		case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore, bytecode.CAStore:
-			arr, ok1 := at(3)
-			idx, ok2 := at(2)
-			if ok1 && ok2 {
-				s.a.result.Bounds[s.site(pc)] = s.boundsProven(arr, idx)
+			// Solve stepped every instruction from these states without
+			// an error, so the replay cannot fail.
+			out, _ := s.step(pc, st)
+			if len(out) == 0 {
+				break
 			}
-		case bytecode.ArrayLength, bytecode.MonitorEnter, bytecode.MonitorExit:
-			if ref, ok := at(1); ok {
-				s.a.result.Null[s.site(pc)] = ref.null == NonNull
-			}
-		case bytecode.GetField:
-			if ref, ok := at(1); ok {
-				s.a.result.Null[s.site(pc)] = ref.null == NonNull
-			}
-		case bytecode.PutField:
-			if ref, ok := at(2); ok {
-				s.a.result.Null[s.site(pc)] = ref.null == NonNull
-			}
-		case bytecode.InvokeVirtual, bytecode.InvokeSpecial:
-			callee := s.m.Class.Pool.Methods[ins.A].Resolved
-			if callee == nil || callee.IsStatic() {
-				continue
-			}
-			nargs := len(callee.Sig.Params) + 1
-			if recv, ok := at(nargs); ok {
-				s.a.result.Null[s.site(pc)] = recv.null == NonNull
-			}
+			st = out[0].st
+		}
+	}
+}
+
+// record stores the verdict of the check site at pc, if it is one,
+// from the state flowing into it.
+func (s *msolver) record(pc int, st *state) {
+	ins := s.m.Code[pc]
+	at := func(depth int) aval { return st.stack[len(st.stack)-depth] }
+	site := ipa.Site{Method: s.m.ID, PC: pc}
+	r := s.a.result
+	switch ins.Op {
+	case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad, bytecode.CALoad:
+		r.Bounds[site] = s.boundsProven(at(2), at(1))
+	case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore, bytecode.CAStore:
+		r.Bounds[site] = s.boundsProven(at(3), at(2))
+	case bytecode.ArrayLength, bytecode.MonitorEnter, bytecode.MonitorExit, bytecode.GetField:
+		r.Null[site] = at(1).null == NonNull
+	case bytecode.PutField:
+		r.Null[site] = at(2).null == NonNull
+	case bytecode.InvokeVirtual, bytecode.InvokeSpecial:
+		if callee := s.m.Class.Pool.Methods[ins.A].Resolved; callee != nil && !callee.IsStatic() {
+			r.Null[site] = at(callee.NumArgs()).null == NonNull
 		}
 	}
 }

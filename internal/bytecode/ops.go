@@ -195,6 +195,34 @@ func (o Op) Size() uint64 {
 	}
 }
 
+// opPops is the operand-arity table: how many stack operands each
+// fixed-arity opcode consumes. Invokes are absent — they consume their
+// callee's arity (Method.NumArgs), which the opcode alone does not name.
+var opPops = [NumOps]uint8{
+	IStore: 1, FStore: 1, AStore: 1, Pop: 1, Dup: 1, Swap: 2,
+	IAdd: 2, ISub: 2, IMul: 2, IDiv: 2, IRem: 2, INeg: 1,
+	IAnd: 2, IOr: 2, IXor: 2, IShl: 2, IShr: 2, IUshr: 2,
+	FAdd: 2, FSub: 2, FMul: 2, FDiv: 2, FNeg: 1, FCmp: 2, I2F: 1, F2I: 1,
+	NewArray: 1, ArrayLength: 1,
+	IALoad: 2, FALoad: 2, AALoad: 2, CALoad: 2,
+	IAStore: 3, FAStore: 3, AAStore: 3, CAStore: 3,
+	IfEq: 1, IfNe: 1, IfLt: 1, IfGe: 1, IfGt: 1, IfLe: 1,
+	IfICmpEq: 2, IfICmpNe: 2, IfICmpLt: 2, IfICmpGe: 2, IfICmpGt: 2, IfICmpLe: 2,
+	IfACmpEq: 2, IfACmpNe: 2, IfNull: 1, IfNonNull: 1,
+	GetField: 1, PutField: 2, PutStatic: 1,
+	IReturn: 1, FReturn: 1, AReturn: 1, MonitorEnter: 1, MonitorExit: 1,
+}
+
+// Pops returns how many operands a fixed-arity opcode consumes (Dup and
+// Swap count the operands they need), 0 for invokes; an abstract
+// interpreter checks the stack depth against it once per instruction.
+func (o Op) Pops() int {
+	if o >= NumOps {
+		return 0
+	}
+	return int(opPops[o])
+}
+
 // IsBranch reports whether the opcode is a conditional or unconditional
 // intra-method branch (its A operand is an instruction index).
 func (o Op) IsBranch() bool { return o >= Goto && o <= IfNonNull }

@@ -69,14 +69,7 @@ func analyzeClasses(name string, classes []*bytecode.Class, races, checks bool) 
 		row.Concurrency = conc.Analyze(v.ClassList, res)
 	}
 	if checks {
-		vr := vrange.Analyze(v.ClassList, res)
-		cc := &CheckCensus{Census: vr.Summarize()}
-		for _, s := range vr.SortedSites() {
-			if s.Proven {
-				cc.Proven = append(cc.Proven, s)
-			}
-		}
-		row.Checks = cc
+		row.Checks = checkCensus(vrange.Analyze(v.ClassList, res))
 	}
 	sites := func(fs []ipa.SiteFact) []AnalyzeSite {
 		out := make([]AnalyzeSite, len(fs))

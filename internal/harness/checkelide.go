@@ -8,7 +8,6 @@ import (
 	"jrs/internal/analysis/vrange"
 	"jrs/internal/bytecode"
 	"jrs/internal/core"
-	"jrs/internal/vm"
 	"jrs/internal/workloads"
 )
 
@@ -23,19 +22,22 @@ type CheckCensus struct {
 // value-range/nullness analysis over it (ipa reachability first, vrange
 // on top), keeping only proven sites in the site list.
 func StaticChecks(classes []*bytecode.Class) (*CheckCensus, error) {
-	v := vm.New(nil, nil)
-	v.Verify = vm.VerifyStructural
-	if err := v.Load(classes); err != nil {
+	loaded, err := linkStructural(classes)
+	if err != nil {
 		return nil, err
 	}
-	res := vrange.Analyze(v.ClassList, ipa.Analyze(v.ClassList))
+	return checkCensus(vrange.Analyze(loaded, ipa.Analyze(loaded))), nil
+}
+
+// checkCensus tallies res and lists its proven sites.
+func checkCensus(res *vrange.Result) *CheckCensus {
 	cc := &CheckCensus{Census: res.Summarize()}
 	for _, s := range res.SortedSites() {
 		if s.Proven {
 			cc.Proven = append(cc.Proven, s)
 		}
 	}
-	return cc, nil
+	return cc
 }
 
 // ElideCheck is the outcome of one check-elision differential: a

@@ -20,15 +20,24 @@ type LintProgram struct {
 	Classes []*bytecode.Class
 }
 
-// LintClasses links the program (assigning ids, laying out code and
+// linkStructural links the program (assigning ids, laying out code and
 // resolving constant pools — analysis passes need resolved method and
-// field references) and runs every analysis pass over every method.
-// Linking uses structural verification only: lint's job is to report
-// findings, not to refuse the program outright.
-func LintClasses(classes []*bytecode.Class) ([]analysis.Diagnostic, error) {
+// field references) and returns the loaded class list. It uses
+// structural verification only: lint's job is to report findings, not
+// to refuse the program outright.
+func linkStructural(classes []*bytecode.Class) ([]*bytecode.Class, error) {
 	v := vm.New(nil, nil)
 	v.Verify = vm.VerifyStructural
 	if err := v.Load(classes); err != nil {
+		return nil, err
+	}
+	return v.ClassList, nil
+}
+
+// LintClasses links the program and runs every analysis pass over
+// every method.
+func LintClasses(classes []*bytecode.Class) ([]analysis.Diagnostic, error) {
+	if _, err := linkStructural(classes); err != nil {
 		return nil, err
 	}
 	return analysis.CheckProgram(classes), nil
@@ -86,31 +95,30 @@ func BuildLintReport(progs []LintProgram, races, checks bool) (*LintReport, erro
 		for _, c := range p.Classes {
 			methods += len(c.Methods)
 		}
-		diags, err := LintClasses(p.Classes)
+		loaded, err := linkStructural(p.Classes)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.Name, err)
 		}
+		diags := analysis.CheckProgram(p.Classes)
 		pr := LintProgramReport{Name: p.Name, Classes: len(p.Classes), Methods: methods}
 		for _, d := range diags {
 			pr.Findings = append(pr.Findings, LintFinding{
 				Method: d.Method, PC: d.PC, Pass: d.Pass,
 				Severity: d.Sev.String(), Message: d.Msg})
 		}
+		var res *ipa.Result
+		if races || checks {
+			res = ipa.Analyze(loaded)
+		}
 		if races {
-			rep, err := StaticRaces(p.Classes)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", p.Name, err)
-			}
+			rep := conc.Analyze(loaded, res)
 			pr.Races = rep.Races
 			pr.Deadlocks = rep.Deadlocks
 			r.Findings += len(pr.Races) + len(pr.Deadlocks)
 		}
 		if checks {
-			cc, err := StaticChecks(p.Classes)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %v", p.Name, err)
-			}
-			pr.Checks = &cc.Census
+			c := vrange.Analyze(loaded, res).Summarize()
+			pr.Checks = &c
 		}
 		r.Programs = append(r.Programs, pr)
 		r.Findings += len(diags)
@@ -121,12 +129,11 @@ func BuildLintReport(progs []LintProgram, races, checks bool) (*LintReport, erro
 // StaticRaces links the program on a fresh VM and runs the static
 // race/deadlock analysis over it (ipa facts first, conc on top).
 func StaticRaces(classes []*bytecode.Class) (*conc.Report, error) {
-	v := vm.New(nil, nil)
-	v.Verify = vm.VerifyStructural
-	if err := v.Load(classes); err != nil {
+	loaded, err := linkStructural(classes)
+	if err != nil {
 		return nil, err
 	}
-	return conc.Analyze(v.ClassList, ipa.Analyze(v.ClassList)), nil
+	return conc.Analyze(loaded, ipa.Analyze(loaded)), nil
 }
 
 // Render formats the deterministic text report: one status line per

@@ -281,30 +281,3 @@ func TestBaselineVsRegisterCodegenSize(t *testing.T) {
 			len(cmBase.Code), len(cmReg.Code))
 	}
 }
-
-func TestStackEffectConservation(t *testing.T) {
-	// For every opcode that typeflow handles on a synthetic state, the
-	// stack effect must match typeflow's depth change on straight-line
-	// code.
-	a := bytecode.NewAsm()
-	a.I(bytecode.IConst, 1).I(bytecode.IConst, 2).Emit(bytecode.IAdd).
-		Emit(bytecode.Dup).Emit(bytecode.Swap).Emit(bytecode.Pop).
-		I(bytecode.IStore, 0).Emit(bytecode.Return)
-	m := method("f", "()V", bytecode.FlagStatic, 1, a.MustAssemble())
-	c := &bytecode.Class{Name: "A", Methods: []*bytecode.Method{m}}
-	types, err := analysis.TypeFlow(c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i+1 < len(m.Code); i++ {
-		if types[i] == nil || types[i+1] == nil {
-			continue
-		}
-		pops, pushes := stackEffect(c, m.Code[i], types[i])
-		got := len(types[i]) - pops + len(pushes)
-		if got != len(types[i+1]) {
-			t.Errorf("instr %d (%v): effect predicts depth %d, typeflow says %d",
-				i, m.Code[i].Op, got, len(types[i+1]))
-		}
-	}
-}
