@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"container/heap"
 	"fmt"
 
 	"jrs/internal/trace"
@@ -54,6 +55,13 @@ type Checker struct {
 	robCommits queue
 	lsqCommits queue
 
+	// rsIssues[pool] is a min-heap of the issue cycles of older
+	// instructions of each reservation-station pool; entries are popped
+	// once the new instruction's dispatch cycle reaches their issue,
+	// which re-derives station occupancy without trusting the core's
+	// pools.
+	rsIssues [numRSClasses]cycleHeap
+
 	// regReady re-derives each register's CDB broadcast cycle.
 	regReady [256]uint64
 
@@ -96,6 +104,20 @@ func (q *queue) dropBefore(limit uint64) {
 	for q.head < len(q.buf) && q.buf[q.head] < limit {
 		q.head++
 	}
+}
+
+// cycleHeap is a container/heap min-heap of cycles.
+type cycleHeap []uint64
+
+func (h cycleHeap) Len() int           { return len(h) }
+func (h cycleHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h cycleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *cycleHeap) Push(x any)        { *h = append(*h, x.(uint64)) }
+func (h *cycleHeap) Pop() any {
+	old := *h
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return v
 }
 
 func (c *Checker) fail(e *Event, format string, args ...any) {
@@ -156,6 +178,20 @@ func (c *Checker) Record(e Event) {
 		}
 		c.lsqCommits.push(e.Commit)
 	}
+
+	// Reservation stations ≤ capacity: a station is held from dispatch
+	// until its occupant issues, so at this instruction's dispatch
+	// fewer than RSPerClass older same-pool instructions may still be
+	// waiting to issue.
+	pool := &c.rsIssues[rsClassOf(e.Class)]
+	for pool.Len() > 0 && (*pool)[0] <= e.Dispatch {
+		heap.Pop(pool)
+	}
+	if pool.Len() >= c.cfg.RSPerClass {
+		c.fail(&e, "RS overflow: %d older same-pool instructions wait to issue at dispatch, capacity %d",
+			pool.Len(), c.cfg.RSPerClass)
+	}
+	heap.Push(pool, e.Issue)
 
 	// No instruction issues before its sources broadcast on the CDB.
 	if e.Src1 != trace.RegNone && e.Issue < c.regReady[e.Src1] {

@@ -179,6 +179,18 @@ func TestCheckerCatchesCorruption(t *testing.T) {
 	}
 	wantViolation(t, "lsq-overflow", "LSQ overflow", small, mem)
 
+	// Two integer instructions waiting to issue in one station.
+	small = cfg
+	small.RSPerClass = 1
+	waiting := make([]Event, 2)
+	for i := range waiting {
+		waiting[i] = ev(uint64(i), 0)
+		waiting[i].Issue = 5
+		waiting[i].Complete = 6
+		waiting[i].Commit = 7 + uint64(i)
+	}
+	wantViolation(t, "rs-overflow", "RS overflow", small, waiting)
+
 	// Consumer issues before its producer broadcasts.
 	prod := ev(0, 0)
 	prod.Dst = 7
