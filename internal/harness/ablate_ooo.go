@@ -7,7 +7,7 @@ import (
 	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
+	"jrs/internal/workloads"
 )
 
 // oooAxes defines the structural sweep of the speculative core: each
@@ -59,35 +59,25 @@ func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
 		key := CellKey{Experiment: "ablate-ooo", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
 			Config: "rob8-256.rs2-64.lsq4-128.width=4"}
 		p.add(key, &res.Cells[i], func(ctx context.Context) (any, error) {
-			var cores [][]*pipeline.Core
-			var checks []*pipeline.Checker
-			var sinks []trace.Sink
+			var cfgs []pipeline.Config
 			for _, ax := range oooAxes {
-				var axCores []*pipeline.Core
 				for _, v := range ax.Sizes {
 					cfg := pipeline.DefaultConfig(width)
 					ax.apply(&cfg, v)
-					c := pipeline.New(cfg)
-					if o.CheckPipe {
-						checks = append(checks, c.Check())
-					}
-					axCores = append(axCores, c)
-					sinks = append(sinks, c)
+					cfgs = append(cfgs, cfg)
 				}
-				cores = append(cores, axCores)
 			}
-			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, sinks...); err != nil {
+			cores, err := runCores(ctx, o, w, scale, ModeJIT, cfgs)
+			if err != nil {
 				return nil, err
 			}
-			if err := checkerErrs(checks); err != nil {
-				return nil, fmt.Errorf("%s: %w", w.Name, err)
-			}
 			cell := OoOCell{}
-			for a, ax := range oooAxes {
+			for _, ax := range oooAxes {
 				row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
-				for _, c := range cores[a] {
+				for _, c := range cores[:len(ax.Sizes)] {
 					row.IPC = append(row.IPC, c.IPC())
 				}
+				cores = cores[len(ax.Sizes):]
 				cell.Rows = append(cell.Rows, row)
 			}
 			return cell, nil
@@ -135,6 +125,25 @@ func (r *AblateOoOResult) MonotoneSweep() error {
 		}
 	}
 	return nil
+}
+
+// runCores times one engine run on a pipeline.Group of one core per
+// config, each with an invariant checker when o.CheckPipe is set.
+func runCores(ctx context.Context, o Options, w workloads.Workload, scale int, mode Mode, cfgs []pipeline.Config) ([]*pipeline.Core, error) {
+	g := pipeline.NewGroup(cfgs...)
+	var checks []*pipeline.Checker
+	if o.CheckPipe {
+		for _, c := range g.Cores() {
+			checks = append(checks, c.Check())
+		}
+	}
+	if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, g); err != nil {
+		return nil, err
+	}
+	if err := checkerErrs(checks); err != nil {
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
+	}
+	return g.Cores(), nil
 }
 
 // checkerErrs folds the violations of every attached pipeline checker

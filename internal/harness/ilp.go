@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
 )
 
 // ILPRow is one (workload, mode) superscalar study across issue widths.
@@ -42,21 +40,8 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 			key := CellKey{Experiment: "fig9", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "width=1,2,4,8"}
 			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				var cores []*pipeline.Core
-				var checks []*pipeline.Checker
-				var sinks []trace.Sink
-				for _, width := range widths {
-					c := pipeline.New(pipeline.DefaultConfig(width))
-					if o.CheckPipe {
-						checks = append(checks, c.Check())
-					}
-					cores = append(cores, c)
-					sinks = append(sinks, c)
-				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, sinks...); err != nil {
-					return nil, err
-				}
-				if err := checkerErrs(checks); err != nil {
+				cores, err := runCores(ctx, o, w, scale, mode, fig9Configs(widths))
+				if err != nil {
 					return nil, err
 				}
 				row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
@@ -69,6 +54,15 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 		}
 	}
 	return p, res
+}
+
+// fig9Configs is fig9's core per issue width; they share one front end.
+func fig9Configs(widths []int) []pipeline.Config {
+	var cfgs []pipeline.Config
+	for _, width := range widths {
+		cfgs = append(cfgs, pipeline.DefaultConfig(width))
+	}
+	return cfgs
 }
 
 // Fig9 simulates each workload on out-of-order cores of width 1/2/4/8 in

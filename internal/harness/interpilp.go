@@ -2,10 +2,8 @@ package harness
 
 import (
 	"context"
-	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
 )
 
 // InterpILPRow compares interpreter IPC scaling with the conventional
@@ -35,36 +33,31 @@ func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
 		key := CellKey{Experiment: "ablate-interp-ilp", Workload: w.Name, Scale: scale, Mode: ModeInterp.String(),
 			Config: "btb+targetcache-width=1,2,4,8"}
 		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			var btbCores, tcCores []*pipeline.Core
-			var checks []*pipeline.Checker
-			var sinks []trace.Sink
-			for _, width := range widths {
-				b := pipeline.New(pipeline.DefaultConfig(width))
-				cfg := pipeline.DefaultConfig(width)
-				cfg.TargetCache = true
-				t := pipeline.New(cfg)
-				if o.CheckPipe {
-					checks = append(checks, b.Check(), t.Check())
-				}
-				btbCores = append(btbCores, b)
-				tcCores = append(tcCores, t)
-				sinks = append(sinks, b, t)
-			}
-			if _, err := RunCtx(ctx, w, scale, ModeInterp, core.Config{}, sinks...); err != nil {
-				return nil, err
-			}
-			if err := checkerErrs(checks); err != nil {
+			cores, err := runCores(ctx, o, w, scale, ModeInterp, interpILPConfigs(widths))
+			if err != nil {
 				return nil, err
 			}
 			row := InterpILPRow{Workload: w.Name, Widths: widths}
 			for i := range widths {
-				row.IPCBtb = append(row.IPCBtb, btbCores[i].IPC())
-				row.IPCTc = append(row.IPCTc, tcCores[i].IPC())
+				row.IPCBtb = append(row.IPCBtb, cores[2*i].IPC())
+				row.IPCTc = append(row.IPCTc, cores[2*i+1].IPC())
 			}
 			return row, nil
 		})
 	}
 	return p, res
+}
+
+// interpILPConfigs is a BTB and a target-cache core per issue width,
+// interleaved; they need two front ends.
+func interpILPConfigs(widths []int) []pipeline.Config {
+	var cfgs []pipeline.Config
+	for _, width := range widths {
+		tc := pipeline.DefaultConfig(width)
+		tc.TargetCache = true
+		cfgs = append(cfgs, pipeline.DefaultConfig(width), tc)
+	}
+	return cfgs
 }
 
 // AblateInterpILP runs the interpreter through cores of width 1-8 with

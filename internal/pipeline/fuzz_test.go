@@ -17,7 +17,9 @@ func clampInt(v uint64, hi int) int {
 //  2. simulation is deterministic — the same trace through two fresh
 //     cores yields identical statistics;
 //  3. resources are monotone — growing ROB, RS, LSQ or width never
-//     increases the cycle count on the same trace.
+//     increases the cycle count on the same trace;
+//  4. sharing a front end is exact — a Group's cores count exactly
+//     what standalone cores of the same configs count.
 func FuzzPipelineConfig(f *testing.F) {
 	f.Add(uint8(4), uint16(64), uint8(16), uint16(32), uint8(1), uint8(3), uint8(2), uint8(3), uint8(5), uint8(20), true, uint64(1))
 	f.Add(uint8(1), uint16(1), uint8(1), uint16(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), false, uint64(2))
@@ -90,6 +92,7 @@ func FuzzPipelineConfig(f *testing.F) {
 				c.LSQSize *= 2
 			}},
 		}
+		cfgs := []Config{cfg}
 		for _, g := range grow {
 			big := cfg
 			g.mod(&big)
@@ -98,6 +101,16 @@ func FuzzPipelineConfig(f *testing.F) {
 				t.Fatalf("doubling %s increased cycles %d -> %d (base %+v)",
 					g.name, baseCycles, bigCycles, cfg)
 			}
+			cfgs = append(cfgs, big)
 		}
+
+		// Sharing: one group over the config, its grown variants (one
+		// front end), a target-cache variant and a smaller-L1 variant
+		// (one front end each) times every core exactly as a standalone
+		// core does.
+		tc, l1 := cfg, cfg
+		tc.TargetCache = true
+		l1.ICache.Size, l1.DCache.Size = 4<<10, 8<<10
+		checkGroupMatchesStandalone(t, append(cfgs, tc, l1), tr, 1+int(seed%1500), 3)
 	})
 }

@@ -18,6 +18,12 @@
 // past older stores with unresolved data (MemSpeculate) and replay when
 // the disambiguation turns out wrong.
 //
+// The caches and the predictor see the trace in program order whatever
+// the width, so a front end reduces each instruction to outcome bits
+// (I-miss, D-miss, mispredict) that Core.step reads. A Group shares one
+// front end among all its cores with equal ICache, DCache and
+// TargetCache; New builds a group of one.
+//
 // Every scheduling rule is deliberately monotone: growing ROBSize,
 // RSPerClass or LSQSize only relaxes constraints, so more resources can
 // never increase the simulated cycle count on the same trace —
@@ -27,6 +33,8 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"jrs/internal/branch"
 	"jrs/internal/cache"
@@ -98,9 +106,54 @@ func DefaultConfig(width int) Config {
 	}
 }
 
-// predictor abstracts the front-end prediction unit.
-type predictor interface {
-	Observe(trace.Inst) bool
+// Outcome bits of one instruction, computed by the front end.
+const (
+	iMiss        uint8 = 1 << iota // the fetch missed the I-cache
+	dMiss                          // the load or store missed the D-cache
+	mispredicted                   // the control transfer was mispredicted
+)
+
+// frontEnd holds a core's L1 caches and branch predictor.
+type frontEnd struct {
+	ic, dc  *cache.Cache
+	observe func(trace.Inst) bool // the predictor: true on a mispredict
+	bits    []uint8               // outcomes of the batch last passed to run
+}
+
+func newFrontEnd(cfg Config) *frontEnd {
+	f := &frontEnd{ic: cache.New(cfg.ICache), dc: cache.New(cfg.DCache),
+		observe: branch.NewUnit(branch.NewGshare(2048, 5), 1024).Observe}
+	if cfg.TargetCache {
+		f.observe = branch.NewIndirectUnit().Observe
+	}
+	return f
+}
+
+// outcome returns one instruction's outcome bits.
+func (f *frontEnd) outcome(in *trace.Inst) uint8 {
+	var b uint8
+	if !f.ic.Access(in.PC, false) {
+		b = iMiss
+	}
+	switch {
+	case in.Class == trace.Load || in.Class == trace.Store:
+		if !f.dc.Access(in.Addr, in.Class == trace.Store) {
+			b |= dMiss
+		}
+	case in.Class.IsControl():
+		if f.observe(*in) {
+			b |= mispredicted
+		}
+	}
+	return b
+}
+
+// run computes the outcome bits of a batch into f.bits.
+func (f *frontEnd) run(batch []trace.Inst) {
+	f.bits = slices.Grow(f.bits[:0], len(batch))[:len(batch)]
+	for i := range batch {
+		f.bits[i] = f.outcome(&batch[i])
+	}
 }
 
 // rsClass partitions instructions over the reservation-station pools.
@@ -159,13 +212,48 @@ func (r *cycleRing) push(v uint64) {
 	r.count++
 }
 
+// rsPool is one reservation-station pool. A station is reusable the
+// cycle its occupant issues, and dispatch cycles never decrease, so an
+// occupant issued by the current dispatch cycle is free for every later
+// dispatch too. The pool therefore keeps only the issue cycles of
+// occupants still waiting, ascending in a ring: the head is the
+// earliest issuer, and a pool is full only when all RSPerClass wait.
+type rsPool struct {
+	ring    []uint64 // power-of-two length ≥ RSPerClass
+	head, n int
+}
+
+// claim returns the cycle an instruction ready to dispatch at cycle d
+// gets a station: d itself, once the occupants issued by d are freed,
+// unless every station still waits, when the earliest issuer vacates.
+func (p *rsPool) claim(d uint64, size int) uint64 {
+	mask := len(p.ring) - 1
+	for p.n > 0 && p.ring[p.head] <= d {
+		p.head, p.n = (p.head+1)&mask, p.n-1
+	}
+	if p.n == size {
+		d = p.ring[p.head]
+		p.head, p.n = (p.head+1)&mask, p.n-1
+	}
+	return d
+}
+
+// hold records an occupant that waits in its station until cycle issue.
+func (p *rsPool) hold(issue uint64) {
+	mask := len(p.ring) - 1
+	i := p.n
+	for ; i > 0 && p.ring[(p.head+i-1)&mask] > issue; i-- {
+		p.ring[(p.head+i)&mask] = p.ring[(p.head+i-1)&mask]
+	}
+	p.ring[(p.head+i)&mask] = issue
+	p.n++
+}
+
 // Core is the timing model. It implements trace.Sink; feed it a
 // program's native trace and read IPC afterwards.
 type Core struct {
-	cfg  Config
-	ic   *cache.Cache
-	dc   *cache.Cache
-	pred predictor
+	cfg Config
+	fe  *frontEnd
 
 	// regReady[r] is the CDB broadcast cycle of register r's latest
 	// producer (indexable by any register byte incl. RegNone, which is
@@ -188,10 +276,10 @@ type Core struct {
 	// lsq does the same for in-flight memory operations.
 	lsq cycleRing
 
-	// rs[class] holds the issue cycles of the stations' current
-	// occupants; a full pool stalls dispatch until the occupant with
-	// the earliest issue vacates.
-	rs [numRSClasses][]uint64
+	// rs[class] holds the issue cycles of the stations' waiting
+	// occupants; a pool whose every station waits stalls dispatch until
+	// the earliest-issuing occupant vacates.
+	rs [numRSClasses]rsPool
 
 	// memReady records, per 8-byte word, the cycle the last store to it
 	// completes; loads from the word forward from it (and replay off it
@@ -203,7 +291,7 @@ type Core struct {
 	memReady wordCycleTable
 
 	// commit-stage bookkeeping: in-order, IssueWidth per cycle.
-	lastCommitCycle uint64
+	lastCommitCycle  uint64
 	commitsThisCycle int
 
 	// check, when non-nil, receives every instruction's lifecycle for
@@ -225,26 +313,18 @@ type Core struct {
 	MemReplays  uint64
 }
 
-// New builds a core.
-func New(cfg Config) *Core {
+// New builds a standalone core: a group of one, with its own front end.
+func New(cfg Config) *Core { return NewGroup(cfg).cores[0] }
+
+// newCore builds a core without its front end.
+func newCore(cfg Config) *Core {
 	if cfg.IssueWidth < 1 || cfg.ROBSize < 1 || cfg.RSPerClass < 1 || cfg.LSQSize < 1 {
 		panic(fmt.Sprintf("pipeline: invalid config (width=%d rob=%d rs=%d lsq=%d)",
 			cfg.IssueWidth, cfg.ROBSize, cfg.RSPerClass, cfg.LSQSize))
 	}
-	var pred predictor = branch.NewUnit(branch.NewGshare(2048, 5), 1024)
-	if cfg.TargetCache {
-		pred = branch.NewIndirectUnit()
-	}
-	c := &Core{
-		cfg:  cfg,
-		ic:   cache.New(cfg.ICache),
-		dc:   cache.New(cfg.DCache),
-		pred: pred,
-		rob:  newCycleRing(cfg.ROBSize),
-		lsq:  newCycleRing(cfg.LSQSize),
-	}
+	c := &Core{cfg: cfg, rob: newCycleRing(cfg.ROBSize), lsq: newCycleRing(cfg.LSQSize)}
 	for i := range c.rs {
-		c.rs[i] = make([]uint64, 0, cfg.RSPerClass)
+		c.rs[i].ring = make([]uint64, 1<<bits.Len(uint(cfg.RSPerClass)))
 	}
 	c.memReady.init()
 	return c
@@ -272,22 +352,29 @@ func (c *Core) IPC() float64 {
 // Cycles returns the total simulated cycles.
 func (c *Core) Cycles() uint64 { return c.LastCycle }
 
-// EmitBatch implements trace.Sink: the front end consumes whole
-// fetch batches through one dispatch, timing each instruction in place
-// (no per-instruction 40-byte Inst copy) with a direct call into the
-// core.
+// EmitBatch implements trace.Sink: the front end reduces the batch to
+// outcome bits, then the back end times each instruction in place (no
+// per-instruction 40-byte Inst copy).
 func (c *Core) EmitBatch(batch []trace.Inst) {
-	for i := range batch {
-		c.step(&batch[i])
-	}
+	c.fe.run(batch)
+	c.run(batch)
 }
 
 // Emit implements trace.Sink, timing one instruction.
-func (c *Core) Emit(in trace.Inst) { c.step(&in) }
+func (c *Core) Emit(in trace.Inst) { c.step(&in, c.fe.outcome(&in)) }
+
+// run times a batch whose outcome bits the front end has computed.
+func (c *Core) run(batch []trace.Inst) {
+	bits := c.fe.bits
+	for i := range batch {
+		c.step(&batch[i], bits[i])
+	}
+}
 
 // step times one instruction through fetch → dispatch/rename → issue →
-// execute/CDB broadcast → in-order commit.
-func (c *Core) step(in *trace.Inst) {
+// execute/CDB broadcast → in-order commit, given the instruction's
+// front-end outcome bits.
+func (c *Core) step(in *trace.Inst, fe uint8) {
 	cfg := &c.cfg
 
 	// ---- Fetch: in order, IssueWidth per cycle, I-cache stalls. ----
@@ -295,7 +382,7 @@ func (c *Core) step(in *trace.Inst) {
 		c.fetchCycle++
 		c.fetchedThisCycle = 0
 	}
-	if !c.ic.Access(in.PC, false) {
+	if fe&iMiss != 0 {
 		c.fetchCycle += cfg.MissPenalty
 		c.fetchedThisCycle = 0
 	}
@@ -322,21 +409,7 @@ func (c *Core) step(in *trace.Inst) {
 		}
 	}
 	cl := rsClassOf(in.Class)
-	if slots := c.rs[cl]; len(slots) == cfg.RSPerClass {
-		// The station vacating earliest belongs to the occupant with
-		// the earliest issue; it is reusable the cycle it issues.
-		minI := 0
-		for i, v := range slots {
-			if v < slots[minI] {
-				minI = i
-			}
-		}
-		if slots[minI] > dispatchAt {
-			dispatchAt = slots[minI]
-		}
-		slots[minI] = slots[len(slots)-1]
-		c.rs[cl] = slots[:len(slots)-1]
-	}
+	dispatchAt = c.rs[cl].claim(dispatchAt, cfg.RSPerClass)
 	// Rename bandwidth: at most IssueWidth dispatches per cycle.
 	if dispatchAt > c.dispatchCycle {
 		c.dispatchCycle = dispatchAt
@@ -373,7 +446,9 @@ func (c *Core) step(in *trace.Inst) {
 		}
 	}
 	issueAt := ready
-	c.rs[cl] = append(c.rs[cl], issueAt)
+	if issueAt > dispatchAt {
+		c.rs[cl].hold(issueAt)
+	}
 
 	// ---- Execute; result broadcasts on the CDB at completion. ----
 	var complete uint64
@@ -383,7 +458,7 @@ func (c *Core) step(in *trace.Inst) {
 		complete = issueAt + cfg.FPLatency
 	case trace.Load:
 		lat := cfg.LoadLatency
-		if !c.dc.Access(in.Addr, false) {
+		if fe&dMiss != 0 {
 			lat += cfg.MissPenalty
 		}
 		complete = issueAt + lat
@@ -407,7 +482,7 @@ func (c *Core) step(in *trace.Inst) {
 		// A write-allocate store miss must fetch the line; the era's
 		// shallow write buffers expose that latency to dependants
 		// (this is what makes JIT code installation expensive, §6).
-		if !c.dc.Access(in.Addr, true) {
+		if fe&dMiss != 0 {
 			lat += cfg.MissPenalty
 		}
 		complete = issueAt + lat
@@ -426,15 +501,13 @@ func (c *Core) step(in *trace.Inst) {
 	// resolves on the CDB. (The wrong-path instructions themselves are
 	// not in the committed trace; the discarded front-end cycles are
 	// accounted in SquashCycles.) ----
-	if in.Class.IsControl() {
-		if c.pred.Observe(*in) {
-			c.Mispredicts++
-			resume := complete + cfg.MispredictPenalty
-			if resume > c.fetchCycle {
-				c.SquashCycles += resume - c.fetchCycle
-				c.fetchCycle = resume
-				c.fetchedThisCycle = 0
-			}
+	if fe&mispredicted != 0 {
+		c.Mispredicts++
+		resume := complete + cfg.MispredictPenalty
+		if resume > c.fetchCycle {
+			c.SquashCycles += resume - c.fetchCycle
+			c.fetchCycle = resume
+			c.fetchedThisCycle = 0
 		}
 	}
 
@@ -481,3 +554,48 @@ func (c *Core) step(in *trace.Inst) {
 	c.Instrs++
 	c.LastCycle = commitAt
 }
+
+// Group is a trace.Sink that times one trace on several cores, sharing
+// one front end among the cores with equal ICache, DCache and
+// TargetCache. Feed its cores only through the group.
+type Group struct {
+	fronts []*frontEnd
+	cores  []*Core
+}
+
+// NewGroup builds one core per config, in order.
+func NewGroup(cfgs ...Config) *Group {
+	shared := map[Config]*frontEnd{} // keyed by the front-end fields alone
+	g := &Group{}
+	for _, cfg := range cfgs {
+		c := newCore(cfg)
+		k := Config{ICache: cfg.ICache, DCache: cfg.DCache, TargetCache: cfg.TargetCache}
+		if c.fe = shared[k]; c.fe == nil {
+			c.fe = newFrontEnd(cfg)
+			shared[k] = c.fe
+			g.fronts = append(g.fronts, c.fe)
+		}
+		g.cores = append(g.cores, c)
+	}
+	return g
+}
+
+// Cores returns the group's cores in config order.
+func (g *Group) Cores() []*Core { return g.cores }
+
+// FrontEnds returns the number of distinct front ends the group runs.
+func (g *Group) FrontEnds() int { return len(g.fronts) }
+
+// EmitBatch implements trace.Sink: each front end reduces the batch
+// once, then every core times it from its front end's outcome bits.
+func (g *Group) EmitBatch(batch []trace.Inst) {
+	for _, f := range g.fronts {
+		f.run(batch)
+	}
+	for _, c := range g.cores {
+		c.run(batch)
+	}
+}
+
+// Emit implements trace.Sink, timing one instruction on every core.
+func (g *Group) Emit(in trace.Inst) { g.EmitBatch([]trace.Inst{in}) }

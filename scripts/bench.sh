@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the grid macro-benchmarks and the trace-transport
-# micro-benchmarks, recording the results as a labeled entry in
+# bench.sh — run the grid macro-benchmarks, the trace-transport
+# micro-benchmarks and the OoO core micro-benchmarks (always at
+# -count 10), recording the results as a labeled entry in
 # BENCH_<date>.json (benchstat-replayable via the entry's raw lines;
 # see scripts/benchjson).
 #
@@ -32,6 +33,9 @@ else
 
   echo "== trace-transport micro-benchmarks (count=$count) =="
   go test ./internal/trace -run '^$' -bench TraceTransport -benchmem -count "$count" | tee -a "$tmp"
+
+  echo "== OoO core micro-benchmarks (count=10) =="
+  go test ./internal/harness -run '^$' -bench CoreEmitBatch -benchmem -count 10 | tee -a "$tmp"
 fi
 
 go run ./scripts/benchjson -label "$label" -commit "$commit" -out "$out" < "$tmp"
