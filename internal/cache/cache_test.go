@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -244,5 +245,344 @@ func TestSampler(t *testing.T) {
 	}
 	if misses != s.H.I.Stats.Misses() {
 		t.Fatalf("window misses %d != total %d", misses, s.H.I.Stats.Misses())
+	}
+}
+
+func TestNewSamplerRejectsZeroWindow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSampler with a zero window did not panic")
+		}
+	}()
+	NewSampler(PaperDefault(), 0)
+}
+
+func TestPhaseStatsCoverEveryPhase(t *testing.T) {
+	c := New(cfg(1024, 32, 1))
+	if len(c.PhaseStats) != int(trace.NumPhases) {
+		t.Fatalf("%d phase counters, %d phases", len(c.PhaseStats), trace.NumPhases)
+	}
+	last := trace.NumPhases - 1
+	c.SetPhase(int(last))
+	c.Access(0, false)
+	if c.PhaseStats[last].Reads != 1 {
+		t.Fatalf("read in phase %v not attributed to it: %+v", last, c.PhaseStats)
+	}
+}
+
+// TestNewGroupBuckets checks the bucket key: hierarchies share a
+// reduction exactly when their I line size, D line size and
+// direct-install range agree.
+func TestNewGroupBuckets(t *testing.T) {
+	pair := func(iLine, dLine int) *Hierarchy {
+		return NewHierarchy(cfg(8<<10, iLine, 1), cfg(8<<10, dLine, 2))
+	}
+	direct := func(low uint64) *Hierarchy {
+		h := pair(32, 32)
+		h.DirectInstall, h.CodeLow, h.CodeHigh = true, low, low+4096
+		return h
+	}
+	for _, tc := range []struct {
+		name string
+		hs   []*Hierarchy
+		want int
+	}{
+		{"one line size", []*Hierarchy{pair(32, 32), pair(32, 32), PaperDefault()}, 1},
+		{"line sweep", []*Hierarchy{pair(16, 16), pair(32, 32), pair(64, 64), pair(128, 128)}, 4},
+		{"I and D differ", []*Hierarchy{pair(32, 16), pair(16, 32), pair(32, 32)}, 3},
+		{"install ranges", []*Hierarchy{pair(32, 32), direct(0), direct(0), direct(4096)}, 3},
+	} {
+		if got := len(NewGroup(tc.hs...).(*group).buckets); got != tc.want {
+			t.Errorf("%s: %d buckets, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// refCache is the straightforward cache model the kernel must match
+// exactly: one slice of ways per set, an explicit valid bit, an LRU
+// stamp on every access and a map of every line ever touched.
+type refCache struct {
+	cfg        Config
+	sets       [][]refLine
+	lineShift  uint
+	setShift   uint
+	setMask    uint64
+	tick       uint64
+	seen       map[uint64]bool
+	Stats      Stats
+	PhaseStats [trace.NumPhases]Stats
+	phase      int
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+func newRefCache(cfg Config) *refCache {
+	numSets := cfg.Size / (cfg.LineSize * cfg.Assoc)
+	sets := make([][]refLine, numSets)
+	for i := range sets {
+		sets[i] = make([]refLine, cfg.Assoc)
+	}
+	return &refCache{cfg: cfg, sets: sets, lineShift: uintLog2(cfg.LineSize),
+		setShift: uintLog2(numSets), setMask: uint64(numSets - 1), seen: map[uint64]bool{}}
+}
+
+func (c *refCache) SetPhase(p int) {
+	if p >= 0 && p < len(c.PhaseStats) {
+		c.phase = p
+	}
+}
+
+func (c *refCache) Access(addr uint64, write bool) bool {
+	lineAddr := addr >> c.lineShift
+	set := c.sets[lineAddr&c.setMask]
+	tag := lineAddr >> c.setShift
+	c.tick++
+	ps := &c.PhaseStats[c.phase]
+	if write {
+		c.Stats.Writes++
+		ps.Writes++
+	} else {
+		c.Stats.Reads++
+		ps.Reads++
+	}
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].lru = c.tick
+			set[i].dirty = set[i].dirty || write
+			return true
+		}
+	}
+	if write {
+		c.Stats.WriteMisses++
+		ps.WriteMisses++
+	} else {
+		c.Stats.ReadMisses++
+		ps.ReadMisses++
+	}
+	if !c.seen[lineAddr] {
+		c.seen[lineAddr] = true
+		c.Stats.Compulsory++
+		ps.Compulsory++
+	}
+	if write && !c.cfg.WriteAllocate {
+		return false
+	}
+	victim := c.victim(set)
+	if set[victim].valid && set[victim].dirty {
+		c.Stats.Writebacks++
+		ps.Writebacks++
+	}
+	set[victim] = refLine{tag: tag, valid: true, dirty: write, lru: c.tick}
+	return false
+}
+
+// victim is the first invalid way, else the least recently used.
+func (c *refCache) victim(set []refLine) int {
+	v := 0
+	for i := range set {
+		if !set[i].valid {
+			return i
+		}
+		if set[i].lru < set[v].lru {
+			v = i
+		}
+	}
+	return v
+}
+
+func (c *refCache) InstallLine(addr uint64) {
+	lineAddr := addr >> c.lineShift
+	set := c.sets[lineAddr&c.setMask]
+	tag := lineAddr >> c.setShift
+	c.tick++
+	c.seen[lineAddr] = true
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			set[i].lru, set[i].dirty = c.tick, true
+			return
+		}
+	}
+	set[c.victim(set)] = refLine{tag: tag, valid: true, dirty: true, lru: c.tick}
+}
+
+func (c *refCache) Flush() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+}
+
+// refHierarchy steps a split reference pair one instruction at a time.
+type refHierarchy struct {
+	I, D              *refCache
+	direct            bool
+	codeLow, codeHigh uint64
+}
+
+func (h *refHierarchy) step(in trace.Inst) {
+	h.I.SetPhase(int(in.Phase))
+	h.D.SetPhase(int(in.Phase))
+	h.I.Access(in.PC, false)
+	switch in.Class {
+	case trace.Load:
+		h.D.Access(in.Addr, false)
+	case trace.Store:
+		if h.direct && in.Addr >= h.codeLow && in.Addr < h.codeHigh {
+			h.I.InstallLine(in.Addr)
+			return
+		}
+		h.D.Access(in.Addr, true)
+	}
+}
+
+// fuzzBytes hands out the fuzz input a byte at a time, then zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// fuzzConfig draws a valid cache: one of lines, 1 to 16 sets (one set
+// is fully associative), 1 to 16 ways, either write policy.
+func fuzzConfig(b *fuzzBytes, name string, lines ...int) Config {
+	line := lines[int(b.next())%len(lines)]
+	sets := 1 << (b.next() % 5)
+	assoc := 1 << (b.next() % 5)
+	return Config{Name: name, Size: line * sets * assoc, LineSize: line, Assoc: assoc,
+		WriteAllocate: b.next()%4 != 0}
+}
+
+// fuzzAddr draws an address from a small pool, so lines collide, or
+// from the top and bottom of the address space, where an empty-way
+// sentinel would collide with a real tag.
+func fuzzAddr(b *fuzzBytes) uint64 {
+	switch v := b.next(); {
+	case v >= 248:
+		return ^uint64(0) - uint64(v-248)*9
+	case v >= 240:
+		return uint64(v-240) << 61
+	default:
+		return uint64(v) * 6
+	}
+}
+
+// FuzzCacheDifferential checks the cache kernel against refCache: hit
+// or miss on every access and every final counter, for random configs
+// and random Access/InstallLine/Flush/SetPhase sequences. Its group leg
+// feeds a random trace to random hierarchies, with mixed line sizes,
+// write policies and direct-install ranges, through one NewGroup and
+// through standalone hierarchies, each cut into random batches, and
+// checks both against reference hierarchies stepped per instruction.
+func FuzzCacheDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 255, 1, 255, 2, 0, 3, 254, 0, 255})
+	f.Add([]byte{5, 1, 3, 0, 1, 10, 1, 20, 5, 30, 7, 0, 0, 10, 6, 1, 1, 10})
+	f.Add([]byte{2, 4, 4, 1, 3, 200, 4, 100, 0, 6, 1, 7, 9, 11, 13, 17, 19, 23, 250, 251, 241})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice: the quick brown fox"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		cfg := fuzzConfig(&b, "T", 1, 2, 4, 8, 16, 32, 64)
+		c, ref := New(cfg), newRefCache(cfg)
+		for op := 0; op < 256 && len(b) > 0; op++ {
+			switch k := b.next() % 16; {
+			case k < 10:
+				addr, write := fuzzAddr(&b), k%3 == 0
+				if got, want := c.Access(addr, write), ref.Access(addr, write); got != want {
+					t.Fatalf("%+v op %d: Access(%#x, %t) hit=%t, reference %t", cfg, op, addr, write, got, want)
+				}
+			case k < 13:
+				addr := fuzzAddr(&b)
+				c.InstallLine(addr)
+				ref.InstallLine(addr)
+			case k < 15:
+				p := int(b.next()%5) - 1
+				c.SetPhase(p)
+				ref.SetPhase(p)
+			default:
+				c.Flush()
+				ref.Flush()
+			}
+		}
+		if c.Stats != ref.Stats || c.PhaseStats != ref.PhaseStats {
+			t.Fatalf("%+v: stats %+v %+v, reference %+v %+v", cfg, c.Stats, c.PhaseStats, ref.Stats, ref.PhaseStats)
+		}
+		groupLeg(t, fuzzBytes(data))
+	})
+}
+
+// groupLeg is FuzzCacheDifferential's group leg.
+func groupLeg(t *testing.T, b fuzzBytes) {
+	n := 1 + int(b.next()%4)
+	var grouped, solo []*Hierarchy
+	var refs []*refHierarchy
+	for range n {
+		// Two line sizes per side keep some buckets shared.
+		ic, dc := fuzzConfig(&b, "I", 4, 32), fuzzConfig(&b, "D", 1, 8)
+		direct, low := b.next()%3 == 0, uint64(b.next()%2)*600
+		for _, hs := range []*[]*Hierarchy{&grouped, &solo} {
+			h := NewHierarchy(ic, dc)
+			h.DirectInstall, h.CodeLow, h.CodeHigh = direct, low, low+600
+			*hs = append(*hs, h)
+		}
+		refs = append(refs, &refHierarchy{I: newRefCache(ic), D: newRefCache(dc),
+			direct: direct, codeLow: low, codeHigh: low + 600})
+	}
+	var insts []trace.Inst
+	pc, phase := uint64(0x40), trace.PhaseExec
+	classes := []trace.Class{trace.ALU, trace.Load, trace.Store, trace.Branch, trace.Store, trace.ALU}
+	for len(b) > 0 {
+		v := b.next()
+		if v&0xC0 == 0xC0 {
+			phase = trace.Phase(int(v) % int(trace.NumPhases))
+		}
+		if v&0x20 != 0 {
+			pc = uint64(b.next()) * 12
+		} else {
+			pc += 4
+		}
+		in := trace.Inst{PC: pc, Class: classes[int(v)%len(classes)], Phase: phase}
+		if in.Class.IsMem() {
+			in.Addr = fuzzAddr(&b)
+		}
+		insts = append(insts, in)
+	}
+	rng := rand.New(rand.NewSource(int64(len(insts))*7919 + int64(n)))
+	feed := func(s trace.Sink) {
+		for rest := insts; len(rest) > 0; {
+			k := min(len(rest), 1+rng.Intn(40))
+			s.EmitBatch(rest[:k])
+			rest = rest[k:]
+		}
+	}
+	feed(NewGroup(grouped...))
+	for _, h := range solo {
+		feed(h)
+	}
+	for _, in := range insts {
+		for _, r := range refs {
+			r.step(in)
+		}
+	}
+	for i, r := range refs {
+		for _, h := range []*Hierarchy{grouped[i], solo[i]} {
+			for _, side := range []struct {
+				name string
+				c    *Cache
+				ref  *refCache
+			}{{"I", h.I, r.I}, {"D", h.D, r.D}} {
+				if side.c.Stats != side.ref.Stats || side.c.PhaseStats != side.ref.PhaseStats {
+					t.Fatalf("hierarchy %d of %d, %d insts, direct=%t: %s %+v stats %+v %+v, reference %+v %+v",
+						i, n, len(insts), h.DirectInstall, side.name, side.c.Config(),
+						side.c.Stats, side.c.PhaseStats, side.ref.Stats, side.ref.PhaseStats)
+				}
+			}
+		}
 	}
 }

@@ -1,13 +1,18 @@
 package cache
 
-import "jrs/internal/trace"
+import (
+	"slices"
+
+	"jrs/internal/trace"
+)
 
 // Hierarchy couples a split L1 instruction/data cache pair to the native
 // trace stream. It is the standard memory-system observer the experiment
 // harness attaches: every instruction fetch probes the I-cache at the PC
 // and every Load/Store probes the D-cache at the effective address, with
 // the instruction's Phase attributed to the per-phase counters so the
-// translate portion of JIT execution can be isolated (Figure 5).
+// translate portion of JIT execution can be isolated (Figure 5). I and
+// D must be distinct caches.
 type Hierarchy struct {
 	I *Cache
 	D *Cache
@@ -18,6 +23,8 @@ type Hierarchy struct {
 	// CodeLow/CodeHigh bound the code-cache segment used by
 	// DirectInstall filtering.
 	CodeLow, CodeHigh uint64
+
+	solo *bucket // the group of one EmitBatch runs
 }
 
 // NewHierarchy builds a split hierarchy with the two configurations.
@@ -37,40 +44,192 @@ func PaperDefault() *Hierarchy {
 // Emit implements trace.Sink.
 func (h *Hierarchy) Emit(in trace.Inst) { h.EmitBatch([]trace.Inst{in}) }
 
-// step is one instruction's probes, phase attribution already set.
-func (h *Hierarchy) step(in *trace.Inst) {
-	h.I.Access(in.PC, false)
-	switch in.Class {
-	case trace.Load:
-		h.D.Access(in.Addr, false)
-	case trace.Store:
-		if h.DirectInstall && in.Addr >= h.CodeLow && in.Addr < h.CodeHigh {
-			h.I.InstallLine(in.Addr)
-			return
+// EmitBatch implements trace.Sink as a group of one.
+func (h *Hierarchy) EmitBatch(batch []trace.Inst) {
+	if k := h.key(); h.solo == nil || h.solo.key != k {
+		h.solo = newBucket(k, h)
+	}
+	h.solo.emit(batch)
+}
+
+// bucketKey is everything a batch's reduction depends on: the I and D
+// line sizes and the direct-install range.
+type bucketKey struct {
+	iShift, dShift uint
+	direct         bool
+	low, high      uint64
+}
+
+func (h *Hierarchy) key() bucketKey {
+	if h.I == h.D {
+		panic("cache: a hierarchy's I and D must be distinct caches")
+	}
+	k := bucketKey{iShift: h.I.lineShift, dShift: h.D.lineShift}
+	if h.DirectInstall {
+		k.direct, k.low, k.high = true, h.CodeLow, h.CodeHigh
+	}
+	return k
+}
+
+// fetch ends a run of consecutive instruction fetches from one I-line:
+// the run's last instruction is batch[end-1], and it began after the
+// previous fetch's end.
+type fetch struct {
+	line uint64
+	end  int
+}
+
+// ref is one data reference to a D-line.
+type ref struct {
+	line  uint64
+	write bool
+}
+
+// install is a direct install of an I-line by the store batch[at].
+type install struct {
+	at   int
+	line uint64
+}
+
+// span is a same-phase stretch of a reduced batch: it ends before
+// instruction end, fetch fetchEnd and reference refEnd, and writes of
+// its references are stores.
+type span struct {
+	phase                 trace.Phase
+	end, fetchEnd, refEnd int
+	writes                uint64
+}
+
+// bucket is the hierarchies of a group that share one bucketKey, and
+// the current batch reduced at that key. Every fetch of a run after
+// the first repeats the run's line, and the I and D streams touch
+// different caches, so each hierarchy stepping its I-cache through
+// the fetches and installs and its D-cache through the references,
+// span by span, counts exactly what per-instruction probes would.
+type bucket struct {
+	key      bucketKey
+	hs       []*Hierarchy
+	spans    []span
+	fetches  []fetch
+	refs     []ref
+	installs []install
+}
+
+func newBucket(k bucketKey, hs ...*Hierarchy) *bucket { return &bucket{key: k, hs: hs} }
+
+// reduce rebuilds the bucket's spans, fetches, references and installs
+// from a non-empty batch. It stores every instruction's fetch run and
+// only moves to a new entry when the line or the phase changes.
+func (b *bucket) reduce(batch []trace.Inst) {
+	k := b.key
+	// Line sizes are powers of two below 2^64: masking the shifts
+	// spares the compiler's oversized-shift handling.
+	iShift, dShift := k.iShift&63, k.dShift&63
+	fs := slices.Grow(b.fetches[:0], len(batch))[:len(batch)]
+	rs := slices.Grow(b.refs[:0], len(batch))[:len(batch)]
+	b.spans, b.installs = b.spans[:0], b.installs[:0]
+	// prev starts, and restarts at a phase change, as the complement of
+	// the line, so the instruction opens a new entry.
+	f, r, writes := -1, 0, uint64(0)
+	phase, prev := batch[0].Phase, ^(batch[0].PC >> iShift)
+	for i := range batch {
+		in := &batch[i]
+		line := in.PC >> iShift
+		if in.Phase != phase {
+			b.spans = append(b.spans, span{phase, i, f + 1, r, writes})
+			phase, prev, writes = in.Phase, ^line, 0
 		}
-		h.D.Access(in.Addr, true)
+		d := line ^ prev
+		f += int((d | -d) >> 63) // 1 when the line changed
+		fs[f] = fetch{line, i + 1}
+		prev = line
+		switch in.Class {
+		case trace.Load:
+			rs[r] = ref{in.Addr >> dShift, false}
+			r++
+		case trace.Store:
+			if k.direct && in.Addr >= k.low && in.Addr < k.high {
+				b.installs = append(b.installs, install{i, in.Addr >> iShift})
+				continue
+			}
+			rs[r] = ref{in.Addr >> dShift, true}
+			r++
+			writes++
+		}
+	}
+	b.spans = append(b.spans, span{phase, len(batch), f + 1, r, writes})
+	b.fetches, b.refs = fs[:f+1], rs[:r]
+}
+
+// emit reduces batch once and steps every hierarchy of the bucket
+// through it: per span, the references are counted in one step and
+// then probed, the I-cache once per fetch run. An install splits the
+// run it falls in, and the fetches after it probe the line afresh.
+func (b *bucket) emit(batch []trace.Inst) {
+	if len(batch) == 0 {
+		return
+	}
+	b.reduce(batch)
+	for _, h := range b.hs {
+		// done is the number of instructions whose fetches are probed.
+		f, r, next, done := 0, 0, 0, 0
+		for _, s := range b.spans {
+			h.I.SetPhase(int(s.phase))
+			h.D.SetPhase(int(s.phase))
+			h.I.count(uint64(s.end-done), 0)
+			h.D.count(uint64(s.refEnd-r)-s.writes, s.writes)
+			for _, e := range b.fetches[f:s.fetchEnd] {
+				for ; next < len(b.installs) && b.installs[next].at < e.end; next++ {
+					h.I.probe(e.line, false)
+					h.I.installLine(b.installs[next].line)
+					done = b.installs[next].at + 1
+				}
+				if e.end > done {
+					h.I.probe(e.line, false)
+				}
+				done = e.end
+			}
+			for _, e := range b.refs[r:s.refEnd] {
+				h.D.probe(e.line, e.write)
+			}
+			f, r = s.fetchEnd, s.refEnd
+		}
 	}
 }
 
-// EmitBatch implements trace.Sink. Phase attribution is set at
-// phase-change boundaries within the batch: runs of same-phase
-// instructions (the overwhelmingly common case — phase only changes at
-// interpreter/translator/loader transitions) pay for it once instead of
-// twice per instruction. Setting the same phase repeatedly is
-// idempotent, so batch boundaries never change results.
-func (h *Hierarchy) EmitBatch(batch []trace.Inst) {
-	const noPhase = trace.Phase(0xFF)
-	cur := noPhase
-	for i := range batch {
-		in := &batch[i]
-		if in.Phase != cur {
-			cur = in.Phase
-			h.I.SetPhase(int(cur))
-			h.D.SetPhase(int(cur))
+// group is the trace.Sink NewGroup returns.
+type group struct{ buckets []*bucket }
+
+// NewGroup returns a trace.Sink that feeds one trace to every
+// hierarchy in hs, with the exact counters of attaching each on its
+// own. Each batch is reduced once per bucket, the hierarchies sharing
+// I line size, D line size and direct-install range, and every
+// hierarchy in the bucket steps its caches off that reduction. Set
+// DirectInstall and the code range before grouping.
+func NewGroup(hs ...*Hierarchy) trace.Sink {
+	g := &group{}
+	index := map[bucketKey]*bucket{}
+	for _, h := range hs {
+		k := h.key()
+		if b := index[k]; b != nil {
+			b.hs = append(b.hs, h)
+			continue
 		}
-		h.step(in)
+		index[k] = newBucket(k, h)
+		g.buckets = append(g.buckets, index[k])
+	}
+	return g
+}
+
+// EmitBatch implements trace.Sink.
+func (g *group) EmitBatch(batch []trace.Inst) {
+	for _, b := range g.buckets {
+		b.emit(batch)
 	}
 }
+
+// Emit implements trace.Sink.
+func (g *group) Emit(in trace.Inst) { g.EmitBatch([]trace.Inst{in}) }
 
 // Interval is one sampling window of miss counts (Figure 6's time
 // profile).
@@ -94,8 +253,12 @@ type Sampler struct {
 	Series []Interval
 }
 
-// NewSampler samples h every window instructions.
+// NewSampler samples h every window instructions. It panics on a zero
+// window.
 func NewSampler(h *Hierarchy, window uint64) *Sampler {
+	if window == 0 {
+		panic("cache: sampler window must be positive")
+	}
 	return &Sampler{H: h, Window: window}
 }
 

@@ -53,7 +53,7 @@ func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
 			direct.CodeLow = mem.CodeCacheBase
 			direct.CodeHigh = mem.ClassBase
 
-			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, wa, wna, direct); err != nil {
+			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, cache.NewGroup(wa, wna, direct)); err != nil {
 				return nil, err
 			}
 			return AblateInstallRow{

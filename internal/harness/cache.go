@@ -99,7 +99,8 @@ type Fig3Result struct {
 }
 
 // fig3Plan enumerates the write-miss sweep: one cell per
-// (workload, mode), every size's cache pair attached to a single run.
+// (workload, mode), every size's cache pair attached to a single run
+// through one cache.NewGroup.
 func fig3Plan(o Options) (*Plan, *Fig3Result) {
 	sizes := []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
 	list := o.seven()
@@ -114,16 +115,13 @@ func fig3Plan(o Options) (*Plan, *Fig3Result) {
 				Config: "dm-32B-8K..128K"}
 			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
 				var hs []*cache.Hierarchy
-				var sinks []trace.Sink
 				for _, sz := range sizes {
-					h := cache.NewHierarchy(
+					hs = append(hs, cache.NewHierarchy(
 						cache.Config{Name: "I", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
 						cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
-					)
-					hs = append(hs, h)
-					sinks = append(sinks, h)
+					))
 				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, sinks...); err != nil {
+				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, cache.NewGroup(hs...)); err != nil {
 					return nil, err
 				}
 				row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
@@ -496,8 +494,9 @@ func (r *Fig8Result) Render() string {
 }
 
 // sweepPlan enumerates a parameter sweep: one cell per (workload, mode)
-// with one cache pair per parameter value attached to a single run. The
-// caller's rows slice is preallocated so cell destinations stay stable.
+// with one cache pair per parameter value attached to a single run
+// through one cache.NewGroup. The caller's rows slice is preallocated
+// so cell destinations stay stable.
 func sweepPlan(o Options, experiment, cfg string, rows *[]SweepRow, params []int,
 	mk func(int) (cache.Config, cache.Config)) *Plan {
 	list := o.seven()
@@ -512,14 +511,10 @@ func sweepPlan(o Options, experiment, cfg string, rows *[]SweepRow, params []int
 				Config: cfg}
 			p.add(key, &(*rows)[idx], func(ctx context.Context) (any, error) {
 				var hs []*cache.Hierarchy
-				var sinks []trace.Sink
 				for _, prm := range params {
-					ic, dc := mk(prm)
-					h := cache.NewHierarchy(ic, dc)
-					hs = append(hs, h)
-					sinks = append(sinks, h)
+					hs = append(hs, cache.NewHierarchy(mk(prm)))
 				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, sinks...); err != nil {
+				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, cache.NewGroup(hs...)); err != nil {
 					return nil, err
 				}
 				row := SweepRow{Workload: w.Name, Mode: mode, Params: params}

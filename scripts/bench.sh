@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the grid macro-benchmarks, the trace-transport
-# micro-benchmarks and the OoO core micro-benchmarks (always at
-# -count 10), recording the results as a labeled entry in
+# micro-benchmarks, and the OoO core and cache model micro-benchmarks
+# (both always at -count 10), recording the results as a labeled entry in
 # BENCH_<date>.json (benchstat-replayable via the entry's raw lines;
 # see scripts/benchjson).
 #
@@ -36,6 +36,9 @@ else
 
   echo "== OoO core micro-benchmarks (count=10) =="
   go test ./internal/harness -run '^$' -bench CoreEmitBatch -benchmem -count 10 | tee -a "$tmp"
+
+  echo "== cache model micro-benchmarks (count=10) =="
+  go test ./internal/harness -run '^$' -bench CacheEmitBatch -benchmem -count 10 | tee -a "$tmp"
 fi
 
 go run ./scripts/benchjson -label "$label" -commit "$commit" -out "$out" < "$tmp"
