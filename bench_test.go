@@ -69,7 +69,7 @@ func translateProbe(b *testing.B, cc *codecache.Cache) float64 {
 	if !ok {
 		b.Fatal("unknown workload db")
 	}
-	e, err := harness.Run(w, w.BenchN, harness.ModeJIT, core.Config{CodeCache: cc})
+	e, err := harness.RunCtx(context.Background(), w, w.BenchN, harness.ModeJIT, core.Config{CodeCache: cc})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,13 +160,25 @@ func BenchmarkGridSerialCodeCache(b *testing.B) { benchGridCodeCache(b, 1) }
 // shared translation cache: all engines of all concurrent cells share it.
 func BenchmarkGridParallelCodeCache(b *testing.B) { benchGridCodeCache(b, *benchParallel) }
 
+// runAs runs the registered experiment name at the benchmark scale and
+// returns its result as T.
+func runAs[T harness.Renderer](b *testing.B, name string) T {
+	b.Helper()
+	e, ok := harness.Lookup(name)
+	if !ok {
+		b.Fatalf("unknown experiment %q", name)
+	}
+	res, err := e.Run(benchOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.(T)
+}
+
 // BenchmarkFig1 regenerates the translate/execute breakdown and oracle.
 func BenchmarkFig1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig1Result](b, "fig1")
 		var saving float64
 		for _, row := range r.Rows {
 			if row.Workload == "hello" {
@@ -180,10 +192,7 @@ func BenchmarkFig1(b *testing.B) {
 // BenchmarkTable1 regenerates the memory-footprint comparison.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Table1Result](b, "table1")
 		var sum float64
 		for _, row := range r.Rows {
 			sum += row.Overhead()
@@ -195,10 +204,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFig2 regenerates the instruction-mix study.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig2Result](b, "fig2")
 		b.ReportMetric(r.InterpMemExcess(), "interp-mem-excess")
 		b.ReportMetric(r.IndirectGap(), "indirect-gap")
 	}
@@ -207,10 +213,7 @@ func BenchmarkFig2(b *testing.B) {
 // BenchmarkTable2 regenerates the branch-prediction study.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Table2Result](b, "table2")
 		minI, _ := r.GshareAccuracy(harness.ModeInterp)
 		minJ, _ := r.GshareAccuracy(harness.ModeJIT)
 		b.ReportMetric(minI, "gshare-acc-interp-min")
@@ -221,10 +224,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates the cache reference/miss table.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Table3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Table3Result](b, "table3")
 		var dFrac float64
 		var n int
 		for _, ri := range r.ModeRows(harness.ModeInterp) {
@@ -242,10 +242,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkFig3 regenerates the write-miss share sweep.
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig3Result](b, "fig3")
 		var f float64
 		var n int
 		for _, row := range r.Rows {
@@ -261,10 +258,7 @@ func BenchmarkFig3(b *testing.B) {
 // BenchmarkFig4 regenerates the mode-vs-compiled comparison.
 func BenchmarkFig4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig4Result](b, "fig4")
 		b.ReportMetric(r.Rows[0].DMiss, "interp-dmiss")
 		b.ReportMetric(r.Rows[1].DMiss, "jit-dmiss")
 		b.ReportMetric(r.Rows[2].DMiss, "aot-dmiss")
@@ -274,10 +268,7 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5 regenerates the translate-portion isolation.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig5Result](b, "fig5")
 		var wf float64
 		for _, row := range r.Rows {
 			wf += row.WriteFracInTranslate
@@ -289,10 +280,7 @@ func BenchmarkFig5(b *testing.B) {
 // BenchmarkFig6 regenerates the miss-over-time profile.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig6Result](b, "fig6")
 		_, pj := r.JITSpikiness()
 		b.ReportMetric(pj, "jit-peak-over-mean")
 	}
@@ -301,10 +289,7 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkFig7 regenerates the associativity sweep.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig7Result](b, "fig7")
 		// Mean relative improvement from direct-mapped to 2-way.
 		var imp float64
 		var n int
@@ -321,10 +306,7 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig8 regenerates the line-size sweep.
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig8Result](b, "fig8")
 		var gain float64
 		var n int
 		for _, row := range r.Rows {
@@ -340,10 +322,7 @@ func BenchmarkFig8(b *testing.B) {
 // BenchmarkFig9 regenerates the IPC study (Figure 10 shares the runs).
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig9Result](b, "fig9")
 		ii := r.AvgIPC(harness.ModeInterp)
 		jj := r.AvgIPC(harness.ModeJIT)
 		b.ReportMetric(ii[2], "interp-ipc-w4")
@@ -356,10 +335,7 @@ func BenchmarkFig9(b *testing.B) {
 // BenchmarkFig10 regenerates the normalized-execution-time view.
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig10Result](b, "fig10")
 		if len(r.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -369,10 +345,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 regenerates the synchronization study.
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.Fig11Result](b, "fig11")
 		b.ReportMetric(r.CaseAFrac(), "case-a-frac")
 		b.ReportMetric(r.MeanSpeedup(), "thin-lock-speedup")
 	}
@@ -381,10 +354,7 @@ func BenchmarkFig11(b *testing.B) {
 // BenchmarkAblateInstall regenerates the A1/A2 installation ablation.
 func BenchmarkAblateInstall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.AblateInstall(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.AblateInstallResult](b, "ablate-install")
 		var gain float64
 		var n int
 		for _, row := range r.Rows {
@@ -400,10 +370,7 @@ func BenchmarkAblateInstall(b *testing.B) {
 // BenchmarkAblateInline regenerates the devirtualization ablation.
 func BenchmarkAblateInline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := harness.AblateInline(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := runAs[*harness.AblateInlineResult](b, "ablate-inline")
 		var d float64
 		for _, row := range r.Rows {
 			d += row.IndirectFracOff - row.IndirectFracOn
@@ -415,9 +382,7 @@ func BenchmarkAblateInline(b *testing.B) {
 // BenchmarkAblateThreshold regenerates the policy sweep.
 func BenchmarkAblateThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.AblateThreshold(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+		runAs[*harness.AblateThresholdResult](b, "ablate-threshold")
 	}
 }
 
@@ -431,7 +396,7 @@ func benchWorkload(b *testing.B, name string, mode harness.Mode, sinks ...trace.
 	}
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		e, err := harness.Run(w, w.BenchN, mode, core.Config{}, sinks...)
+		e, err := harness.RunCtx(context.Background(), w, w.BenchN, mode, core.Config{}, sinks...)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -429,10 +429,10 @@ func runWorkload(name, modeName string, opts harness.Options, checkraces, checke
 	}
 
 	if modeName == "opt" {
-		e, _, err := harness.RunOracleCtx(context.Background(), w, scale)
+		e, err := harness.RunOracleCtx(context.Background(), w, scale)
 		return printRun(w.Name, modeName, e, err, stdout, stderr)
 	}
-	e, err := harness.Run(w, scale, engineModes[modeName], core.Config{SchedSeed: schedseed})
+	e, err := harness.RunCtx(context.Background(), w, scale, engineModes[modeName], core.Config{SchedSeed: schedseed})
 	return printRun(w.Name, modeName, e, err, stdout, stderr)
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"jrs/internal/branch"
@@ -10,6 +9,7 @@ import (
 	"jrs/internal/mem"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
+	"jrs/internal/workloads"
 )
 
 // AblateInstallRow compares code-installation policies for one workload
@@ -31,16 +31,11 @@ type AblateInstallResult struct{ Rows []AblateInstallRow }
 
 // ablateInstallPlan enumerates the installation-policy grid: one JIT
 // cell per workload with all three policies attached.
-func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
-	list := o.seven()
-	res := &AblateInstallResult{Rows: make([]AblateInstallRow, len(list))}
+func ablateInstallPlan(o Options) *Plan {
+	res := &AblateInstallResult{}
 	p := newPlan("ablate-install", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-install", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "wa+wna+direct"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), jitOnly, "", "wa+wna+direct", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (AblateInstallRow, error)) {
 			wa := cache.PaperDefault()
 
 			wna := cache.NewHierarchy(
@@ -53,26 +48,19 @@ func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
 			direct.CodeLow = mem.CodeCacheBase
 			direct.CodeHigh = mem.ClassBase
 
-			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, cache.NewGroup(wa, wna, direct)); err != nil {
-				return nil, err
+			return one(mode, cache.NewGroup(wa, wna, direct)), func() (AblateInstallRow, error) {
+				return AblateInstallRow{
+					Workload:        w.Name,
+					DMissesWA:       wa.D.Stats.Misses(),
+					DMissesWNA:      wna.D.Stats.Misses(),
+					DMissesDirect:   direct.D.Stats.Misses(),
+					IMissesWA:       wa.I.Stats.Misses(),
+					IMissesDirect:   direct.I.Stats.Misses(),
+					WriteMissFracWA: wa.D.Stats.WriteMissFrac(),
+				}, nil
 			}
-			return AblateInstallRow{
-				Workload:        w.Name,
-				DMissesWA:       wa.D.Stats.Misses(),
-				DMissesWNA:      wna.D.Stats.Misses(),
-				DMissesDirect:   direct.D.Stats.Misses(),
-				IMissesWA:       wa.I.Stats.Misses(),
-				IMissesDirect:   direct.I.Stats.Misses(),
-				WriteMissFracWA: wa.D.Stats.WriteMissFrac(),
-			}, nil
 		})
-	}
-	return p, res
-}
-
-// AblateInstall runs the three installation policies per workload.
-func AblateInstall(o Options) (*AblateInstallResult, error) {
-	return runSerial(ablateInstallPlan(o))
+	return p
 }
 
 // Render formats the installation ablation.
@@ -104,47 +92,25 @@ type AblateInlineRow struct {
 type AblateInlineResult struct{ Rows []AblateInlineRow }
 
 // ablateInlinePlan enumerates the devirtualization grid: one cell per
-// workload covering devirt-on and devirt-off runs.
-func ablateInlinePlan(o Options) (*Plan, *AblateInlineResult) {
-	list := o.seven()
-	res := &AblateInlineResult{Rows: make([]AblateInlineRow, len(list))}
+// workload declaring devirt-on and devirt-off runs.
+func ablateInlinePlan(o Options) *Plan {
+	res := &AblateInlineResult{}
 	p := newPlan("ablate-inline", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-inline", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "devirt+nodevirt"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			row := AblateInlineRow{Workload: w.Name}
-			for _, devirt := range []bool{true, false} {
-				c := &trace.Counter{}
-				suite := branch.NewSuite()
-				cfg := core.Config{}
-				if !devirt {
-					cfg.JITOptions = jitNoDevirt()
+	cells(p, o, o.seven(), jitOnly, "", "devirt+nodevirt", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (AblateInlineRow, error)) {
+			on, off := &trace.Counter{}, &trace.Counter{}
+			onSuite, offSuite := branch.NewSuite(), branch.NewSuite()
+			return []run{
+					{mode: mode, sinks: []trace.Sink{on, onSuite}},
+					{mode: mode, cfg: core.Config{JITOptions: jitNoDevirt()}, sinks: []trace.Sink{off, offSuite}},
+				}, func() (AblateInlineRow, error) {
+					return AblateInlineRow{Workload: w.Name,
+						IndirectFracOn: on.IndirectFrac(), GshareMissOn: onSuite.Units[2].Stats.MispredictRate(),
+						IndirectFracOff: off.IndirectFrac(), GshareMissOff: offSuite.Units[2].Stats.MispredictRate(),
+					}, nil
 				}
-				if _, err := RunCtx(ctx, w, scale, ModeJIT, cfg, c, suite); err != nil {
-					return row, err
-				}
-				gshare := suite.Units[2].Stats.MispredictRate()
-				if devirt {
-					row.IndirectFracOn = c.IndirectFrac()
-					row.GshareMissOn = gshare
-				} else {
-					row.IndirectFracOff = c.IndirectFrac()
-					row.GshareMissOff = gshare
-				}
-			}
-			return row, nil
 		})
-	}
-	return p, res
-}
-
-// AblateInline measures the virtual-call optimization's effect on
-// indirect-branch frequency and predictability.
-func AblateInline(o Options) (*AblateInlineResult, error) {
-	return runSerial(ablateInlinePlan(o))
+	return p
 }
 
 // Render formats the inline ablation.
@@ -173,54 +139,30 @@ type ThresholdRow struct {
 type AblateThresholdResult struct{ Rows []ThresholdRow }
 
 // ablateThresholdPlan enumerates the translate-policy grid: one cell per
-// workload covering interp, the threshold sweep, jit-first and oracle.
-func ablateThresholdPlan(o Options) (*Plan, *AblateThresholdResult) {
-	list := o.seven()
-	res := &AblateThresholdResult{Rows: make([]ThresholdRow, len(list))}
+// workload declaring interp, the threshold sweep, jit-first and the
+// oracle's three runs.
+func ablateThresholdPlan(o Options) *Plan {
+	res := &AblateThresholdResult{}
 	p := newPlan("ablate-threshold", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-threshold", Workload: w.Name, Scale: scale, Mode: "policy-sweep",
-			Config: "interp+thresh1,5,25,100+jit+oracle"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), nil, "policy-sweep", "interp+thresh1,5,25,100+jit+oracle", &res.Rows,
+		func(w workloads.Workload, _ Mode) ([]run, func() (ThresholdRow, error)) {
 			row := ThresholdRow{Workload: w.Name}
-			add := func(name string, e *core.Engine) {
-				row.Policies = append(row.Policies, name)
-				row.Instrs = append(row.Instrs, e.TotalInstrs())
-			}
-			ei, err := RunCtx(ctx, w, scale, ModeInterp, core.Config{})
-			if err != nil {
-				return row, err
-			}
-			add("interp", ei)
-			for _, n := range []uint64{1, 5, 25, 100} {
-				e, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{Policy: core.Threshold{N: n}})
-				if err != nil {
-					return row, err
+			add := func(name string) func(*core.Engine) {
+				return func(e *core.Engine) {
+					row.Policies = append(row.Policies, name)
+					row.Instrs = append(row.Instrs, e.TotalInstrs())
 				}
-				add(fmt.Sprintf("thresh-%d", n), e)
 			}
-			ej, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{})
-			if err != nil {
-				return row, err
+			runs := []run{{mode: ModeInterp, done: add("interp")}}
+			for _, n := range []uint64{1, 5, 25, 100} {
+				runs = append(runs, run{mode: ModeJIT, cfg: core.Config{Policy: core.Threshold{N: n}},
+					done: add(fmt.Sprintf("thresh-%d", n))})
 			}
-			add("jit-first", ej)
-			eo, _, err := RunOracleCtx(ctx, w, scale)
-			if err != nil {
-				return row, err
-			}
-			add("oracle", eo)
-			return row, nil
+			runs = append(runs, run{mode: ModeJIT, done: add("jit-first")})
+			runs = append(runs, oracleRuns(map[int]bool{}, nil, nil, add("oracle"))...)
+			return runs, func() (ThresholdRow, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// AblateThreshold sweeps translate policies (the adaptive-compilation
-// design space the paper's §3 opens).
-func AblateThreshold(o Options) (*AblateThresholdResult, error) {
-	return runSerial(ablateThresholdPlan(o))
+	return p
 }
 
 // Render formats the threshold ablation (normalized to jit-first).
@@ -259,43 +201,28 @@ type ScaleRow struct {
 type ScaleResult struct{ Rows []ScaleRow }
 
 // ablateScalePlan enumerates the input-size grid: one cell per workload
-// covering the 0.25x/1x/4x multiples of its default scale. The key's
-// Scale is the workload default (the multiples derive from it), so this
-// experiment intentionally ignores Quick.
-func ablateScalePlan(o Options) (*Plan, *ScaleResult) {
+// declaring runs at the 0.25x/1x/4x multiples of its default scale. The
+// key's Scale is the workload default (the multiples derive from it), so
+// this experiment intentionally ignores Quick and Scale.
+func ablateScalePlan(o Options) *Plan {
 	muls := []float64{0.25, 1, 4}
-	list := o.seven()
-	res := &ScaleResult{Rows: make([]ScaleRow, len(list))}
+	res := &ScaleResult{}
 	p := newPlan("ablate-scale", res)
-	for i, w := range list {
-		i, w := i, w
-		key := CellKey{Experiment: "ablate-scale", Workload: w.Name, Scale: w.DefaultN, Mode: ModeJIT.String(),
-			Config: "muls=0.25,1,4"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, Options{}, o.seven(), jitOnly, "", "muls=0.25,1,4", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (ScaleRow, error)) {
 			row := ScaleRow{Workload: w.Name}
+			var runs []run
 			for _, m := range muls {
-				scale := int(float64(w.DefaultN) * m)
-				if scale < 1 {
-					scale = 1
-				}
-				e, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{})
-				if err != nil {
-					return row, err
-				}
-				exec, translate, _ := e.PhaseInstrs()
-				row.Scales = append(row.Scales, scale)
-				row.TransFrac = append(row.TransFrac, float64(translate)/float64(translate+exec))
+				scale := max(int(float64(w.DefaultN)*m), 1)
+				runs = append(runs, run{mode: mode, scale: scale, done: func(e *core.Engine) {
+					exec, translate, _ := e.PhaseInstrs()
+					row.Scales = append(row.Scales, scale)
+					row.TransFrac = append(row.TransFrac, float64(translate)/float64(translate+exec))
+				}})
 			}
-			return row, nil
+			return runs, func() (ScaleRow, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// AblateScale measures the translate fraction at multiples of each
-// workload's default scale.
-func AblateScale(o Options) (*ScaleResult, error) {
-	return runSerial(ablateScalePlan(o))
+	return p
 }
 
 // Render formats the scale study.

@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"context"
-
 	"jrs/internal/core"
 	"jrs/internal/stats"
+	"jrs/internal/workloads"
 )
 
 // AblateChecksRow compares baseline runtime checking against sound
@@ -32,57 +31,32 @@ type AblateChecksRow struct {
 type AblateChecksResult struct{ Rows []AblateChecksRow }
 
 // ablateChecksPlan enumerates the elision grid: one cell per workload
-// covering base and elided runs under interp and JIT.
-func ablateChecksPlan(o Options) (*Plan, *AblateChecksResult) {
-	list := o.seven()
-	res := &AblateChecksResult{Rows: make([]AblateChecksRow, len(list))}
+// declaring base and elided runs under interp and JIT.
+func ablateChecksPlan(o Options) *Plan {
+	res := &AblateChecksResult{}
 	p := newPlan("ablate-checks", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-checks", Workload: w.Name, Scale: scale, Mode: "interp+jit",
-			Config: "base+elide"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), nil, "interp+jit", "base+elide", &res.Rows,
+		func(w workloads.Workload, _ Mode) ([]run, func() (AblateChecksRow, error)) {
 			row := AblateChecksRow{Workload: w.Name}
-			elideCfg := func() core.Config {
-				return core.Config{ElideBounds: true, ElideNull: true}
-			}
-			ib, err := RunCtx(ctx, w, scale, ModeInterp, core.Config{})
-			if err != nil {
-				return row, err
-			}
-			row.InterpChecksBase = ib.VM.ChecksRun
-			ie, err := RunCtx(ctx, w, scale, ModeInterp, elideCfg())
-			if err != nil {
-				return row, err
-			}
-			row.InterpChecksElide = ie.VM.ChecksRun
-			row.InterpElided = ie.VM.ChecksElided
-			jb, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{})
-			if err != nil {
-				return row, err
-			}
-			row.JITChecksBase = jb.VM.ChecksRun
-			row.JITInstrBase = jb.Clock.Total
-			je, err := RunCtx(ctx, w, scale, ModeJIT, elideCfg())
-			if err != nil {
-				return row, err
-			}
-			row.JITChecksElide = je.VM.ChecksRun
-			row.JITInstrElide = je.Clock.Total
-			if je.VRange != nil {
-				c := je.VRange.Summarize()
-				row.BoundsProven, row.NullProven = c.BoundsProven, c.NullProven
-			}
-			return row, nil
+			elide := core.Config{ElideBounds: true, ElideNull: true}
+			return []run{
+				{mode: ModeInterp, done: func(e *core.Engine) { row.InterpChecksBase = e.VM.ChecksRun }},
+				{mode: ModeInterp, cfg: elide, done: func(e *core.Engine) {
+					row.InterpChecksElide, row.InterpElided = e.VM.ChecksRun, e.VM.ChecksElided
+				}},
+				{mode: ModeJIT, done: func(e *core.Engine) {
+					row.JITChecksBase, row.JITInstrBase = e.VM.ChecksRun, e.Clock.Total
+				}},
+				{mode: ModeJIT, cfg: elide, done: func(e *core.Engine) {
+					row.JITChecksElide, row.JITInstrElide = e.VM.ChecksRun, e.Clock.Total
+					if e.VRange != nil {
+						c := e.VRange.Summarize()
+						row.BoundsProven, row.NullProven = c.BoundsProven, c.NullProven
+					}
+				}},
+			}, func() (AblateChecksRow, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// AblateChecks measures check elision per workload.
-func AblateChecks(o Options) (*AblateChecksResult, error) {
-	return runSerial(ablateChecksPlan(o))
+	return p
 }
 
 // Render formats the check-elision ablation.

@@ -48,13 +48,15 @@ type AblateCodeCacheResult struct{ Rows []AblateCodeCacheRow }
 
 // ablateCodeCachePlan enumerates one cell per workload. Every cell
 // builds its own cache instances, so the measurement is isolated from
-// any process-default cache `jrs -codecache` may have installed.
-func ablateCodeCachePlan(o Options) (*Plan, *AblateCodeCacheResult) {
+// any process-default cache `jrs -codecache` may have installed. The
+// cold, warm and disk legs are declared runs; the shared leg races four
+// engines on one cache, so it is the one cell that starts engines
+// itself.
+func ablateCodeCachePlan(o Options) *Plan {
 	list := o.seven()
 	res := &AblateCodeCacheResult{Rows: make([]AblateCodeCacheRow, len(list))}
 	p := newPlan("ablate-codecache", res)
 	for i, w := range list {
-		i, w := i, w
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "ablate-codecache", Workload: w.Name, Scale: scale, Mode: "jit",
 			Config: "cold+warm+disk+shared4"}
@@ -65,26 +67,10 @@ func ablateCodeCachePlan(o Options) (*Plan, *AblateCodeCacheResult) {
 				return tr
 			}
 
-			// Cold: populate a fresh in-process cache (instruction stream
-			// identical to an uncached run), then re-run warm.
-			cc := codecache.NewMemory()
-			e1, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{CodeCache: cc})
-			if err != nil {
-				return row, err
-			}
-			row.TranslateCold = translate(e1)
-			row.ColdMisses = cc.Stats().Misses
-			row.CodeKB = e1.JIT.CodeBytes >> 10
-			e2, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{CodeCache: cc})
-			if err != nil {
-				return row, err
-			}
-			row.TranslateWarm = translate(e2)
-			row.WarmHits = cc.Stats().Hits
-
-			// Disk-warm: populate a disk-backed cache, then read it back
+			// Disk-warm populates a disk-backed cache, then reads it back
 			// through a second handle with a cold in-process level — the
-			// persistent cross-run reuse path.
+			// persistent cross-run reuse path. A handle reads the disk
+			// lazily, so both open up front.
 			dir, err := os.MkdirTemp("", "jrs-codecache-*")
 			if err != nil {
 				return row, err
@@ -94,18 +80,31 @@ func ablateCodeCachePlan(o Options) (*Plan, *AblateCodeCacheResult) {
 			if err != nil {
 				return row, err
 			}
-			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{CodeCache: d1}); err != nil {
-				return row, err
-			}
 			d2, err := codecache.Open(dir)
 			if err != nil {
 				return row, err
 			}
-			e3, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{CodeCache: d2})
+			// Cold populates a fresh in-process cache (instruction stream
+			// identical to an uncached run), then warm re-runs on it.
+			cc := codecache.NewMemory()
+			err = execRuns(ctx, w, scale, []run{
+				{mode: ModeJIT, cfg: core.Config{CodeCache: cc}, done: func(e *core.Engine) {
+					row.TranslateCold = translate(e)
+					row.ColdMisses = cc.Stats().Misses
+					row.CodeKB = e.JIT.CodeBytes >> 10
+				}},
+				{mode: ModeJIT, cfg: core.Config{CodeCache: cc}, done: func(e *core.Engine) {
+					row.TranslateWarm = translate(e)
+					row.WarmHits = cc.Stats().Hits
+				}},
+				{mode: ModeJIT, cfg: core.Config{CodeCache: d1}},
+				{mode: ModeJIT, cfg: core.Config{CodeCache: d2}, done: func(e *core.Engine) {
+					row.TranslateDisk = translate(e)
+				}},
+			})
 			if err != nil {
 				return row, err
 			}
-			row.TranslateDisk = translate(e3)
 
 			// Shared: four engines race one initially cold cache.
 			// Singleflight makes the aggregate counts and the summed
@@ -118,7 +117,7 @@ func ablateCodeCachePlan(o Options) (*Plan, *AblateCodeCacheResult) {
 				firstErr error
 				sharedTr uint64
 			)
-			for k := 0; k < 4; k++ {
+			for range 4 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -144,12 +143,7 @@ func ablateCodeCachePlan(o Options) (*Plan, *AblateCodeCacheResult) {
 			return row, nil
 		})
 	}
-	return p, res
-}
-
-// AblateCodeCache measures the shared translation cache per workload.
-func AblateCodeCache(o Options) (*AblateCodeCacheResult, error) {
-	return runSerial(ablateCodeCachePlan(o))
+	return p
 }
 
 // Render formats the code-cache ablation.

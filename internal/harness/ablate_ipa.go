@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"context"
 	"jrs/internal/branch"
 	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
+	"jrs/internal/workloads"
 )
 
 // AblateDevirtRow compares three virtual-call strategies for one
@@ -30,53 +30,32 @@ type AblateDevirtRow struct {
 type AblateDevirtResult struct{ Rows []AblateDevirtRow }
 
 // ablateDevirtPlan enumerates the devirtualization grid: one JIT cell
-// per workload covering the none/local-CHA/whole-program ladder.
-func ablateDevirtPlan(o Options) (*Plan, *AblateDevirtResult) {
-	list := o.seven()
-	res := &AblateDevirtResult{Rows: make([]AblateDevirtRow, len(list))}
+// per workload declaring the none/local-CHA/whole-program ladder.
+func ablateDevirtPlan(o Options) *Plan {
+	res := &AblateDevirtResult{}
 	p := newPlan("ablate-devirt", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-devirt", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "none+cha+ipa"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), jitOnly, "", "none+cha+ipa", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (AblateDevirtRow, error)) {
 			row := AblateDevirtRow{Workload: w.Name}
-			for _, variant := range []string{"none", "cha", "ipa"} {
-				c := &trace.Counter{}
-				suite := branch.NewSuite()
-				cfg := core.Config{}
-				switch variant {
-				case "none":
-					cfg.JITOptions = jitNoDevirt()
-				case "ipa":
-					cfg.Devirt = true
-				}
-				e, err := RunCtx(ctx, w, scale, ModeJIT, cfg, c, suite)
-				if err != nil {
-					return row, err
-				}
-				indirect := c.ByClass(trace.IndirectJump) + c.ByClass(trace.IndirectCall)
-				gshare := suite.Units[2].Stats.MispredictRate()
-				switch variant {
-				case "none":
-					row.IndirectNone, row.GshareNone = indirect, gshare
-				case "cha":
-					row.IndirectCHA, row.GshareCHA = indirect, gshare
-				case "ipa":
-					row.IndirectIPA, row.GshareIPA = indirect, gshare
-					row.DevirtSites = e.IPA.Summarize().DevirtSites
-				}
+			var counters [3]*trace.Counter
+			var suites [3]*branch.Suite
+			var runs []run
+			for i, cfg := range []core.Config{{JITOptions: jitNoDevirt()}, {}, {Devirt: true}} {
+				counters[i], suites[i] = &trace.Counter{}, branch.NewSuite()
+				runs = append(runs, run{mode: mode, cfg: cfg, sinks: []trace.Sink{counters[i], suites[i]}})
 			}
-			return row, nil
+			runs[2].done = func(e *core.Engine) { row.DevirtSites = e.IPA.Summarize().DevirtSites }
+			return runs, func() (AblateDevirtRow, error) {
+				indirect := func(i int) uint64 {
+					return counters[i].ByClass(trace.IndirectJump) + counters[i].ByClass(trace.IndirectCall)
+				}
+				gshare := func(i int) float64 { return suites[i].Units[2].Stats.MispredictRate() }
+				row.IndirectNone, row.IndirectCHA, row.IndirectIPA = indirect(0), indirect(1), indirect(2)
+				row.GshareNone, row.GshareCHA, row.GshareIPA = gshare(0), gshare(1), gshare(2)
+				return row, nil
+			}
 		})
-	}
-	return p, res
-}
-
-// AblateDevirt measures the devirtualization ladder per workload.
-func AblateDevirt(o Options) (*AblateDevirtResult, error) {
-	return runSerial(ablateDevirtPlan(o))
+	return p
 }
 
 // Render formats the devirtualization ablation.
@@ -111,39 +90,22 @@ type AblateElideRow struct {
 type AblateElideResult struct{ Rows []AblateElideRow }
 
 // ablateElidePlan enumerates the elision grid: one JIT cell per
-// workload covering base and elided runs.
-func ablateElidePlan(o Options) (*Plan, *AblateElideResult) {
-	list := o.seven()
-	res := &AblateElideResult{Rows: make([]AblateElideRow, len(list))}
+// workload declaring base and elided runs.
+func ablateElidePlan(o Options) *Plan {
+	res := &AblateElideResult{}
 	p := newPlan("ablate-elide", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-elide", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "base+elide"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), jitOnly, "", "base+elide", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (AblateElideRow, error)) {
 			row := AblateElideRow{Workload: w.Name}
-			base, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{})
-			if err != nil {
-				return row, err
-			}
-			row.LockOpsBase = base.VM.Monitors.Stats().Ops()
-			opt, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{ElideLocks: true})
-			if err != nil {
-				return row, err
-			}
-			row.LockOpsElide = opt.VM.Monitors.Stats().Ops()
-			row.ElidedCallSites = opt.ElidedSyncSites
-			row.ElidedMonitorOps = opt.ElidedMonitorOps
-			return row, nil
+			return []run{
+				{mode: mode, done: func(e *core.Engine) { row.LockOpsBase = e.VM.Monitors.Stats().Ops() }},
+				{mode: mode, cfg: core.Config{ElideLocks: true}, done: func(e *core.Engine) {
+					row.LockOpsElide = e.VM.Monitors.Stats().Ops()
+					row.ElidedCallSites, row.ElidedMonitorOps = e.ElidedSyncSites, e.ElidedMonitorOps
+				}},
+			}, func() (AblateElideRow, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// AblateElide measures lock elision per workload.
-func AblateElide(o Options) (*AblateElideResult, error) {
-	return runSerial(ablateElidePlan(o))
+	return p
 }
 
 // Render formats the lock-elision ablation.

@@ -6,10 +6,7 @@ import "testing"
 // whole-program pass strictly lowers dynamic indirect transfers vs the
 // no-devirt baseline and never loses to local CHA.
 func TestAblateDevirtReductions(t *testing.T) {
-	res, err := AblateDevirt(helloOpts("hello", "db", "jess"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*AblateDevirtResult](t, "ablate-devirt", helloOpts("hello", "db", "jess"))
 	for _, row := range res.Rows {
 		if row.IndirectNone == 0 {
 			t.Errorf("%s: no indirect transfers at all — workload measures nothing", row.Workload)
@@ -32,10 +29,7 @@ func TestAblateDevirtReductions(t *testing.T) {
 // elision strictly lowers dynamic monitor traffic and reports the
 // static rewrites it performed.
 func TestAblateElideReductions(t *testing.T) {
-	res, err := AblateElide(helloOpts("hello", "db", "jess"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*AblateElideResult](t, "ablate-elide", helloOpts("hello", "db", "jess"))
 	for _, row := range res.Rows {
 		if row.LockOpsBase == 0 {
 			t.Errorf("%s: no lock traffic at all — workload measures nothing", row.Workload)

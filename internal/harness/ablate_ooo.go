@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
-	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
 	"jrs/internal/workloads"
@@ -48,48 +46,36 @@ type AblateOoOResult struct {
 
 // ablateOoOPlan enumerates the out-of-order resource sweep: one cell
 // per workload, all 18 configurations attached to one width-4 JIT run.
-func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
+func ablateOoOPlan(o Options) *Plan {
 	const width = 4
-	list := o.seven()
-	res := &AblateOoOResult{Cells: make([]OoOCell, len(list))}
-	p := newPlan("ablate-ooo", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-ooo", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "rob8-256.rs2-64.lsq4-128.width=4"}
-		p.add(key, &res.Cells[i], func(ctx context.Context) (any, error) {
-			var cfgs []pipeline.Config
-			for _, ax := range oooAxes {
-				for _, v := range ax.Sizes {
-					cfg := pipeline.DefaultConfig(width)
-					ax.apply(&cfg, v)
-					cfgs = append(cfgs, cfg)
-				}
-			}
-			cores, err := runCores(ctx, o, w, scale, ModeJIT, cfgs)
-			if err != nil {
-				return nil, err
-			}
-			cell := OoOCell{}
-			for _, ax := range oooAxes {
-				row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
-				for _, c := range cores[:len(ax.Sizes)] {
-					row.IPC = append(row.IPC, c.IPC())
-				}
-				cores = cores[len(ax.Sizes):]
-				cell.Rows = append(cell.Rows, row)
-			}
-			return cell, nil
-		})
+	var cfgs []pipeline.Config
+	for _, ax := range oooAxes {
+		for _, v := range ax.Sizes {
+			cfg := pipeline.DefaultConfig(width)
+			ax.apply(&cfg, v)
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	return p, res
-}
-
-// AblateOoO sweeps ROB size, reservation-station count and LSQ depth
-// around the Figure 9 core on every workload's JIT-mode trace.
-func AblateOoO(o Options) (*AblateOoOResult, error) {
-	return runSerial(ablateOoOPlan(o))
+	res := &AblateOoOResult{}
+	p := newPlan("ablate-ooo", res)
+	cells(p, o, o.seven(), jitOnly, "", pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,
+		func(w workloads.Workload, mode Mode) ([]run, func() (OoOCell, error)) {
+			g, check := coreGroup(o, cfgs)
+			return one(mode, g), func() (OoOCell, error) {
+				cores := g.Cores()
+				cell := OoOCell{}
+				for _, ax := range oooAxes {
+					row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
+					for _, c := range cores[:len(ax.Sizes)] {
+						row.IPC = append(row.IPC, c.IPC())
+					}
+					cores = cores[len(ax.Sizes):]
+					cell.Rows = append(cell.Rows, row)
+				}
+				return cell, check()
+			}
+		})
+	return p
 }
 
 // Render formats the sweep: one row per workload × axis, columns at
@@ -122,36 +108,6 @@ func (r *AblateOoOResult) MonotoneSweep() error {
 						row.Workload, row.Axis, row.IPC[i-1], row.IPC[i], row.Axis, row.Sizes[i])
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// runCores times one engine run on a pipeline.Group of one core per
-// config, each with an invariant checker when o.CheckPipe is set.
-func runCores(ctx context.Context, o Options, w workloads.Workload, scale int, mode Mode, cfgs []pipeline.Config) ([]*pipeline.Core, error) {
-	g := pipeline.NewGroup(cfgs...)
-	var checks []*pipeline.Checker
-	if o.CheckPipe {
-		for _, c := range g.Cores() {
-			checks = append(checks, c.Check())
-		}
-	}
-	if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, g); err != nil {
-		return nil, err
-	}
-	if err := checkerErrs(checks); err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	return g.Cores(), nil
-}
-
-// checkerErrs folds the violations of every attached pipeline checker
-// into one cell error (nil when all clean or none attached).
-func checkerErrs(checks []*pipeline.Checker) error {
-	for _, chk := range checks {
-		if err := chk.Err(); err != nil {
-			return err
 		}
 	}
 	return nil

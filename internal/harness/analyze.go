@@ -109,7 +109,6 @@ func analyzePlan(o Options) (*Plan, *AnalyzeResult) {
 		cfg += "+checks"
 	}
 	for i, w := range list {
-		i, w := i, w
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "analyze", Workload: w.Name, Scale: scale, Mode: "static", Config: cfg}
 		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {

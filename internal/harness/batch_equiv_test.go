@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -27,7 +28,7 @@ func runFingerprint(t testing.TB, w workloads.Workload, mode Mode, batchSize int
 	defer func() { trace.BatchSize = old }()
 	trace.BatchSize = batchSize
 	var sink trace.Counter
-	e, err := Run(w, w.BenchN, mode, core.Config{}, &sink)
+	e, err := RunCtx(context.Background(), w, w.BenchN, mode, core.Config{}, &sink)
 	if err != nil {
 		t.Fatalf("%s/%v batch=%d: %v", w.Name, mode, batchSize, err)
 	}
@@ -46,7 +47,6 @@ func TestBatchedTransportEquivalence(t *testing.T) {
 	}
 	for _, w := range all {
 		for _, mode := range []Mode{ModeInterp, ModeJIT, ModeAOT} {
-			w, mode := w, mode
 			t.Run(fmt.Sprintf("%s/%v", w.Name, mode), func(t *testing.T) {
 				unbatched := runFingerprint(t, w, mode, 1)
 				batched := runFingerprint(t, w, mode, trace.DefaultBatchSize)
@@ -66,12 +66,12 @@ func TestBatchedTransportEquivalence(t *testing.T) {
 		defer func() { trace.BatchSize = old }()
 
 		trace.BatchSize = 1
-		unbatched, err := RunAll(o, nil)
+		unbatched, err := RunAllWith(o, serialRunner(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		trace.BatchSize = trace.DefaultBatchSize
-		batched, err := RunAll(o, nil)
+		batched, err := RunAllWith(o, serialRunner(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"jrs/internal/cache"
-	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -26,32 +24,17 @@ type Table3Result struct {
 
 // table3Plan enumerates the headline cache grid: one cell per
 // (workload, mode) at the paper's 64K configuration.
-func table3Plan(o Options) (*Plan, *Table3Result) {
-	list := o.seven()
-	res := &Table3Result{Rows: make([]Table3Row, 0, len(list)*2)}
+func table3Plan(o Options) *Plan {
+	res := &Table3Result{}
 	p := newPlan("table3", res)
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			res.Rows = append(res.Rows, Table3Row{})
-			key := CellKey{Experiment: "table3", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "64K-32B-i2w-d4w"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				h := cache.PaperDefault()
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, h); err != nil {
-					return nil, err
-				}
+	cells(p, o, o.seven(), interpJIT, "", "64K-32B-i2w-d4w", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Table3Row, error)) {
+			h := cache.PaperDefault()
+			return one(mode, h), func() (Table3Row, error) {
 				return Table3Row{Workload: w.Name, Mode: mode, I: h.I.Stats, D: h.D.Stats}, nil
-			})
-		}
-	}
-	return p, res
-}
-
-// Table3 measures L1 reference and miss counts per workload and mode.
-func Table3(o Options) (*Table3Result, error) {
-	return runSerial(table3Plan(o))
+			}
+		})
+	return p
 }
 
 // Render formats Table 3.
@@ -101,44 +84,28 @@ type Fig3Result struct {
 // fig3Plan enumerates the write-miss sweep: one cell per
 // (workload, mode), every size's cache pair attached to a single run
 // through one cache.NewGroup.
-func fig3Plan(o Options) (*Plan, *Fig3Result) {
+func fig3Plan(o Options) *Plan {
 	sizes := []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
-	list := o.seven()
-	res := &Fig3Result{Rows: make([]Fig3Row, 0, len(list)*2)}
+	res := &Fig3Result{}
 	p := newPlan("fig3", res)
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			res.Rows = append(res.Rows, Fig3Row{})
-			key := CellKey{Experiment: "fig3", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "dm-32B-8K..128K"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				var hs []*cache.Hierarchy
-				for _, sz := range sizes {
-					hs = append(hs, cache.NewHierarchy(
-						cache.Config{Name: "I", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
-						cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
-					))
-				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, cache.NewGroup(hs...)); err != nil {
-					return nil, err
-				}
+	cells(p, o, o.seven(), interpJIT, "", "dm-32B-8K..128K", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Fig3Row, error)) {
+			var hs []*cache.Hierarchy
+			for _, sz := range sizes {
+				hs = append(hs, cache.NewHierarchy(
+					cache.Config{Name: "I", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
+					cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
+				))
+			}
+			return one(mode, cache.NewGroup(hs...)), func() (Fig3Row, error) {
 				row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
 				for _, h := range hs {
 					row.WriteMissFracs = append(row.WriteMissFracs, h.D.Stats.WriteMissFrac())
 				}
 				return row, nil
-			})
-		}
-	}
-	return p, res
-}
-
-// Fig3 sweeps D-cache sizes, all caches attached to one run per
-// (workload, mode).
-func Fig3(o Options) (*Fig3Result, error) {
-	return runSerial(fig3Plan(o))
+			}
+		})
+	return p
 }
 
 // Render formats Figure 3.
@@ -178,39 +145,31 @@ type cacheIR struct{ I, D cache.Stats }
 // fig4Plan enumerates the mode-comparison grid: one cell per
 // (workload, mode) over interp, jit and aot; the suite averages
 // aggregate after every cell completed.
-func fig4Plan(o Options) (*Plan, *Fig4Result) {
+func fig4Plan(o Options) *Plan {
 	list := o.seven()
 	modes := []Mode{ModeInterp, ModeJIT, ModeAOT}
-	grid := make([][3]cacheIR, len(list))
 	res := &Fig4Result{}
 	p := newPlan("fig4", res)
-	for wi, w := range list {
-		for mi, mode := range modes {
-			wi, mi, w, mode := wi, mi, w, mode
-			scale := resolveScale(o, w)
-			key := CellKey{Experiment: "fig4", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "64K-32B-i2w-d4w"}
-			p.add(key, &grid[wi][mi], func(ctx context.Context) (any, error) {
-				h := cache.PaperDefault()
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, h); err != nil {
-					return nil, err
-				}
+	var grid []cacheIR
+	cells(p, o, list, modes, "", "64K-32B-i2w-d4w", &grid,
+		func(w workloads.Workload, mode Mode) ([]run, func() (cacheIR, error)) {
+			h := cache.PaperDefault()
+			return one(mode, h), func() (cacheIR, error) {
 				return cacheIR{I: h.I.Stats, D: h.D.Stats}, nil
-			})
-		}
-	}
+			}
+		})
 	p.finish = func() error {
 		res.Rows = nil
 		res.PerWorkload = make(map[string][3]cacheIR)
 		var sumI, sumD [3]float64
-		var n float64
+		n := float64(len(list))
 		for wi, w := range list {
+			row := [3]cacheIR(grid[wi*len(modes):])
 			for mi := range modes {
-				sumI[mi] += grid[wi][mi].I.MissRate()
-				sumD[mi] += grid[wi][mi].D.MissRate()
+				sumI[mi] += row[mi].I.MissRate()
+				sumD[mi] += row[mi].D.MissRate()
 			}
-			res.PerWorkload[w.Name] = grid[wi]
-			n++
+			res.PerWorkload[w.Name] = row
 		}
 		labels := []string{"java/interp", "java/jit", "compiled (C-like)"}
 		for mi := range modes {
@@ -222,12 +181,7 @@ func fig4Plan(o Options) (*Plan, *Fig4Result) {
 		}
 		return nil
 	}
-	return p, res
-}
-
-// Fig4 measures interp, JIT and AOT (C-like) miss rates at 64K.
-func Fig4(o Options) (*Fig4Result, error) {
-	return runSerial(fig4Plan(o))
+	return p
 }
 
 // Render formats Figure 4.
@@ -267,33 +221,19 @@ type Fig5Result struct {
 
 // fig5Plan enumerates the translate-isolation grid: one JIT cell per
 // workload with phase-attributed caches.
-func fig5Plan(o Options) (*Plan, *Fig5Result) {
-	list := o.seven()
-	res := &Fig5Result{Rows: make([]Fig5Row, len(list))}
+func fig5Plan(o Options) *Plan {
+	res := &Fig5Result{}
 	p := newPlan("fig5", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "fig5", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "64K-32B-i2w-d4w-phase"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			return fig5Cell(ctx, w, scale)
+	cells(p, o, o.seven(), jitOnly, "", "64K-32B-i2w-d4w-phase", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Fig5Row, error)) {
+			h := cache.PaperDefault()
+			return one(mode, h), func() (Fig5Row, error) { return fig5Row(w, h), nil }
 		})
-	}
-	return p, res
+	return p
 }
 
-// Fig5 runs JIT mode with phase-attributed caches.
-func Fig5(o Options) (*Fig5Result, error) {
-	return runSerial(fig5Plan(o))
-}
-
-// fig5Cell measures one workload's translate-portion cache behaviour.
-func fig5Cell(ctx context.Context, w workloads.Workload, scale int) (Fig5Row, error) {
-	h := cache.PaperDefault()
-	if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, h); err != nil {
-		return Fig5Row{}, err
-	}
+// fig5Row reduces one workload's translate-portion cache behaviour.
+func fig5Row(w workloads.Workload, h *cache.Hierarchy) Fig5Row {
 	tI := h.I.PhaseStats[trace.PhaseTranslate]
 	tD := h.D.PhaseStats[trace.PhaseTranslate]
 	allI, allD := h.I.Stats, h.D.Stats
@@ -307,17 +247,12 @@ func fig5Cell(ctx context.Context, w workloads.Workload, scale int) (Fig5Row, er
 	row.WriteFracInTranslate = tD.WriteMissFrac()
 	row.IMissRateTranslate = tI.MissRate()
 	row.DMissRateTranslate = tD.MissRate()
-	restI := cache.Stats{
-		Reads: allI.Reads - tI.Reads, Writes: allI.Writes - tI.Writes,
-		ReadMisses: allI.ReadMisses - tI.ReadMisses, WriteMisses: allI.WriteMisses - tI.WriteMisses,
+	rest := func(all, tr cache.Stats) float64 {
+		return cache.Stats{Reads: all.Reads - tr.Reads, Writes: all.Writes - tr.Writes,
+			ReadMisses: all.ReadMisses - tr.ReadMisses, WriteMisses: all.WriteMisses - tr.WriteMisses}.MissRate()
 	}
-	restD := cache.Stats{
-		Reads: allD.Reads - tD.Reads, Writes: allD.Writes - tD.Writes,
-		ReadMisses: allD.ReadMisses - tD.ReadMisses, WriteMisses: allD.WriteMisses - tD.WriteMisses,
-	}
-	row.IMissRateRest = restI.MissRate()
-	row.DMissRateRest = restD.MissRate()
-	return row, nil
+	row.IMissRateRest, row.DMissRateRest = rest(allI, tI), rest(allD, tD)
+	return row
 }
 
 // Render formats Figure 5.
@@ -350,38 +285,28 @@ type Fig6Result struct {
 
 // fig6Plan enumerates the miss-over-time study: one cell per mode for
 // the subject workload (db unless a single workload is selected).
-func fig6Plan(o Options) (*Plan, *Fig6Result) {
+func fig6Plan(o Options) *Plan {
 	w, _ := workloads.ByName("db")
 	if len(o.Workloads) == 1 {
 		w = o.Workloads[0]
 	}
 	const window = 250_000
-	scale := resolveScale(o, w)
 	res := &Fig6Result{Workload: w.Name, Window: window}
 	p := newPlan("fig6", res)
-	for _, mode := range []Mode{ModeInterp, ModeJIT} {
-		mode := mode
-		dest := &res.Interp
-		if mode == ModeJIT {
-			dest = &res.JIT
-		}
-		key := CellKey{Experiment: "fig6", Workload: w.Name, Scale: scale, Mode: mode.String(),
-			Config: fmt.Sprintf("window=%d", window)}
-		p.add(key, dest, func(ctx context.Context) (any, error) {
+	var series [][]cache.Interval
+	cells(p, o, []workloads.Workload{w}, interpJIT, "", fmt.Sprintf("window=%d", window), &series,
+		func(w workloads.Workload, mode Mode) ([]run, func() ([]cache.Interval, error)) {
 			s := cache.NewSampler(cache.PaperDefault(), window)
-			if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, s); err != nil {
-				return nil, err
+			return one(mode, s), func() ([]cache.Interval, error) {
+				s.Finish()
+				return s.Series, nil
 			}
-			s.Finish()
-			return s.Series, nil
 		})
+	p.finish = func() error {
+		res.Interp, res.JIT = series[0], series[1]
+		return nil
 	}
-	return p, res
-}
-
-// Fig6 samples cache misses over execution windows.
-func Fig6(o Options) (*Fig6Result, error) {
-	return runSerial(fig6Plan(o))
+	return p
 }
 
 // Render formats Figure 6 as two sparkline series.
@@ -440,23 +365,16 @@ type SweepRow struct {
 // Fig7Result reproduces Figure 7 (associativity sweep, 8K caches).
 type Fig7Result struct{ Rows []SweepRow }
 
-// fig7Plan enumerates the associativity sweep.
-func fig7Plan(o Options) (*Plan, *Fig7Result) {
+// fig7Plan enumerates the associativity sweep (8K caches, 32B lines).
+func fig7Plan(o Options) *Plan {
 	res := &Fig7Result{}
-	p := sweepPlan(o, "fig7", "8K-32B-assoc1,2,4,8", &res.Rows, []int{1, 2, 4, 8},
+	return sweepPlan(o, "fig7", res, "8K-32B-assoc1,2,4,8", &res.Rows, []int{1, 2, 4, 8},
 		func(assoc int) (cache.Config, cache.Config) {
 			i := cache.Config{Name: "I", Size: 8 << 10, LineSize: 32, Assoc: assoc, WriteAllocate: true}
 			d := i
 			d.Name = "D"
 			return i, d
 		})
-	p.result = res
-	return p, res
-}
-
-// Fig7 sweeps associativity 1/2/4/8 on 8K caches with 32B lines.
-func Fig7(o Options) (*Fig7Result, error) {
-	return runSerial(fig7Plan(o))
 }
 
 // Render formats Figure 7.
@@ -468,23 +386,16 @@ func (r *Fig7Result) Render() string {
 // Fig8Result reproduces Figure 8 (line-size sweep, 8K direct-mapped).
 type Fig8Result struct{ Rows []SweepRow }
 
-// fig8Plan enumerates the line-size sweep.
-func fig8Plan(o Options) (*Plan, *Fig8Result) {
+// fig8Plan enumerates the line-size sweep (8K direct-mapped).
+func fig8Plan(o Options) *Plan {
 	res := &Fig8Result{}
-	p := sweepPlan(o, "fig8", "8K-dm-line16,32,64,128", &res.Rows, []int{16, 32, 64, 128},
+	return sweepPlan(o, "fig8", res, "8K-dm-line16,32,64,128", &res.Rows, []int{16, 32, 64, 128},
 		func(line int) (cache.Config, cache.Config) {
 			i := cache.Config{Name: "I", Size: 8 << 10, LineSize: line, Assoc: 1, WriteAllocate: true}
 			d := i
 			d.Name = "D"
 			return i, d
 		})
-	p.result = res
-	return p, res
-}
-
-// Fig8 sweeps line size 16/32/64/128 on 8K direct-mapped caches.
-func Fig8(o Options) (*Fig8Result, error) {
-	return runSerial(fig8Plan(o))
 }
 
 // Render formats Figure 8.
@@ -495,38 +406,25 @@ func (r *Fig8Result) Render() string {
 
 // sweepPlan enumerates a parameter sweep: one cell per (workload, mode)
 // with one cache pair per parameter value attached to a single run
-// through one cache.NewGroup. The caller's rows slice is preallocated
-// so cell destinations stay stable.
-func sweepPlan(o Options, experiment, cfg string, rows *[]SweepRow, params []int,
+// through one cache.NewGroup.
+func sweepPlan(o Options, experiment string, res Renderer, cfg string, rows *[]SweepRow, params []int,
 	mk func(int) (cache.Config, cache.Config)) *Plan {
-	list := o.seven()
-	*rows = make([]SweepRow, len(list)*2)
-	p := newPlan(experiment, nil)
-	idx := 0
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			key := CellKey{Experiment: experiment, Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: cfg}
-			p.add(key, &(*rows)[idx], func(ctx context.Context) (any, error) {
-				var hs []*cache.Hierarchy
-				for _, prm := range params {
-					hs = append(hs, cache.NewHierarchy(mk(prm)))
-				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, cache.NewGroup(hs...)); err != nil {
-					return nil, err
-				}
+	p := newPlan(experiment, res)
+	cells(p, o, o.seven(), interpJIT, "", cfg, rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (SweepRow, error)) {
+			var hs []*cache.Hierarchy
+			for _, prm := range params {
+				hs = append(hs, cache.NewHierarchy(mk(prm)))
+			}
+			return one(mode, cache.NewGroup(hs...)), func() (SweepRow, error) {
 				row := SweepRow{Workload: w.Name, Mode: mode, Params: params}
 				for _, h := range hs {
 					row.IMiss = append(row.IMiss, h.I.Stats.MissRate())
 					row.DMiss = append(row.DMiss, h.D.Stats.MissRate())
 				}
 				return row, nil
-			})
-			idx++
-		}
-	}
+			}
+		})
 	return p
 }
 

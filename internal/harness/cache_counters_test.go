@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,7 +100,7 @@ func TestCacheCountersGolden(t *testing.T) {
 			for _, c := range cfgs {
 				sinks = append(sinks, c.h)
 			}
-			if _, err := Run(w, 2, mode, core.Config{}, sinks...); err != nil {
+			if _, err := RunCtx(context.Background(), w, 2, mode, core.Config{}, sinks...); err != nil {
 				t.Fatal(err)
 			}
 			s.Finish()
@@ -131,7 +132,7 @@ func TestCacheGroupMatchesStandalone(t *testing.T) {
 			for _, c := range cfgs {
 				hs = append(hs, c.h)
 			}
-			if _, err := Run(w, 2, mode, core.Config{}, s, cache.NewGroup(hs...)); err != nil {
+			if _, err := RunCtx(context.Background(), w, 2, mode, core.Config{}, s, cache.NewGroup(hs...)); err != nil {
 				t.Fatal(err)
 			}
 			s.Finish()

@@ -140,7 +140,7 @@ class Main {
 	for _, tc := range cases {
 		w := trapProgram(t, tc.name, tc.src)
 		for _, mode := range []Mode{ModeInterp, ModeJIT, ModeAOT} {
-			_, err := Run(w, 1, mode, core.Config{})
+			_, err := RunCtx(context.Background(), w, 1, mode, core.Config{})
 			if err == nil {
 				t.Fatalf("%s/%s: expected a trap, ran clean", tc.name, mode)
 			}
@@ -188,10 +188,10 @@ class Main {
 		_ = classes
 		w := workloads.Workload{Name: "fuzz", Source: src, DefaultN: 1, BenchN: 1}
 		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			base, berr := Run(w, 1, mode, core.Config{})
+			base, berr := RunCtx(context.Background(), w, 1, mode, core.Config{})
 			oracle := vrange.NewOracle()
 			cfg := core.Config{ElideBounds: true, ElideNull: true, CheckHook: oracle}
-			elided, eerr := Run(w, 1, mode, cfg)
+			elided, eerr := RunCtx(context.Background(), w, 1, mode, cfg)
 			if (berr == nil) != (eerr == nil) {
 				t.Fatalf("%s: trap behavior diverged: base=%v elided=%v", mode, berr, eerr)
 			}
@@ -212,7 +212,7 @@ class Main {
 func checkFixturePrograms(t *testing.T) []LintProgram {
 	t.Helper()
 	progs := []LintProgram{{Name: "bounds", Classes: compileExample(t, "bounds.mj")}}
-	return append(progs, WorkloadPrograms(quickOpts("compress"))...)
+	return append(progs, WorkloadPrograms(helloOpts("compress"))...)
 }
 
 // TestCheckLintGolden pins the `jrs lint -checkelide` census block over

@@ -16,7 +16,6 @@ func TestCheckElideDifferential(t *testing.T) {
 	}
 	for _, w := range workloads.All() {
 		for _, mode := range []Mode{ModeInterp, ModeJIT, ModeAOT} {
-			w, mode := w, mode
 			t.Run(w.Name+"/"+mode.String(), func(t *testing.T) {
 				t.Parallel()
 				ec, err := CheckElideWorkload(context.Background(), w, w.BenchN, mode)

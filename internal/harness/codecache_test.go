@@ -25,7 +25,6 @@ func runOut(t *testing.T, w workloads.Workload, mode Mode, cfg core.Config) (str
 // translation must never change what the program prints.
 func TestCodeCacheDifferential(t *testing.T) {
 	for _, w := range workloads.All() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			wantJIT, _ := runOut(t, w, ModeJIT, core.Config{})
@@ -64,7 +63,6 @@ func TestCodeCacheDifferential(t *testing.T) {
 			modes := []Mode{ModeJIT, ModeJIT, ModeAOT}
 			ch := make(chan res, len(modes))
 			for _, m := range modes {
-				m := m
 				go func() {
 					e, err := RunCtx(context.Background(), w, w.BenchN, m, core.Config{CodeCache: cc2})
 					if err != nil {
@@ -250,10 +248,7 @@ func TestCodeCacheCorruptDiskEntries(t *testing.T) {
 // every golden workload the warm and disk-warm translate phases are
 // strictly below cold, and 4-way sharing translates each key once.
 func TestAblateCodeCacheShape(t *testing.T) {
-	res, err := AblateCodeCache(helloOpts("hello", "compress", "db", "jess"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAs[*AblateCodeCacheResult](t, "ablate-codecache", helloOpts("hello", "compress", "db", "jess"))
 	for _, row := range res.Rows {
 		if row.TranslateWarm >= row.TranslateCold {
 			t.Errorf("%s: warm translate %d !< cold %d", row.Workload, row.TranslateWarm, row.TranslateCold)

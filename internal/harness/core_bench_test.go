@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ var coreTraces = sync.OnceValues(func() ([]coreTrace, error) {
 		for _, mode := range []Mode{ModeInterp, ModeJIT} {
 			w, _ := workloads.ByName(name)
 			var r traceRecorder
-			if _, err := Run(w, w.BenchN, mode, core.Config{}, &r); err != nil {
+			if _, err := RunCtx(context.Background(), w, w.BenchN, mode, core.Config{}, &r); err != nil {
 				return nil, err
 			}
 			out = append(out, coreTrace{fmt.Sprintf("%s/%v", name, mode), r.insts})

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -62,11 +63,13 @@ func TestCoreCountersGolden(t *testing.T) {
 				cores = append(cores, c)
 				sinks = append(sinks, c)
 			}
-			if _, err := Run(w, 2, mode, core.Config{}, sinks...); err != nil {
+			if _, err := RunCtx(context.Background(), w, 2, mode, core.Config{}, sinks...); err != nil {
 				t.Fatal(err)
 			}
-			if err := checkerErrs(checks); err != nil {
-				t.Fatalf("%s/%v: %v", name, mode, err)
+			for _, chk := range checks {
+				if err := chk.Err(); err != nil {
+					t.Fatalf("%s/%v: %v", name, mode, err)
+				}
 			}
 			for _, c := range cores {
 				cfg := c.Config()

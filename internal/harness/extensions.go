@@ -1,13 +1,13 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"jrs/internal/branch"
 	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
+	"jrs/internal/workloads"
 )
 
 // IndirectRow compares the conventional BTB against the target-cache
@@ -29,24 +29,14 @@ type AblateIndirectResult struct{ Rows []IndirectRow }
 
 // ablateIndirectPlan enumerates the indirect-predictor grid: one cell
 // per (workload, mode) running BTB and target-cache front ends together.
-func ablateIndirectPlan(o Options) (*Plan, *AblateIndirectResult) {
-	list := o.seven()
-	res := &AblateIndirectResult{Rows: make([]IndirectRow, 0, len(list)*2)}
+func ablateIndirectPlan(o Options) *Plan {
+	res := &AblateIndirectResult{}
 	p := newPlan("ablate-indirect", res)
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			res.Rows = append(res.Rows, IndirectRow{})
-			key := CellKey{Experiment: "ablate-indirect", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "btb+targetcache"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
-				enhanced := branch.NewIndirectUnit()
-				baseSink := sinkUnit{base}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, baseSink, enhanced); err != nil {
-					return nil, err
-				}
+	cells(p, o, o.seven(), interpJIT, "", "btb+targetcache", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (IndirectRow, error)) {
+			base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
+			enhanced := branch.NewIndirectUnit()
+			return one(mode, sinkUnit{base}, enhanced), func() (IndirectRow, error) {
 				row := IndirectRow{Workload: w.Name, Mode: mode}
 				row.BTBMiss = base.Stats.MispredictRate()
 				row.TCMiss = enhanced.Stats.MispredictRate()
@@ -57,17 +47,9 @@ func ablateIndirectPlan(o Options) (*Plan, *AblateIndirectResult) {
 						float64(enhanced.Stats.Indirects)
 				}
 				return row, nil
-			})
-		}
-	}
-	return p, res
-}
-
-// AblateIndirect measures how much a two-level target cache recovers of
-// the interpreter's indirect-branch misprediction burden (§4.2/§6: "a
-// predictor well-tailored for indirect branches should be used").
-func AblateIndirect(o Options) (*AblateIndirectResult, error) {
-	return runSerial(ablateIndirectPlan(o))
+			}
+		})
+	return p
 }
 
 // sinkUnit adapts a branch.Unit to trace.Sink.
@@ -137,41 +119,21 @@ func (r TieredRow) Gain() float64 {
 type AblateTieredResult struct{ Rows []TieredRow }
 
 // ablateTieredPlan enumerates the tiered-compilation grid: one cell per
-// workload running the jit-first baseline and the tiered policy.
-func ablateTieredPlan(o Options) (*Plan, *AblateTieredResult) {
-	list := o.seven()
-	res := &AblateTieredResult{Rows: make([]TieredRow, len(list))}
+// workload declaring the jit-first baseline and the tiered policy.
+func ablateTieredPlan(o Options) *Plan {
+	res := &AblateTieredResult{}
 	p := newPlan("ablate-tiered", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-tiered", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "jit+tiered20"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			base, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			tiered, err := RunCtx(ctx, w, scale, ModeJIT,
-				core.Config{Policy: core.Tiered{N1: 0, N2: 20}})
-			if err != nil {
-				return nil, err
-			}
-			return TieredRow{
-				Workload:       w.Name,
-				BaselineInstrs: base.TotalInstrs(),
-				TieredInstrs:   tiered.TotalInstrs(),
-				Reopts:         tiered.JIT.Reoptimizations,
-			}, nil
+	cells(p, o, o.seven(), jitOnly, "", "jit+tiered20", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (TieredRow, error)) {
+			row := TieredRow{Workload: w.Name}
+			return []run{
+				{mode: mode, done: func(e *core.Engine) { row.BaselineInstrs = e.TotalInstrs() }},
+				{mode: mode, cfg: core.Config{Policy: core.Tiered{N1: 0, N2: 20}}, done: func(e *core.Engine) {
+					row.TieredInstrs, row.Reopts = e.TotalInstrs(), e.JIT.Reoptimizations
+				}},
+			}, func() (TieredRow, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// AblateTiered measures the §7 extension: recompiling hot methods with
-// the optimizing (register) code generator after a second threshold.
-func AblateTiered(o Options) (*AblateTieredResult, error) {
-	return runSerial(ablateTieredPlan(o))
+	return p
 }
 
 // Render formats the tiered study.

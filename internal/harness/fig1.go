@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-
-	"jrs/internal/core"
 	"strings"
 
+	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/workloads"
 )
@@ -63,55 +61,39 @@ type Fig1Result struct {
 }
 
 // fig1Plan enumerates the when-or-whether-to-translate grid: one cell
-// per workload, each covering the interp, jit and oracle runs.
-func fig1Plan(o Options) (*Plan, *Fig1Result) {
+// per workload declaring the interp, jit and oracle runs. The workload
+// order follows the paper's Figure 1 (hello first, then the five
+// benchmarks it uses).
+func fig1Plan(o Options) *Plan {
 	list := o.Workloads
 	if list == nil {
 		// Figure 1 uses hello, db, javac, jess, compress, jack (it omits
 		// mpeg and mtrt); we include all eight for completeness.
 		list = workloads.All()
 	}
-	res := &Fig1Result{Rows: make([]Fig1Row, len(list))}
+	res := &Fig1Result{}
 	p := newPlan("fig1", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "fig1", Workload: w.Name, Scale: scale, Mode: "interp+jit+opt"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			set, interpRun, jitRun, err := ComputeOracleCtx(ctx, w, scale)
-			if err != nil {
-				return nil, err
+	cells(p, o, list, nil, "interp+jit+opt", "", &res.Rows,
+		func(w workloads.Workload, _ Mode) ([]run, func() (Fig1Row, error)) {
+			row := Fig1Row{Workload: w.Name}
+			set := map[int]bool{}
+			runs := oracleRuns(set,
+				func(e *core.Engine) { row.InterpInstrs = e.TotalInstrs() },
+				func(e *core.Engine) {
+					row.ExecInstrs, row.TranslateInstrs, _ = e.PhaseInstrs()
+					for _, st := range e.Stats {
+						if st.Invocations > 0 {
+							row.OptMethods++
+						}
+					}
+				},
+				func(e *core.Engine) { row.OptInstrs = e.TotalInstrs() })
+			return runs, func() (Fig1Row, error) {
+				row.OptCompiled = len(set)
+				return row, nil
 			}
-			optRun, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{Policy: core.Oracle{Set: set}})
-			if err != nil {
-				return nil, err
-			}
-			exec, translate, _ := jitRun.PhaseInstrs()
-			methods := 0
-			for _, st := range jitRun.Stats {
-				if st.Invocations > 0 {
-					methods++
-				}
-			}
-			return Fig1Row{
-				Workload:        w.Name,
-				TranslateInstrs: translate,
-				ExecInstrs:      exec,
-				InterpInstrs:    interpRun.TotalInstrs(),
-				OptInstrs:       optRun.TotalInstrs(),
-				OptCompiled:     len(set),
-				OptMethods:      methods,
-			}, nil
 		})
-	}
-	return p, res
-}
-
-// Fig1 runs the when-or-whether-to-translate study. The workload order
-// follows the paper's Figure 1 (hello first, then the five benchmarks it
-// uses).
-func Fig1(o Options) (*Fig1Result, error) {
-	return runSerial(fig1Plan(o))
+	return p
 }
 
 // Render formats the Figure 1 report.
@@ -171,40 +153,23 @@ type Table1Result struct {
 }
 
 // table1Plan enumerates the memory-footprint grid: one cell per
-// workload, each covering the interpreter and JIT footprint runs.
-func table1Plan(o Options) (*Plan, *Table1Result) {
+// workload declaring the interpreter and JIT footprint runs.
+func table1Plan(o Options) *Plan {
 	list := o.Workloads
 	if list == nil {
 		list = workloads.All()
 	}
-	res := &Table1Result{Rows: make([]Table1Row, len(list))}
+	res := &Table1Result{}
 	p := newPlan("table1", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "table1", Workload: w.Name, Scale: scale, Mode: "interp+jit"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			ei, err := RunCtx(ctx, w, scale, ModeInterp, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			ej, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{})
-			if err != nil {
-				return nil, err
-			}
-			return Table1Row{
-				Workload:    w.Name,
-				InterpBytes: ei.FootprintBytes(),
-				JITBytes:    ej.FootprintBytes(),
-			}, nil
+	cells(p, o, list, nil, "interp+jit", "", &res.Rows,
+		func(w workloads.Workload, _ Mode) ([]run, func() (Table1Row, error)) {
+			row := Table1Row{Workload: w.Name}
+			return []run{
+				{mode: ModeInterp, done: func(e *core.Engine) { row.InterpBytes = e.FootprintBytes() }},
+				{mode: ModeJIT, done: func(e *core.Engine) { row.JITBytes = e.FootprintBytes() }},
+			}, func() (Table1Row, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// Table1 measures each runtime's memory requirement under both engines.
-func Table1(o Options) (*Table1Result, error) {
-	return runSerial(table1Plan(o))
+	return p
 }
 
 // Render formats Table 1.

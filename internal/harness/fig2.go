@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"context"
-	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
+	"jrs/internal/workloads"
 )
 
 // MixRow is one (workload, mode) instruction-mix measurement.
@@ -23,50 +22,35 @@ type Fig2Result struct {
 }
 
 // fig2Plan enumerates the instruction-mix grid: one cell per
-// (workload, mode); the suite cumulative aggregates after every cell
-// completed, in enumeration order.
-func fig2Plan(o Options) (*Plan, *Fig2Result) {
+// (workload, mode); the rows and the suite cumulative aggregate after
+// every cell completed, in enumeration order.
+func fig2Plan(o Options) *Plan {
 	list := o.seven()
-	res := &Fig2Result{Rows: make([]MixRow, 0, len(list)*2)}
+	res := &Fig2Result{}
 	p := newPlan("fig2", res)
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			res.Rows = append(res.Rows, MixRow{Workload: w.Name, Mode: mode})
-			key := CellKey{Experiment: "fig2", Workload: w.Name, Scale: scale, Mode: mode.String()}
-			p.add(key, &res.Rows[len(res.Rows)-1].Counter, func(ctx context.Context) (any, error) {
-				c := &trace.Counter{}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, c); err != nil {
-					return nil, err
-				}
-				return c, nil
-			})
-		}
-	}
+	var counters []trace.Counter
+	cells(p, o, list, interpJIT, "", "", &counters,
+		func(w workloads.Workload, mode Mode) ([]run, func() (trace.Counter, error)) {
+			c := &trace.Counter{}
+			return one(mode, c), func() (trace.Counter, error) { return *c, nil }
+		})
 	p.finish = func() error {
+		res.Rows = make([]MixRow, len(counters))
 		res.Cumulative = [2]trace.Counter{}
-		for _, m := range res.Rows {
-			mi := 0
-			if m.Mode == ModeJIT {
-				mi = 1
-			}
-			cum := &res.Cumulative[mi]
-			cum.Total += m.Counter.Total
-			for cl := range m.Counter.ByClassPhase {
-				for p := range m.Counter.ByClassPhase[cl] {
-					cum.ByClassPhase[cl][p] += m.Counter.ByClassPhase[cl][p]
+		for i, c := range counters {
+			mode := interpJIT[i%len(interpJIT)]
+			res.Rows[i] = MixRow{Workload: list[i/len(interpJIT)].Name, Mode: mode, Counter: c}
+			cum := &res.Cumulative[i%len(interpJIT)]
+			cum.Total += c.Total
+			for cl := range c.ByClassPhase {
+				for p := range c.ByClassPhase[cl] {
+					cum.ByClassPhase[cl][p] += c.ByClassPhase[cl][p]
 				}
 			}
 		}
 		return nil
 	}
-	return p, res
-}
-
-// Fig2 measures the native instruction mix in both modes.
-func Fig2(o Options) (*Fig2Result, error) {
-	return runSerial(fig2Plan(o))
+	return p
 }
 
 // Render formats Figure 2.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,27 +10,26 @@ import (
 	"jrs/internal/workloads"
 )
 
-// quickOpts runs experiments at bench scale.
-func quickOpts(names ...string) Options {
-	o := Options{Quick: true}
-	for _, n := range names {
-		w, ok := workloads.ByName(n)
-		if !ok {
-			panic("unknown workload " + n)
-		}
-		o.Workloads = append(o.Workloads, w)
+// runAs runs the registered experiment name serially and returns its
+// result as T.
+func runAs[T Renderer](t *testing.T, name string, o Options) T {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("unknown experiment %q", name)
 	}
-	return o
+	res, err := e.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(T)
 }
 
 // TestFig1Shapes checks §3's claims: JIT beats interpretation everywhere
 // except hello; hello is translation-dominated; the oracle never loses to
 // jit-first and wins most where translation is heaviest.
 func TestFig1Shapes(t *testing.T) {
-	r, err := Fig1(quickOpts("compress", "javac", "hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig1Result](t, "fig1", helloOpts("compress", "javac", "hello"))
 	rows := map[string]Fig1Row{}
 	for _, row := range r.Rows {
 		rows[row.Workload] = row
@@ -65,10 +65,7 @@ func TestFig1Shapes(t *testing.T) {
 // TestTable1Shapes checks the 10-33% JIT memory overhead claim's
 // direction: overhead positive everywhere, biggest for small workloads.
 func TestTable1Shapes(t *testing.T) {
-	r, err := Table1(quickOpts("compress", "hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Table1Result](t, "table1", helloOpts("compress", "hello"))
 	for _, row := range r.Rows {
 		if row.Overhead() <= 0 {
 			t.Errorf("%s: JIT memory overhead %.3f should be positive", row.Workload, row.Overhead())
@@ -95,10 +92,7 @@ func TestTable1Shapes(t *testing.T) {
 // TestFig2Shapes checks §4.1: interpreter has more memory accesses and
 // far more indirect transfers than JIT mode.
 func TestFig2Shapes(t *testing.T) {
-	r, err := Fig2(quickOpts("compress", "javac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig2Result](t, "fig2", helloOpts("compress", "javac"))
 	if r.InterpMemExcess() <= 0 {
 		t.Errorf("interp memory excess %.3f should be positive", r.InterpMemExcess())
 	}
@@ -113,10 +107,7 @@ func TestFig2Shapes(t *testing.T) {
 // TestTable2Shapes checks §4.2: every workload mispredicts more
 // interpreted than JIT-compiled, for the best predictor (gshare).
 func TestTable2Shapes(t *testing.T) {
-	r, err := Table2(quickOpts("compress", "mtrt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Table2Result](t, "table2", helloOpts("compress", "mtrt"))
 	byKey := map[string]Table2Row{}
 	for _, row := range r.Rows {
 		byKey[row.Workload+"/"+row.Mode.String()] = row
@@ -141,10 +132,7 @@ func TestTable2Shapes(t *testing.T) {
 
 // TestTable3Shapes checks §4.3's reference-count relations.
 func TestTable3Shapes(t *testing.T) {
-	r, err := Table3(quickOpts("compress", "jess"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Table3Result](t, "table3", helloOpts("compress", "jess"))
 	byKey := map[string]Table3Row{}
 	for _, row := range r.Rows {
 		byKey[row.Workload+"/"+row.Mode.String()] = row
@@ -171,10 +159,7 @@ func TestTable3Shapes(t *testing.T) {
 // TestFig3Fig5Shapes checks the write-miss story: JIT data misses are
 // write-dominated, and the translate portion is even more so.
 func TestFig3Fig5Shapes(t *testing.T) {
-	r3, err := Fig3(quickOpts("javac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3 := runAs[*Fig3Result](t, "fig3", helloOpts("javac"))
 	for _, row := range r3.Rows {
 		if row.Mode != ModeJIT {
 			continue
@@ -186,10 +171,7 @@ func TestFig3Fig5Shapes(t *testing.T) {
 		}
 	}
 
-	r5, err := Fig5(quickOpts("javac", "db"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r5 := runAs[*Fig5Result](t, "fig5", helloOpts("javac", "db"))
 	for _, row := range r5.Rows {
 		if row.WriteFracInTranslate < 0.5 {
 			t.Errorf("%s: translate-portion write share %.2f should dominate",
@@ -203,10 +185,7 @@ func TestFig3Fig5Shapes(t *testing.T) {
 
 // TestFig4Shapes checks the execution-mode ordering of miss rates.
 func TestFig4Shapes(t *testing.T) {
-	r, err := Fig4(quickOpts("compress", "javac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig4Result](t, "fig4", helloOpts("compress", "javac"))
 	interp, jit := r.Rows[0], r.Rows[1]
 	if interp.IMiss > jit.IMiss {
 		t.Errorf("interp I miss %.4f should not exceed jit %.4f", interp.IMiss, jit.IMiss)
@@ -226,10 +205,7 @@ func TestFig4Shapes(t *testing.T) {
 // TestFig6Shapes checks the time-profile claim: JIT miss traffic is
 // spikier (translation clusters) than interpretation.
 func TestFig6Shapes(t *testing.T) {
-	r, err := Fig6(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig6Result](t, "fig6", Options{Quick: true})
 	if len(r.Interp) == 0 || len(r.JIT) == 0 {
 		t.Fatal("empty series")
 	}
@@ -260,10 +236,7 @@ func spikeWindows(iv []cache.Interval) int {
 
 // TestFig7Fig8Shapes checks the sweep monotonicities the paper reports.
 func TestFig7Fig8Shapes(t *testing.T) {
-	r7, err := Fig7(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r7 := runAs[*Fig7Result](t, "fig7", helloOpts("compress"))
 	for _, row := range r7.Rows {
 		// Going 1-way -> 2-way must not hurt, and is the biggest step.
 		if row.IMiss[1] > row.IMiss[0]*1.05 || row.DMiss[1] > row.DMiss[0]*1.05 {
@@ -271,10 +244,7 @@ func TestFig7Fig8Shapes(t *testing.T) {
 				row.Workload, row.Mode)
 		}
 	}
-	r8, err := Fig8(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r8 := runAs[*Fig8Result](t, "fig8", helloOpts("compress"))
 	for _, row := range r8.Rows {
 		// Larger lines reduce I-cache misses (sequential fetch).
 		if row.IMiss[len(row.IMiss)-1] > row.IMiss[0] {
@@ -286,10 +256,7 @@ func TestFig7Fig8Shapes(t *testing.T) {
 // TestFig9Shapes checks the ILP study's scaling claim: the interpreter's
 // width scaling is capped by dispatch mispredictions; JIT scales further.
 func TestFig9Shapes(t *testing.T) {
-	r, err := Fig9(quickOpts("compress", "javac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig9Result](t, "fig9", helloOpts("compress", "javac"))
 	if err := r.MonotoneIPC(); err != nil {
 		t.Error(err)
 	}
@@ -318,10 +285,7 @@ func TestFig9Shapes(t *testing.T) {
 // TestFig11Shapes checks §5: cases (a)+(b) dominate, case (a) alone is
 // >80% suite-wide, and thin locks beat the monitor cache by ~2x.
 func TestFig11Shapes(t *testing.T) {
-	r, err := Fig11(quickOpts("mtrt", "compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runAs[*Fig11Result](t, "fig11", helloOpts("mtrt", "compress"))
 	if f := r.CaseAFrac(); f < 0.7 {
 		t.Errorf("case (a) share %.2f should dominate", f)
 	}
@@ -340,10 +304,7 @@ func TestFig11Shapes(t *testing.T) {
 
 // TestAblations sanity-checks the ablation experiments' directions.
 func TestAblations(t *testing.T) {
-	inst, err := AblateInstall(quickOpts("javac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inst := runAs[*AblateInstallResult](t, "ablate-install", helloOpts("javac"))
 	for _, row := range inst.Rows {
 		if row.DMissesDirect >= row.DMissesWA {
 			t.Errorf("%s: direct-install D misses (%d) should undercut write-allocate (%d)",
@@ -351,20 +312,14 @@ func TestAblations(t *testing.T) {
 		}
 	}
 
-	inl, err := AblateInline(quickOpts("mtrt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inl := runAs[*AblateInlineResult](t, "ablate-inline", helloOpts("mtrt"))
 	for _, row := range inl.Rows {
 		if row.IndirectFracOn > row.IndirectFracOff {
 			t.Errorf("%s: devirtualization should not increase indirect frequency", row.Workload)
 		}
 	}
 
-	th, err := AblateThreshold(quickOpts("javac"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	th := runAs[*AblateThresholdResult](t, "ablate-threshold", helloOpts("javac"))
 	for _, row := range th.Rows {
 		var jitBase, oracle uint64
 		for i, p := range row.Policies {
@@ -402,7 +357,7 @@ func TestRegistry(t *testing.T) {
 // no translate-phase activity.
 func TestModeAOTExcludesTranslation(t *testing.T) {
 	w, _ := workloads.ByName("javac")
-	e, err := Run(w, w.BenchN, ModeAOT, core.Config{})
+	e, err := RunCtx(context.Background(), w, w.BenchN, ModeAOT, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,26 +371,17 @@ func TestModeAOTExcludesTranslation(t *testing.T) {
 // cache recovers the interpreter's indirect mispredictions and improves
 // its width scaling; tiered recompilation beats single-tier compilation.
 func TestExtensions(t *testing.T) {
-	ind, err := AblateIndirect(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ind := runAs[*AblateIndirectResult](t, "ablate-indirect", helloOpts("compress"))
 	if g := ind.InterpIndirectGain(); g < 0.3 {
 		t.Errorf("target cache should recover most interp indirect misses; gain %.2f", g)
 	}
 
-	ilp, err := AblateInterpILP(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ilp := runAs[*AblateInterpILPResult](t, "ablate-interp-ilp", helloOpts("compress"))
 	if g := ilp.ScalingGain(); g < 0.3 {
 		t.Errorf("target cache should improve interpreter width scaling; gain %.2f", g)
 	}
 
-	tr, err := AblateTiered(quickOpts("compress"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runAs[*AblateTieredResult](t, "ablate-tiered", helloOpts("compress"))
 	for _, row := range tr.Rows {
 		if row.Gain() <= 0 {
 			t.Errorf("%s: tiered gain %.3f should be positive", row.Workload, row.Gain())

@@ -1,11 +1,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
+	"jrs/internal/workloads"
 )
 
 // ILPRow is one (workload, mode) superscalar study across issue widths.
@@ -27,33 +27,23 @@ type Fig9Result struct {
 // (workload, mode), all issue widths attached to a single run. Figure 10
 // shares these cells — its plan reuses the same keys, so one batched run
 // (or the result cache) simulates them once.
-func fig9Plan(o Options) (*Plan, *Fig9Result) {
+func fig9Plan(o Options) *Plan {
 	widths := []int{1, 2, 4, 8}
-	list := o.seven()
-	res := &Fig9Result{Rows: make([]ILPRow, 0, len(list)*2)}
+	res := &Fig9Result{}
 	p := newPlan("fig9", res)
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			res.Rows = append(res.Rows, ILPRow{})
-			key := CellKey{Experiment: "fig9", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "width=1,2,4,8"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				cores, err := runCores(ctx, o, w, scale, mode, fig9Configs(widths))
-				if err != nil {
-					return nil, err
-				}
+	cells(p, o, o.seven(), interpJIT, "", pipeConfig(o, "width=1,2,4,8"), &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (ILPRow, error)) {
+			g, check := coreGroup(o, fig9Configs(widths))
+			return one(mode, g), func() (ILPRow, error) {
 				row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
-				for _, c := range cores {
+				for _, c := range g.Cores() {
 					row.IPC = append(row.IPC, c.IPC())
 					row.Cycles = append(row.Cycles, c.Cycles())
 				}
-				return row, nil
-			})
-		}
-	}
-	return p, res
+				return row, check()
+			}
+		})
+	return p
 }
 
 // fig9Configs is fig9's core per issue width; they share one front end.
@@ -63,12 +53,6 @@ func fig9Configs(widths []int) []pipeline.Config {
 		cfgs = append(cfgs, pipeline.DefaultConfig(width))
 	}
 	return cfgs
-}
-
-// Fig9 simulates each workload on out-of-order cores of width 1/2/4/8 in
-// both execution modes (all widths attached to one run).
-func Fig9(o Options) (*Fig9Result, error) {
-	return runSerial(fig9Plan(o))
 }
 
 // Render formats Figure 9.
@@ -132,16 +116,9 @@ type Fig10Result struct{ *Fig9Result }
 
 // fig10Plan wraps fig9's plan: identical cells (and cell keys, so a
 // batched run deduplicates them), different rendering.
-func fig10Plan(o Options) (*Plan, *Fig10Result) {
-	p9, r9 := fig9Plan(o)
-	res := &Fig10Result{r9}
-	p := &Plan{experiment: "fig10", cells: p9.cells, result: res, finish: p9.finish}
-	return p, res
-}
-
-// Fig10 runs the ILP study and renders the time-normalization view.
-func Fig10(o Options) (*Fig10Result, error) {
-	return runSerial(fig10Plan(o))
+func fig10Plan(o Options) *Plan {
+	p9 := fig9Plan(o)
+	return &Plan{experiment: "fig10", cells: p9.cells, result: &Fig10Result{p9.result.(*Fig9Result)}}
 }
 
 // Render formats Figure 10.

@@ -1,9 +1,9 @@
 package harness
 
 import (
-	"context"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
+	"jrs/internal/workloads"
 )
 
 // InterpILPRow compares interpreter IPC scaling with the conventional
@@ -22,30 +22,24 @@ type AblateInterpILPResult struct{ Rows []InterpILPRow }
 
 // ablateInterpILPPlan enumerates the interpreter-scaling grid: one cell
 // per workload with both front ends at widths 1-8 on a single run.
-func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
+func ablateInterpILPPlan(o Options) *Plan {
 	widths := []int{1, 2, 4, 8}
-	list := o.seven()
-	res := &AblateInterpILPResult{Rows: make([]InterpILPRow, len(list))}
+	res := &AblateInterpILPResult{}
 	p := newPlan("ablate-interp-ilp", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-interp-ilp", Workload: w.Name, Scale: scale, Mode: ModeInterp.String(),
-			Config: "btb+targetcache-width=1,2,4,8"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			cores, err := runCores(ctx, o, w, scale, ModeInterp, interpILPConfigs(widths))
-			if err != nil {
-				return nil, err
+	cells(p, o, o.seven(), []Mode{ModeInterp}, "", pipeConfig(o, "btb+targetcache-width=1,2,4,8"), &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (InterpILPRow, error)) {
+			g, check := coreGroup(o, interpILPConfigs(widths))
+			return one(mode, g), func() (InterpILPRow, error) {
+				cores := g.Cores()
+				row := InterpILPRow{Workload: w.Name, Widths: widths}
+				for i := range widths {
+					row.IPCBtb = append(row.IPCBtb, cores[2*i].IPC())
+					row.IPCTc = append(row.IPCTc, cores[2*i+1].IPC())
+				}
+				return row, check()
 			}
-			row := InterpILPRow{Workload: w.Name, Widths: widths}
-			for i := range widths {
-				row.IPCBtb = append(row.IPCBtb, cores[2*i].IPC())
-				row.IPCTc = append(row.IPCTc, cores[2*i+1].IPC())
-			}
-			return row, nil
 		})
-	}
-	return p, res
+	return p
 }
 
 // interpILPConfigs is a BTB and a target-cache core per issue width,
@@ -58,12 +52,6 @@ func interpILPConfigs(widths []int) []pipeline.Config {
 		cfgs = append(cfgs, pipeline.DefaultConfig(width), tc)
 	}
 	return cfgs
-}
-
-// AblateInterpILP runs the interpreter through cores of width 1-8 with
-// both front ends attached to the same trace.
-func AblateInterpILP(o Options) (*AblateInterpILPResult, error) {
-	return runSerial(ablateInterpILPPlan(o))
 }
 
 // Render formats the study.

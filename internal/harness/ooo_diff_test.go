@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,12 +69,11 @@ func TestOoOCoreDifferentialEnvelope(t *testing.T) {
 	const width = 4
 
 	for _, ref := range legacyWidth4 {
-		ref := ref
 		t.Run(fmt.Sprintf("%s/%v", ref.workload, ref.mode), func(t *testing.T) {
 			w := mustWorkload(t, ref.workload)
 			ooo := pipeline.New(pipeline.DefaultConfig(width))
 			chk := ooo.Check()
-			if _, err := Run(w, w.BenchN, ref.mode, core.Config{}, ooo); err != nil {
+			if _, err := RunCtx(context.Background(), w, w.BenchN, ref.mode, core.Config{}, ooo); err != nil {
 				t.Fatal(err)
 			}
 			if err := chk.Err(); err != nil {
@@ -107,11 +107,8 @@ func TestAblateOoOShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite simulation")
 	}
-	res, err := AblateOoO(Options{Quick: true, CheckPipe: true,
+	res := runAs[*AblateOoOResult](t, "ablate-ooo", Options{Quick: true, CheckPipe: true,
 		Workloads: []workloads.Workload{mustWorkload(t, "compress"), mustWorkload(t, "db")}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := res.MonotoneSweep(); err != nil {
 		t.Error(err)
 	}

@@ -190,7 +190,7 @@ func fixturePrograms(t *testing.T) []LintProgram {
 // TestRaceLintGolden pins the exact `jrs lint -races` report over the
 // fixtures plus the multithreaded workload. Refresh with -update.
 func TestRaceLintGolden(t *testing.T) {
-	progs := append(fixturePrograms(t), WorkloadPrograms(quickOpts("mtrt"))...)
+	progs := append(fixturePrograms(t), WorkloadPrograms(helloOpts("mtrt"))...)
 	report, err := BuildLintReport(progs, true, false)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestRaceLintGolden(t *testing.T) {
 // TestRaceAnalyzeGolden pins the `jrs analyze -races` census extension
 // over the same programs. Refresh with -update.
 func TestRaceAnalyzeGolden(t *testing.T) {
-	progs := append(fixturePrograms(t), WorkloadPrograms(quickOpts("mtrt"))...)
+	progs := append(fixturePrograms(t), WorkloadPrograms(helloOpts("mtrt"))...)
 	res, err := AnalyzePrograms(progs, true, false)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func FuzzStaticSubsumesDynamicRaces(f *testing.F) {
 func TestRaceCheckSchedSeedPerturbs(t *testing.T) {
 	w := exampleWorkload(t, "racy.mj")
 	run := func(seed uint64) string {
-		e, err := Run(w, 1, ModeInterp, core.Config{SchedSeed: seed})
+		e, err := RunCtx(context.Background(), w, 1, ModeInterp, core.Config{SchedSeed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -98,14 +98,18 @@ func (p *Plan) Keys() []CellKey {
 // Result returns the plan's (possibly not yet filled) result.
 func (p *Plan) Result() Renderer { return p.result }
 
-// resolveScale returns the effective input scale a cell runs at. The
-// zero "workload default" is resolved to the concrete DefaultN so cache
-// keys stay meaningful.
+// resolveScale returns the effective input scale a cell runs at: Scale,
+// else the workload's BenchN under Quick. The zero "workload default" is
+// resolved to the concrete DefaultN so cache keys stay meaningful.
 func resolveScale(o Options, w workloads.Workload) int {
-	if s := o.scaleFor(w); s != 0 {
-		return s
+	s := o.Scale
+	if s == 0 && o.Quick {
+		s = w.BenchN
 	}
-	return w.DefaultN
+	if s == 0 {
+		s = w.DefaultN
+	}
+	return s
 }
 
 // Runner executes plan cells on a bounded worker pool under
@@ -385,17 +389,7 @@ func (r *Runner) add(rep *RunReport) {
 	t.Failures = append(t.Failures, rep.Failures...)
 }
 
-// serialRunner is the default execution vehicle for the typed
-// experiment entry points (Fig1, Table2, ...): one worker, no cache —
-// the exact behavior of the historical serial loops.
+// serialRunner is the default execution vehicle of Experiment.Run: one
+// worker, no cache — the exact behavior of the historical
+// serial loops.
 func serialRunner() *Runner { return &Runner{Workers: 1} }
-
-// runSerial runs a typed experiment plan on a serialRunner and returns
-// its filled result: the body of every typed entry point.
-func runSerial[T Renderer](p *Plan, res T) (T, error) {
-	if err := serialRunner().RunPlans(p); err != nil {
-		var zero T
-		return zero, err
-	}
-	return res, nil
-}

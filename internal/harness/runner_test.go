@@ -9,7 +9,8 @@ import (
 	"jrs/internal/workloads"
 )
 
-// helloOpts keeps runner tests fast: the hello workload at quick scale.
+// helloOpts selects the named workloads (default hello) at their quick
+// scale, which keeps tests fast.
 func helloOpts(names ...string) Options {
 	if len(names) == 0 {
 		names = []string{"hello"}
@@ -40,7 +41,6 @@ func renderWith(t *testing.T, e Experiment, o Options, r *Runner) string {
 func TestDeterministicParallelRender(t *testing.T) {
 	o := helloOpts()
 	for _, e := range Experiments() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			serial := renderWith(t, e, o, &Runner{Workers: 1})
 			parallel := renderWith(t, e, o, &Runner{Workers: 8})
@@ -75,7 +75,7 @@ func TestDeterministicMultiWorkload(t *testing.T) {
 // to reproduce the per-experiment serial reports byte for byte.
 func TestRunAllWithMatchesSerial(t *testing.T) {
 	o := helloOpts()
-	serial, err := RunAll(o, nil)
+	serial, err := RunAllWith(o, serialRunner(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +185,37 @@ func TestResultCache(t *testing.T) {
 	}
 	if again != first {
 		t.Error("render after corruption recovery differs")
+	}
+}
+
+// TestCheckPipeBypassesCache: a run with the pipeline checker attached
+// over a result cache an unchecked run filled must simulate every
+// superscalar cell, so the checker really runs, and render the same.
+// (fig10 reuses fig9's cells.)
+func TestCheckPipeBypassesCache(t *testing.T) {
+	c, err := OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := func(o Options, r *Runner) string {
+		var out string
+		for _, name := range []string{"fig9", "ablate-interp-ilp", "ablate-ooo"} {
+			e, _ := Lookup(name)
+			out += renderWith(t, e, o, r)
+		}
+		return out
+	}
+	unchecked := &Runner{Workers: 1, Cache: c}
+	want := grid(helloOpts(), unchecked)
+	o := helloOpts()
+	o.CheckPipe = true
+	checked := &Runner{Workers: 1, Cache: c}
+	if got := grid(o, checked); got != want {
+		t.Errorf("checked render differs from unchecked:\n--- checked ---\n%s\n--- unchecked ---\n%s", got, want)
+	}
+	if checked.CacheHits() != 0 || checked.Simulated() != unchecked.Simulated() {
+		t.Errorf("checked run: %d simulated, %d cached; want all %d simulated",
+			checked.Simulated(), checked.CacheHits(), unchecked.Simulated())
 	}
 }
 

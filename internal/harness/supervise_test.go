@@ -26,7 +26,6 @@ func syntheticPlan(n int, sim func(ctx context.Context, i int) (any, error)) (*P
 	res := &intsResult{Vals: make([]int, n)}
 	p := newPlan("syn", res)
 	for i := 0; i < n; i++ {
-		i := i
 		key := synKey(i)
 		p.add(key, &res.Vals[i], func(ctx context.Context) (any, error) { return sim(ctx, i) })
 	}

@@ -1,10 +1,10 @@
 package harness
 
 import (
-	"context"
 	"jrs/internal/core"
 	"jrs/internal/monitor"
 	"jrs/internal/stats"
+	"jrs/internal/workloads"
 )
 
 // SyncRow is one workload's synchronization study.
@@ -41,31 +41,24 @@ type Fig11Result struct {
 }
 
 // fig11Plan enumerates the synchronization grid: one cell per workload
-// covering the three monitor implementations.
-func fig11Plan(o Options) (*Plan, *Fig11Result) {
-	list := o.seven()
-	res := &Fig11Result{Rows: make([]SyncRow, len(list))}
+// declaring a run under each of the three monitor implementations.
+func fig11Plan(o Options) *Plan {
+	res := &Fig11Result{}
 	p := newPlan("fig11", res)
-	for i, w := range list {
-		i, w := i, w
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "fig11", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
-			Config: "fat+thin+onebit"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), jitOnly, "", "fat+thin+onebit", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (SyncRow, error)) {
 			row := SyncRow{Workload: w.Name}
-			for _, impl := range []string{"fat", "thin", "onebit"} {
-				e, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{Monitors: monitorFactory(impl)})
-				if err != nil {
-					return nil, err
-				}
-				st := e.VM.Monitors.Stats()
-				switch impl {
-				case "fat":
+			impl := func(name string) core.Config { return core.Config{Monitors: monitorFactory(name)} }
+			return []run{
+				{mode: mode, cfg: impl("fat"), done: func(e *core.Engine) {
+					st := e.VM.Monitors.Stats()
 					row.FatInstrs = st.Instrs
 					if e.TotalInstrs() > 0 {
 						row.SyncShareJIT = float64(st.Instrs) / float64(e.TotalInstrs())
 					}
-				case "thin":
+				}},
+				{mode: mode, cfg: impl("thin"), done: func(e *core.Engine) {
+					st := e.VM.Monitors.Stats()
 					row.ThinInstrs = st.Instrs
 					row.Enters = st.Enters
 					for c := monitor.CaseA; c <= monitor.CaseD; c++ {
@@ -74,19 +67,13 @@ func fig11Plan(o Options) (*Plan, *Fig11Result) {
 					if e.VM.AllocObjects > 0 {
 						row.SyncedObjectFrac = float64(len(e.VM.SyncObjects)) / float64(e.VM.AllocObjects)
 					}
-				case "onebit":
-					row.OneBitInstrs = st.Instrs
-				}
-			}
-			return row, nil
+				}},
+				{mode: mode, cfg: impl("onebit"), done: func(e *core.Engine) {
+					row.OneBitInstrs = e.VM.Monitors.Stats().Instrs
+				}},
+			}, func() (SyncRow, error) { return row, nil }
 		})
-	}
-	return p, res
-}
-
-// Fig11 runs every workload under the three synchronization managers.
-func Fig11(o Options) (*Fig11Result, error) {
-	return runSerial(fig11Plan(o))
+	return p
 }
 
 // Render formats Figure 11.

@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"context"
 	"jrs/internal/branch"
-	"jrs/internal/core"
 	"jrs/internal/stats"
+	"jrs/internal/workloads"
 )
 
 // Table2Row is one (workload, mode) branch study: misprediction rate per
@@ -27,22 +26,13 @@ type Table2Result struct {
 
 // table2Plan enumerates the branch-prediction grid: one cell per
 // (workload, mode) running the four-predictor suite.
-func table2Plan(o Options) (*Plan, *Table2Result) {
-	list := o.seven()
-	res := &Table2Result{Rows: make([]Table2Row, 0, len(list)*2)}
+func table2Plan(o Options) *Plan {
+	res := &Table2Result{}
 	p := newPlan("table2", res)
-	for _, w := range list {
-		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
-			scale := resolveScale(o, w)
-			res.Rows = append(res.Rows, Table2Row{})
-			key := CellKey{Experiment: "table2", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "2bit+bht+gshare+gap"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				suite := branch.NewSuite()
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, suite); err != nil {
-					return nil, err
-				}
+	cells(p, o, o.seven(), interpJIT, "", "2bit+bht+gshare+gap", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Table2Row, error)) {
+			suite := branch.NewSuite()
+			return one(mode, suite), func() (Table2Row, error) {
 				row := Table2Row{Workload: w.Name, Mode: mode}
 				var transfers, indirect uint64
 				for i, u := range suite.Units {
@@ -55,15 +45,9 @@ func table2Plan(o Options) (*Plan, *Table2Result) {
 					row.IndirectFracOfTransfers = float64(indirect) / float64(transfers)
 				}
 				return row, nil
-			})
-		}
-	}
-	return p, res
-}
-
-// Table2 runs the four predictors over each workload in both modes.
-func Table2(o Options) (*Table2Result, error) {
-	return runSerial(table2Plan(o))
+			}
+		})
+	return p
 }
 
 // Render formats Table 2.
