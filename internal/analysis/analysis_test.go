@@ -161,8 +161,8 @@ func TestPassFindings(t *testing.T) {
 			code: []bytecode.Instr{
 				ins(bytecode.IConst, 0), ins(bytecode.IfEq, 4), // 0,1
 				ins(bytecode.AConstNull), ins(bytecode.Goto, 5), // 2,3
-				ins(bytecode.IConst, 7),                      // 4
-				ins(bytecode.Pop), ins(bytecode.Return),      // 5 join, 6
+				ins(bytecode.IConst, 7),                 // 4
+				ins(bytecode.Pop), ins(bytecode.Return), // 5 join, 6
 			},
 			pass: "typecheck", pc: 5, sev: Error, msg: "inconsistent stack type at join slot 0",
 		},
@@ -174,7 +174,7 @@ func TestPassFindings(t *testing.T) {
 		{
 			name: "unreachable block", sig: "()V", maxLocals: 0,
 			code: []bytecode.Instr{
-				ins(bytecode.Goto, 3), // 0
+				ins(bytecode.Goto, 3),                // 0
 				ins(bytecode.Nop), ins(bytecode.Nop), // 1,2 dead
 				ins(bytecode.Return), // 3
 			},
@@ -295,11 +295,11 @@ func TestCheckMethodOrdering(t *testing.T) {
 // consumes reflect entry stacks, and dead instructions keep nil.
 func TestTypeFlowVectors(t *testing.T) {
 	c, m := method(t, "()F", 0, []bytecode.Instr{
-		ins(bytecode.IConst, 1),  // 0: entry stack []
-		ins(bytecode.I2F),        // 1: [I]
-		ins(bytecode.FReturn),    // 2: [F]
-		ins(bytecode.Nop),        // 3: dead
-		ins(bytecode.Goto, 3),    // 4: dead
+		ins(bytecode.IConst, 1), // 0: entry stack []
+		ins(bytecode.I2F),       // 1: [I]
+		ins(bytecode.FReturn),   // 2: [F]
+		ins(bytecode.Nop),       // 3: dead
+		ins(bytecode.Goto, 3),   // 4: dead
 	})
 	types, err := TypeFlow(c, m)
 	if err != nil {

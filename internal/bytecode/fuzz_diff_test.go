@@ -68,9 +68,9 @@ func decodeBody(data []byte) []bytecode.Instr {
 }
 
 func FuzzAnalyzerAdmitsOnlySafeCode(f *testing.F) {
-	f.Add([]byte{0, 3, 4, 0, 0, 2, 11, 0})       // iconst/istore/iconst/iadd-ish
-	f.Add([]byte{19, 3, 9, 0, 22, 1, 20, 0})     // newarray/dup/iastore/arraylength
-	f.Add([]byte{0, 1, 23, 4, 0, 5, 26, 2})      // branching
+	f.Add([]byte{0, 3, 4, 0, 0, 2, 11, 0})        // iconst/istore/iconst/iadd-ish
+	f.Add([]byte{19, 3, 9, 0, 22, 1, 20, 0})      // newarray/dup/iastore/arraylength
+	f.Add([]byte{0, 1, 23, 4, 0, 5, 26, 2})       // branching
 	f.Add([]byte{2, 0, 25, 3, 0, 1, 0, 2, 14, 9}) // aconstnull/ifnull/idiv
 	f.Fuzz(func(t *testing.T, data []byte) {
 		code := decodeBody(data)

@@ -173,9 +173,9 @@ type Engine struct {
 	elideBounds bool
 	elideNull   bool
 	prepared    bool
-	cancel     func() error
-	schedSeed  uint64
-	sliceCount uint64
+	cancel      func() error
+	schedSeed   uint64
+	sliceCount  uint64
 
 	ctxs []*threadCtx
 }
@@ -235,11 +235,11 @@ func New(cfg Config) *Engine {
 	v := vm.New(batch, cfg.Monitors)
 	v.Verify = cfg.Verify
 	e := &Engine{
-		VM:         v,
-		Policy:     cfg.Policy,
-		Clock:      clock,
-		Batch:      batch,
-		Quantum:    cfg.Quantum,
+		VM:          v,
+		Policy:      cfg.Policy,
+		Clock:       clock,
+		Batch:       batch,
+		Quantum:     cfg.Quantum,
 		devirt:      cfg.Devirt,
 		elideLocks:  cfg.ElideLocks,
 		elideBounds: cfg.ElideBounds,

@@ -308,7 +308,7 @@ func (in *Interp) Step(t *vm.Thread, f *Frame) rt.Trap {
 		hs := h.Load(f.slotAddr(f.SP + 1)).Load(f.slotAddr(f.SP))
 		if !elide {
 			// bounds check: length load plus trap branch
-			hs = hs.Load(ref + 16).Branch(false, HandlerPC(op)+0xE0)
+			hs = hs.Load(ref+16).Branch(false, HandlerPC(op)+0xE0)
 		}
 		hs.ALU(2).Load(ea).Store(f.slotAddr(f.SP - 1))
 	case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore, bytecode.CAStore:
@@ -331,7 +331,7 @@ func (in *Interp) Step(t *vm.Thread, f *Frame) rt.Trap {
 		hs := h.Load(f.slotAddr(f.SP + 2)).Load(f.slotAddr(f.SP + 1)).
 			Load(f.slotAddr(f.SP))
 		if !elide {
-			hs = hs.Load(ref + 16).Branch(false, HandlerPC(op)+0xE0)
+			hs = hs.Load(ref+16).Branch(false, HandlerPC(op)+0xE0)
 		}
 		hs.ALU(2).Store(ea)
 

@@ -59,9 +59,9 @@ type Entry struct {
 	Code   []isa.Inst `json:"code"`
 	// Rel indexes instructions whose Target is stored relative to the
 	// (future) installation base.
-	Rel        []int32 `json:"rel,omitempty"`
-	FrameBytes uint64  `json:"frameBytes"`
-	Tier       int     `json:"tier"`
+	Rel        []int32      `json:"rel,omitempty"`
+	FrameBytes uint64       `json:"frameBytes"`
+	Tier       int          `json:"tier"`
 	Elided     []ElidedSite `json:"elided,omitempty"`
 }
 

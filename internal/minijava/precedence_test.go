@@ -36,22 +36,22 @@ func TestOperatorPrecedence(t *testing.T) {
 	}{
 		{"1 + 2 * 3", "7"},
 		{"(1 + 2) * 3", "9"},
-		{"10 - 4 - 3", "3"},        // left assoc
-		{"100 / 10 / 2", "5"},      // left assoc
-		{"1 << 2 + 1", "8"},        // + binds tighter than <<
-		{"3 & 1 + 1", "2"},         // + tighter than &
-		{"1 | 2 ^ 2", "1"},         // ^ tighter than |
-		{"4 ^ 2 & 3", "6"},         // & tighter than ^
-		{"1 + 1 == 2", "1"},        // arithmetic before equality
-		{"1 < 2 == 1", "1"},        // relational before equality
-		{"0 == 1 | 1", "1"},        // equality before |
-		{"1 > 0 && 2 > 1", "1"},    // && after comparisons
-		{"0 != 0 || 1 == 1", "1"},  // || loosest
-		{"-2 * 3", "-6"},           // unary minus binds tightest
-		{"!0 + 0", "1"},            // !0 -> 1
-		{"7 % 3 * 2", "2"},         // % and * same level, left assoc
-		{"-16 >>> 60", "15"},       // unsigned shift
-		{"2 << 3 >> 1", "8"},       // shift left assoc
+		{"10 - 4 - 3", "3"},       // left assoc
+		{"100 / 10 / 2", "5"},     // left assoc
+		{"1 << 2 + 1", "8"},       // + binds tighter than <<
+		{"3 & 1 + 1", "2"},        // + tighter than &
+		{"1 | 2 ^ 2", "1"},        // ^ tighter than |
+		{"4 ^ 2 & 3", "6"},        // & tighter than ^
+		{"1 + 1 == 2", "1"},       // arithmetic before equality
+		{"1 < 2 == 1", "1"},       // relational before equality
+		{"0 == 1 | 1", "1"},       // equality before |
+		{"1 > 0 && 2 > 1", "1"},   // && after comparisons
+		{"0 != 0 || 1 == 1", "1"}, // || loosest
+		{"-2 * 3", "-6"},          // unary minus binds tightest
+		{"!0 + 0", "1"},           // !0 -> 1
+		{"7 % 3 * 2", "2"},        // % and * same level, left assoc
+		{"-16 >>> 60", "15"},      // unsigned shift
+		{"2 << 3 >> 1", "8"},      // shift left assoc
 	}
 	for _, tc := range cases {
 		if got := evalInt(t, tc.expr); got != tc.want {
