@@ -112,7 +112,7 @@ func benchGridCodeCache(b *testing.B, workers int) {
 }
 
 // BenchmarkGridDist regenerates every figure and table through the
-// distributed runner: a loopback jrsd coordinator plus -parallel
+// distributed runner: a loopback dist coordinator plus -parallel
 // in-process workers, results merged over the wire. Compare against
 // BenchmarkGridParallel (same worker count, shared memory) for the
 // framing/lease/commit overhead of distribution on one machine.

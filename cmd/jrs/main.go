@@ -14,6 +14,12 @@
 //	                         report (call graph, devirtualization,
 //	                         lock elision, purity) over every workload
 //	                         (default) or the given MiniJava sources
+//	jrs serve                run a distributed grid coordinator: it leases
+//	                         cells to workers over TCP and merges their
+//	                         results byte-identically to a serial run
+//	jrs -connect A worker    run a worker against the coordinator at A
+//	jrs inproc <exp|all>     loopback smoke: coordinator, -workers N
+//	                         in-process workers and one submitted grid
 //
 // With -races, lint and analyze add the static concurrency analysis
 // (internal/analysis/conc): may-happen-in-parallel race pairs and
@@ -46,7 +52,8 @@
 //	              on-disk store under D (implies -codecache; corrupt or
 //	              stale entries degrade to misses)
 //	-celltimeout D watchdog deadline per cell attempt (0 = none); hung
-//	              cells become retryable timeout failures
+//	              cells become retryable timeout failures (serve: set it
+//	              on the workers)
 //	-retries N    re-attempts per cell after a retryable failure
 //	              (panic, timeout, transient/injected fault)
 //	-keepgoing    degraded mode: drain every cell, render what
@@ -56,7 +63,9 @@
 //	              re-simulates (continue an interrupted run)
 //	-chaos SPEC   deterministic fault injection, e.g.
 //	              seed=1,panic=0.1,hang=0.05,err=0.1,corrupt=0.02
-//	              (also upto=K, cell=SUBSTR); the supervision test rig
+//	              (also upto=K, cell=SUBSTR); the supervision test rig.
+//	              worker and inproc refuse corrupt=: workers never write
+//	              the result cache
 //	-races        add the static race/deadlock analysis to lint and
 //	              analyze reports (findings affect the exit code)
 //	-checkraces   run the workload with the dynamic happens-before race
@@ -67,29 +76,51 @@
 //	              dynamic check oracle attached (no elided check may fire)
 //	-schedseed N  perturb scheduler slice lengths pseudo-randomly for
 //	              `run` (0 = the fixed quantum; deterministic per seed)
-//	-remote ADDR  submit the experiment grid to a jrsd coordinator at
-//	              ADDR instead of running locally; the relayed output is
-//	              byte-identical to the local run and the remote exit
-//	              code (0/1/2/3) is propagated. Local scheduler flags
-//	              (-parallel, -cachedir, -retries, -celltimeout,
-//	              -keepgoing, -resume, -chaos, -codecache, -codecachedir)
-//	              are rejected with exit 2: they belong to the
+//	-remote ADDR  submit the experiment grid to a `jrs serve`
+//	              coordinator at ADDR instead of running locally; the
+//	              relayed output is byte-identical to the local run and
+//	              the remote exit code (0/1/2/3) is propagated. Local
+//	              scheduler, cache and service flags (-parallel,
+//	              -cachedir, -retries, -celltimeout, -keepgoing, -resume,
+//	              -chaos, -codecache, -codecachedir and the service flags
+//	              below) are rejected with exit 2: they belong to the
 //	              coordinator and workers
+//	-listen ADDR  serve: listen address (default 127.0.0.1:0; the bound
+//	              address is printed to stderr)
+//	-connect ADDR worker: coordinator address (required)
+//	-name S       worker: stable worker identity (default host-pid)
+//	-workers N    inproc: in-process worker count (default 3)
+//	-lease D      serve, inproc: lease TTL before a silent worker's cell
+//	              is re-queued (default 10s)
+//	-netchaos SPEC worker, inproc: network fault injection
+//	              (seed=N,drop=P,delay=P,dup=P,kill=P,maxdelay=D)
+//	-v            serve, worker, inproc: log protocol progress to stderr
 //	-json         emit lint/analyze reports as JSON instead of text
 //	-cpuprofile F write a CPU profile to F
 //	-memprofile F write a heap profile to F on exit
+//
+// serve, worker and inproc reject -codecache and -codecachedir: a warm
+// translation cache would change a remote cell's translate/execute
+// split away from a serial run's.
+//
+// Exit codes: 0 healthy, 1 run or connection error, 2 usage,
+// 3 degraded (-keepgoing with failed cells).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"jrs/internal/classfile"
@@ -131,7 +162,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkraces := fs.Bool("checkraces", false, "attach the dynamic vector-clock race detector to `run` and check its findings against the static report (debug; slower)")
 	checkelide := fs.Bool("checkelide", false, "lint/analyze: add the provable runtime-check census; run: differential base-vs-elided execution under the dynamic check oracle")
 	schedseed := fs.Uint64("schedseed", 0, "seed pseudo-random scheduler slice lengths for `run` (0 = fixed quantum)")
-	remote := fs.String("remote", "", "submit the experiment grid to a jrsd coordinator at this address instead of running locally")
+	remote := fs.String("remote", "", "submit the experiment grid to a `jrs serve` coordinator at this address instead of running locally")
+	listen := fs.String("listen", "127.0.0.1:0", "serve: coordinator listen address")
+	connect := fs.String("connect", "", "worker: coordinator address to connect to")
+	name := fs.String("name", "", "worker: identity (default host-pid)")
+	nworkers := fs.Int("workers", 3, "inproc: in-process worker count")
+	lease := fs.Duration("lease", 10*time.Second, "serve, inproc: lease TTL before a silent worker's cell re-queues")
+	netSpec := fs.String("netchaos", "", "worker, inproc: network fault-injection spec (seed=N,drop=P,delay=P,dup=P,kill=P,maxdelay=D)")
+	verbose := fs.Bool("v", false, "serve, worker, inproc: log protocol progress to stderr")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Usage = func() { usage(fs, stderr) }
@@ -144,11 +182,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	cmd := fs.Arg(0)
+	service := cmd == "serve" || cmd == "worker" || cmd == "inproc"
 	if *remote != "" {
 		if name := firstSet(fs, localOnly); name != "" {
-			fmt.Fprintf(stderr, "jrs: -%s has no effect with -remote (it is a jrsd coordinator or worker setting)\n", name)
+			fmt.Fprintf(stderr, "jrs: -%s has no effect with -remote (it is a coordinator or worker setting)\n", name)
 			return 2
 		}
+	}
+	if service && (*codecacheOn || *codecachedir != "") {
+		fmt.Fprintf(stderr, "jrs: -codecache and -codecachedir do not apply to %s: a warm translation cache would change remote cells' translate split\n", cmd)
+		return 2
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -191,7 +235,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *remote != "" {
-		return runRemote(*remote, fs.Arg(0), opts, stdout, stderr)
+		switch cmd {
+		case "", "list", "run", "lint", "analyze", "serve", "worker", "inproc":
+			fmt.Fprintln(stderr, "jrs: -remote runs experiment grids only (an experiment name, or \"all\")")
+			return 2
+		}
+		return submit(*remote, []string{cmd}, opts, stdout, stderr)
 	}
 
 	var cc *codecache.Cache
@@ -226,11 +275,46 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *chaosSpec != "" {
 		spec, err := chaos.ParseSpec(*chaosSpec)
+		if err == nil && spec.CorruptRate > 0 && (cmd == "worker" || cmd == "inproc") {
+			err = errors.New("-chaos corrupt= is not supported: workers never write the result cache (use jrs -cachedir D -chaos corrupt=P)")
+		}
 		if err != nil {
 			fmt.Fprintf(stderr, "jrs: %v\n", err)
 			return 2
 		}
 		runner.Chaos = chaos.New(spec)
+	}
+	var nets *chaos.NetInjector
+	if *netSpec != "" {
+		spec, err := chaos.ParseNetSpec(*netSpec)
+		if err != nil {
+			fmt.Fprintf(stderr, "jrs: %v\n", err)
+			return 2
+		}
+		nets = chaos.NewNet(spec)
+	}
+	if *resume && *cachedir == "" {
+		fmt.Fprintln(stderr, "jrs: -resume requires -cachedir (the journal lives there)")
+		return 2
+	}
+	runner.Resume = *resume
+	logf := func(string, ...any) {}
+	if *verbose {
+		logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
+	}
+	if cmd == "worker" {
+		if *connect == "" {
+			fmt.Fprintln(stderr, "jrs: worker requires -connect ADDR")
+			return 2
+		}
+		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer cancel()
+		buildWorker(*name, *connect, runner, nets, 0, logf).Run(ctx)
+		return 0
+	}
+	if cmd == "inproc" && fs.NArg() < 2 {
+		fmt.Fprintln(stderr, "jrs: inproc requires an experiment name (or \"all\")")
+		return 2
 	}
 	if *cachedir != "" {
 		cache, err := harness.OpenResultCache(*cachedir)
@@ -249,13 +333,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer journal.Close()
 		runner.Journal = journal
 	}
-	if *resume {
-		if *cachedir == "" {
-			fmt.Fprintln(stderr, "jrs: -resume requires -cachedir (the journal lives there)")
-			return 2
-		}
-		runner.Resume = true
-	}
 	runner.Progress = func(key harness.CellKey, cached bool) {
 		tag := "sim"
 		if cached {
@@ -264,8 +341,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "  [%s] %s\n", tag, key)
 	}
 
-	cmd := fs.Arg(0)
 	switch cmd {
+	case "serve":
+		c := coordinator(runner, *lease, logf)
+		addr, err := c.Start(*listen)
+		if err != nil {
+			fmt.Fprintf(stderr, "jrs: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "jrs: coordinator listening on %s\n", addr)
+		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer cancel()
+		<-ctx.Done()
+		c.Stop()
+
+	case "inproc":
+		return inproc(coordinator(runner, *lease, logf), *nworkers, runner, nets, logf, fs.Args()[1:], opts, stdout, stderr)
+
 	case "list":
 		fmt.Fprintln(stdout, "experiments:")
 		for _, e := range harness.Experiments() {
@@ -338,13 +430,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// localOnly names the flags that configure the local scheduler, caches
-// or fault injection; under -remote the jrsd coordinator and workers own
-// those settings.
+// localOnly names the flags that configure the local scheduler, caches,
+// fault injection or the grid service; under -remote the coordinator and
+// workers own those settings.
 var localOnly = map[string]bool{
 	"parallel": true, "cachedir": true, "retries": true, "celltimeout": true,
 	"keepgoing": true, "resume": true, "chaos": true, "codecache": true,
-	"codecachedir": true,
+	"codecachedir": true, "listen": true, "connect": true, "name": true,
+	"workers": true, "lease": true, "netchaos": true, "v": true,
 }
 
 // workloadOnly names the `run` flags that need a workload: its scale,
@@ -365,18 +458,12 @@ func firstSet(fs *flag.FlagSet, names map[string]bool) (name string) {
 	return name
 }
 
-// runRemote submits an experiment grid to a jrsd coordinator and
+// submit sends an experiment grid to the coordinator at addr and
 // relays its merged output — byte-identical to running the same grid
-// locally — propagating the remote exit code (0 healthy, 1 failed,
+// locally — returning the remote exit code (0 healthy, 1 failed,
 // 2 usage, 3 degraded keep-going run).
-func runRemote(addr, cmd string, opts harness.Options, stdout, stderr io.Writer) int {
-	switch cmd {
-	case "", "list", "run", "lint", "analyze":
-		fmt.Fprintln(stderr, "jrs: -remote runs experiment grids only (an experiment name, or \"all\")")
-		return 2
-	}
-	grid := dist.GridSpec{Experiments: []string{cmd}, Opts: dist.SpecOf(opts)}
-	out, err := dist.Submit(addr, grid, 0)
+func submit(addr string, exps []string, opts harness.Options, stdout, stderr io.Writer) int {
+	out, err := dist.Submit(addr, dist.GridSpec{Experiments: exps, Opts: dist.SpecOf(opts)}, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "jrs: %v\n", err)
 		return 1
@@ -387,6 +474,80 @@ func runRemote(addr, cmd string, opts harness.Options, stdout, stderr io.Writer)
 	fmt.Fprint(stdout, out.Output)
 	fmt.Fprint(stdout, out.Report)
 	return out.ExitCode
+}
+
+// coordinator builds a grid coordinator that applies the runner's
+// retry, keep-going, cache, journal and resume policy to leased cells.
+// The coordinator owns the journal: Stop closes it.
+func coordinator(runner *harness.Runner, lease time.Duration, logf func(string, ...any)) *dist.Coordinator {
+	return dist.NewCoordinator(dist.Config{
+		LeaseTTL:    lease,
+		Retries:     runner.Retries,
+		KeepGoing:   runner.KeepGoing,
+		BackoffBase: runner.BackoffBase,
+		Cache:       runner.Cache,
+		Journal:     runner.Journal,
+		Resume:      runner.Resume,
+		Logf:        logf,
+	})
+}
+
+// buildWorker assembles worker number index. Each index derives its own
+// injector seeds from the runner's -chaos and the -netchaos injector
+// (index 0 keeps them): identical injector state on every worker would
+// fault the same cells in lockstep.
+func buildWorker(name, addr string, runner *harness.Runner, nets *chaos.NetInjector, index int, logf func(string, ...any)) *dist.Worker {
+	if name == "" {
+		host, _ := os.Hostname()
+		if host == "" {
+			host = "worker"
+		}
+		name = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	w := &dist.Worker{
+		Name:        name,
+		Dial:        func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 10*time.Second) },
+		CellTimeout: runner.CellTimeout,
+		Logf:        logf,
+	}
+	seed := int64(index) * 1000003
+	if runner.Chaos != nil {
+		spec := runner.Chaos.Spec()
+		spec.Seed += seed
+		w.Chaos = chaos.New(spec)
+	}
+	if nets != nil {
+		spec := nets.Spec()
+		spec.Seed += seed
+		w.Net = chaos.NewNet(spec)
+	}
+	return w
+}
+
+// inproc runs the whole service in one process — coordinator c, n
+// workers, one submitted grid — and prints the merged output: the
+// loopback smoke CI diffs against a serial run.
+func inproc(c *dist.Coordinator, n int, runner *harness.Runner, nets *chaos.NetInjector, logf func(string, ...any), exps []string, opts harness.Options, stdout, stderr io.Writer) int {
+	addr, err := c.Start("127.0.0.1:0")
+	if err != nil {
+		fmt.Fprintf(stderr, "jrs: %v\n", err)
+		return 1
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < max(n, 1); i++ {
+		w := buildWorker(fmt.Sprintf("w%d", i+1), addr, runner, nets, i, logf)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.Run(ctx)
+		}()
+	}
+	code := submit(addr, exps, opts, stdout, stderr)
+	cancel()
+	c.Stop()
+	wg.Wait()
+	return code
 }
 
 // reportExit finishes a supervised experiment command: in -keepgoing
@@ -620,6 +781,9 @@ usage:
   jrs [flags] run <workload | prog.jrsc>
   jrs [flags] lint [file.mj ...]
   jrs [flags] analyze [file.mj ...]
+  jrs [flags] serve                    grid coordinator (-listen ADDR)
+  jrs [flags] -connect ADDR worker     grid worker
+  jrs [flags] inproc <experiment|all>  loopback coordinator + -workers N + submit
 
 flags:
 `)

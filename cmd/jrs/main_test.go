@@ -10,6 +10,7 @@ import (
 	"jrs/internal/classfile"
 	"jrs/internal/harness"
 	"jrs/internal/minijava"
+	"jrs/internal/workloads"
 )
 
 // TestUnknownExperiment checks the CLI exits non-zero and lists every
@@ -394,6 +395,8 @@ func TestRemoteRejectsLocalFlags(t *testing.T) {
 		{"-parallel", "2"}, {"-cachedir", "x"}, {"-retries", "1"},
 		{"-celltimeout", "1s"}, {"-keepgoing"}, {"-resume"},
 		{"-chaos", "seed=1,panic=1"}, {"-codecache"}, {"-codecachedir", "x"},
+		{"-listen", ":0"}, {"-connect", "x"}, {"-name", "x"}, {"-workers", "2"},
+		{"-lease", "1s"}, {"-netchaos", "seed=1,drop=0.1"}, {"-v"},
 	} {
 		var out, errb bytes.Buffer
 		argv := append([]string{"-remote", "127.0.0.1:1"}, args...)
@@ -403,5 +406,67 @@ func TestRemoteRejectsLocalFlags(t *testing.T) {
 		if !strings.Contains(errb.String(), args[0]+" has no effect with -remote") {
 			t.Errorf("%v: stderr does not name the flag: %q", args, errb.String())
 		}
+	}
+}
+
+// TestServiceUsageErrors pins the exit-2 inputs of serve, worker and
+// inproc: each is refused before a coordinator starts or a worker dials.
+func TestServiceUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"worker"}, "worker requires -connect"},
+		{[]string{"inproc"}, "inproc requires an experiment"},
+		{[]string{"-resume", "inproc", "fig2"}, "-resume requires -cachedir"},
+		{[]string{"-resume", "serve"}, "-resume requires -cachedir"},
+		{[]string{"-chaos", "seed=1,corrupt=0.5", "inproc", "fig2"}, "corrupt= is not supported"},
+		{[]string{"-connect", "127.0.0.1:1", "-chaos", "corrupt=1", "worker"}, "corrupt= is not supported"},
+		{[]string{"-netchaos", "drop=2", "inproc", "fig2"}, "netchaos"},
+		{[]string{"-w", "nosuch", "inproc", "fig2"}, `unknown workload "nosuch"`},
+		{[]string{"-w", "nosuch", "serve"}, `unknown workload "nosuch"`},
+		{[]string{"-w", "nosuch", "-connect", "127.0.0.1:1", "worker"}, `unknown workload "nosuch"`},
+		{[]string{"-remote", "127.0.0.1:1", "serve"}, "-remote runs experiment grids only"},
+		{[]string{"-remote", "127.0.0.1:1", "worker"}, "-remote runs experiment grids only"},
+		{[]string{"-remote", "127.0.0.1:1", "inproc", "fig2"}, "-remote runs experiment grids only"},
+		{[]string{"-codecache", "serve"}, "do not apply to serve"},
+		{[]string{"-codecachedir", "x", "-connect", "127.0.0.1:1", "worker"}, "do not apply to worker"},
+		{[]string{"-codecache", "inproc", "fig2"}, "do not apply to inproc"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(errb.String(), tc.msg) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errb.String(), tc.msg)
+		}
+	}
+}
+
+// TestInprocGridOptionsMatchLocal: -scale and -checkpipe reach the
+// submitted grid. inproc with one worker prints exactly what a local
+// run of one experiment prints under the same flags (a Runner, then
+// SafeRender), and the scale visibly changes the result.
+func TestInprocGridOptionsMatchLocal(t *testing.T) {
+	args := []string{"-workers", "1", "-w", "hello", "-scale", "4000", "-checkpipe", "inproc", "fig9"}
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("%v: exit %d\n%s", args, code, errb.String())
+	}
+	hello, _ := workloads.ByName("hello")
+	exp, _ := harness.Lookup("fig9")
+	local := func(scale int) string {
+		runner := &harness.Runner{}
+		r, err := exp.RunWith(harness.Options{Scale: scale, CheckPipe: true, Workloads: []workloads.Workload{hello}}, runner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runner.SafeRender(r)
+	}
+	if want := local(4000); out.String() != want {
+		t.Errorf("inproc output differs from a local run:\n%s\nwant:\n%s", out.String(), want)
+	}
+	if out.String() == local(0) {
+		t.Error("-scale 4000 renders like the default scale: the flag did not reach the grid")
 	}
 }

@@ -39,8 +39,10 @@ func (s Stats) Accuracy() float64 { return 1 - s.MispredictRate() }
 
 // Unit couples one direction predictor with its own BTB and statistics.
 type Unit struct {
-	Dir   DirPredictor
-	BTB   *BTB
+	Dir DirPredictor
+	BTB *BTB
+	// TC, when set, predicts indirect transfers in place of the BTB.
+	TC    *TargetCache
 	Stats Stats
 }
 
@@ -82,15 +84,35 @@ func (u *Unit) Observe(in trace.Inst) bool {
 		return miss
 	case trace.Ret, trace.IndirectJump, trace.IndirectCall:
 		u.Stats.Indirects++
-		t, ok := u.BTB.Lookup(in.PC)
-		miss := !ok || t != in.Target
-		u.BTB.Update(in.PC, in.Target)
+		var miss bool
+		if u.TC != nil {
+			t, ok := u.TC.Predict(in.PC)
+			miss = !ok || t != in.Target
+			u.TC.Update(in.PC, in.Target)
+		} else {
+			t, ok := u.BTB.Lookup(in.PC)
+			miss = !ok || t != in.Target
+			u.BTB.Update(in.PC, in.Target)
+		}
 		if miss {
 			u.Stats.IndirectMispredicts++
 		}
 		return miss
 	}
 	return false
+}
+
+// Emit implements trace.Sink.
+func (u *Unit) Emit(in trace.Inst) { u.EmitBatch([]trace.Inst{in}) }
+
+// EmitBatch implements trace.Sink, filtering the non-control bulk of
+// the batch without per-instruction dispatch.
+func (u *Unit) EmitBatch(batch []trace.Inst) {
+	for i := range batch {
+		if batch[i].Class.IsControl() {
+			u.Observe(batch[i])
+		}
+	}
 }
 
 // Suite runs the paper's four predictors side by side over one trace

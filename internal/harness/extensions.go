@@ -6,7 +6,6 @@ import (
 	"jrs/internal/branch"
 	"jrs/internal/core"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -36,7 +35,7 @@ func ablateIndirectPlan(o Options) *Plan {
 		func(w workloads.Workload, mode Mode) ([]run, func() (IndirectRow, error)) {
 			base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
 			enhanced := branch.NewIndirectUnit()
-			return one(mode, sinkUnit{base}, enhanced), func() (IndirectRow, error) {
+			return one(mode, base, enhanced), func() (IndirectRow, error) {
 				row := IndirectRow{Workload: w.Name, Mode: mode}
 				row.BTBMiss = base.Stats.MispredictRate()
 				row.TCMiss = enhanced.Stats.MispredictRate()
@@ -50,22 +49,6 @@ func ablateIndirectPlan(o Options) *Plan {
 			}
 		})
 	return p
-}
-
-// sinkUnit adapts a branch.Unit to trace.Sink.
-type sinkUnit struct{ u *branch.Unit }
-
-// Emit implements trace.Sink.
-func (s sinkUnit) Emit(in trace.Inst) { s.EmitBatch([]trace.Inst{in}) }
-
-// EmitBatch implements trace.Sink, filtering the non-control bulk
-// of the batch without per-instruction dispatch.
-func (s sinkUnit) EmitBatch(batch []trace.Inst) {
-	for i := range batch {
-		if batch[i].Class.IsControl() {
-			s.u.Observe(batch[i])
-		}
-	}
 }
 
 // Render formats the indirect-predictor study.

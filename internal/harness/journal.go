@@ -2,8 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -30,106 +30,55 @@ const lockSuffix = ".lock"
 // cell). Appends fsync before returning, so a record survives the
 // machine dying right after the cell completed.
 type Journal struct {
-	path string
-
 	mu   sync.Mutex
 	f    *os.File
+	lock *os.File // holds the writer flock
 	done map[string]bool
 }
 
-// liveLocks tracks lock files held by this process, so a second
-// OpenJournal on the same path inside one process fails fast like a
-// second process would (the PID probe alone cannot tell "we hold it"
-// from "another goroutine of us holds it" — both must refuse).
-var (
-	liveLocksMu sync.Mutex
-	liveLocks   = make(map[string]bool)
-)
-
-// lockJournal takes the exclusive-create lock guarding path. The lock
-// file holds the owner's PID; a lock whose PID no longer probes as a
-// live process is stale (its owner crashed without unlocking) and is
-// broken. Two live writers — a worker and a second coordinator pointed
-// at the same cache directory, say — must fail fast here with a clear
-// error instead of interleaving fsynced appends.
-func lockJournal(path string) error {
-	lock := path + lockSuffix
-	for attempt := 0; ; attempt++ {
-		f, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			_, werr := fmt.Fprintf(f, "%d\n", os.Getpid())
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				os.Remove(lock)
-				return fmt.Errorf("journal: write lock %s: %w", lock, werr)
-			}
-			liveLocksMu.Lock()
-			liveLocks[lock] = true
-			liveLocksMu.Unlock()
-			return nil
-		}
-		if !os.IsExist(err) {
-			return fmt.Errorf("journal: lock %s: %w", lock, err)
-		}
-		liveLocksMu.Lock()
-		mine := liveLocks[lock]
-		liveLocksMu.Unlock()
-		if mine {
-			return fmt.Errorf("journal: %s is already open in this process (second runner on one cache directory?)", path)
-		}
-		data, rerr := os.ReadFile(lock)
-		if rerr != nil {
-			if os.IsNotExist(rerr) && attempt < 3 {
-				continue // holder unlocked between our create and read
-			}
-			return fmt.Errorf("journal: read lock %s: %w", lock, rerr)
-		}
-		pid, perr := strconv.Atoi(strings.TrimSpace(string(data)))
-		if perr == nil && pid > 0 && pidAlive(pid) {
-			return fmt.Errorf("journal: %s locked by running process %d; a second coordinator or worker is using this cache directory (remove %s if that process is gone)", path, pid, lock)
-		}
-		// Stale: the owner died without unlocking (or the lock is torn).
-		// Break it and retry the exclusive create.
-		if attempt >= 3 {
-			return fmt.Errorf("journal: could not break stale lock %s", lock)
-		}
-		os.Remove(lock)
+// lockJournal takes the exclusive writer lock guarding path: a
+// non-blocking flock on the lock file next to it, held by the returned
+// file until it is closed. The kernel drops the lock when its holder
+// exits, so a crashed owner leaves no stale lock, whatever PID the file
+// names. flock conflicts across open file descriptions, so a second
+// runner in this process is refused like a second process. Two live
+// writers — a worker and a second coordinator pointed at the same cache
+// directory, say — fail fast here with a clear error instead of
+// interleaving fsynced appends.
+func lockJournal(path string) (*os.File, error) {
+	name := path + lockSuffix
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: lock %s: %w", name, err)
 	}
-}
-
-// unlockJournal releases the lock taken by lockJournal.
-func unlockJournal(path string) {
-	lock := path + lockSuffix
-	liveLocksMu.Lock()
-	delete(liveLocks, lock)
-	liveLocksMu.Unlock()
-	os.Remove(lock)
-}
-
-// pidAlive probes whether a PID names a live process: signal 0 reaches
-// the process without touching it. EPERM still means "alive, not ours".
-func pidAlive(pid int) bool {
-	if pid == os.Getpid() {
-		return true
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		holder, _ := io.ReadAll(f)
+		f.Close()
+		if err == syscall.EWOULDBLOCK {
+			return nil, fmt.Errorf("journal: %s locked by process %s; a second coordinator, worker or runner is using this cache directory", path, strings.TrimSpace(string(holder)))
+		}
+		return nil, fmt.Errorf("journal: lock %s: %w", name, err)
 	}
-	err := syscall.Kill(pid, 0)
-	return err == nil || err == syscall.EPERM
+	// The PID only names the holder in a refused opener's error, so a
+	// failed write costs nothing else.
+	if f.Truncate(0) == nil {
+		fmt.Fprintf(f, "%d\n", os.Getpid())
+	}
+	return f, nil
 }
 
 // OpenJournal opens (creating if needed) the journal at path and loads
 // the completed-cell set from any prior run. Torn or malformed lines
 // are skipped, not fatal. The journal is an exclusive-writer structure:
-// opening takes a PID lock file next to it, so two live processes (or
-// two runners in one process) sharing a cache directory fail fast
-// instead of interleaving appends; locks left by crashed processes are
-// detected by PID probe and broken.
+// opening takes a flock on a lock file next to it, so two live
+// processes (or two runners in one process) sharing a cache directory
+// fail fast instead of interleaving appends.
 func OpenJournal(path string) (*Journal, error) {
-	if err := lockJournal(path); err != nil {
+	lock, err := lockJournal(path)
+	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, done: make(map[string]bool)}
+	j := &Journal{lock: lock, done: make(map[string]bool)}
 	if data, err := os.ReadFile(path); err == nil {
 		lines := strings.Split(string(data), "\n")
 		if len(data) > 0 && !strings.HasSuffix(string(data), "\n") {
@@ -144,7 +93,7 @@ func OpenJournal(path string) (*Journal, error) {
 				keep = i + 1
 			}
 			if err := os.Truncate(path, int64(keep)); err != nil {
-				unlockJournal(path)
+				lock.Close()
 				return nil, fmt.Errorf("journal: drop torn tail: %w", err)
 			}
 		}
@@ -155,12 +104,12 @@ func OpenJournal(path string) (*Journal, error) {
 			}
 		}
 	} else if !os.IsNotExist(err) {
-		unlockJournal(path)
+		lock.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		unlockJournal(path)
+		lock.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	j.f = f
@@ -227,6 +176,6 @@ func (j *Journal) Close() error {
 	}
 	err := j.f.Close()
 	j.f = nil
-	unlockJournal(j.path)
+	j.lock.Close()
 	return err
 }

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -158,7 +162,7 @@ func TestJournalLockExcludesSecondWriter(t *testing.T) {
 	}
 	if _, err := OpenJournal(path); err == nil {
 		t.Fatal("second concurrent open succeeded; concurrent writers would interleave appends")
-	} else if !strings.Contains(err.Error(), "open in this process") {
+	} else if !strings.Contains(err.Error(), "locked by process") {
 		t.Errorf("second open error %q does not explain the conflict", err)
 	}
 	if err := j.Close(); err != nil {
@@ -198,18 +202,73 @@ func TestJournalLockStaleBroken(t *testing.T) {
 	j2.Close()
 }
 
-// TestJournalLockLiveForeignPID: a lock naming a live process that is
-// not us (PID 1) must be honored with a clear diagnostic.
-func TestJournalLockLiveForeignPID(t *testing.T) {
+// TestJournalLockOwnPIDStale: a lock file that names this process's
+// PID but is not held — left by a killed predecessor that had the same
+// PID, as for a process that runs as PID 1 in a container — is stale.
+func TestJournalLockOwnPIDStale(t *testing.T) {
 	path := filepath.Join(t.TempDir(), JournalName)
-	if err := os.WriteFile(path+lockSuffix, []byte("1\n"), 0o644); err != nil {
+	if err := os.WriteFile(path+lockSuffix, []byte(fmt.Sprintf("%d\n", os.Getpid())), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenJournal(path)
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("stale lock naming our own PID was honored: %v", err)
+	}
+	j.Close()
+}
+
+// TestJournalLockHeldByOtherProcess: a lock really held by another live
+// process is honored, and the error names that process. The holder is
+// this test binary re-executed; it keeps the journal open until its
+// stdin closes.
+func TestJournalLockHeldByOtherProcess(t *testing.T) {
+	if path := os.Getenv("JOURNAL_LOCK_HOLDER"); path != "" {
+		j, err := OpenJournal(path)
+		if err != nil {
+			fmt.Println(err)
+			os.Exit(1)
+		}
+		fmt.Println("held")
+		io.ReadAll(os.Stdin)
+		j.Close()
+		os.Exit(0)
+	}
+	path := filepath.Join(t.TempDir(), JournalName)
+	holder := exec.Command(os.Args[0], "-test.run=^TestJournalLockHeldByOtherProcess$")
+	holder.Env = append(os.Environ(), "JOURNAL_LOCK_HOLDER="+path)
+	stdin, err := holder.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := holder.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Start(); err != nil {
+		t.Fatal(err)
+	}
+	release := func() {
+		stdin.Close()
+		holder.Wait()
+	}
+	defer release()
+	if line, _ := bufio.NewReader(stdout).ReadString('\n'); line != "held\n" {
+		t.Fatalf("holder did not take the lock: %q", line)
+	}
+
+	_, err = OpenJournal(path)
 	if err == nil {
-		t.Fatal("lock held by live PID 1 was stolen")
+		t.Fatal("lock held by a live process was stolen")
 	}
-	if !strings.Contains(err.Error(), "locked by running process 1") {
-		t.Errorf("error %q does not name the lock holder", err)
+	if want := fmt.Sprintf("locked by process %d", holder.Process.Pid); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the lock holder (%s)", err, want)
 	}
+
+	// The kernel drops the lock when its holder exits.
+	release()
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("lock outlived its holder: %v", err)
+	}
+	j.Close()
 }

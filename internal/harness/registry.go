@@ -108,7 +108,7 @@ func RunAllWith(o Options, r *Runner, progress func(e Experiment)) (string, erro
 }
 
 // RenderSections renders filled plans, one per experiment, under
-// "## name — desc" headers: the `jrs all` format, also used by jrsd for
+// "## name — desc" headers: the `jrs all` format, also used by the dist coordinator for
 // multi-experiment grids.
 func RenderSections(exps []Experiment, plans []*Plan, keepGoing bool) string {
 	var b strings.Builder

@@ -23,7 +23,6 @@ var golden = map[string]string{
 
 func TestGoldenOutputs(t *testing.T) {
 	for _, w := range workloads.All() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			want, ok := golden[w.Name]
 			if !ok {

@@ -30,7 +30,6 @@ func runWorkload(t *testing.T, w workloads.Workload, n int, p core.Policy) (*cor
 // always-JIT, and mixed threshold execution.
 func TestWorkloadsAgreeAcrossEngines(t *testing.T) {
 	for _, w := range workloads.All() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			_, outI := runWorkload(t, w, w.BenchN, core.InterpretOnly{})
 			_, outJ := runWorkload(t, w, w.BenchN, core.CompileFirst{})

@@ -10,7 +10,7 @@
 #   count  -count passed to go test (default: 3)
 #
 # The label "dist" is a mode: it runs only the distributed-vs-parallel
-# grid pair (a loopback jrsd coordinator + local workers against the
+# grid pair (a loopback dist coordinator + local workers against the
 # shared-memory parallel runner) and records the comparison as a `dist`
 # entry — the number to watch is BenchmarkGridDist's overhead relative
 # to BenchmarkGridParallel at the same worker count.
