@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,9 +43,9 @@ type Journal struct {
 // exits, so a crashed owner leaves no stale lock, whatever PID the file
 // names. flock conflicts across open file descriptions, so a second
 // runner in this process is refused like a second process. Two live
-// writers — a worker and a second coordinator pointed at the same cache
-// directory, say — fail fast here with a clear error instead of
-// interleaving fsynced appends.
+// writers — two coordinators or runners pointed at the same cache
+// directory — fail fast here with a clear error instead of interleaving
+// fsynced appends.
 func lockJournal(path string) (*os.File, error) {
 	name := path + lockSuffix
 	f, err := os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
@@ -54,8 +55,8 @@ func lockJournal(path string) (*os.File, error) {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		holder, _ := io.ReadAll(f)
 		f.Close()
-		if err == syscall.EWOULDBLOCK {
-			return nil, fmt.Errorf("journal: %s locked by process %s; a second coordinator, worker or runner is using this cache directory", path, strings.TrimSpace(string(holder)))
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("journal: %s locked by process %s; another coordinator or runner is using this cache directory", path, strings.TrimSpace(string(holder)))
 		}
 		return nil, fmt.Errorf("journal: lock %s: %w", name, err)
 	}
