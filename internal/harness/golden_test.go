@@ -74,3 +74,25 @@ func payloadDigest(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])[:16]
 }
+
+// TestGridEngineRuns pins the engine work of the whole registry on
+// hello (quick) run through one serial Runner, the way `jrs all` runs
+// it: the grid's cell groups, the engine runs RunClassesCtx finished
+// and the instructions they simulated. The per-experiment pins above
+// count each group run on its own; this one counts what the Runner's
+// scheduling adds or saves across experiments. Refresh with:
+//
+//	go test ./internal/harness -run TestGridEngineRuns -update
+func TestGridEngineRuns(t *testing.T) {
+	var plans []*Plan
+	for _, e := range Experiments() {
+		plans = append(plans, e.Plan(helloOpts()))
+	}
+	r := &Runner{Workers: 1}
+	runs, insts := engineRuns.Load(), simInstrs.Load()
+	if err := r.RunPlans(plans...); err != nil {
+		t.Fatal(err)
+	}
+	runs, insts = engineRuns.Load()-runs, simInstrs.Load()-insts
+	checkGolden(t, "cells/grid.txt", fmt.Sprintf("groups=%d\nruns=%d\ninsts=%d\n", r.Report().Cells, runs, insts))
+}
