@@ -52,8 +52,7 @@
 //	              on-disk store under D (implies -codecache; corrupt or
 //	              stale entries degrade to misses)
 //	-celltimeout D watchdog deadline per cell attempt (0 = none); hung
-//	              cells become retryable timeout failures (serve: set it
-//	              on the workers)
+//	              cells become retryable timeout failures
 //	-retries N    re-attempts per cell after a retryable failure
 //	              (panic, timeout, transient/injected fault)
 //	-keepgoing    degraded mode: drain every cell, render what
@@ -101,7 +100,9 @@
 //
 // serve, worker and inproc reject -codecache and -codecachedir: a warm
 // translation cache would change a remote cell's translate/execute
-// split away from a serial run's.
+// split away from a serial run's. worker rejects -cachedir, -retries
+// and -keepgoing (the coordinator applies them), and serve rejects
+// -celltimeout and -chaos (the workers apply them).
 //
 // Exit codes: 0 healthy, 1 run or connection error, 2 usage,
 // 3 degraded (-keepgoing with failed cells).
@@ -187,6 +188,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *remote != "" {
 		if name := firstSet(fs, localOnly); name != "" {
 			fmt.Fprintf(stderr, "jrs: -%s has no effect with -remote (it is a coordinator or worker setting)\n", name)
+			return 2
+		}
+	}
+	if o, ok := ownedElsewhere[cmd]; ok {
+		if name := firstSet(fs, o.flags); name != "" {
+			fmt.Fprintf(stderr, "jrs: -%s has no effect on %s (it is a %s setting)\n", name, cmd, o.owner)
 			return 2
 		}
 	}
@@ -438,6 +445,18 @@ var localOnly = map[string]bool{
 	"keepgoing": true, "resume": true, "chaos": true, "codecache": true,
 	"codecachedir": true, "listen": true, "connect": true, "name": true,
 	"workers": true, "lease": true, "netchaos": true, "v": true,
+}
+
+// ownedElsewhere names, for serve and worker, the flags the other side
+// of the service owns: the coordinator applies the result cache, the
+// retry budget and keep-going; the workers run the cell watchdog and
+// fault injection.
+var ownedElsewhere = map[string]struct {
+	flags map[string]bool
+	owner string
+}{
+	"worker": {map[string]bool{"cachedir": true, "retries": true, "keepgoing": true}, "coordinator (serve)"},
+	"serve":  {map[string]bool{"celltimeout": true, "chaos": true}, "worker"},
 }
 
 // workloadOnly names the `run` flags that need a workload: its scale,

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"jrs/internal/classfile"
 	"jrs/internal/harness"
@@ -468,5 +469,58 @@ func TestInprocGridOptionsMatchLocal(t *testing.T) {
 	}
 	if out.String() == local(0) {
 		t.Error("-scale 4000 renders like the default scale: the flag did not reach the grid")
+	}
+}
+
+// runService runs a serve or worker command line. Should the command
+// start its service instead of refusing its flags, it is interrupted
+// after two seconds, as SIGINT at a terminal would stop it, and its
+// exit code is returned all the same.
+func runService(t *testing.T, args []string) (code int, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	done := make(chan int, 1)
+	go func() { done <- run(args, &out, &errb) }()
+	select {
+	case code = <-done:
+	case <-time.After(2 * time.Second):
+		self, err := os.FindProcess(os.Getpid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := self.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		code = <-done
+	}
+	return code, errb.String()
+}
+
+// TestWorkerRejectsCoordinatorFlags: the coordinator owns the result
+// cache, the retry budget and keep-going, so worker refuses the flags
+// instead of ignoring them.
+func TestWorkerRejectsCoordinatorFlags(t *testing.T) {
+	for _, args := range [][]string{{"-cachedir", t.TempDir()}, {"-retries", "3"}, {"-keepgoing"}} {
+		code, stderr := runService(t, append(args, "-connect", "127.0.0.1:1", "worker"))
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr, args[0]+" has no effect on worker") {
+			t.Errorf("%v: stderr does not name the flag: %q", args, stderr)
+		}
+	}
+}
+
+// TestServeRejectsWorkerFlags: the workers own the cell watchdog and
+// fault injection, so serve refuses the flags instead of ignoring them.
+func TestServeRejectsWorkerFlags(t *testing.T) {
+	for _, args := range [][]string{{"-celltimeout", "1s"}, {"-chaos", "seed=1,panic=1"}} {
+		code, stderr := runService(t, append(args, "-listen", "127.0.0.1:0", "serve"))
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr, args[0]+" has no effect on serve") {
+			t.Errorf("%v: stderr does not name the flag: %q", args, stderr)
+		}
 	}
 }
