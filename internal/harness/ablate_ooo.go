@@ -5,6 +5,7 @@ import (
 
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
+	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -61,7 +62,7 @@ func ablateOoOPlan(o Options) *Plan {
 	cells(p, o, o.seven(), jitOnly, "", pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,
 		func(w workloads.Workload, mode Mode) ([]run, func() (OoOCell, error)) {
 			g, check := coreGroup(o, cfgs)
-			return one(mode, g), func() (OoOCell, error) {
+			return []run{{mode: mode, sinks: []trace.Sink{g}}}, func() (OoOCell, error) {
 				cores := g.Cores()
 				cell := OoOCell{}
 				for _, ax := range oooAxes {

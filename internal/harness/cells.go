@@ -2,8 +2,10 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
+	"jrs/internal/cache"
 	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/trace"
@@ -22,8 +24,24 @@ type run struct {
 	done  func(*core.Engine)
 }
 
-// one declares a cell's single run: mode with sinks attached.
-func one(mode Mode, sinks ...trace.Sink) []run { return []run{{mode: mode, sinks: sinks}} }
+// engineSpec is the one engine run a spec cell declares: w at scale
+// under mode with a zero core.Config. Cells of equal specs can share one
+// engine run. The zero spec marks a cell that declares its own runs.
+type engineSpec struct {
+	w     workloads.Workload
+	scale int
+	mode  Mode
+}
+
+// tap is what a spec cell attaches to its engine run: plain sinks, cache
+// hierarchies (every member's of a run reduce batches in one
+// cache.NewGroup) and the reduce that turns them, finished, into the
+// cell's payload.
+type tap struct {
+	sinks  []trace.Sink
+	hs     []*cache.Hierarchy
+	reduce func() (any, error)
+}
 
 // Mode lists of the cells measured under one engine mode each.
 var (
@@ -31,15 +49,13 @@ var (
 	jitOnly   = []Mode{ModeJIT}
 )
 
-// cells adds one cell per workload × mode to p and decodes the cells'
-// payloads into *rows, one slot per cell in enumeration order. A key's
-// Mode is the mode's name, or label for the cells whose runs span
-// several modes (modes nil: one cell per workload); its Config is
-// config. decl declares a cell's engine runs and the reduce that turns
-// their finished sinks into the payload. It is called afresh on every
-// attempt, so a retried cell starts from empty sinks.
-func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, label, config string,
-	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]run, func() (R, error))) {
+// eachCell calls add once per workload × mode with the cell's key and
+// its row slot, in enumeration order, after sizing *rows to one slot per
+// cell. A key's Mode is the mode's name, or label for the cells whose
+// runs span several modes (modes nil: one cell per workload); its Config
+// is config.
+func eachCell[R any](o Options, list []workloads.Workload, modes []Mode, experiment, label, config string,
+	rows *[]R, add func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode)) {
 	if modes == nil {
 		modes = []Mode{ModeJIT} // a placeholder: labelled runs name their own modes
 	}
@@ -47,11 +63,25 @@ func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, l
 	for i, w := range list {
 		scale := resolveScale(o, w)
 		for j, mode := range modes {
-			key := CellKey{Experiment: p.experiment, Workload: w.Name, Scale: scale, Mode: mode.String(), Config: config}
+			key := CellKey{Experiment: experiment, Workload: w.Name, Scale: scale, Mode: mode.String(), Config: config}
 			if label != "" {
 				key.Mode = label
 			}
-			p.add(key, &(*rows)[i*len(modes)+j], func(ctx context.Context) (any, error) {
+			add(key, &(*rows)[i*len(modes)+j], w, scale, mode)
+		}
+	}
+}
+
+// cells adds one cell per workload × mode to p (keyed as eachCell
+// describes) and decodes the cells' payloads into *rows. decl declares a
+// cell's engine runs and the reduce that turns their finished sinks into
+// the payload. It is called afresh on every attempt, so a retried cell
+// starts from empty sinks.
+func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, label, config string,
+	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]run, func() (R, error))) {
+	eachCell(o, list, modes, p.experiment, label, config, rows,
+		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
+			p.add(key, dest, func(ctx context.Context) (any, error) {
 				runs, reduce := decl(w, mode)
 				if err := execRuns(ctx, w, scale, runs); err != nil {
 					return nil, err
@@ -62,8 +92,58 @@ func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, l
 				}
 				return v, nil
 			})
+		})
+}
+
+// specCells is cells for spec cells: each declares exactly one run, mode
+// at the cell's own scale with a zero core.Config and no done, so cells
+// of one engine spec can share that run. decl returns the cell's plain
+// sinks, its cache hierarchies and its reduce; it is called afresh on
+// every attempt.
+func specCells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, config string,
+	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (R, error))) {
+	eachCell(o, list, modes, p.experiment, "", config, rows,
+		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
+			p.cells = append(p.cells, Cell{Key: key, dest: dest, spec: engineSpec{w, scale, mode},
+				tap: func() tap {
+					sinks, hs, reduce := decl(w, mode)
+					return tap{sinks, hs, func() (any, error) { return reduce() }}
+				}})
+		})
+}
+
+// execFused runs the engine spec the members share once. Every member's
+// sinks, and one cache.NewGroup of every member's hierarchies, observe
+// that run; then each member's reduce makes its payload. Taps are
+// declared afresh, so a retry starts from empty sinks. Any member's
+// error fails the whole run.
+func execFused(ctx context.Context, members []*CellGroup) ([]json.RawMessage, error) {
+	spec := members[0].spec
+	taps := make([]tap, len(members))
+	var sinks []trace.Sink
+	var hs []*cache.Hierarchy
+	for i, g := range members {
+		taps[i] = g.tap()
+		sinks = append(sinks, taps[i].sinks...)
+		hs = append(hs, taps[i].hs...)
+	}
+	if len(hs) > 0 {
+		sinks = append(sinks, cache.NewGroup(hs...))
+	}
+	if _, err := RunCtx(ctx, spec.w, spec.scale, spec.mode, core.Config{}, sinks...); err != nil {
+		return nil, err
+	}
+	raws := make([]json.RawMessage, len(members))
+	for i, t := range taps {
+		v, err := t.reduce()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", spec.w.Name, err)
+		}
+		if raws[i], err = encodePayload(members[i].Key, v); err != nil {
+			return nil, err
 		}
 	}
+	return raws, nil
 }
 
 // execRuns runs the declared runs of one cell in order, handing each
@@ -138,6 +218,11 @@ func RunOracleCtx(ctx context.Context, w workloads.Workload, scale int, sinks ..
 // coreGroup builds a pipeline.Group of one core per config, each with an
 // invariant checker when o.CheckPipe is set. check, returned by a cell's
 // reduce, folds the checkers' first violation into the cell's error.
+// The superscalar cells declare their one run with cells, not
+// specCells: a fused claim keeps every member's sinks alive at once,
+// and a core group holds 4-19 MB even on hello, so fusing them raised
+// the peak RSS of a registry grid by a third while their engine runs
+// are a small share of their cost.
 func coreGroup(o Options, cfgs []pipeline.Config) (g *pipeline.Group, check func() error) {
 	g = pipeline.NewGroup(cfgs...)
 	var checks []*pipeline.Checker

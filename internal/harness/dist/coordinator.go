@@ -406,14 +406,17 @@ func (c *Coordinator) active() *job {
 }
 
 // answerLeaseReq grants the ledger's earliest eligible group, or tells
-// the worker to wait.
+// the worker to wait. A lease carries one group, so claims are batches
+// of one: same-spec groups are not fused across the wire.
 func (c *Coordinator) answerLeaseReq(cs *connState, req LeaseReq) error {
 	c.mu.Lock()
 	j := c.active()
 	now := time.Now()
 	grant, attempt := -1, 0
 	if j != nil {
-		grant, attempt, _ = j.ledger.Claim(now)
+		if batch, _ := j.ledger.Claim(now, 1); len(batch) == 1 {
+			grant, attempt = batch[0].Group, batch[0].Attempt
+		}
 	}
 	if grant < 0 {
 		c.mu.Unlock()

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"jrs/internal/branch"
+	"jrs/internal/cache"
 	"jrs/internal/core"
 	"jrs/internal/stats"
+	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -31,11 +33,11 @@ type AblateIndirectResult struct{ Rows []IndirectRow }
 func ablateIndirectPlan(o Options) *Plan {
 	res := &AblateIndirectResult{}
 	p := newPlan("ablate-indirect", res)
-	cells(p, o, o.seven(), interpJIT, "", "btb+targetcache", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]run, func() (IndirectRow, error)) {
+	specCells(p, o, o.seven(), interpJIT, "btb+targetcache", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (IndirectRow, error)) {
 			base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
 			enhanced := branch.NewIndirectUnit()
-			return one(mode, base, enhanced), func() (IndirectRow, error) {
+			return []trace.Sink{base, enhanced}, nil, func() (IndirectRow, error) {
 				row := IndirectRow{Workload: w.Name, Mode: mode}
 				row.BTBMiss = base.Stats.MispredictRate()
 				row.TCMiss = enhanced.Stats.MispredictRate()

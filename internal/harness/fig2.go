@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"jrs/internal/cache"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -29,10 +30,10 @@ func fig2Plan(o Options) *Plan {
 	res := &Fig2Result{}
 	p := newPlan("fig2", res)
 	var counters []trace.Counter
-	cells(p, o, list, interpJIT, "", "", &counters,
-		func(w workloads.Workload, mode Mode) ([]run, func() (trace.Counter, error)) {
+	specCells(p, o, list, interpJIT, "", &counters,
+		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (trace.Counter, error)) {
 			c := &trace.Counter{}
-			return one(mode, c), func() (trace.Counter, error) { return *c, nil }
+			return []trace.Sink{c}, nil, func() (trace.Counter, error) { return *c, nil }
 		})
 	p.finish = func() error {
 		res.Rows = make([]MixRow, len(counters))

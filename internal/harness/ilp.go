@@ -5,6 +5,7 @@ import (
 
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
+	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -34,7 +35,7 @@ func fig9Plan(o Options) *Plan {
 	cells(p, o, o.seven(), interpJIT, "", pipeConfig(o, "width=1,2,4,8"), &res.Rows,
 		func(w workloads.Workload, mode Mode) ([]run, func() (ILPRow, error)) {
 			g, check := coreGroup(o, fig9Configs(widths))
-			return one(mode, g), func() (ILPRow, error) {
+			return []run{{mode: mode, sinks: []trace.Sink{g}}}, func() (ILPRow, error) {
 				row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
 				for _, c := range g.Cores() {
 					row.IPC = append(row.IPC, c.IPC())

@@ -3,6 +3,7 @@ package harness
 import (
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
+	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -29,7 +30,7 @@ func ablateInterpILPPlan(o Options) *Plan {
 	cells(p, o, o.seven(), []Mode{ModeInterp}, "", pipeConfig(o, "btb+targetcache-width=1,2,4,8"), &res.Rows,
 		func(w workloads.Workload, mode Mode) ([]run, func() (InterpILPRow, error)) {
 			g, check := coreGroup(o, interpILPConfigs(widths))
-			return one(mode, g), func() (InterpILPRow, error) {
+			return []run{{mode: mode, sinks: []trace.Sink{g}}}, func() (InterpILPRow, error) {
 				cores := g.Cores()
 				row := InterpILPRow{Workload: w.Name, Widths: widths}
 				for i := range widths {

@@ -137,18 +137,28 @@ func (l *Ledger) settle(i int, st GroupState) {
 	l.state[i] = st
 }
 
-// Claim moves the earliest eligible pending group in flight and returns
-// its index and attempt number. A group is eligible once its backoff has
-// elapsed; after a fail-fast failure only groups attempted before stay
-// eligible, so claimed work finishes its retry budget while fresh work is
-// skipped. With nothing eligible Claim returns i = -1 and how long until
-// a backed-off group becomes eligible (0: nothing is left to claim).
-func (l *Ledger) Claim(now time.Time) (i, attempt int, wait time.Duration) {
+// Claimed is one group a Claim moved in flight, with its attempt number.
+type Claimed struct{ Group, Attempt int }
+
+// Claim moves the earliest eligible pending group in flight, together
+// with every other eligible pending group of the same engine spec (spec
+// cells; at most limit groups in all, limit <= 0 for no bound), and
+// returns them in enumeration order with their attempt numbers. A group
+// is eligible once its backoff has elapsed; after a fail-fast failure
+// only groups attempted before stay eligible, so claimed work finishes
+// its retry budget while fresh work is skipped. With nothing eligible
+// Claim returns no groups and how long until a backed-off group becomes
+// eligible (0: nothing is left to claim).
+func (l *Ledger) Claim(now time.Time, limit int) (batch []Claimed, wait time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	stopped := l.stopped()
+	var spec engineSpec
 	for i, st := range l.state {
 		if st != GroupPending || (stopped && !l.attempted[i]) {
+			continue
+		}
+		if len(batch) > 0 && l.groups[i].spec != spec {
 			continue
 		}
 		if d := l.notBefore[i].Sub(now); d > 0 {
@@ -158,9 +168,16 @@ func (l *Ledger) Claim(now time.Time) (i, attempt int, wait time.Duration) {
 			continue
 		}
 		l.start(i)
-		return i, l.attempts[i], 0
+		batch = append(batch, Claimed{Group: i, Attempt: l.attempts[i]})
+		spec = l.groups[i].spec
+		if spec == (engineSpec{}) || len(batch) == limit {
+			break
+		}
 	}
-	return -1, 0, wait
+	if len(batch) > 0 {
+		wait = 0
+	}
+	return batch, wait
 }
 
 // Fail records a failed attempt of in-flight group i. A retryable cause

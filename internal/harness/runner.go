@@ -52,16 +52,20 @@ func (k CellKey) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Cell is one schedulable simulation unit: a key, the simulation closure
-// producing a JSON-serializable payload, and the destination the payload
-// is decoded into. Every payload — fresh or cached — passes through the
-// same JSON round trip, so a run never observes different values
-// depending on where a cell's result came from. The closure receives the
+// Cell is one schedulable simulation unit: a key, how the cell simulates
+// a JSON-serializable payload, and the destination the payload is
+// decoded into. A cell either declares its own runs (sim) or is a spec
+// cell: one engine run (spec) observed by what tap declares, which cells
+// of the same spec can share. Every payload — fresh or cached — passes
+// through the same JSON round trip, so a run never observes different
+// values depending on where a cell's result came from. sim receives the
 // attempt's context and must pass it down (RunCtx) so the supervisor's
 // watchdog can cancel a hung simulation cooperatively.
 type Cell struct {
 	Key  CellKey
 	sim  func(context.Context) (any, error)
+	spec engineSpec
+	tap  func() tap
 	dest any
 }
 
@@ -200,20 +204,35 @@ type CellGroup struct {
 	// Key identifies the cell; Key.Hash() is its wire and cache address.
 	Key   CellKey
 	sim   func(context.Context) (any, error)
+	spec  engineSpec // a spec cell's engine run; zero when sim declares the runs
+	tap   func() tap
 	dests []any
 	order int // lowest cell index, for deterministic error selection
 }
 
 // Run executes the group's simulation under ctx and marshals the
-// payload. No recovery: callers own their panic-isolation boundary.
+// payload; a spec cell runs as a fused run of one. No recovery: callers
+// own their panic-isolation boundary.
 func (g *CellGroup) Run(ctx context.Context) (json.RawMessage, error) {
+	if g.tap != nil {
+		raws, err := execFused(ctx, []*CellGroup{g})
+		if err != nil {
+			return nil, err
+		}
+		return raws[0], nil
+	}
 	payload, err := g.sim(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return encodePayload(g.Key, payload)
+}
+
+// encodePayload marshals cell key's payload.
+func encodePayload(key CellKey, payload any) (json.RawMessage, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
-		return nil, fmt.Errorf("%s: encode cell payload: %w", g.Key, err)
+		return nil, fmt.Errorf("%s: encode cell payload: %w", key, err)
 	}
 	return raw, nil
 }
@@ -225,6 +244,37 @@ func (g *CellGroup) Run(ctx context.Context) (json.RawMessage, error) {
 // dressed the cancellation in workload context, so it classifies as a
 // timeout.
 func (g *CellGroup) Attempt(ctx context.Context, attempt int, timeout time.Duration, inj *chaos.Injector) (raw json.RawMessage, err error) {
+	err = guarded(ctx, timeout, func(ctx context.Context) error {
+		if inj != nil {
+			switch inj.Decide(g.Key.String(), attempt) {
+			case chaos.Panic:
+				panic(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
+			case chaos.Hang:
+				if _, ok := ctx.Deadline(); !ok {
+					return fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", g.Key)
+				}
+				<-ctx.Done()
+				return fmt.Errorf("%s: %w", g.Key, ctx.Err())
+			case chaos.Transient:
+				return &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
+			}
+		}
+		var err error
+		if raw, err = g.Run(ctx); err != nil && ctx.Err() != nil {
+			return fmt.Errorf("%s: %w (sim: %v)", g.Key, ctx.Err(), err)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return raw, nil
+}
+
+// guarded runs f under a watchdog deadline (timeout 0 = none) and
+// recovers a panic into a *PanicError: the supervision boundary of one
+// attempt, solo or fused.
+func guarded(ctx context.Context, timeout time.Duration, f func(context.Context) error) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = newPanicError(rec)
@@ -235,25 +285,7 @@ func (g *CellGroup) Attempt(ctx context.Context, attempt int, timeout time.Durat
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if inj != nil {
-		switch inj.Decide(g.Key.String(), attempt) {
-		case chaos.Panic:
-			panic(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
-		case chaos.Hang:
-			if _, ok := ctx.Deadline(); !ok {
-				return nil, fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", g.Key)
-			}
-			<-ctx.Done()
-			return nil, fmt.Errorf("%s: %w", g.Key, ctx.Err())
-		case chaos.Transient:
-			return nil, &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
-		}
-	}
-	raw, err = g.Run(ctx)
-	if err != nil && ctx.Err() != nil {
-		return nil, fmt.Errorf("%s: %w (sim: %v)", g.Key, ctx.Err(), err)
-	}
-	return raw, err
+	return f(ctx)
 }
 
 // Deliver decodes a payload (fresh, cached, or received over the wire)
@@ -281,7 +313,7 @@ func GroupPlans(plans ...*Plan) []*CellGroup {
 			hash := c.Key.Hash()
 			g, ok := index[hash]
 			if !ok {
-				g = &CellGroup{Key: c.Key, sim: c.sim, order: order}
+				g = &CellGroup{Key: c.Key, sim: c.sim, spec: c.spec, tap: c.tap, order: order}
 				index[hash] = g
 				groups = append(groups, g)
 			}
@@ -323,27 +355,70 @@ func (r *Runner) RunPlans(plans ...*Plan) error {
 }
 
 // work claims, attempts and commits groups until the ledger has nothing
-// left to claim. A retried group's backoff is slept here, by the worker
-// whose attempt failed.
+// left to claim. A claim of several same-spec groups runs their engine
+// once (runFused). A member with an injected fault is attempted alone,
+// so the fault fires as it would unfused, and if the fused run fails
+// every member is attempted alone within the same claim, at the same
+// attempt number: failures, causes and retries then match an unfused
+// run. A retried group's backoff is slept here, by the worker whose
+// attempt failed.
 func (r *Runner) work(l *Ledger) {
 	for {
-		i, attempt, wait := l.Claim(time.Now())
-		if i < 0 {
+		batch, wait := l.Claim(time.Now(), 0)
+		if len(batch) == 0 {
 			if wait == 0 {
 				return
 			}
 			time.Sleep(wait)
 			continue
 		}
-		raw, err := l.groups[i].Attempt(context.Background(), attempt, r.CellTimeout, r.Chaos)
-		if err == nil {
-			err = l.Commit(i, raw)
-		}
-		if err != nil {
-			cause, _ := Classify(err)
-			if retry, delay := l.Fail(i, cause, err, "", time.Now()); retry {
-				r.sleepFor(delay)
+		var fused, solo []Claimed
+		for _, c := range batch {
+			if r.Chaos != nil && r.Chaos.Decide(l.groups[c.Group].Key.String(), c.Attempt) != chaos.None {
+				solo = append(solo, c)
+			} else {
+				fused = append(fused, c)
 			}
+		}
+		if len(fused) > 1 {
+			if raws, err := r.runFused(l, fused); err == nil {
+				for k, c := range fused {
+					r.settle(l, c, raws[k], nil)
+				}
+				fused = nil
+			}
+		}
+		for _, c := range append(fused, solo...) {
+			raw, err := l.groups[c.Group].Attempt(context.Background(), c.Attempt, r.CellTimeout, r.Chaos)
+			r.settle(l, c, raw, err)
+		}
+	}
+}
+
+// runFused runs the claimed groups' shared engine spec once, guarded by
+// one watchdog deadline.
+func (r *Runner) runFused(l *Ledger, batch []Claimed) (raws []json.RawMessage, err error) {
+	members := make([]*CellGroup, len(batch))
+	for k, c := range batch {
+		members[k] = l.groups[c.Group]
+	}
+	err = guarded(context.Background(), r.CellTimeout, func(ctx context.Context) (err error) {
+		raws, err = execFused(ctx, members)
+		return err
+	})
+	return raws, err
+}
+
+// settle commits an attempt's payload, or records its error (or the
+// commit's) and sleeps the retry's backoff.
+func (r *Runner) settle(l *Ledger, c Claimed, raw json.RawMessage, err error) {
+	if err == nil {
+		err = l.Commit(c.Group, raw)
+	}
+	if err != nil {
+		cause, _ := Classify(err)
+		if retry, delay := l.Fail(c.Group, cause, err, "", time.Now()); retry {
+			r.sleepFor(delay)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"jrs/internal/branch"
+	"jrs/internal/cache"
 	"jrs/internal/stats"
+	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -29,10 +31,10 @@ type Table2Result struct {
 func table2Plan(o Options) *Plan {
 	res := &Table2Result{}
 	p := newPlan("table2", res)
-	cells(p, o, o.seven(), interpJIT, "", "2bit+bht+gshare+gap", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]run, func() (Table2Row, error)) {
+	specCells(p, o, o.seven(), interpJIT, "2bit+bht+gshare+gap", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (Table2Row, error)) {
 			suite := branch.NewSuite()
-			return one(mode, suite), func() (Table2Row, error) {
+			return []trace.Sink{suite}, nil, func() (Table2Row, error) {
 				row := Table2Row{Workload: w.Name, Mode: mode}
 				var transfers, indirect uint64
 				for i, u := range suite.Units {
