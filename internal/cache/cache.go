@@ -12,7 +12,10 @@
 // batch reduced to same-phase spans of fetch runs and data references,
 // and NewGroup shares one reduction among every hierarchy with the same
 // line sizes and direct-install range, the way the paper fed one Shade
-// trace to many cachesim5 configurations.
+// trace to many cachesim5 configurations. Within a group, the
+// direct-mapped caches of one line size skip what the smallest of them
+// hits (Hill and Smith's forest simulation), since each holds every
+// line the smaller ones do.
 package cache
 
 import (

@@ -517,15 +517,43 @@ func FuzzCacheDifferential(f *testing.F) {
 	})
 }
 
-// groupLeg is FuzzCacheDifferential's group leg.
+// chainConfig draws a cache of one bucket's chain: line bytes, 1 to 16
+// sets, mostly direct-mapped and with the given write policy.
+func chainConfig(b *fuzzBytes, name string, line int, allocate bool) Config {
+	c := fuzzConfig(b, name, line)
+	if b.next()%4 != 0 {
+		c.Size, c.Assoc = c.Size/c.Assoc, 1
+	}
+	c.WriteAllocate = allocate
+	return c
+}
+
+// groupLeg is FuzzCacheDifferential's group leg. Half of its inputs
+// draw one bucket of up to five hierarchies, mostly direct-mapped with
+// several set counts, sometimes a duplicate and sometimes one
+// write-no-allocate D cache, which must turn off the D side's chain
+// and merge.
 func groupLeg(t *testing.T, b fuzzBytes) {
 	n := 1 + int(b.next()%4)
+	chain := b.next()%2 == 0
+	dup, wna := b.next()%4 == 0, int(b.next()%8)
+	chainDirect, chainLow := b.next()%4 == 0, uint64(b.next()%2)*600
+	if chain {
+		n++
+	}
 	var grouped, solo []*Hierarchy
 	var refs []*refHierarchy
-	for range n {
+	for i := range n {
 		// Two line sizes per side keep some buckets shared.
 		ic, dc := fuzzConfig(&b, "I", 4, 32), fuzzConfig(&b, "D", 1, 8)
 		direct, low := b.next()%3 == 0, uint64(b.next()%2)*600
+		if chain {
+			ic, dc = chainConfig(&b, "I", 32, true), chainConfig(&b, "D", 8, i != wna)
+			direct, low = chainDirect, chainLow
+			if dup && i == 1 {
+				ic, dc = grouped[0].I.Config(), grouped[0].D.Config()
+			}
+		}
 		for _, hs := range []*[]*Hierarchy{&grouped, &solo} {
 			h := NewHierarchy(ic, dc)
 			h.DirectInstall, h.CodeLow, h.CodeHigh = direct, low, low+600

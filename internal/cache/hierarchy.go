@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"slices"
 
 	"jrs/internal/trace"
@@ -48,6 +49,7 @@ func (h *Hierarchy) Emit(in trace.Inst) { h.EmitBatch([]trace.Inst{in}) }
 func (h *Hierarchy) EmitBatch(batch []trace.Inst) {
 	if k := h.key(); h.solo == nil || h.solo.key != k {
 		h.solo = newBucket(k, h)
+		h.solo.plan()
 	}
 	h.solo.emit(batch)
 }
@@ -73,16 +75,22 @@ func (h *Hierarchy) key() bucketKey {
 
 // fetch ends a run of consecutive instruction fetches from one I-line:
 // the run's last instruction is batch[end-1], and it began after the
-// previous fetch's end.
+// previous fetch's end. hit records whether the last cache stepped
+// through it hit.
 type fetch struct {
 	line uint64
-	end  int
+	end  int32
+	hit  bool
 }
 
-// ref is one data reference to a D-line.
+// ref is a run of consecutive data references to one D-line (a single
+// reference unless the bucket merges). write is the first
+// reference's kind, which decides a miss's class; dirty is set when a
+// later reference of the run writes. hit records whether the last
+// cache stepped through it hit.
 type ref struct {
-	line  uint64
-	write bool
+	line              uint64
+	write, dirty, hit bool
 }
 
 // install is a direct install of an I-line by the store batch[at].
@@ -92,30 +100,97 @@ type install struct {
 }
 
 // span is a same-phase stretch of a reduced batch: it ends before
-// instruction end, fetch fetchEnd and reference refEnd, and writes of
-// its references are stores.
+// instruction end, fetch fetchEnd and reference run refEnd, and its
+// runs hold reads loads and writes stores.
 type span struct {
 	phase                 trace.Phase
 	end, fetchEnd, refEnd int
-	writes                uint64
+	reads, writes         uint64
 }
 
 // bucket is the hierarchies of a group that share one bucketKey, and
 // the current batch reduced at that key. Every fetch of a run after
-// the first repeats the run's line, and the I and D streams touch
-// different caches, so each hierarchy stepping its I-cache through
-// the fetches and installs and its D-cache through the references,
-// span by span, counts exactly what per-instruction probes would.
+// the first repeats the run's line, and so does every reference of a
+// merged run, so stepping each I-cache through the fetch runs and
+// installs and each D-cache through the reference runs, span by span,
+// counts exactly what per-instruction probes would. The I and D
+// streams touch different caches, so every cache steps on its own.
+//
+// When every D cache write-allocates, each reference fills its line,
+// and the bucket merges consecutive references to one D-line: after
+// the first, each is a hit by the repeat-line filter's argument, in
+// any phase, and a hit changes no per-phase counter but the span's
+// reference count. So a run may cross a span, and it is probed in the
+// span it starts in. Filling on every reference also lets the
+// direct-mapped caches of a side form a chain (see chain): a hit in
+// the one with the fewest sets is a hit in every other.
 type bucket struct {
-	key      bucketKey
-	hs       []*Hierarchy
-	spans    []span
-	fetches  []fetch
-	refs     []ref
-	installs []install
+	key bucketKey
+	hs  []*Hierarchy
+	// is and ds are the bucket's I and D caches in stepping order; the
+	// first iChain and dChain of them are each side's chain, head
+	// first (0: no chain).
+	is, ds         []*Cache
+	iChain, dChain int
+	merge          bool
+	spans          []span
+	fetches        []fetch
+	refs           []ref
+	installs       []install
 }
 
 func newBucket(k bucketKey, hs ...*Hierarchy) *bucket { return &bucket{key: k, hs: hs} }
+
+// plan sets the bucket's stepping order once every member is in. The
+// D side merges and chains only when every D cache write-allocates: a
+// write-no-allocate write miss fills nothing. The I side chains only
+// without direct installs.
+func (b *bucket) plan() {
+	b.merge = true
+	for _, h := range b.hs {
+		b.is, b.ds = append(b.is, h.I), append(b.ds, h.D)
+		b.merge = b.merge && h.D.cfg.WriteAllocate
+	}
+	if !b.key.direct {
+		b.iChain = chain(b.is)
+	}
+	if b.merge {
+		b.dChain = chain(b.ds)
+	}
+}
+
+// chain moves the direct-mapped caches of cs that have not been
+// accessed yet to its front, fewest sets first, and returns their
+// number, or 0 when there are fewer than two. The caches of one side
+// of a bucket share a line size and see the same references, and in a
+// chain every reference fills its line. So each set of a chain cache
+// holds the newest line of all that map to it. The head's sets are
+// unions of a larger member's sets, so the newest line of a head set
+// is the newest of its member set too: a head hit is a member hit, and
+// a direct-mapped hit changes no state but the dirty bit. A chain
+// member must not be flushed or fed on its own.
+func chain(cs []*Cache) int {
+	in := func(c *Cache) bool { return c.assoc == 1 && c.tick == 0 }
+	slices.SortStableFunc(cs, func(a, b *Cache) int {
+		switch ia, ib := in(a), in(b); {
+		case ia && ib:
+			return cmp.Compare(len(a.ways), len(b.ways))
+		case ia:
+			return -1
+		case ib:
+			return 1
+		}
+		return 0
+	})
+	n := 0
+	for n < len(cs) && in(cs[n]) {
+		n++
+	}
+	if n < 2 {
+		return 0
+	}
+	return n
+}
 
 // reduce rebuilds the bucket's spans, fetches, references and installs
 // from a non-empty batch. It stores every instruction's fetch run and
@@ -130,70 +205,139 @@ func (b *bucket) reduce(batch []trace.Inst) {
 	b.spans, b.installs = b.spans[:0], b.installs[:0]
 	// prev starts, and restarts at a phase change, as the complement of
 	// the line, so the instruction opens a new entry.
-	f, r, writes := -1, 0, uint64(0)
+	f, r := -1, 0
+	var reads, writes uint64
 	phase, prev := batch[0].Phase, ^(batch[0].PC >> iShift)
 	for i := range batch {
 		in := &batch[i]
 		line := in.PC >> iShift
 		if in.Phase != phase {
-			b.spans = append(b.spans, span{phase, i, f + 1, r, writes})
-			phase, prev, writes = in.Phase, ^line, 0
+			b.spans = append(b.spans, span{phase, i, f + 1, r, reads, writes})
+			phase, prev, reads, writes = in.Phase, ^line, 0, 0
 		}
 		d := line ^ prev
 		f += int((d | -d) >> 63) // 1 when the line changed
-		fs[f] = fetch{line, i + 1}
+		fs[f] = fetch{line: line, end: int32(i + 1)}
 		prev = line
+		var write bool
 		switch in.Class {
 		case trace.Load:
-			rs[r] = ref{in.Addr >> dShift, false}
-			r++
+			reads++
 		case trace.Store:
 			if k.direct && in.Addr >= k.low && in.Addr < k.high {
 				b.installs = append(b.installs, install{i, in.Addr >> iShift})
 				continue
 			}
-			rs[r] = ref{in.Addr >> dShift, true}
-			r++
+			write = true
 			writes++
+		default:
+			continue
 		}
+		dl := in.Addr >> dShift
+		if b.merge && r > 0 && rs[r-1].line == dl {
+			rs[r-1].dirty = rs[r-1].dirty || write
+			continue
+		}
+		rs[r] = ref{line: dl, write: write}
+		r++
 	}
-	b.spans = append(b.spans, span{phase, len(batch), f + 1, r, writes})
+	b.spans = append(b.spans, span{phase, len(batch), f + 1, r, reads, writes})
 	b.fetches, b.refs = fs[:f+1], rs[:r]
 }
 
-// emit reduces batch once and steps every hierarchy of the bucket
-// through it: per span, the references are counted in one step and
-// then probed, the I-cache once per fetch run. An install splits the
-// run it falls in, and the fetches after it probe the line afresh.
+// emit reduces batch once and steps every cache of the bucket through
+// it. Each side steps its chain's head first and its members next, so
+// the hit bits the members read are the head's; every other cache
+// records hits too, but no member reads them.
 func (b *bucket) emit(batch []trace.Inst) {
 	if len(batch) == 0 {
 		return
 	}
 	b.reduce(batch)
-	for _, h := range b.hs {
-		// done is the number of instructions whose fetches are probed.
-		f, r, next, done := 0, 0, 0, 0
-		for _, s := range b.spans {
-			h.I.SetPhase(int(s.phase))
-			h.D.SetPhase(int(s.phase))
-			h.I.count(uint64(s.end-done), 0)
-			h.D.count(uint64(s.refEnd-r)-s.writes, s.writes)
-			for _, e := range b.fetches[f:s.fetchEnd] {
-				for ; next < len(b.installs) && b.installs[next].at < e.end; next++ {
-					h.I.probe(e.line, false)
-					h.I.installLine(b.installs[next].line)
+	for i, c := range b.is {
+		b.stepI(c, i > 0 && i < b.iChain)
+	}
+	for i, c := range b.ds {
+		b.stepD(c, i > 0 && i < b.dChain)
+	}
+}
+
+// stepI steps an I-cache through the reduction: per span, the fetches
+// are counted in one step and then probed once per run, recording
+// hits. A chain member probes only the runs the head missed. An
+// install splits the run it falls in, and the fetches after it probe
+// the line afresh; a bucket with installs has no I chain.
+func (b *bucket) stepI(c *Cache, member bool) {
+	f, next, done := 0, 0, 0
+	for _, s := range b.spans {
+		c.SetPhase(int(s.phase))
+		c.count(uint64(s.end-done), 0)
+		fs := b.fetches[f:s.fetchEnd]
+		switch {
+		case member:
+			for _, e := range fs {
+				if !e.hit {
+					c.probe(e.line, false)
+				}
+			}
+		case len(b.installs) == 0:
+			for j := range fs {
+				fs[j].hit = c.probe(fs[j].line, false)
+			}
+		default:
+			// done is the number of instructions whose fetches are probed.
+			for _, e := range fs {
+				end := int(e.end)
+				for ; next < len(b.installs) && b.installs[next].at < end; next++ {
+					c.probe(e.line, false)
+					c.installLine(b.installs[next].line)
 					done = b.installs[next].at + 1
 				}
-				if e.end > done {
-					h.I.probe(e.line, false)
+				if end > done {
+					c.probe(e.line, false)
 				}
-				done = e.end
+				done = end
 			}
-			for _, e := range b.refs[r:s.refEnd] {
-				h.D.probe(e.line, e.write)
-			}
-			f, r = s.fetchEnd, s.refEnd
 		}
+		f, done = s.fetchEnd, s.end
+	}
+}
+
+// stepD steps a D-cache through the reduction: per span, the
+// references are counted in one step and then probed once per run,
+// recording hits. A run's later write repeats its line, so it probes
+// again as a write, which the repeat-line filter turns into setting
+// the dirty bit. A chain member probes only the runs the head missed;
+// where the head hit, the member's line is resident at the one way of
+// its set, and a run that writes sets that way's dirty bit.
+func (b *bucket) stepD(c *Cache, member bool) {
+	j := 0
+	for _, s := range b.spans {
+		c.SetPhase(int(s.phase))
+		c.count(s.reads, s.writes)
+		rs := b.refs[j:s.refEnd]
+		if member {
+			for _, e := range rs {
+				switch {
+				case !e.hit:
+					c.probe(e.line, e.write)
+					if e.dirty {
+						c.probe(e.line, true)
+					}
+				case e.write || e.dirty:
+					c.ways[e.line&c.setMask].stamp |= 1
+				}
+			}
+		} else {
+			for k := range rs {
+				e := &rs[k]
+				e.hit = c.probe(e.line, e.write)
+				if e.dirty {
+					c.probe(e.line, true)
+				}
+			}
+		}
+		j = s.refEnd
 	}
 }
 
@@ -203,9 +347,10 @@ type group struct{ buckets []*bucket }
 // NewGroup returns a trace.Sink that feeds one trace to every
 // hierarchy in hs, with the exact counters of attaching each on its
 // own. Each batch is reduced once per bucket, the hierarchies sharing
-// I line size, D line size and direct-install range, and every
-// hierarchy in the bucket steps its caches off that reduction. Set
-// DirectInstall and the code range before grouping.
+// I line size, D line size and direct-install range, and every cache
+// in the bucket steps off that reduction. Set DirectInstall and the
+// code range before grouping. A grouped hierarchy's caches belong to
+// the group: do not flush them or feed them any other way.
 func NewGroup(hs ...*Hierarchy) trace.Sink {
 	g := &group{}
 	index := map[bucketKey]*bucket{}
@@ -217,6 +362,9 @@ func NewGroup(hs ...*Hierarchy) trace.Sink {
 		}
 		index[k] = newBucket(k, h)
 		g.buckets = append(g.buckets, index[k])
+	}
+	for _, b := range g.buckets {
+		b.plan()
 	}
 	return g
 }

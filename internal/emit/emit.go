@@ -51,6 +51,12 @@ func (e *Emitter) Emit(in trace.Inst) {
 	e.Batch.Add(in)
 }
 
+// EmitN delivers a sequence of instructions in order, counting them.
+func (e *Emitter) EmitN(insts []trace.Inst) {
+	e.Count += uint64(len(insts))
+	e.Batch.AddN(insts)
+}
+
 // Seq walks a template starting at a fixed PC. The zero register
 // convention: the first instruction's sources are "none"; afterwards each
 // instruction chains Src1 to the previous destination unless the template
@@ -68,6 +74,22 @@ type Seq struct {
 // At starts a sequence at pc.
 func (e *Emitter) At(pc uint64) *Seq {
 	return &Seq{e: e, pc: pc, prevDst: trace.RegNone, regCursor: isa.RTmp0}
+}
+
+// Pos is where a sequence stands: its next PC, the register its chain
+// continues from and its register cursor.
+type Pos struct {
+	PC                 uint64
+	PrevDst, RegCursor uint8
+}
+
+// Pos returns the sequence's position.
+func (s *Seq) Pos() Pos { return Pos{s.pc, s.prevDst, s.regCursor} }
+
+// Resume continues a sequence from p, as if the instructions that led
+// there had been emitted through this emitter.
+func (e *Emitter) Resume(p Pos) *Seq {
+	return &Seq{e: e, pc: p.PC, prevDst: p.PrevDst, regCursor: p.RegCursor}
 }
 
 // PC returns the next instruction address in the sequence.

@@ -10,9 +10,11 @@ import (
 
 // BenchmarkCacheEmitBatch times the cache model alone, off the traces
 // BenchmarkCoreEmitBatch records: a standalone hierarchy for each of
-// table3's, fig3's and fig7's configs, and fig3's and fig7's sweeps as
-// one cache.NewGroup each. ns/inst is host time per trace instruction,
-// so a group's figure covers all of its hierarchies.
+// table3's, fig3's and fig7's configs, fig3's and fig7's sweeps as one
+// cache.NewGroup each, and all ten hierarchies of table3, fig3 and
+// fig7 as the one group a fused cachesim claim attaches. ns/inst is
+// host time per trace instruction, so a group's figure covers all of
+// its hierarchies.
 //
 //	go test ./internal/harness -run '^$' -bench CacheEmitBatch -count 10
 func BenchmarkCacheEmitBatch(b *testing.B) {
@@ -58,5 +60,9 @@ func BenchmarkCacheEmitBatch(b *testing.B) {
 		}
 		bench(tr.name+"/fig3-group", tr.insts, func() trace.Sink { return cache.NewGroup(fig3()...) })
 		bench(tr.name+"/fig7-group", tr.insts, func() trace.Sink { return cache.NewGroup(fig7()...) })
+		bench(tr.name+"/fused-cachesim", tr.insts, func() trace.Sink {
+			hs := append([]*cache.Hierarchy{cache.PaperDefault()}, fig3()...)
+			return cache.NewGroup(append(hs, fig7()...)...)
+		})
 	}
 }

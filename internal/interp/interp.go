@@ -77,6 +77,9 @@ type Interp struct {
 	// instruction-budget path); a non-nil return ends the slice with a
 	// yield so the engine's scheduler can abort the run.
 	Cancel func() error
+
+	// buf is the scratch buffer templates are patched in.
+	buf [maxTemplate]trace.Inst
 }
 
 // New builds an interpreter for v emitting application-phase instructions
@@ -163,25 +166,12 @@ func (in *Interp) Step(t *vm.Thread, f *Frame) rt.Trap {
 	op := ins.Op
 	in.Bytecodes++
 
-	// Dispatch template: load opcode byte (data read of the bytecode
-	// stream), opcode range check and exception poll (the loop's
-	// conditional branches, well predicted but diluting the indirect
-	// jump's share of control transfers as in a real C interpreter),
-	// decode, dispatch-table load, register-indirect jump.
-	d := in.EM.At(dispatchPC)
-	d.Load(f.bcAddr()).ALU(1).Load(f.bcAddr()+1).ALU(1).
-		Branch(false, dispatchPC+0x80).
-		ALU(2).Branch(false, dispatchPC+0x80).
-		Load(dispatchTable + uint64(op)*8).ALU(1).IJump(HandlerPC(op))
-
-	// Handler prologue: operand decode, PC bookkeeping and safety checks
-	// common to every JDK-1.1-style C handler. Break() decouples the
-	// handler's data chain from the decode chain, exposing the
-	// across-bytecode parallelism the paper's ILP study observes in
-	// interpreted execution.
-	h := in.EM.At(HandlerPC(op))
-	padALU(h, 4, 2)
-	h.Load(f.localsAddr - 24).ALU(1).Load(f.localsAddr - 32).Break()
+	if int(op) >= len(templates) {
+		vm.Throwf("InternalError", "interpreter: unimplemented opcode %v", op)
+	}
+	tp := &templates[op]
+	in.head(tp, f.bcAddr(), f.localsAddr)
+	h := in.EM.Resume(tp.body)
 	next := f.PC + 1
 
 	switch op {
@@ -437,13 +427,7 @@ func (in *Interp) Step(t *vm.Thread, f *Frame) rt.Trap {
 		vm.Throwf("InternalError", "interpreter: unimplemented opcode %v", op)
 	}
 
-	// Handler epilogue (non-trapping opcodes): advance the interpreter's
-	// in-memory PC and SP registers (JDK 1.1.6 kept the frame state in
-	// the ExecEnv structure, not in machine registers) and loop back.
-	ep := in.EM.At(HandlerPC(op) + 0xC0)
-	ep.ALU(3).Store(f.localsAddr - 16).Break().
-		Load(f.localsAddr - 24).ALU(2).Store(f.localsAddr - 24).
-		Jump(dispatchPC)
+	in.tail(tp, f.localsAddr)
 
 	f.PC = next
 	return rt.Trap{}

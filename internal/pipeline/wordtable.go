@@ -16,7 +16,11 @@ type wordCycleTable struct {
 	mask   uint64
 }
 
-const wordTableInitSize = 1 << 16 // 64K slots ≈ 512KB of tracked words
+// wordTableInitSize is the initial slot count. A table starts small
+// and doubles at 3/4 load: the largest one fig9's cores fill on
+// javac, mtrt and jess holds about 10K words, and a cell may build
+// tens of cores.
+const wordTableInitSize = 1 << 10
 
 func (t *wordCycleTable) init() {
 	t.keys = make([]uint64, wordTableInitSize)

@@ -84,29 +84,36 @@ func TestWordTableCollisionAndWrap(t *testing.T) {
 	}
 }
 
-// TestWordTableGrowth inserts past the 3/4 load factor and verifies the
-// rehash preserved every entry at the larger capacity.
+// TestWordTableGrowth inserts past the 3/4 load factor, once and then
+// through several doublings from the small initial table, and verifies
+// every rehash preserved every entry at the larger capacity.
 func TestWordTableGrowth(t *testing.T) {
-	var tb wordCycleTable
-	tb.init()
-	initialMask := tb.mask
-	n := int(wordTableInitSize/4*3) + 16 // past the grow threshold
-	for i := 0; i < n; i++ {
-		tb.put(uint64(i)*3, uint64(i)+1)
-	}
-	if tb.mask == initialMask {
-		t.Fatalf("table did not grow past %d entries", n)
-	}
-	if tb.n != n {
-		t.Errorf("count after growth: n=%d, want %d", tb.n, n)
-	}
-	for i := 0; i < n; i++ {
-		if cy, ok := tb.get(uint64(i) * 3); !ok || cy != uint64(i)+1 {
-			t.Fatalf("entry %d lost in rehash: got (%d,%v)", i, cy, ok)
+	for _, n := range []int{wordTableInitSize/4*3 + 16, 40 * wordTableInitSize} {
+		var tb wordCycleTable
+		tb.init()
+		for i := 0; i < n; i++ {
+			tb.put(uint64(i)*3, uint64(i)+1)
 		}
-	}
-	if _, ok := tb.get(uint64(n)*3 + 1); ok {
-		t.Error("post-growth miss reported a hit")
+		// Growth doubles at 3/4 load, so the table ends at the least
+		// power of two (from the initial size) that keeps n under it.
+		want := uint64(wordTableInitSize)
+		for uint64(n)*4 > want*3 {
+			want *= 2
+		}
+		if tb.mask+1 != want {
+			t.Errorf("%d entries: %d slots, want %d", n, tb.mask+1, want)
+		}
+		if tb.n != n {
+			t.Errorf("count after growth: n=%d, want %d", tb.n, n)
+		}
+		for i := 0; i < n; i++ {
+			if cy, ok := tb.get(uint64(i) * 3); !ok || cy != uint64(i)+1 {
+				t.Fatalf("%d entries: entry %d lost in rehash: got (%d,%v)", n, i, cy, ok)
+			}
+		}
+		if _, ok := tb.get(uint64(n)*3 + 1); ok {
+			t.Error("post-growth miss reported a hit")
+		}
 	}
 }
 
@@ -129,6 +136,31 @@ func TestWordTableInsertionOrderIndependence(t *testing.T) {
 		cb, okb := b.get(w)
 		if !oka || !okb || ca != cb || ca != uint64(i)+100 {
 			t.Errorf("word %#x: forward (%d,%v) vs reverse (%d,%v)", w, ca, oka, cb, okb)
+		}
+	}
+}
+
+// TestWordTableGrowthOrderIndependence inserts the same words, each
+// twice, forward and in reverse, so the two tables grow at different
+// points, and requires the same lookups.
+func TestWordTableGrowthOrderIndependence(t *testing.T) {
+	const n = 5 * wordTableInitSize
+	word := func(i int) uint64 { return uint64(i%(n/2)) * 0x1234567 }
+	var a, b wordCycleTable
+	a.init()
+	b.init()
+	for i := 0; i < n; i++ {
+		a.put(word(i), word(i)+1)
+		b.put(word(n-1-i), word(n-1-i)+1)
+	}
+	if a.n != n/2 || b.n != n/2 || a.mask != b.mask {
+		t.Fatalf("forward table %d words in %d slots, reverse %d in %d", a.n, a.mask+1, b.n, b.mask+1)
+	}
+	for i := 0; i < n/2; i++ {
+		ca, oka := a.get(word(i))
+		cb, okb := b.get(word(i))
+		if !oka || !okb || ca != cb || ca != word(i)+1 {
+			t.Fatalf("word %d: forward (%d,%v), reverse (%d,%v)", i, ca, oka, cb, okb)
 		}
 	}
 }

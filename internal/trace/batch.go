@@ -13,7 +13,7 @@ package trace
 
 // DefaultBatchSize is the delivery buffer capacity engines use unless
 // overridden. Large enough to amortize dispatch, small enough that a
-// batch of Inst records (64 bytes each) stays L1/L2-resident in the
+// batch of Inst records (32 bytes each) stays L1/L2-resident in the
 // *host* cache while the consumers walk it.
 const DefaultBatchSize = 1024
 
@@ -74,6 +74,20 @@ func (b *Batcher) Add(in Inst) {
 	b.n++
 	if b.n == len(b.buf) {
 		b.Flush()
+	}
+}
+
+// AddN appends insts in order, flushing exactly where len(insts)
+// calls of Add would. Template emitters deliver a whole precomputed
+// instruction sequence with it.
+func (b *Batcher) AddN(insts []Inst) {
+	for len(insts) > 0 {
+		k := copy(b.buf[b.n:], insts)
+		b.n += k
+		insts = insts[k:]
+		if b.n == len(b.buf) {
+			b.Flush()
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // recorder keeps the full stream and how it was partitioned into
@@ -183,4 +184,41 @@ func TestNewBatcherDefaults(t *testing.T) {
 	}
 	b.Add(Inst{}) // must not panic with Discard downstream
 	b.Flush()
+}
+
+// TestInstSize pins the size of an Inst record: the batch buffer's
+// footprint and the cost of copying an interpreter template scale
+// with it.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 32 {
+		t.Errorf("Inst is %d bytes, want 32", n)
+	}
+}
+
+// TestAddNMatchesAdd requires AddN to deliver the same stream in the
+// same batches as one Add per instruction, for sequences shorter and
+// longer than the buffer, from any fill level.
+func TestAddNMatchesAdd(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 7, 16} {
+		for _, n := range []int{0, 1, 5, 17, 40} {
+			for pre := range size {
+				var one, many recorder
+				a, b := NewBatcher(&one, size), NewBatcher(&many, size)
+				for _, in := range seqInsts(pre) {
+					a.Add(in)
+					b.Add(in)
+				}
+				for _, in := range seqInsts(n) {
+					a.Add(in)
+				}
+				b.AddN(seqInsts(n))
+				a.Flush()
+				b.Flush()
+				if !reflect.DeepEqual(one, many) {
+					t.Fatalf("size %d, %d buffered, AddN of %d: batches %v, Add gives %v",
+						size, pre, n, many.batches, one.batches)
+				}
+			}
+		}
+	}
 }

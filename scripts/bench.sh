@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # bench.sh — run the grid macro-benchmarks, the trace-transport
-# micro-benchmarks, and the OoO core and cache model micro-benchmarks
-# (both always at -count 10), recording the results as a labeled entry in
-# BENCH_<date>.json (benchstat-replayable via the entry's raw lines;
-# see scripts/benchjson).
+# micro-benchmarks, and the OoO core, cache model and engine
+# micro-benchmarks (always at -count 10), recording the results as a
+# labeled entry in BENCH_<date>.json (benchstat-replayable via the
+# entry's raw lines; see scripts/benchjson).
 #
 # Usage: scripts/bench.sh [label] [count]
 #   label  entry label in the JSON log (default: dev)
@@ -39,6 +39,9 @@ else
 
   echo "== cache model micro-benchmarks (count=10) =="
   go test ./internal/harness -run '^$' -bench CacheEmitBatch -benchmem -count 10 | tee -a "$tmp"
+
+  echo "== engine micro-benchmarks (count=10) =="
+  go test ./internal/harness -run '^$' -bench '^BenchmarkEngine$' -benchmem -count 10 | tee -a "$tmp"
 fi
 
 go run ./scripts/benchjson -label "$label" -commit "$commit" -out "$out" < "$tmp"
