@@ -361,3 +361,37 @@ class Main {
 	}
 	expect(main, spinAt+1, len(main.Code), false)
 }
+
+// TestSelfRecursionWidensOwnEntry: a self-recursive call widens the
+// method's own entry summary while that method is being solved. The
+// fixpoint must solve f again with the widened i (which reaches 3 on
+// the outer call and 0 on the innermost), so a[3 - i] on a 2-element
+// array stays unproven: i = 0 indexes a[3].
+func TestSelfRecursionWidensOwnEntry(t *testing.T) {
+	r, classes := analyzeSrc(t, `
+class Main {
+	static int f(int[] a, int i) {
+		int s = a[3 - i];
+		if (i > 0) { s = s + Main.f(a, i - 1); }
+		return s;
+	}
+	static void main() {
+		int[] a = new int[2];
+		Sys.printi(Main.f(a, 3));
+	}
+}`)
+	m := findMethod(t, classes, "Main", "f")
+	n := 0
+	for pc, ins := range m.Code {
+		if ins.Op != bytecode.IALoad {
+			continue
+		}
+		n++
+		if r.BoundsProvenID(m.ID, pc) {
+			t.Errorf("a[3 - i] at pc %d proven, but i = 0 indexes a[3] of a 2-element array", pc)
+		}
+	}
+	if n == 0 {
+		t.Fatal("fixture shape: no iaload in Main.f")
+	}
+}
