@@ -12,7 +12,8 @@ import (
 // CFG edges with their refined states. An empty slice means the
 // instruction never falls through (return, throw-only, or a branch
 // whose both edges are refuted); an error means the body is outside
-// the model and the method bails.
+// the model and the method bails. A single fall-through or goto edge is
+// returned in s.one, valid until the next step.
 func (s *msolver) step(pc int, st *state) ([]edge, error) {
 	ins := s.m.Code[pc]
 	if len(st.stack) < ins.Op.Pops() {
@@ -150,7 +151,7 @@ func (s *msolver) step(pc int, st *state) ([]edge, error) {
 		derefNonNull(st, obj)
 
 	case bytecode.Goto:
-		return []edge{{int(ins.A), st}}, nil
+		return s.edge1(int(ins.A), st), nil
 
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe,
 		bytecode.IfGt, bytecode.IfLe:
@@ -219,7 +220,13 @@ func (s *msolver) step(pc int, st *state) ([]edge, error) {
 	default:
 		return nil, errModel
 	}
-	return []edge{{pc + 1, st}}, nil
+	return s.edge1(pc+1, st), nil
+}
+
+// edge1 returns the single edge to pc in the reused slot.
+func (s *msolver) edge1(pc int, st *state) []edge {
+	s.one[0] = edge{pc, st}
+	return s.one[:]
 }
 
 // postAccess records what a completed (non-throwing) array access
@@ -598,6 +605,7 @@ func (s *msolver) call(st *state, pc int, ins bytecode.Instr) ([]edge, error) {
 			s.a.mergeArg(t, i, arg, lenBound(s.lenOf, arg))
 		}
 		ts := s.a.sums[t]
+		s.read(ts)
 		if ts.returns {
 			joinRet(ts.ret, ts.retLen)
 		}
@@ -617,5 +625,16 @@ func (s *msolver) call(st *state, pc int, ins bytecode.Instr) ([]edge, error) {
 	default:
 		st.push(top())
 	}
-	return []edge{{pc + 1, st}}, nil
+	return s.edge1(pc+1, st), nil
+}
+
+// read notes that the solve depends on ts's return side.
+func (s *msolver) read(ts *msum) {
+	sum := s.a.sums[s.m]
+	for _, r := range sum.reads {
+		if r == ts {
+			return
+		}
+	}
+	sum.reads = append(sum.reads, ts)
 }
