@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the grid macro-benchmarks, the trace-transport
-# micro-benchmarks, and the OoO core, cache model and engine
-# micro-benchmarks (always at -count 10), recording the results as a
+# micro-benchmarks, and the OoO core, cache model, engine and
+# value-range analysis micro-benchmarks (always at -count 10), recording the results as a
 # labeled entry in BENCH_<date>.json (benchstat-replayable via the
 # entry's raw lines; see scripts/benchjson).
 #
@@ -42,6 +42,9 @@ else
 
   echo "== engine micro-benchmarks (count=10) =="
   go test ./internal/harness -run '^$' -bench '^BenchmarkEngine$' -benchmem -count 10 | tee -a "$tmp"
+
+  echo "== value-range analysis micro-benchmark (count=10) =="
+  go test ./internal/harness -run '^$' -bench '^BenchmarkVRange$' -benchmem -count 10 | tee -a "$tmp"
 fi
 
 go run ./scripts/benchjson -label "$label" -commit "$commit" -out "$out" < "$tmp"
