@@ -94,3 +94,52 @@ func TestOoOGroupFrontEnds(t *testing.T) {
 		t.Errorf("ablate-interp-ilp builds %d front ends, want 2", n)
 	}
 }
+
+// TestOddSizeCoreCountersGolden pins the six exact counters of cores
+// whose ROB and LSQ sizes are not powers of two (ROB 1/5/96 × LSQ
+// 1/3/24 × memory speculation on and off, 3 stations per class, widths
+// 2 and 8) on the first 1<<17 instructions of jess at scale 2 under
+// the interpreter and the JIT, timed as one group with the checker on
+// every core. Refresh with:
+//
+//	go test ./internal/harness -run TestOddSizeCoreCountersGolden -update
+func TestOddSizeCoreCountersGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload simulation")
+	}
+	var cfgs []pipeline.Config
+	for _, width := range []int{2, 8} {
+		for _, rob := range []int{1, 5, 96} {
+			for _, lsq := range []int{1, 3, 24} {
+				for _, spec := range []bool{true, false} {
+					cfg := pipeline.DefaultConfig(width)
+					cfg.ROBSize, cfg.RSPerClass, cfg.LSQSize, cfg.MemSpeculate = rob, 3, lsq, spec
+					cfgs = append(cfgs, cfg)
+				}
+			}
+		}
+	}
+	var b strings.Builder
+	for _, mode := range []Mode{ModeInterp, ModeJIT} {
+		var r traceRecorder
+		if _, err := RunCtx(context.Background(), mustWorkload(t, "jess"), 2, mode, core.Config{}, &r); err != nil {
+			t.Fatal(err)
+		}
+		g := pipeline.NewGroup(cfgs...)
+		var checks []*pipeline.Checker
+		for _, c := range g.Cores() {
+			checks = append(checks, c.Check())
+		}
+		emitBatches(g, r.insts[:min(len(r.insts), 1<<17)])
+		for i, c := range g.Cores() {
+			if err := checks[i].Err(); err != nil {
+				t.Fatalf("jess/%v: %v", mode, err)
+			}
+			cfg := c.Config()
+			fmt.Fprintf(&b, "jess/%v w=%d rob=%d rs=%d lsq=%d spec=%t: instrs=%d cycles=%d mispredicts=%d squash=%d forwards=%d replays=%d\n",
+				mode, cfg.IssueWidth, cfg.ROBSize, cfg.RSPerClass, cfg.LSQSize, cfg.MemSpeculate,
+				c.Instrs, c.Cycles(), c.Mispredicts, c.SquashCycles, c.MemForwards, c.MemReplays)
+		}
+	}
+	checkGolden(t, "core-counters-odd.txt", b.String())
+}
