@@ -45,18 +45,24 @@ type AblateOoOResult struct {
 	Cells []OoOCell
 }
 
-// ablateOoOPlan enumerates the out-of-order resource sweep: one cell
-// per workload, all 18 configurations attached to one width-4 JIT run.
-func ablateOoOPlan(o Options) *Plan {
-	const width = 4
+// ablateOoOConfigs is the sweep's 18 width-4 cores, axis by axis. Each
+// axis passes through the default, so the group times 16 cores.
+func ablateOoOConfigs() []pipeline.Config {
 	var cfgs []pipeline.Config
 	for _, ax := range oooAxes {
 		for _, v := range ax.Sizes {
-			cfg := pipeline.DefaultConfig(width)
+			cfg := pipeline.DefaultConfig(4)
 			ax.apply(&cfg, v)
 			cfgs = append(cfgs, cfg)
 		}
 	}
+	return cfgs
+}
+
+// ablateOoOPlan enumerates the out-of-order resource sweep: one cell
+// per workload, all 18 configurations attached to one width-4 JIT run.
+func ablateOoOPlan(o Options) *Plan {
+	cfgs := ablateOoOConfigs()
 	res := &AblateOoOResult{}
 	p := newPlan("ablate-ooo", res)
 	cells(p, o, o.seven(), jitOnly, "", pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,

@@ -59,9 +59,10 @@ func emitBatches(s trace.Sink, insts []trace.Inst) {
 
 // BenchmarkCoreEmitBatch times the out-of-order core alone, off traces
 // recorded once from javac and jess at BenchN under the interpreter and
-// the JIT: a standalone core (pipeline.New) per issue width, and fig9's
-// four widths as one pipeline.Group. ns/inst is host time per trace
-// instruction, so the group's figure covers all four of its cores.
+// the JIT: a standalone core (pipeline.New) per issue width, fig9's
+// four widths as one pipeline.Group, and ablate-ooo's 18 configs (16
+// distinct cores) as one group. ns/inst is host time per trace
+// instruction, so a group's figure covers all of its cores.
 //
 //	go test ./internal/harness -run '^$' -bench CoreEmitBatch -count 10
 func BenchmarkCoreEmitBatch(b *testing.B) {
@@ -86,6 +87,9 @@ func BenchmarkCoreEmitBatch(b *testing.B) {
 		}
 		bench(tr.name+"/group", tr.insts, func() trace.Sink {
 			return pipeline.NewGroup(fig9Configs(widths)...)
+		})
+		bench(tr.name+"/ablate-ooo", tr.insts, func() trace.Sink {
+			return pipeline.NewGroup(ablateOoOConfigs()...)
 		})
 	}
 }

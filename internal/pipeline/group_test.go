@@ -14,12 +14,23 @@ func counters(c *Core) [6]uint64 {
 // checkGroupMatchesStandalone drives one Group over cfgs, feeding tr in
 // batches of batch instructions, and requires every group core to
 // count exactly what a standalone core of its config counts, with a
-// clean checker, on wantFronts shared front ends.
+// clean checker, on wantFronts shared front ends. Two configs must
+// share a core exactly when they are equal.
 func checkGroupMatchesStandalone(t *testing.T, cfgs []Config, tr []trace.Inst, batch, wantFronts int) {
 	t.Helper()
 	g := NewGroup(cfgs...)
 	if n := g.FrontEnds(); n != wantFronts {
 		t.Fatalf("%d front ends for %d cores, want %d", n, len(cfgs), wantFronts)
+	}
+	if len(g.Cores()) != len(cfgs) {
+		t.Fatalf("%d cores listed for %d configs", len(g.Cores()), len(cfgs))
+	}
+	for i, a := range g.Cores() {
+		for j, b := range g.Cores()[:i] {
+			if (a == b) != (cfgs[i] == cfgs[j]) {
+				t.Fatalf("configs %d and %d: shared core %t, equal configs %t", j, i, a == b, cfgs[i] == cfgs[j])
+			}
+		}
 	}
 	var checks []*Checker
 	for _, c := range g.Cores() {
@@ -42,9 +53,10 @@ func checkGroupMatchesStandalone(t *testing.T, cfgs []Config, tr []trace.Inst, b
 	}
 }
 
-// TestGroupMatchesStandalone checks that sharing a front end is exact:
-// fig9's four widths on one front end, and target-cache and
-// smaller-L1 cores that need front ends of their own.
+// TestGroupMatchesStandalone checks that sharing a front end, a store
+// index and a core is exact: fig9's four widths on one front end,
+// target-cache and smaller-L1 cores that need front ends of their own,
+// and two configs that appear twice and are timed once.
 func TestGroupMatchesStandalone(t *testing.T) {
 	tr := mixedTrace(20000, 11)
 	var cfgs []Config
@@ -59,7 +71,7 @@ func TestGroupMatchesStandalone(t *testing.T) {
 	tc.TargetCache = true
 	l1 := DefaultConfig(4)
 	l1.ICache.Size, l1.DCache.Assoc = 8<<10, 1
-	checkGroupMatchesStandalone(t, append(cfgs, tight, tc, l1), tr, 333, 3)
+	checkGroupMatchesStandalone(t, append(cfgs, tight, tc, l1, DefaultConfig(4), tight), tr, 333, 3)
 }
 
 // TestGroupEmit checks the per-instruction path of a group.

@@ -20,9 +20,11 @@
 //
 // The caches and the predictor see the trace in program order whatever
 // the width, so a front end reduces each instruction to outcome bits
-// (I-miss, D-miss, mispredict) that Core.step reads. A Group shares one
-// front end among all its cores with equal ICache, DCache and
-// TargetCache; New builds a group of one.
+// (I-miss, D-miss, mispredict) that the back end reads. A Group shares
+// one front end among all its cores with equal ICache, DCache and
+// TargetCache, decodes each batch once into µops whose loads and stores
+// carry a slot in one shared store index, and times equal configs on
+// one core; New builds a group of one.
 //
 // Every scheduling rule is deliberately monotone: growing ROBSize,
 // RSPerClass or LSQSize only relaxes constraints, so more resources can
@@ -180,38 +182,6 @@ func rsClassOf(cl trace.Class) rsClass {
 	return rsInt
 }
 
-// cycleRing is a FIFO of event cycles used for the ROB and LSQ: entries
-// are pushed at commit-time order and popped oldest-first, which is
-// exact because commit is in program order.
-type cycleRing struct {
-	buf   []uint64
-	head  int
-	count int
-}
-
-func newCycleRing(n int) cycleRing { return cycleRing{buf: make([]uint64, n)} }
-
-func (r *cycleRing) full() bool { return r.count == len(r.buf) }
-
-func (r *cycleRing) popFront() uint64 {
-	v := r.buf[r.head]
-	r.head++
-	if r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.count--
-	return v
-}
-
-func (r *cycleRing) push(v uint64) {
-	i := r.head + r.count
-	if i >= len(r.buf) {
-		i -= len(r.buf)
-	}
-	r.buf[i] = v
-	r.count++
-}
-
 // rsPool is one reservation-station pool. A station is reusable the
 // cycle its occupant issues, and dispatch cycles never decrease, so an
 // occupant issued by the current dispatch cycle is free for every later
@@ -249,10 +219,31 @@ func (p *rsPool) hold(issue uint64) {
 	p.n++
 }
 
+// µop kinds: all the back end needs of an instruction's class.
+const (
+	uopInt   uint8 = iota // integer ALU work and control transfers
+	uopFP                 // floating-point work
+	uopLoad               // a load
+	uopStore              // a store
+)
+
+// rsOfKind maps a µop kind to its reservation-station pool.
+var rsOfKind = [...]rsClass{uopInt: rsInt, uopFP: rsFP, uopLoad: rsMem, uopStore: rsMem}
+
+// uop is one instruction as the back end times it. A Group decodes each
+// batch into µops once for all its cores; a load or store carries the
+// dense slot of its 8-byte word in the group's store index.
+type uop struct {
+	kind            uint8
+	src1, src2, dst uint8
+	slot            uint32
+}
+
 // Core is the timing model. It implements trace.Sink; feed it a
 // program's native trace and read IPC afterwards.
 type Core struct {
 	cfg Config
+	g   *Group // the group that decodes the core's batches
 	fe  *frontEnd
 
 	// regReady[r] is the CDB broadcast cycle of register r's latest
@@ -270,25 +261,28 @@ type Core struct {
 	dispatchCycle       uint64
 	dispatchedThisCycle int
 
-	// rob holds the commit cycles of in-flight instructions in program
-	// order; a full ROB stalls dispatch until the oldest entry commits.
-	rob cycleRing
-	// lsq does the same for in-flight memory operations.
-	lsq cycleRing
+	// rob and lsq are delay lines of commit cycles, indexed by sequence
+	// number modulo their power-of-two length (greater than ROBSize and
+	// LSQSize). Commit is in program order, so the entry instruction k
+	// waits for in a full ROB is that of instruction k-ROBSize, and
+	// likewise for the LSQ over memory operations; memOps numbers
+	// those.
+	rob, lsq []uint64
+	memOps   uint64
 
 	// rs[class] holds the issue cycles of the stations' waiting
 	// occupants; a pool whose every station waits stalls dispatch until
 	// the earliest-issuing occupant vacates.
 	rs [numRSClasses]rsPool
 
-	// memReady records, per 8-byte word, the cycle the last store to it
-	// completes; loads from the word forward from it (and replay off it
-	// when they speculated past it). This carries the true memory
-	// dependences — loop variables the JIT keeps in frame slots, the
-	// interpreter's operand stack — without which the model overstates
-	// ILP badly. It is an open-addressing table rather than a Go map:
-	// one probe per load/store is the model's hottest lookup.
-	memReady wordCycleTable
+	// stores[s] is the cycle the last store to the word in slot s of
+	// the group's store index completes, or 0 before any store to it (a
+	// store completes at cycle 2 at the earliest). Loads from the word
+	// forward from it (and replay off it when they speculated past it).
+	// This carries the true memory dependences — loop variables the
+	// JIT keeps in frame slots, the interpreter's operand stack —
+	// without which the model overstates ILP badly.
+	stores []uint64
 
 	// commit-stage bookkeeping: in-order, IssueWidth per cycle.
 	lastCommitCycle  uint64
@@ -322,19 +316,24 @@ func newCore(cfg Config) *Core {
 		panic(fmt.Sprintf("pipeline: invalid config (width=%d rob=%d rs=%d lsq=%d)",
 			cfg.IssueWidth, cfg.ROBSize, cfg.RSPerClass, cfg.LSQSize))
 	}
-	c := &Core{cfg: cfg, rob: newCycleRing(cfg.ROBSize), lsq: newCycleRing(cfg.LSQSize)}
+	c := &Core{cfg: cfg,
+		rob: make([]uint64, 1<<bits.Len(uint(cfg.ROBSize))),
+		lsq: make([]uint64, 1<<bits.Len(uint(cfg.LSQSize)))}
 	for i := range c.rs {
 		c.rs[i].ring = make([]uint64, 1<<bits.Len(uint(cfg.RSPerClass)))
 	}
-	c.memReady.init()
 	return c
 }
 
 // Check attaches (and returns) an invariant checker that independently
-// re-validates every instruction's lifecycle. Intended for tests and
-// debug runs; the default nil hook keeps the hot path free of it.
+// re-validates every instruction's lifecycle, or returns the one
+// already attached: equal configs of a group share one core. Intended
+// for tests and debug runs; the default nil hook keeps the hot path
+// free of it.
 func (c *Core) Check() *Checker {
-	c.check = NewChecker(c.cfg)
+	if c.check == nil {
+		c.check = NewChecker(c.cfg)
+	}
 	return c.check
 }
 
@@ -352,248 +351,282 @@ func (c *Core) IPC() float64 {
 // Cycles returns the total simulated cycles.
 func (c *Core) Cycles() uint64 { return c.LastCycle }
 
-// EmitBatch implements trace.Sink: the front end reduces the batch to
-// outcome bits, then the back end times each instruction in place (no
-// per-instruction 40-byte Inst copy).
-func (c *Core) EmitBatch(batch []trace.Inst) {
-	c.fe.run(batch)
-	c.run(batch)
-}
+// EmitBatch implements trace.Sink by feeding the batch to the core's
+// group; a core built by New is a group of one.
+func (c *Core) EmitBatch(batch []trace.Inst) { c.g.EmitBatch(batch) }
 
 // Emit implements trace.Sink, timing one instruction.
-func (c *Core) Emit(in trace.Inst) { c.step(&in, c.fe.outcome(&in)) }
+func (c *Core) Emit(in trace.Inst) { c.EmitBatch([]trace.Inst{in}) }
 
-// run times a batch whose outcome bits the front end has computed.
-func (c *Core) run(batch []trace.Inst) {
-	bits := c.fe.bits
-	for i := range batch {
-		c.step(&batch[i], bits[i])
-	}
-}
-
-// step times one instruction through fetch → dispatch/rename → issue →
-// execute/CDB broadcast → in-order commit, given the instruction's
-// front-end outcome bits.
-func (c *Core) step(in *trace.Inst, fe uint8) {
+// run times a decoded batch through fetch → dispatch/rename → issue →
+// execute/CDB broadcast → in-order commit. ops is the group's µop
+// stream and fe the outcome bits of the core's front end; batch, the
+// instructions they were decoded from, is read only by the checker.
+// The stage cycles and their per-cycle counts live in locals for the
+// batch and are written back once at its end.
+func (c *Core) run(batch []trace.Inst, ops []uop, fe []uint8) {
 	cfg := &c.cfg
+	width := cfg.IssueWidth
+	fetch, fetched := c.fetchCycle, c.fetchedThisCycle
+	disp, dispatched := c.dispatchCycle, c.dispatchedThisCycle
+	commit, committed := c.lastCommitCycle, c.commitsThisCycle
+	seq, memSeq := c.Instrs, c.memOps
+	rob, robSize, robMask := c.rob, uint64(cfg.ROBSize), uint64(len(c.rob)-1)
+	lsq, lsqSize, lsqMask := c.lsq, uint64(cfg.LSQSize), uint64(len(c.lsq)-1)
+	stores := c.stores
+	fe = fe[:len(ops)]
+	for i := range ops {
+		op := &ops[i]
+		bits := fe[i]
 
-	// ---- Fetch: in order, IssueWidth per cycle, I-cache stalls. ----
-	if c.fetchedThisCycle >= cfg.IssueWidth {
-		c.fetchCycle++
-		c.fetchedThisCycle = 0
-	}
-	if fe&iMiss != 0 {
-		c.fetchCycle += cfg.MissPenalty
-		c.fetchedThisCycle = 0
-	}
-	fetchAt := c.fetchCycle
-	c.fetchedThisCycle++
+		// ---- Fetch: in order, IssueWidth per cycle, I-cache stalls. ----
+		if fetched >= width {
+			fetch++
+			fetched = 0
+		}
+		if bits&iMiss != 0 {
+			fetch += cfg.MissPenalty
+			fetched = 0
+		}
+		fetchAt := fetch
+		fetched++
 
-	// ---- Dispatch/rename: in order, IssueWidth per cycle, stalling
-	// on a full ROB, LSQ, or reservation-station pool. ----
-	dispatchAt := fetchAt + 1
-	if dispatchAt < c.dispatchCycle {
-		dispatchAt = c.dispatchCycle
-	}
-	if c.rob.full() {
-		// The oldest in-flight instruction commits first; its entry is
-		// reusable the cycle after.
-		if free := c.rob.popFront() + 1; free > dispatchAt {
-			dispatchAt = free
+		// ---- Dispatch/rename: in order, IssueWidth per cycle, stalling
+		// on a full ROB, LSQ, or reservation-station pool. A full ROB
+		// frees the entry of the instruction ROBSize older the cycle
+		// after it commits; an entry not yet written reads 0, which
+		// never binds since dispatch is at cycle 1 at the earliest. ----
+		dispatchAt := max(fetchAt+1, disp, rob[(seq-robSize)&robMask]+1)
+		isMem := op.kind >= uopLoad
+		if isMem {
+			dispatchAt = max(dispatchAt, lsq[(memSeq-lsqSize)&lsqMask]+1)
 		}
-	}
-	isMem := in.Class == trace.Load || in.Class == trace.Store
-	if isMem && c.lsq.full() {
-		if free := c.lsq.popFront() + 1; free > dispatchAt {
-			dispatchAt = free
+		cl := rsOfKind[op.kind]
+		dispatchAt = c.rs[cl].claim(dispatchAt, cfg.RSPerClass)
+		// Rename bandwidth: at most IssueWidth dispatches per cycle.
+		if dispatchAt > disp {
+			disp, dispatched = dispatchAt, 1
+		} else {
+			dispatched++
+			if dispatched > width {
+				disp++
+				dispatchAt = disp
+				dispatched = 1
+			}
 		}
-	}
-	cl := rsClassOf(in.Class)
-	dispatchAt = c.rs[cl].claim(dispatchAt, cfg.RSPerClass)
-	// Rename bandwidth: at most IssueWidth dispatches per cycle.
-	if dispatchAt > c.dispatchCycle {
-		c.dispatchCycle = dispatchAt
-		c.dispatchedThisCycle = 1
-	} else {
-		c.dispatchedThisCycle++
-		if c.dispatchedThisCycle > cfg.IssueWidth {
-			c.dispatchCycle++
-			dispatchAt = c.dispatchCycle
-			c.dispatchedThisCycle = 1
-		}
-	}
 
-	// ---- Issue: wait in the station until both sources have
-	// broadcast on the CDB. ----
-	ready := dispatchAt
-	if in.Src1 != trace.RegNone {
-		ready = max(ready, c.regReady[in.Src1])
-	}
-	if in.Src2 != trace.RegNone {
-		ready = max(ready, c.regReady[in.Src2])
-	}
-	word := in.Addr >> 3
-	var fwdCycle uint64
-	var fwdPending bool
-	if in.Class == trace.Load {
-		if sr, ok := c.memReady.get(word); ok {
-			fwdCycle, fwdPending = sr, true
-			if !cfg.MemSpeculate && sr > ready {
+		// ---- Issue: wait in the station until both sources have
+		// broadcast on the CDB. ----
+		ready := dispatchAt
+		if op.src1 != trace.RegNone {
+			ready = max(ready, c.regReady[op.src1])
+		}
+		if op.src2 != trace.RegNone {
+			ready = max(ready, c.regReady[op.src2])
+		}
+		var fwdCycle uint64 // the last older store to the word, 0 if none
+		if op.kind == uopLoad {
+			fwdCycle = stores[op.slot]
+			if !cfg.MemSpeculate && fwdCycle > ready {
 				// Conservative disambiguation: the load may not issue
 				// until the last store to its word has its data.
-				ready = sr
+				ready = fwdCycle
 			}
 		}
-	}
-	issueAt := ready
-	if issueAt > dispatchAt {
-		c.rs[cl].hold(issueAt)
-	}
-
-	// ---- Execute; result broadcasts on the CDB at completion. ----
-	var complete uint64
-	fwdBound := false
-	switch in.Class {
-	case trace.FPU:
-		complete = issueAt + cfg.FPLatency
-	case trace.Load:
-		lat := cfg.LoadLatency
-		if fe&dMiss != 0 {
-			lat += cfg.MissPenalty
+		issueAt := ready
+		if issueAt > dispatchAt {
+			c.rs[cl].hold(issueAt)
 		}
-		complete = issueAt + lat
-		// Store-to-load forwarding through the LSQ: the value is not
-		// available before the producing store completes. A load that
-		// speculated past the store (issued before the store's data
-		// was ready) replays off the forwarded value at the same
-		// point, so speculation never deepens the penalty — it only
-		// reveals how often the disambiguator guessed wrong.
-		if fwdPending && fwdCycle+cfg.ForwardLatency > complete {
-			complete = fwdCycle + cfg.ForwardLatency
-			fwdBound = true
-			if cfg.MemSpeculate && fwdCycle > issueAt {
-				c.MemReplays++
-			} else {
-				c.MemForwards++
+
+		// ---- Execute; result broadcasts on the CDB at completion. ----
+		var complete uint64
+		fwdBound := false
+		switch op.kind {
+		case uopFP:
+			complete = issueAt + cfg.FPLatency
+		case uopLoad:
+			lat := cfg.LoadLatency
+			if bits&dMiss != 0 {
+				lat += cfg.MissPenalty
+			}
+			complete = issueAt + lat
+			// Store-to-load forwarding through the LSQ: the value is
+			// not available before the producing store completes. A
+			// load that speculated past the store (issued before the
+			// store's data was ready) replays off the forwarded value
+			// at the same point, so speculation never deepens the
+			// penalty — it only reveals how often the disambiguator
+			// guessed wrong.
+			if fwdCycle != 0 && fwdCycle+cfg.ForwardLatency > complete {
+				complete = fwdCycle + cfg.ForwardLatency
+				fwdBound = true
+				if cfg.MemSpeculate && fwdCycle > issueAt {
+					c.MemReplays++
+				} else {
+					c.MemForwards++
+				}
+			}
+		case uopStore:
+			lat := uint64(1)
+			// A write-allocate store miss must fetch the line; the
+			// era's shallow write buffers expose that latency to
+			// dependants (this is what makes JIT code installation
+			// expensive, §6).
+			if bits&dMiss != 0 {
+				lat += cfg.MissPenalty
+			}
+			complete = issueAt + lat
+			stores[op.slot] = complete
+		default:
+			complete = issueAt + cfg.IntLatency
+		}
+
+		if op.dst != trace.RegNone {
+			c.regReady[op.dst] = complete
+		}
+
+		// ---- Control transfers: a misprediction squashes everything
+		// the front end fetched down the wrong path and re-fetches the
+		// corrected path MispredictPenalty cycles after the branch
+		// resolves on the CDB. (The wrong-path instructions themselves
+		// are not in the committed trace; the discarded front-end
+		// cycles are accounted in SquashCycles.) ----
+		if bits&mispredicted != 0 {
+			c.Mispredicts++
+			if resume := complete + cfg.MispredictPenalty; resume > fetch {
+				c.SquashCycles += resume - fetch
+				fetch = resume
+				fetched = 0
 			}
 		}
-	case trace.Store:
-		lat := uint64(1)
-		// A write-allocate store miss must fetch the line; the era's
-		// shallow write buffers expose that latency to dependants
-		// (this is what makes JIT code installation expensive, §6).
-		if fe&dMiss != 0 {
-			lat += cfg.MissPenalty
+
+		// ---- Commit: strictly in program order, IssueWidth per cycle,
+		// the cycle after the result broadcasts at the earliest. ----
+		commitAt := max(complete+1, commit)
+		if commitAt > commit {
+			commit, committed = commitAt, 1
+		} else {
+			committed++
+			if committed > width {
+				commit++
+				commitAt = commit
+				committed = 1
+			}
 		}
-		complete = issueAt + lat
-		c.memReady.put(word, complete)
-	default:
-		complete = issueAt + cfg.IntLatency
-	}
-
-	if in.Dst != trace.RegNone {
-		c.regReady[in.Dst] = complete
-	}
-
-	// ---- Control transfers: a misprediction squashes everything the
-	// front end fetched down the wrong path and re-fetches the
-	// corrected path MispredictPenalty cycles after the branch
-	// resolves on the CDB. (The wrong-path instructions themselves are
-	// not in the committed trace; the discarded front-end cycles are
-	// accounted in SquashCycles.) ----
-	if fe&mispredicted != 0 {
-		c.Mispredicts++
-		resume := complete + cfg.MispredictPenalty
-		if resume > c.fetchCycle {
-			c.SquashCycles += resume - c.fetchCycle
-			c.fetchCycle = resume
-			c.fetchedThisCycle = 0
+		rob[seq&robMask] = commitAt
+		if isMem {
+			lsq[memSeq&lsqMask] = commitAt
+			memSeq++
 		}
-	}
 
-	// ---- Commit: strictly in program order, IssueWidth per cycle,
-	// the cycle after the result broadcasts at the earliest. ----
-	commitAt := complete + 1
-	if commitAt < c.lastCommitCycle {
-		commitAt = c.lastCommitCycle
-	}
-	if commitAt > c.lastCommitCycle {
-		c.lastCommitCycle = commitAt
-		c.commitsThisCycle = 1
-	} else {
-		c.commitsThisCycle++
-		if c.commitsThisCycle > cfg.IssueWidth {
-			c.lastCommitCycle++
-			commitAt = c.lastCommitCycle
-			c.commitsThisCycle = 1
+		if c.check != nil {
+			in := &batch[i]
+			c.check.Record(Event{
+				Seq:      seq,
+				Class:    in.Class,
+				Word:     in.Addr >> 3,
+				Src1:     in.Src1,
+				Src2:     in.Src2,
+				Dst:      in.Dst,
+				Fetch:    fetchAt,
+				Dispatch: dispatchAt,
+				Issue:    issueAt,
+				Complete: complete,
+				Commit:   commitAt,
+				FwdUsed:  fwdBound,
+				FwdFrom:  fwdCycle,
+			})
 		}
+		seq++
 	}
-	c.rob.push(commitAt)
-	if isMem {
-		c.lsq.push(commitAt)
-	}
-
-	if c.check != nil {
-		c.check.Record(Event{
-			Seq:      c.Instrs,
-			Class:    in.Class,
-			Word:     word,
-			Src1:     in.Src1,
-			Src2:     in.Src2,
-			Dst:      in.Dst,
-			Fetch:    fetchAt,
-			Dispatch: dispatchAt,
-			Issue:    issueAt,
-			Complete: complete,
-			Commit:   commitAt,
-			FwdUsed:  fwdBound,
-			FwdFrom:  fwdCycle,
-		})
-	}
-
-	c.Instrs++
-	c.LastCycle = commitAt
+	c.fetchCycle, c.fetchedThisCycle = fetch, fetched
+	c.dispatchCycle, c.dispatchedThisCycle = disp, dispatched
+	c.lastCommitCycle, c.commitsThisCycle = commit, committed
+	c.Instrs, c.memOps = seq, memSeq
+	c.LastCycle = commit
 }
 
-// Group is a trace.Sink that times one trace on several cores, sharing
-// one front end among the cores with equal ICache, DCache and
-// TargetCache. Feed its cores only through the group.
+// Group is a trace.Sink that times one trace on several cores. It
+// decodes each batch once into µops, numbering the words loads and
+// stores touch in one store index, and shares one front end among the
+// cores with equal ICache, DCache and TargetCache, and one core among
+// equal configs. Feed its cores only through the group.
 type Group struct {
 	fronts []*frontEnd
-	cores  []*Core
+	cores  []*Core // one per config, in config order
+	timed  []*Core // the distinct cores, each timed once per batch
+	words  wordTable
+	ops    []uop // the batch last decoded
 }
 
-// NewGroup builds one core per config, in order.
+// NewGroup builds one core per distinct config; Cores lists one entry
+// per config, in order.
 func NewGroup(cfgs ...Config) *Group {
-	shared := map[Config]*frontEnd{} // keyed by the front-end fields alone
+	fronts := map[Config]*frontEnd{} // keyed by the front-end fields alone
+	built := map[Config]*Core{}
 	g := &Group{}
+	g.words.init()
 	for _, cfg := range cfgs {
-		c := newCore(cfg)
-		k := Config{ICache: cfg.ICache, DCache: cfg.DCache, TargetCache: cfg.TargetCache}
-		if c.fe = shared[k]; c.fe == nil {
-			c.fe = newFrontEnd(cfg)
-			shared[k] = c.fe
-			g.fronts = append(g.fronts, c.fe)
+		c := built[cfg]
+		if c == nil {
+			c = newCore(cfg)
+			c.g = g
+			k := Config{ICache: cfg.ICache, DCache: cfg.DCache, TargetCache: cfg.TargetCache}
+			if c.fe = fronts[k]; c.fe == nil {
+				c.fe = newFrontEnd(cfg)
+				fronts[k] = c.fe
+				g.fronts = append(g.fronts, c.fe)
+			}
+			built[cfg] = c
+			g.timed = append(g.timed, c)
 		}
 		g.cores = append(g.cores, c)
 	}
 	return g
 }
 
-// Cores returns the group's cores in config order.
+// Cores returns the group's cores in config order: equal configs share
+// one core.
 func (g *Group) Cores() []*Core { return g.cores }
 
 // FrontEnds returns the number of distinct front ends the group runs.
 func (g *Group) FrontEnds() int { return len(g.fronts) }
 
-// EmitBatch implements trace.Sink: each front end reduces the batch
-// once, then every core times it from its front end's outcome bits.
+// decode reduces a batch to µops in g.ops, giving each load and store
+// its word's slot in the store index.
+func (g *Group) decode(batch []trace.Inst) {
+	g.ops = slices.Grow(g.ops[:0], len(batch))[:len(batch)]
+	for i := range batch {
+		in := &batch[i]
+		op := uop{src1: in.Src1, src2: in.Src2, dst: in.Dst}
+		switch in.Class {
+		case trace.FPU:
+			op.kind = uopFP
+		case trace.Load:
+			op.kind, op.slot = uopLoad, uint32(g.words.slot(in.Addr>>3))
+		case trace.Store:
+			op.kind, op.slot = uopStore, uint32(g.words.slot(in.Addr>>3))
+		}
+		g.ops[i] = op
+	}
+}
+
+// EmitBatch implements trace.Sink: each front end reduces the batch to
+// outcome bits and the group decodes it to µops, once; then every
+// distinct core times it. A core's store array grows with the store
+// index, to the index's power-of-two capacity.
 func (g *Group) EmitBatch(batch []trace.Inst) {
 	for _, f := range g.fronts {
 		f.run(batch)
 	}
-	for _, c := range g.cores {
-		c.run(batch)
+	g.decode(batch)
+	for _, c := range g.timed {
+		if n := len(g.words.keys); len(c.stores) < n {
+			grown := make([]uint64, n)
+			copy(grown, c.stores)
+			c.stores = grown
+		}
+		c.run(batch, g.ops, c.fe.bits)
 	}
 }
 

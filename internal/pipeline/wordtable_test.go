@@ -28,7 +28,7 @@ func TestWordTableInverseConstant(t *testing.T) {
 }
 
 func TestWordTableBasicAndOverwrite(t *testing.T) {
-	var tb wordCycleTable
+	var tb wordTable
 	tb.init()
 	if _, ok := tb.get(0); ok {
 		t.Error("empty table reported a hit")
@@ -54,7 +54,7 @@ func TestWordTableBasicAndOverwrite(t *testing.T) {
 // slot: the second must linear-probe past the end, wrap to slot 0, and
 // both must stay retrievable.
 func TestWordTableCollisionAndWrap(t *testing.T) {
-	var tb wordCycleTable
+	var tb wordTable
 	tb.init()
 	last := tb.mask
 	w1 := keyForSlot(last, 0, tb.mask)
@@ -89,7 +89,7 @@ func TestWordTableCollisionAndWrap(t *testing.T) {
 // every rehash preserved every entry at the larger capacity.
 func TestWordTableGrowth(t *testing.T) {
 	for _, n := range []int{wordTableInitSize/4*3 + 16, 40 * wordTableInitSize} {
-		var tb wordCycleTable
+		var tb wordTable
 		tb.init()
 		for i := 0; i < n; i++ {
 			tb.put(uint64(i)*3, uint64(i)+1)
@@ -122,7 +122,7 @@ func TestWordTableGrowth(t *testing.T) {
 // order entries were inserted.
 func TestWordTableInsertionOrderIndependence(t *testing.T) {
 	words := []uint64{0, 1, 2, 1 << 40, keyForSlot(5, 0, wordTableInitSize-1), keyForSlot(5, 1, wordTableInitSize-1), 77}
-	var a, b wordCycleTable
+	var a, b wordTable
 	a.init()
 	b.init()
 	for i, w := range words {
@@ -146,7 +146,7 @@ func TestWordTableInsertionOrderIndependence(t *testing.T) {
 func TestWordTableGrowthOrderIndependence(t *testing.T) {
 	const n = 5 * wordTableInitSize
 	word := func(i int) uint64 { return uint64(i%(n/2)) * 0x1234567 }
-	var a, b wordCycleTable
+	var a, b wordTable
 	a.init()
 	b.init()
 	for i := 0; i < n; i++ {
@@ -162,5 +162,25 @@ func TestWordTableGrowthOrderIndependence(t *testing.T) {
 		if !oka || !okb || ca != cb || ca != word(i)+1 {
 			t.Fatalf("word %d: forward (%d,%v), reverse (%d,%v)", i, ca, oka, cb, okb)
 		}
+	}
+}
+
+// TestWordTableSlots checks the store index's numbering: words get
+// dense slots in the order they are first seen, a repeated word keeps
+// its slot, and the numbering survives growth.
+func TestWordTableSlots(t *testing.T) {
+	var tb wordTable
+	tb.init()
+	const n = 3 * wordTableInitSize
+	for i := 0; i < n; i++ {
+		if s := tb.slot(uint64(i) * 5); s != uint64(i) {
+			t.Fatalf("word %d: slot %d on first sight, want %d", i*5, s, i)
+		}
+		if s := tb.slot(uint64(i/2) * 5); s != uint64(i/2) {
+			t.Fatalf("word %d: slot %d when repeated, want %d", i/2*5, s, i/2)
+		}
+	}
+	if tb.n != n {
+		t.Errorf("%d slots numbered, want %d", tb.n, n)
 	}
 }
