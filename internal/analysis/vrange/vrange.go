@@ -645,6 +645,11 @@ type msolver struct {
 	lenDirty map[origin]bool
 	steps    int
 	one      [1]edge // step's fall-through or goto edge, reused
+	// work is the state a block is stepped through in place, reused
+	// from block to block: its stack keeps the capacity the deepest
+	// block so far needed, so neither loading it nor pushing onto it
+	// allocates once it has grown.
+	work state
 }
 
 // edge is one CFG edge with the state flowing along it.
@@ -741,7 +746,8 @@ func (s *msolver) Transfer(_ *analysis.Graph, b *analysis.Block, in []edge) ([]e
 	if st == nil {
 		return nil, nil
 	}
-	st = st.clone()
+	w := s.load(st)
+	st = w
 	s.a.result.Work.Transfers++
 	var out []edge
 	for pc := b.Start; pc < b.End; pc++ {
@@ -761,11 +767,29 @@ func (s *msolver) Transfer(_ *analysis.Graph, b *analysis.Block, in []edge) ([]e
 		}
 		out = out[:1]
 	}
+	// The next block reuses w: the edges that leave with it share one
+	// copy of their own.
+	var own *state
+	for i := range out {
+		if out[i].st == w {
+			if own == nil {
+				own = w.clone()
+			}
+			out[i].st = own
+		}
+	}
 	if len(out) == 1 {
 		// out may be step's reused slot, and Solve keeps the fact.
 		out = []edge{out[0]}
 	}
 	return out, nil
+}
+
+// load copies st into the working state and returns it.
+func (s *msolver) load(st *state) *state {
+	s.work.stack = append(s.work.stack[:0], st.stack...)
+	s.work.locals = append(s.work.locals[:0], st.locals...)
+	return &s.work
 }
 
 func (s *msolver) Join(_ *analysis.Graph, b *analysis.Block, have, incoming []edge) ([]edge, bool, error) {
@@ -847,7 +871,7 @@ func (s *msolver) collect(g *analysis.Graph, in [][]edge) {
 		if st == nil {
 			continue
 		}
-		st = st.clone()
+		st = s.load(st)
 		for pc := b.Start; ; pc++ {
 			s.record(pc, st)
 			if pc == b.End-1 {
