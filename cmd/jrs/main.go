@@ -44,6 +44,8 @@
 //	-w names      comma-separated workload subset for experiments
 //	-parallel N   simulation workers (0 = GOMAXPROCS, 1 = serial)
 //	-cachedir D   persist per-cell results under D and reuse them on re-runs
+//	              of the same build (another build re-simulates; rerun
+//	              an interrupted run to continue it)
 //	-codecache    share one in-process JIT translation cache across every
 //	              engine the command builds (experiments and `run`); with
 //	              -parallel, which cell pays each translation is
@@ -57,9 +59,6 @@
 //	              (panic, timeout, transient/injected fault)
 //	-keepgoing    degraded mode: drain every cell, render what
 //	              succeeded, print a run report; exit 3 on failures
-//	-resume       trust the run journal under -cachedir: journaled
-//	              cells are served from the cache, everything else
-//	              re-simulates (continue an interrupted run)
 //	-chaos SPEC   deterministic fault injection, e.g.
 //	              seed=1,panic=0.1,hang=0.05,err=0.1,corrupt=0.02
 //	              (also upto=K, cell=SUBSTR); the supervision test rig.
@@ -80,8 +79,8 @@
 //	              relayed output is byte-identical to the local run and
 //	              the remote exit code (0/1/2/3) is propagated. Local
 //	              scheduler, cache and service flags (-parallel,
-//	              -cachedir, -retries, -celltimeout, -keepgoing, -resume,
-//	              -chaos, -codecache, -codecachedir and the service flags
+//	              -cachedir, -retries, -celltimeout, -keepgoing, -chaos,
+//	              -codecache, -codecachedir and the service flags
 //	              below) are rejected with exit 2: they belong to the
 //	              coordinator and workers
 //	-listen ADDR  serve: listen address (default 127.0.0.1:0; the bound
@@ -155,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	celltimeout := fs.Duration("celltimeout", 0, "watchdog deadline per cell attempt (0 = none)")
 	retries := fs.Int("retries", 0, "re-attempts per cell after a retryable failure")
 	keepgoing := fs.Bool("keepgoing", false, "drain all cells despite failures; report and exit 3")
-	resume := fs.Bool("resume", false, "resume an interrupted run from the -cachedir journal")
 	chaosSpec := fs.String("chaos", "", "deterministic fault-injection spec (seed=N,panic=P,hang=P,err=P,corrupt=P,upto=K,cell=S)")
 	jsonOut := fs.Bool("json", false, "emit lint/analyze reports as JSON")
 	checkpipe := fs.Bool("checkpipe", false, "attach the pipeline invariant checker to every superscalar core (debug; slower)")
@@ -300,11 +298,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		nets = chaos.NewNet(spec)
 	}
-	if *resume && *cachedir == "" {
-		fmt.Fprintln(stderr, "jrs: -resume requires -cachedir (the journal lives there)")
-		return 2
-	}
-	runner.Resume = *resume
 	logf := func(string, ...any) {}
 	if *verbose {
 		logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
@@ -330,8 +323,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		runner.Cache = cache
-		// The run journal lives next to the cache: every completed cell
-		// is recorded so a later -resume continues where this run dies.
+		// The run journal lives next to the cache: it records every
+		// completed cell and locks the directory to this one writer.
 		journal, err := harness.OpenJournal(filepath.Join(*cachedir, harness.JournalName))
 		if err != nil {
 			fmt.Fprintf(stderr, "jrs: %v\n", err)
@@ -442,7 +435,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // workers own those settings.
 var localOnly = map[string]bool{
 	"parallel": true, "cachedir": true, "retries": true, "celltimeout": true,
-	"keepgoing": true, "resume": true, "chaos": true, "codecache": true,
+	"keepgoing": true, "chaos": true, "codecache": true,
 	"codecachedir": true, "listen": true, "connect": true, "name": true,
 	"workers": true, "lease": true, "netchaos": true, "v": true,
 }
@@ -496,7 +489,7 @@ func submit(addr string, exps []string, opts harness.Options, stdout, stderr io.
 }
 
 // coordinator builds a grid coordinator that applies the runner's
-// retry, keep-going, cache, journal and resume policy to leased cells.
+// retry, keep-going, cache and journal policy to leased cells.
 // The coordinator owns the journal: Stop closes it.
 func coordinator(runner *harness.Runner, lease time.Duration, logf func(string, ...any)) *dist.Coordinator {
 	return dist.NewCoordinator(dist.Config{
@@ -506,7 +499,6 @@ func coordinator(runner *harness.Runner, lease time.Duration, logf func(string, 
 		BackoffBase: runner.BackoffBase,
 		Cache:       runner.Cache,
 		Journal:     runner.Journal,
-		Resume:      runner.Resume,
 		Logf:        logf,
 	})
 }

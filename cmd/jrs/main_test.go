@@ -218,18 +218,6 @@ func TestChaosFlagValidation(t *testing.T) {
 	}
 }
 
-// TestResumeRequiresCachedir: -resume without -cachedir is a usage
-// error — there is no journal to resume from.
-func TestResumeRequiresCachedir(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-resume", "fig1"}, &out, &errb); code != 2 {
-		t.Fatalf("-resume without -cachedir exit code = %d, want 2 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "-cachedir") {
-		t.Errorf("stderr = %q, want a -cachedir hint", errb.String())
-	}
-}
-
 // TestChaosRetriesMatchClean: the CLI-level chaos contract — a run under
 // injected faults with retries and a watchdog produces stdout
 // byte-identical to a clean run (the CI chaos-smoke step in miniature).
@@ -278,8 +266,8 @@ func TestKeepGoingExitCode(t *testing.T) {
 }
 
 // TestResumeFlagFlow: interrupt a cached run with a targeted persistent
-// panic, then finish it with -resume and no chaos; the resumed stdout
-// must equal an uninterrupted run's.
+// panic, then finish it by rerunning on the same -cachedir with no
+// chaos; the rerun's stdout must equal an uninterrupted run's.
 func TestResumeFlagFlow(t *testing.T) {
 	dir := t.TempDir()
 	var ref, errb bytes.Buffer
@@ -296,15 +284,15 @@ func TestResumeFlagFlow(t *testing.T) {
 
 	var out2, errb2 bytes.Buffer
 	if code := run([]string{"-quick", "-w", "hello", "-parallel", "1",
-		"-cachedir", dir, "-resume", "fig2"}, &out2, &errb2); code != 0 {
-		t.Fatalf("resume run failed (%d): %s", code, errb2.String())
+		"-cachedir", dir, "fig2"}, &out2, &errb2); code != 0 {
+		t.Fatalf("rerun failed (%d): %s", code, errb2.String())
 	}
 	if out2.String() != ref.String() {
-		t.Errorf("resumed stdout differs from uninterrupted:\n--- resumed ---\n%s\n--- reference ---\n%s",
+		t.Errorf("rerun stdout differs from uninterrupted:\n--- rerun ---\n%s\n--- reference ---\n%s",
 			out2.String(), ref.String())
 	}
 	if !strings.Contains(errb2.String(), "[cache]") {
-		t.Errorf("resume served nothing from the cache:\n%s", errb2.String())
+		t.Errorf("rerun served nothing from the cache:\n%s", errb2.String())
 	}
 }
 
@@ -394,7 +382,7 @@ func TestCheckRacesCommand(t *testing.T) {
 func TestRemoteRejectsLocalFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-parallel", "2"}, {"-cachedir", "x"}, {"-retries", "1"},
-		{"-celltimeout", "1s"}, {"-keepgoing"}, {"-resume"},
+		{"-celltimeout", "1s"}, {"-keepgoing"},
 		{"-chaos", "seed=1,panic=1"}, {"-codecache"}, {"-codecachedir", "x"},
 		{"-listen", ":0"}, {"-connect", "x"}, {"-name", "x"}, {"-workers", "2"},
 		{"-lease", "1s"}, {"-netchaos", "seed=1,drop=0.1"}, {"-v"},
@@ -419,8 +407,6 @@ func TestServiceUsageErrors(t *testing.T) {
 	}{
 		{[]string{"worker"}, "worker requires -connect"},
 		{[]string{"inproc"}, "inproc requires an experiment"},
-		{[]string{"-resume", "inproc", "fig2"}, "-resume requires -cachedir"},
-		{[]string{"-resume", "serve"}, "-resume requires -cachedir"},
 		{[]string{"-chaos", "seed=1,corrupt=0.5", "inproc", "fig2"}, "corrupt= is not supported"},
 		{[]string{"-connect", "127.0.0.1:1", "-chaos", "corrupt=1", "worker"}, "corrupt= is not supported"},
 		{[]string{"-netchaos", "drop=2", "inproc", "fig2"}, "netchaos"},

@@ -13,11 +13,12 @@ import (
 // TestChaosDifferentialCrashRestart is the PR's acceptance pin: fig9
 // AND fig10 run on three chaos-ridden workers (injected panics and
 // transient errors, dropped/duplicated/delayed frames, whole-worker
-// kills) while the coordinator crashes mid-grid and is restarted with
-// -resume — and the merged output must still be byte-identical to an
-// uninterrupted serial run. CI runs this test; it is the proof that
-// every robustness mechanism composes: lease recovery, classified
-// retry, at-most-once journal commits, and crash-resume.
+// kills) while the coordinator crashes mid-grid and is restarted on the
+// same cache directory — and the merged output must still be
+// byte-identical to an uninterrupted serial run. CI runs this test; it
+// is the proof that every robustness mechanism composes: lease
+// recovery, classified retry, at-most-once journal commits, and a
+// restart served from the build-stamped result cache.
 func TestChaosDifferentialCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos differential runs multi-second javac cells")
@@ -83,12 +84,12 @@ func TestChaosDifferentialCrashRestart(t *testing.T) {
 	}
 	c1.Stop() // idempotent; joins the goroutines and releases the journal lock
 
-	// Phase 2: restart with -resume. Only journaled cells are trusted;
-	// the rest re-lease to the (reconnecting) workers. The client
-	// resubmits — at-most-once commits make that safe.
+	// Phase 2: restart on the same directory. The crashed run's
+	// commits are served from the result cache; the rest re-lease to
+	// the (reconnecting) workers. The client resubmits — at-most-once
+	// commits make that safe.
 	cfg2 := cfg
 	cfg2.Journal = openJournal()
-	cfg2.Resume = true
 	c2 := NewCoordinator(cfg2)
 	addr2, err := c2.Start("127.0.0.1:0")
 	if err != nil {
@@ -104,14 +105,14 @@ func TestChaosDifferentialCrashRestart(t *testing.T) {
 		t.Fatalf("resubmit after restart: %v", err)
 	}
 	if out.ExitCode != 0 {
-		t.Fatalf("resumed run: exit %d, err %q", out.ExitCode, out.ErrMsg)
+		t.Fatalf("restarted run: exit %d, err %q", out.ExitCode, out.ErrMsg)
 	}
 	if out.Output != want {
 		t.Fatalf("chaos + crash-restart output differs from serial:\n--- serial ---\n%s\n--- dist ---\n%s", want, out.Output)
 	}
-	// Resume must have served the crashed run's commits from the
-	// journal+cache instead of re-leasing everything.
+	// The restart must have served the crashed run's commits from the
+	// cache instead of re-leasing everything.
 	if got := c2.Committed(); got >= totalCells {
-		t.Fatalf("restarted coordinator committed %d of %d cells — resume served nothing from the journal", got, totalCells)
+		t.Fatalf("restarted coordinator committed %d of %d cells — the restart served nothing from the cache", got, totalCells)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // keep-going report, and the exit code the caller should propagate.
 //
 // A connection reset mid-wait means the coordinator died; the caller
-// decides whether to resubmit (against a -resume restart, every
-// already-journaled cell is served from the cache, so a resubmitted
-// grid only pays for the cells the crash lost).
+// decides whether to resubmit (a coordinator restarted on the same
+// cache directory serves every committed cell from the result cache,
+// so a resubmitted grid only pays for the cells the crash lost).
 func Submit(addr string, grid GridSpec, timeout time.Duration) (Output, error) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {

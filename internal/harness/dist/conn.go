@@ -31,12 +31,14 @@ type frameConn struct {
 	pendSet bool
 	pendT   MsgType
 	pendP   []byte
-
-	ioTimeout time.Duration
 }
 
-func newFrameConn(c net.Conn, inj *chaos.NetInjector, tag string, ioTimeout time.Duration) *frameConn {
-	return &frameConn{c: c, br: bufio.NewReader(c), inj: inj, tag: tag, ioTimeout: ioTimeout}
+// ioTimeout bounds one frame read, so a silently dead coordinator can't
+// hang a worker forever.
+const ioTimeout = 2 * time.Minute
+
+func newFrameConn(c net.Conn, inj *chaos.NetInjector, tag string) *frameConn {
+	return &frameConn{c: c, br: bufio.NewReader(c), inj: inj, tag: tag}
 }
 
 // write sends one frame, subject to chaos. A dropped frame closes the
@@ -78,9 +80,7 @@ func (f *frameConn) read() (MsgType, []byte, error) {
 		f.pendSet = false
 		return f.pendT, f.pendP, nil
 	}
-	if f.ioTimeout > 0 {
-		f.c.SetReadDeadline(time.Now().Add(f.ioTimeout))
-	}
+	f.c.SetReadDeadline(time.Now().Add(ioTimeout))
 	t, p, err := ReadFrame(f.br)
 	if err != nil {
 		return t, p, err

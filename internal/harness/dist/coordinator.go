@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"jrs/internal/atomicfile"
 	"jrs/internal/harness"
 )
 
@@ -19,20 +20,17 @@ import (
 type Config struct {
 	// LeaseTTL bounds how long a worker may sit on a cell without
 	// delivering a result or a heartbeat before the coordinator revokes
-	// the lease and re-queues the cell. 0 = 10s.
+	// the lease and re-queues the cell. 0 = 10s. A worker silent (no
+	// frames at all) for three TTLs has its connections closed — the
+	// missed-beat eviction policy.
 	LeaseTTL time.Duration
-	// EvictAfter closes the connections of a worker that has been
-	// silent (no frames at all) this long — the missed-beat eviction
-	// policy. 0 = 3×LeaseTTL.
-	EvictAfter time.Duration
 	// Retries bounds re-attempts per cell after a retryable failure,
 	// exactly like Runner.Retries. Lease expiry and worker eviction
 	// classify as timeouts, which are retryable.
 	Retries int
-	// BackoffBase/BackoffMax give the deterministic exponential delay
-	// before a cell's k-th re-lease (no jitter).
+	// BackoffBase gives the deterministic exponential delay before a
+	// cell's k-th re-lease (no jitter), as Runner.BackoffBase does.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// KeepGoing drains every cell despite failures and reports them,
 	// instead of stopping the grid at the first failed cell.
 	KeepGoing bool
@@ -42,13 +40,10 @@ type Config struct {
 	// Cache, when non-nil, serves already-computed cells without
 	// leasing them and persists every committed payload.
 	Cache *harness.ResultCache
-	// Journal, when non-nil, records each committed cell (fsynced)
-	// so a crashed coordinator can be restarted with Resume. The
-	// coordinator owns the journal once passed: Stop closes it.
+	// Journal, when non-nil, records each committed cell (fsynced) and
+	// holds the cache directory's single-writer lock. The coordinator
+	// owns the journal once passed: Stop closes it.
 	Journal *harness.Journal
-	// Resume trusts only journaled cells: a cache entry whose hash the
-	// journal does not record is ignored and the cell is re-leased.
-	Resume bool
 	// CrashAfterCommits, when positive, stops the coordinator cold
 	// (listener and every connection closed, journal released) after
 	// that many result commits — the crash-restart test hook.
@@ -75,10 +70,13 @@ type job struct {
 // connState is one accepted connection. Responses are written by the
 // connection's own read goroutine (the protocol is lockstep per
 // connection), so wmu only guards against future cross-goroutine use.
+// greeted is set once the peer's Hello carried this process's build;
+// only a greeted connection is granted leases.
 type connState struct {
-	c      net.Conn
-	wmu    sync.Mutex
-	worker string
+	c       net.Conn
+	wmu     sync.Mutex
+	worker  string
+	greeted bool
 }
 
 func (cs *connState) send(t MsgType, msg any) error {
@@ -113,9 +111,6 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.EvictAfter <= 0 {
-		cfg.EvictAfter = 3 * cfg.LeaseTTL
 	}
 	if cfg.WaitMillis <= 0 {
 		cfg.WaitMillis = 10
@@ -156,10 +151,10 @@ func (c *Coordinator) Start(addr string) (string, error) {
 // Stop kills the coordinator: listener and every connection closed,
 // journal closed (releasing its writer lock). In-flight jobs get no
 // answer — their clients see a connection reset, exactly as if the
-// process died. A journaled run restarted with Resume continues from
-// the committed cells. Concurrent and repeated Stops are safe: every
-// caller returns only once teardown has fully finished (sync.Once
-// blocks late callers until the first finishes).
+// process died. A restart on the same cache directory serves the
+// committed cells from the result cache. Concurrent and repeated Stops
+// are safe: every caller returns only once teardown has fully finished
+// (sync.Once blocks late callers until the first finishes).
 func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() {
 		c.mu.Lock()
@@ -242,7 +237,7 @@ func (c *Coordinator) sweep() {
 		}
 		var evict []*connState
 		for _, w := range c.table.workers {
-			if now.Sub(w.lastSeen) > c.cfg.EvictAfter && len(w.conns) > 0 {
+			if now.Sub(w.lastSeen) > 3*c.cfg.LeaseTTL && len(w.conns) > 0 {
 				for cs := range w.conns {
 					evict = append(evict, cs)
 				}
@@ -316,6 +311,13 @@ func (c *Coordinator) handleConn(cs *connState) {
 			if DecodeInto(payload, &h) != nil {
 				return
 			}
+			if h.Build != atomicfile.Build() {
+				// A worker built from other code would commit cells
+				// this build might simulate differently.
+				c.cfg.Logf("dist: refusing worker %s: build %.12s, coordinator build %.12s", h.Worker, h.Build, atomicfile.Build())
+				return
+			}
+			cs.greeted = true
 			c.registerWorker(cs, h.Worker)
 		case MsgHeartbeat:
 			var hb Heartbeat
@@ -328,6 +330,10 @@ func (c *Coordinator) handleConn(cs *connState) {
 		case MsgLeaseReq:
 			var req LeaseReq
 			if DecodeInto(payload, &req) != nil {
+				return
+			}
+			if !cs.greeted {
+				c.cfg.Logf("dist: conn %s: lease request without an accepted hello", req.Worker)
 				return
 			}
 			c.registerWorker(cs, req.Worker)
@@ -549,8 +555,8 @@ func (c *Coordinator) newJob(grid GridSpec) (*job, error) {
 		doneCh:     make(chan Output, 1),
 	}
 	j.ledger = harness.NewLedger(harness.LedgerConfig{
-		Retries: c.cfg.Retries, BackoffBase: c.cfg.BackoffBase, BackoffMax: c.cfg.BackoffMax,
-		KeepGoing: c.cfg.KeepGoing, Cache: c.cfg.Cache, Journal: c.cfg.Journal, Resume: c.cfg.Resume,
+		Retries: c.cfg.Retries, BackoffBase: c.cfg.BackoffBase,
+		KeepGoing: c.cfg.KeepGoing, Cache: c.cfg.Cache, Journal: c.cfg.Journal,
 	}, j.plans...)
 	groups := j.ledger.Groups()
 	for i, g := range groups {

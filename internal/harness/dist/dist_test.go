@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"jrs/internal/atomicfile"
 	"jrs/internal/harness"
 	"jrs/internal/harness/chaos"
 )
@@ -234,7 +235,7 @@ func TestDuplicateDeliveryCommitsOnce(t *testing.T) {
 	}()
 
 	wc := dialRaw(t, addr)
-	wc.send(MsgHello, Hello{Worker: "fake"})
+	wc.send(MsgHello, Hello{Worker: "fake", Build: atomicfile.Build()})
 	var seq uint64
 	duplicated := false
 	for done := 0; done < len(groups); done++ {
@@ -309,14 +310,14 @@ func TestLostLeaseRerun(t *testing.T) {
 
 	// Worker A leases a cell and dies holding it.
 	wa := dialRaw(t, addr)
-	wa.send(MsgHello, Hello{Worker: "doomed"})
+	wa.send(MsgHello, Hello{Worker: "doomed", Build: atomicfile.Build()})
 	var seqA uint64
 	abandoned := wa.leaseOrWait(&seqA, "doomed")
 	wa.c.Close() // eviction: the coordinator must reclaim the lease
 
 	// Worker B drains the grid; it must see the abandoned cell again.
 	wb := dialRaw(t, addr)
-	wb.send(MsgHello, Hello{Worker: "healthy"})
+	wb.send(MsgHello, Hello{Worker: "healthy", Build: atomicfile.Build()})
 	var seqB uint64
 	attempts := make(map[string]int)
 	for done := 0; done < len(groups); done++ {
@@ -345,6 +346,61 @@ func TestLostLeaseRerun(t *testing.T) {
 	}
 	if out.Output != want {
 		t.Fatalf("output differs from serial after lost lease:\n%s", out.Output)
+	}
+}
+
+// TestForeignBuildWorkerRefused: a connection whose Hello carries
+// another build is closed, and so is one that asks for a lease with no
+// Hello; neither gets a lease or any other answer. The grid then
+// completes on a worker of this build, byte-identical to serial.
+func TestForeignBuildWorkerRefused(t *testing.T) {
+	grid := helloGrid("fig9")
+	want := serialOutput(t, grid)
+	c, addr := startCoord(t, Config{LeaseTTL: 5 * time.Second, WaitMillis: 5})
+
+	type submitted struct {
+		out Output
+		err error
+	}
+	done := make(chan submitted, 1)
+	go func() {
+		out, err := Submit(addr, grid, 30*time.Second)
+		done <- submitted{out, err}
+	}()
+
+	for _, tc := range []struct {
+		name  string
+		hello *Hello
+	}{
+		{"foreign build", &Hello{Worker: "skewed", Build: "another-build"}},
+		{"no hello", nil},
+	} {
+		rc := dialRaw(t, addr)
+		if tc.hello != nil {
+			rc.send(MsgHello, *tc.hello)
+		}
+		// The coordinator may already have closed the connection, so
+		// a failed write is the refusal too.
+		WriteFrame(rc.c, MsgLeaseReq, LeaseReq{Seq: 1, Worker: "skewed"})
+		rc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if typ, _, err := ReadFrame(rc.br); err == nil {
+			t.Fatalf("%s: coordinator answered with a %s frame, want the connection closed", tc.name, typ)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: connection left open: %v", tc.name, err)
+		}
+	}
+	if got := c.Committed(); got != 0 {
+		t.Fatalf("%d cells committed before any accepted worker", got)
+	}
+
+	var mu sync.Mutex
+	startWorkers(t, 1, &addr, &mu, chaos.Spec{}, chaos.NetSpec{})
+	s := <-done
+	if s.err != nil {
+		t.Fatalf("submit: %v", s.err)
+	}
+	if out := s.out; out.ExitCode != 0 || out.Output != want {
+		t.Fatalf("exit %d, err %q; output differs from serial:\n%s", out.ExitCode, out.ErrMsg, out.Output)
 	}
 }
 

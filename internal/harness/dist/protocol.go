@@ -231,9 +231,14 @@ func (g GridSpec) Canonical() string {
 	return string(b)
 }
 
-// Hello introduces a worker connection.
+// Hello introduces a worker connection. Build is the worker's
+// atomicfile.Build: the coordinator refuses (closes) a connection whose
+// build differs from its own, and grants leases only on a connection
+// whose Hello it accepted, so every committed cell was simulated by the
+// coordinator's code.
 type Hello struct {
 	Worker string `json:"worker"`
+	Build  string `json:"build"`
 }
 
 // LeaseReq asks for work. Seq is the per-connection request sequence

@@ -8,9 +8,13 @@ import (
 	"sync"
 	"time"
 
+	"jrs/internal/atomicfile"
 	"jrs/internal/harness"
 	"jrs/internal/harness/chaos"
 )
+
+// reconnectDelay paces a worker's re-dials after a lost connection.
+const reconnectDelay = 20 * time.Millisecond
 
 // errKilled marks a chaos-injected worker death: the worker abandons
 // its connection (and any lease it holds) and comes back as a fresh
@@ -39,11 +43,6 @@ type Worker struct {
 	// Net, when non-nil, injects frame-level network faults (drops,
 	// delays, duplications) and whole-worker kills.
 	Net *chaos.NetInjector
-	// ReconnectDelay paces re-dials after a lost connection. 0 = 20ms.
-	ReconnectDelay time.Duration
-	// IOTimeout bounds one response read, so a silently dead
-	// coordinator can't hang the worker forever. 0 = 2 minutes.
-	IOTimeout time.Duration
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 
@@ -67,10 +66,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	delay := w.ReconnectDelay
-	if delay <= 0 {
-		delay = 20 * time.Millisecond
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -78,7 +73,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		conn, err := w.Dial()
 		if err != nil {
 			logf("dist: worker %s: dial: %v", w.Name, err)
-			if !sleepCtx(ctx, delay) {
+			if !sleepCtx(ctx, reconnectDelay) {
 				return ctx.Err()
 			}
 			continue
@@ -91,7 +86,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err != nil {
 			logf("dist: worker %s: session: %v", w.Name, err)
 		}
-		if !sleepCtx(ctx, delay) {
+		if !sleepCtx(ctx, reconnectDelay) {
 			return ctx.Err()
 		}
 	}
@@ -100,12 +95,8 @@ func (w *Worker) Run(ctx context.Context) error {
 // session runs the lockstep lease protocol over one connection until an
 // error (or chaos kill) resets it.
 func (w *Worker) session(ctx context.Context, conn net.Conn) error {
-	ioTimeout := w.IOTimeout
-	if ioTimeout <= 0 {
-		ioTimeout = 2 * time.Minute
-	}
-	fc := newFrameConn(conn, w.Net, w.Name, ioTimeout)
-	if err := fc.write(MsgHello, Hello{Worker: w.Name}); err != nil {
+	fc := newFrameConn(conn, w.Net, w.Name)
+	if err := fc.write(MsgHello, Hello{Worker: w.Name, Build: atomicfile.Build()}); err != nil {
 		return err
 	}
 	var seq uint64

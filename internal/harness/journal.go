@@ -16,14 +16,16 @@ const JournalName = "journal.log"
 // lockSuffix names the exclusive-writer lock file next to the journal.
 const lockSuffix = ".lock"
 
-// Journal is the crash-safe record of completed cells that backs
-// -resume: one appended, fsynced line per cell that finished (simulated
-// or cache-served) holding the cell's content hash and human-readable
-// key. It lives next to the ResultCache, and together they make an
-// interrupted grid run resumable: the cache holds the payloads, the
-// journal says which of them a prior run actually completed — so resume
-// trusts exactly the journaled cells and re-simulates the rest, even if
-// unrelated or stale cache files exist.
+// Journal is the crash-safe record of completed cells and the
+// single-writer lock of a cache directory: one appended, fsynced line
+// per cell that finished (simulated or cache-served) holding the cell's
+// content hash and human-readable key. It lives next to the
+// ResultCache. It does not decide what a rerun may trust: the cache
+// does that, since every entry carries the build that wrote it and an
+// entry of any other build misses. An interrupted run is continued by
+// rerunning it on the same directory. What the journal adds is its lock
+// (two live writers on one directory fail fast instead of racing) and
+// its record (Len counts the cells this directory has seen complete).
 //
 // The format is deliberately dumb: append-only text, one record per
 // line. A crash mid-append leaves at most one torn final line, which

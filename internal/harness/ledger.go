@@ -22,20 +22,19 @@ const (
 )
 
 // LedgerConfig is the supervision policy a Ledger applies. Retries,
-// BackoffBase, BackoffMax, KeepGoing, Cache, Journal, Resume and
-// Progress mean what the Runner fields of the same names mean. Chaos,
-// when non-nil, only corrupts the freshly persisted cache entries of
-// attempts it decides chaos.Corrupt for: execution faults are injected
-// by CellGroup.Attempt, on whichever side runs the simulation.
+// BackoffBase, KeepGoing, Cache, Journal and Progress mean what the
+// Runner fields of the same names mean. Chaos, when non-nil, only
+// corrupts the freshly persisted cache entries of attempts it decides
+// chaos.Corrupt for: execution faults are injected by
+// CellGroup.Attempt, on whichever side runs the simulation.
 type LedgerConfig struct {
-	Retries                 int
-	BackoffBase, BackoffMax time.Duration
-	KeepGoing               bool
-	Cache                   *ResultCache
-	Journal                 *Journal
-	Resume                  bool
-	Chaos                   *chaos.Injector
-	Progress                func(key CellKey, cached bool)
+	Retries     int
+	BackoffBase time.Duration
+	KeepGoing   bool
+	Cache       *ResultCache
+	Journal     *Journal
+	Chaos       *chaos.Injector
+	Progress    func(key CellKey, cached bool)
 }
 
 // Ledger is the cell-group state machine of one supervised run, shared
@@ -67,8 +66,7 @@ type Ledger struct {
 }
 
 // NewLedger groups the plans' cells (GroupPlans) and commits every group
-// the result cache can serve — under Resume only journaled ones — before
-// anything is claimed.
+// the result cache can serve before anything is claimed.
 func NewLedger(cfg LedgerConfig, plans ...*Plan) *Ledger {
 	groups := GroupPlans(plans...)
 	n := len(groups)
@@ -84,9 +82,6 @@ func NewLedger(cfg LedgerConfig, plans ...*Plan) *Ledger {
 	for i, g := range groups {
 		if l.stopped() {
 			break
-		}
-		if cfg.Resume && (cfg.Journal == nil || !cfg.Journal.Done(g.Key.Hash())) {
-			continue
 		}
 		raw, ok := cfg.Cache.Get(g.Key)
 		if !ok {
@@ -192,7 +187,7 @@ func (l *Ledger) Fail(i int, cause string, err error, worker string, now time.Ti
 		return false, 0
 	}
 	if retryableCause(cause) && l.attempts[i] <= l.cfg.Retries {
-		delay = backoffDelay(l.cfg.BackoffBase, l.cfg.BackoffMax, l.attempts[i])
+		delay = backoffDelay(l.cfg.BackoffBase, l.attempts[i])
 		l.state[i] = GroupPending
 		l.notBefore[i] = now.Add(delay)
 		l.retries++
@@ -229,7 +224,7 @@ func (l *Ledger) commit(i int, raw json.RawMessage, cached bool) error {
 		if l.cfg.Chaos != nil && l.cfg.Chaos.Decide(g.Key.String(), l.attempts[i]) == chaos.Corrupt {
 			// A torn write by a crashed peer: this run's payload stays
 			// good, but the stored entry must degrade to a miss next read.
-			if err := c.Corrupt(g.Key); err != nil {
+			if err := c.Corrupt(g.Key.Hash()); err != nil {
 				return fmt.Errorf("%s: chaos corrupt: %w", g.Key, err)
 			}
 		}

@@ -15,9 +15,9 @@ import (
 	"jrs/internal/workloads"
 )
 
-// CacheSchema versions the cell payload encoding. Bump it whenever a
-// simulator or an experiment's cell payload changes meaning, so stale
-// entries in a persistent ResultCache stop matching.
+// CacheSchema is frozen: it is hashed into every CellKey.Hash, so the
+// pinned cell hashes stay put. Never bump it — a ResultCache entry is
+// stamped with the build that wrote it, and every other build misses.
 const CacheSchema = 2
 
 // CellKey identifies one independent simulation cell of the paper grid:
@@ -152,12 +152,10 @@ type Runner struct {
 	// panics, watchdog timeouts, transient I/O and injected faults do.
 	Retries int
 	// BackoffBase, when positive, sleeps min(BackoffBase << (k-1),
-	// BackoffMax) before the k-th retry of a cell — deterministic
+	// BackoffBase << 6) before the k-th retry of a cell — deterministic
 	// exponential backoff with no jitter, so supervised runs stay
 	// reproducible. Zero disables sleeping (the library/test default).
 	BackoffBase time.Duration
-	// BackoffMax caps the backoff delay (0 = BackoffBase << 6).
-	BackoffMax time.Duration
 	// KeepGoing switches to degraded mode: instead of stopping at the
 	// first failed cell, the runner drains every cell, fills all slots
 	// that succeeded, and reports failures through Report(). RunPlans
@@ -165,12 +163,8 @@ type Runner struct {
 	// (cmd/jrs exits 3).
 	KeepGoing bool
 	// Journal, when non-nil, records each completed cell (fsynced
-	// append) so an interrupted run can resume.
+	// append) and holds the cache directory's single-writer lock.
 	Journal *Journal
-	// Resume trusts only journaled cells: a cache entry whose hash the
-	// journal does not record is ignored and the cell re-simulates.
-	// Requires Cache and Journal to be useful.
-	Resume bool
 	// Chaos, when non-nil, injects deterministic faults (panics, hangs,
 	// transient errors, cache corruption) into cell attempts — the test
 	// vehicle for everything above.
@@ -332,8 +326,8 @@ func GroupPlans(plans ...*Plan) []*CellGroup {
 // returned error is nil.
 func (r *Runner) RunPlans(plans ...*Plan) error {
 	l := NewLedger(LedgerConfig{
-		Retries: r.Retries, BackoffBase: r.BackoffBase, BackoffMax: r.BackoffMax,
-		KeepGoing: r.KeepGoing, Cache: r.Cache, Journal: r.Journal, Resume: r.Resume,
+		Retries: r.Retries, BackoffBase: r.BackoffBase,
+		KeepGoing: r.KeepGoing, Cache: r.Cache, Journal: r.Journal,
 		Chaos: r.Chaos, Progress: r.Progress,
 	}, plans...)
 	workers := r.Workers

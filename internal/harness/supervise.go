@@ -140,25 +140,13 @@ func panicStack(err error) string {
 }
 
 // backoffDelay returns the deterministic exponential delay before the
-// k-th retry (k >= 1): min(base << (k-1), max). No jitter — supervised
-// runs must replay identically. base <= 0 disables sleeping; max <= 0
-// defaults to base << 6.
-func backoffDelay(base, max time.Duration, k int) time.Duration {
+// k-th retry (k >= 1): min(base << (k-1), base << 6). No jitter —
+// supervised runs must replay identically. base <= 0 disables sleeping.
+func backoffDelay(base time.Duration, k int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
-	if max <= 0 {
-		max = base << 6
-	}
-	shift := k - 1
-	if shift > 20 {
-		shift = 20
-	}
-	d := base << shift
-	if d > max || d <= 0 {
-		d = max
-	}
-	return d
+	return base << min(k-1, 6)
 }
 
 // CellFailure is one failed cell in a RunReport — the deterministic,

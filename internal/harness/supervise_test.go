@@ -2,15 +2,18 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"jrs/internal/atomicfile"
 	"jrs/internal/harness/chaos"
 )
 
@@ -348,10 +351,50 @@ func TestChaosCorruptCacheRecovery(t *testing.T) {
 	}
 }
 
-// TestResumeAfterInterruption is the satellite resume test: a run
-// killed by an injected panic after N cells, re-run with Resume,
-// re-simulates exactly total-N cells and renders byte-identically to an
-// uninterrupted run.
+// plantEntry hand-writes a result-cache envelope for k, stamped with
+// build, bypassing the cache.
+func plantEntry(t *testing.T, dir string, k CellKey, build, payload string) {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Build   string          `json:"build"`
+		Key     CellKey         `json:"key"`
+		Payload json.RawMessage `json:"payload"`
+	}{build, k, json.RawMessage(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := k.Hash()
+	if err := os.MkdirAll(filepath.Join(dir, h[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, h[:2], h+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResultCacheForeignBuildMisses: an entry stamped with another
+// build is a miss, and the same hand-written envelope stamped with this
+// build is a hit.
+func TestResultCacheForeignBuildMisses(t *testing.T) {
+	dir := t.TempDir()
+	plantEntry(t, dir, synKey(0), "another-build", `{"v":1}`)
+	plantEntry(t, dir, synKey(1), atomicfile.Build(), `{"v":1}`)
+	c, err := OpenResultCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, ok := c.Get(synKey(0)); ok {
+		t.Errorf("foreign-build entry served as a hit: %s", raw)
+	}
+	if raw, ok := c.Get(synKey(1)); !ok || string(raw) != `{"v":1}` {
+		t.Errorf("this build's entry = %q ok=%v, want a hit", raw, ok)
+	}
+}
+
+// TestResumeAfterInterruption: a run killed by an injected panic after
+// N cells, re-run on the same cache directory, re-simulates exactly
+// total-N cells — ignoring an entry planted by another build — and
+// renders byte-identically to an uninterrupted run.
 func TestResumeAfterInterruption(t *testing.T) {
 	dir := t.TempDir()
 	sim := func(ctx context.Context, i int) (any, error) { return i * i, nil }
@@ -396,43 +439,44 @@ func TestResumeAfterInterruption(t *testing.T) {
 	}
 	journal.Close()
 
-	// A stale, unjournaled cache entry must be ignored by resume: plant
-	// a wrong payload for w04 without journaling it.
-	if err := cache.Put(synKey(4), []byte("999")); err != nil {
-		t.Fatal(err)
-	}
+	// An entry another build wrote must be ignored by the rerun: plant
+	// a wrong payload for w04 under a foreign build stamp.
+	plantEntry(t, dir, synKey(4), "another-build", "999")
 
-	// Resume: only the journaled prefix is trusted; exactly total-n
+	// Rerun: only this build's entries are trusted; exactly total-n
 	// cells re-simulate and the render matches the uninterrupted run.
 	cache2, journal2 := open()
 	defer journal2.Close()
 	p2, res2 := syntheticPlan(total, sim)
-	r2 := &Runner{Workers: 1, Cache: cache2, Journal: journal2, Resume: true}
+	r2 := &Runner{Workers: 1, Cache: cache2, Journal: journal2}
 	if err := r2.RunPlans(p2); err != nil {
-		t.Fatalf("resume failed: %v", err)
+		t.Fatalf("rerun failed: %v", err)
 	}
 	if got := r2.Simulated(); got != total-n {
-		t.Errorf("resume re-simulated %d cells, want %d", got, total-n)
+		t.Errorf("rerun re-simulated %d cells, want %d", got, total-n)
 	}
 	if got := r2.CacheHits(); got != n {
-		t.Errorf("resume served %d cells from cache, want %d", got, n)
+		t.Errorf("rerun served %d cells from cache, want %d", got, n)
 	}
 	if out := res2.Render(); out != ref {
-		t.Errorf("resumed render %q differs from uninterrupted %q", out, ref)
+		t.Errorf("rerun render %q differs from uninterrupted %q", out, ref)
 	}
 }
 
-// TestBackoffDeterministic pins the retry delay schedule and checks the
-// runner sleeps it via the hook.
+// TestBackoffDeterministic pins the retry delay schedule, its cap at
+// 64× the base, and checks the runner sleeps it via the hook.
 func TestBackoffDeterministic(t *testing.T) {
-	base, max := 10*time.Millisecond, 35*time.Millisecond
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond, 35 * time.Millisecond}
+	base := 10 * time.Millisecond
+	want := []time.Duration{10, 20, 40, 80, 160, 320, 640, 640, 640}
 	for k, w := range want {
-		if got := backoffDelay(base, max, k+1); got != w {
-			t.Errorf("backoffDelay(k=%d) = %v, want %v", k+1, got, w)
+		if got := backoffDelay(base, k+1); got != w*time.Millisecond {
+			t.Errorf("backoffDelay(k=%d) = %v, want %v", k+1, got, w*time.Millisecond)
 		}
 	}
-	if got := backoffDelay(0, 0, 3); got != 0 {
+	if got := backoffDelay(base, 40); got != 640*time.Millisecond {
+		t.Errorf("backoffDelay(k=40) = %v, want the 640ms cap", got)
+	}
+	if got := backoffDelay(0, 3); got != 0 {
 		t.Errorf("zero base must not sleep, got %v", got)
 	}
 
@@ -440,13 +484,13 @@ func TestBackoffDeterministic(t *testing.T) {
 	p, _ := syntheticPlan(1, func(ctx context.Context, i int) (any, error) {
 		return nil, transientErr{}
 	})
-	r := &Runner{Workers: 1, Retries: 3, BackoffBase: base, BackoffMax: max}
+	r := &Runner{Workers: 1, Retries: 3, BackoffBase: base}
 	r.sleep = func(d time.Duration) { slept = append(slept, d) }
 	if err := r.RunPlans(p); err == nil {
 		t.Fatal("always-failing cell succeeded")
 	}
-	if fmt.Sprint(slept) != fmt.Sprint(want[:3]) {
-		t.Errorf("slept %v, want %v", slept, want[:3])
+	if fmt.Sprint(slept) != "[10ms 20ms 40ms]" {
+		t.Errorf("slept %v, want [10ms 20ms 40ms]", slept)
 	}
 }
 
@@ -469,7 +513,7 @@ func TestResultCachePutCrashSafety(t *testing.T) {
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("stored entry not readable")
 	}
-	if err := c.Corrupt(key); err != nil {
+	if err := c.Corrupt(key.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); ok {

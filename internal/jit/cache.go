@@ -12,6 +12,10 @@
 // class). translationKey therefore replays the generator's decision
 // procedure per instruction, in pc order, hashing the exact datum each
 // site consumes. Deterministic by construction: no map is iterated.
+// The generator's own code is not hashed: the memory level lives in one
+// process, and the disk level stamps every entry with the build that
+// wrote it (atomicfile.Build), so an entry from other compiler code
+// misses.
 package jit
 
 import (
@@ -27,12 +31,6 @@ import (
 	"jrs/internal/vm"
 )
 
-// KeySchema versions the translation-key construction. Bump it together
-// with any code-generation change that alters emitted code for an
-// unchanged (bytecode, options, facts) input — like harness.CacheSchema,
-// the cache does not observe compiler code.
-const KeySchema = 1
-
 // translationKey content-addresses the translation of m under opt at the
 // given tier. Two engines computing equal keys are guaranteed to
 // generate instruction-for-instruction identical code up to the
@@ -41,7 +39,7 @@ func (c *Compiler) translationKey(m *bytecode.Method, opt Options, tier int) str
 	h := sha256.New()
 	cls := m.Class
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	w("jrs-jit\x00k%d\x00e%d\x00", KeySchema, codecache.EntrySchema)
+	w("jrs-jit\x00")
 	w("opt:%t,%d,%t,%t,%t,tier%d\x00",
 		opt.Devirtualize, opt.MaxStackRegs, opt.BaselineCodegen,
 		opt.ElideBounds, opt.ElideNull, tier)

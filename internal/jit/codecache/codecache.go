@@ -9,18 +9,16 @@
 // relocatable Entry form. Entries are immutable once stored: installers
 // copy the code before relocating it to a new base.
 //
-// Persistence reuses the ResultCache idiom: entries are self-describing
-// JSON envelopes written temp+fsync+rename with a directory fsync, and
-// any unreadable, torn, schema-mismatched or otherwise implausible entry
-// degrades to a miss — a damaged cache costs a re-translation, never a
-// wrong translation or a failed run.
+// Persistence is the ResultCache's: entries are atomicfile envelopes
+// stamped with the build that wrote them, published temp+fsync+rename
+// with a directory fsync, and any unreadable, torn, foreign-build or
+// otherwise implausible entry degrades to a miss — a damaged or stale
+// cache costs a re-translation, never a wrong translation or a failed
+// run.
 package codecache
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,12 +26,6 @@ import (
 	"jrs/internal/atomicfile"
 	"jrs/internal/isa"
 )
-
-// EntrySchema versions the serialized entry format. Bump it whenever
-// Entry's shape or meaning changes; internal/jit additionally folds it
-// (and its own KeySchema) into every content address, so stale on-disk
-// entries from an older build stop matching instead of being misread.
-const EntrySchema = 1
 
 // ElidedSite is the serializable form of one jit.ElidedCheck: the native
 // code index of the anchor instruction plus the bytecode pc, check kind
@@ -110,9 +102,11 @@ type Stats struct {
 
 // Cache is the two-level store. All methods are safe for concurrent use
 // by many engines; Do serializes computes per key (singleflight), so a
-// parallel grid translates each distinct method exactly once.
+// parallel grid translates each distinct method exactly once. The disk
+// level is the embedded store (no Dir = memory-only), whose entries are
+// named by their key; Corrupt tears one.
 type Cache struct {
-	dir string // "" = memory-only
+	atomicfile.Store[string, *Entry]
 
 	mu    sync.Mutex
 	mem   map[string]*Entry
@@ -128,19 +122,14 @@ func NewMemory() *Cache {
 
 // Open returns a cache backed by dir (created if needed).
 func Open(dir string) (*Cache, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("codecache: empty directory")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s, err := atomicfile.OpenStore[string, *Entry](dir)
+	if err != nil {
 		return nil, fmt.Errorf("codecache: %w", err)
 	}
 	c := NewMemory()
-	c.dir = dir
+	c.Store = s
 	return c, nil
 }
-
-// Dir returns the disk directory ("" for memory-only caches).
-func (c *Cache) Dir() string { return c.dir }
 
 // keyLock returns the per-key mutex, creating it on first use. Locks are
 // never reclaimed; the population is bounded by distinct translation
@@ -206,11 +195,8 @@ func (c *Cache) get(key string) (*Entry, bool) {
 	if e != nil {
 		return e, true
 	}
-	if c.dir == "" {
-		return nil, false
-	}
-	e = c.readDisk(key)
-	if e == nil {
+	e, ok := c.Read(key, key)
+	if !ok || !e.valid() {
 		return nil, false
 	}
 	c.diskHits.Add(1)
@@ -229,52 +215,12 @@ func (c *Cache) put(key string, e *Entry) {
 	c.mem[key] = e
 	c.mu.Unlock()
 	c.stores.Add(1)
-	if c.dir == "" {
+	if c.Dir == "" {
 		return
 	}
-	if err := c.writeDisk(key, e); err != nil {
+	if err := c.Write(key, key, e); err != nil {
 		c.storeErrors.Add(1)
 	}
-}
-
-// diskEntry is the on-disk envelope: schema and the full key stored
-// alongside the payload, so entries are self-describing and collisions
-// or hand-edited files are detected instead of silently decoded.
-type diskEntry struct {
-	Schema int    `json:"schema"`
-	Key    string `json:"key"`
-	Entry  *Entry `json:"entry"`
-}
-
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
-}
-
-// readDisk loads and validates one entry; any failure is a miss.
-func (c *Cache) readDisk(key string) *Entry {
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil
-	}
-	var de diskEntry
-	if err := json.Unmarshal(data, &de); err != nil {
-		return nil
-	}
-	if de.Schema != EntrySchema || de.Key != key || !de.Entry.valid() {
-		return nil
-	}
-	return de.Entry
-}
-
-// writeDisk persists one entry crash-safely (atomicfile.Publish): a
-// concurrent reader never observes a torn entry, and a crash leaves
-// either nothing or the complete entry.
-func (c *Cache) writeDisk(key string, e *Entry) error {
-	data, err := json.Marshal(diskEntry{Schema: EntrySchema, Key: key, Entry: e})
-	if err != nil {
-		return err
-	}
-	return atomicfile.Publish(c.path(key), data)
 }
 
 // Keys returns the sorted keys currently held in memory.
@@ -296,21 +242,6 @@ func (c *Cache) DropMemory() {
 	c.mu.Lock()
 	c.mem = make(map[string]*Entry)
 	c.mu.Unlock()
-}
-
-// Corrupt truncates the on-disk entry for key to half its length,
-// simulating the torn write of a crashed peer; reads must degrade to a
-// miss. Chaos and recovery tests only.
-func (c *Cache) Corrupt(key string) error {
-	if c.dir == "" {
-		return fmt.Errorf("codecache: Corrupt on a memory-only cache")
-	}
-	path := c.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data[:len(data)/2], 0o644)
 }
 
 // Stats snapshots the counters.

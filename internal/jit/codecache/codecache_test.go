@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"jrs/internal/atomicfile"
 	"jrs/internal/isa"
 )
 
@@ -104,8 +105,15 @@ func TestCorruptEntryDegradesToMiss(t *testing.T) {
 	}
 }
 
+// diskEnvelope is the on-disk form of a stored entry, written by hand.
+type diskEnvelope struct {
+	Build   string `json:"build"`
+	Key     string `json:"key"`
+	Payload *Entry `json:"payload"`
+}
+
 // writeEnvelope hand-writes a disk envelope for key, bypassing the cache.
-func writeEnvelope(t *testing.T, dir, key string, de diskEntry) {
+func writeEnvelope(t *testing.T, dir, key string, de diskEnvelope) {
 	t.Helper()
 	data, err := json.Marshal(de)
 	if err != nil {
@@ -127,20 +135,24 @@ func TestImplausibleEntriesDegradeToMiss(t *testing.T) {
 	badRel.Rel = []int32{99}
 	badElided := entry("A.m", 4)
 	badElided.Elided = []ElidedSite{{Index: 99}}
+	build := atomicfile.Build()
 	cases := []struct {
 		name string
 		key  string
-		de   diskEntry
+		de   diskEnvelope
 	}{
-		{"wrong schema", "aa11", diskEntry{Schema: EntrySchema + 1, Key: "aa11", Entry: good}},
-		{"wrong key echo", "bb22", diskEntry{Schema: EntrySchema, Key: "zz99", Entry: good}},
-		{"empty code", "cc33", diskEntry{Schema: EntrySchema, Key: "cc33", Entry: &Entry{Method: "A.m"}}},
-		{"rel out of range", "dd44", diskEntry{Schema: EntrySchema, Key: "dd44", Entry: badRel}},
-		{"elided out of range", "ee55", diskEntry{Schema: EntrySchema, Key: "ee55", Entry: badElided}},
+		{"wrong build", "aa11", diskEnvelope{Build: "another-build", Key: "aa11", Payload: good}},
+		{"wrong key echo", "bb22", diskEnvelope{Build: build, Key: "zz99", Payload: good}},
+		{"empty code", "cc33", diskEnvelope{Build: build, Key: "cc33", Payload: &Entry{Method: "A.m"}}},
+		{"rel out of range", "dd44", diskEnvelope{Build: build, Key: "dd44", Payload: badRel}},
+		{"elided out of range", "ee55", diskEnvelope{Build: build, Key: "ee55", Payload: badElided}},
 	}
 	for _, tc := range cases {
 		writeEnvelope(t, dir, tc.key, tc.de)
 	}
+	// The control: the same hand-written envelope, stamped with this
+	// build, is a hit — so each miss above is the named defect's.
+	writeEnvelope(t, dir, "ff66", diskEnvelope{Build: build, Key: "ff66", Payload: good})
 	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +161,9 @@ func TestImplausibleEntriesDegradeToMiss(t *testing.T) {
 		if _, ok := c.Get(tc.key); ok {
 			t.Errorf("%s: served as a hit, want miss", tc.name)
 		}
+	}
+	if _, ok := c.Get("ff66"); !ok {
+		t.Error("a valid envelope of this build missed")
 	}
 }
 

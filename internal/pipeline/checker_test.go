@@ -9,8 +9,19 @@ import (
 
 // mixedTrace generates a deterministic pseudo-random instruction stream
 // exercising every class, register dependences, memory reuse and
-// control flow. splitmix64 keeps it reproducible without math/rand.
-func mixedTrace(n int, seed uint64) []trace.Inst {
+// control flow. Its loads and stores spread over 16K words, so they
+// almost never meet in flight.
+func mixedTrace(n int, seed uint64) []trace.Inst { return genTrace(n, seed, 1<<14) }
+
+// hotTrace is mixedTrace with every load and store drawn from 16 hot
+// words, so in-flight stores forward to loads and speculated loads
+// replay.
+func hotTrace(n int, seed uint64) []trace.Inst { return genTrace(n, seed, 4) }
+
+// genTrace draws the stream, with load and store addresses from the
+// first words words. splitmix64 keeps it reproducible without
+// math/rand.
+func genTrace(n int, seed, words uint64) []trace.Inst {
 	next := func() uint64 {
 		seed += 0x9E3779B97F4A7C15
 		z := seed
@@ -36,10 +47,10 @@ func mixedTrace(n int, seed uint64) []trace.Inst {
 		switch r % 16 {
 		case 0, 1:
 			in.Class = trace.Load
-			in.Addr = (r >> 32) % (1 << 14) * 8
+			in.Addr = (r >> 32) % words * 8
 		case 2:
 			in.Class = trace.Store
-			in.Addr = (r >> 32) % (1 << 14) * 8
+			in.Addr = (r >> 32) % words * 8
 		case 3:
 			in.Class = trace.FPU
 		case 4:

@@ -20,6 +20,10 @@ func clampInt(v uint64, hi int) int {
 //     increases the cycle count on the same trace;
 //  4. sharing a front end is exact — a Group's cores count exactly
 //     what standalone cores of the same configs count.
+//
+// Odd seeds draw the trace from hotTrace, so store-to-load forwarding,
+// conservative disambiguation and replay are exercised too; even seeds
+// draw it from mixedTrace.
 func FuzzPipelineConfig(f *testing.F) {
 	f.Add(uint8(4), uint16(64), uint8(16), uint16(32), uint8(1), uint8(3), uint8(2), uint8(3), uint8(5), uint8(20), true, uint64(1))
 	f.Add(uint8(1), uint16(1), uint8(1), uint16(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), false, uint64(2))
@@ -42,6 +46,9 @@ func FuzzPipelineConfig(f *testing.F) {
 		cfg.MemSpeculate = memSpec
 
 		tr := mixedTrace(3000, seed)
+		if seed%2 == 1 {
+			tr = hotTrace(3000, seed)
+		}
 
 		run := func(cfg Config, check bool) (*Core, uint64) {
 			c := New(cfg)
@@ -113,4 +120,17 @@ func FuzzPipelineConfig(f *testing.F) {
 		l1.ICache.Size, l1.DCache.Size = 4<<10, 8<<10
 		checkGroupMatchesStandalone(t, append(cfgs, tc, l1), tr, 1+int(seed%1500), 3)
 	})
+}
+
+// TestHotTraceForwardsAndReplays pins that hotTrace, the fuzzer's
+// second source, really reaches the LSQ paths mixedTrace misses: with
+// memory speculation on, some loads forward and some replay.
+func TestHotTraceForwardsAndReplays(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.MemSpeculate = true
+	c := New(cfg)
+	c.EmitBatch(hotTrace(3000, 1))
+	if c.MemForwards == 0 || c.MemReplays == 0 {
+		t.Fatalf("hotTrace(3000, 1): forwards=%d replays=%d, want both > 0", c.MemForwards, c.MemReplays)
+	}
 }

@@ -300,9 +300,10 @@ type Core struct {
 	// the total front-end cycles discarded by them.
 	Mispredicts  uint64
 	SquashCycles uint64
-	// MemForwards counts loads bound by store-to-load forwarding;
-	// MemReplays the subset that issued before the store's data was
-	// ready and had to replay (only possible under MemSpeculate).
+	// MemForwards counts loads bound by store-to-load forwarding that
+	// waited for the store; MemReplays counts the bound loads that
+	// instead issued before the store's data was ready and had to
+	// replay (only possible under MemSpeculate). No load is in both.
 	MemForwards uint64
 	MemReplays  uint64
 }
