@@ -225,6 +225,11 @@ func RunOracleCtx(ctx context.Context, w workloads.Workload, scale int, sinks ..
 // are a small share of their cost.
 func coreGroup(o Options, cfgs []pipeline.Config) (g *pipeline.Group, check func() error) {
 	g = pipeline.NewGroup(cfgs...)
+	distinct := map[*pipeline.Core]bool{}
+	for _, c := range g.Cores() {
+		distinct[c] = true
+	}
+	coresTimed.Add(int64(len(distinct)))
 	var checks []*pipeline.Checker
 	if o.CheckPipe {
 		for _, c := range g.Cores() {

@@ -77,8 +77,9 @@ func payloadDigest(raw []byte) string {
 
 // TestGridEngineRuns pins the engine work of the whole registry on
 // hello (quick) run through one serial Runner, the way `jrs all` runs
-// it: the grid's cell groups, the engine runs RunClassesCtx finished
-// and the instructions they simulated. The per-experiment pins above
+// it: the grid's cell groups, the engine runs RunClassesCtx finished,
+// the instructions they simulated and the distinct cores that timed
+// them. The per-experiment pins above
 // count each group run on its own; this one counts what the Runner's
 // scheduling adds or saves across experiments. Refresh with:
 //
@@ -89,10 +90,11 @@ func TestGridEngineRuns(t *testing.T) {
 		plans = append(plans, e.Plan(helloOpts()))
 	}
 	r := &Runner{Workers: 1}
-	runs, insts := engineRuns.Load(), simInstrs.Load()
+	runs, insts, cores := engineRuns.Load(), simInstrs.Load(), coresTimed.Load()
 	if err := r.RunPlans(plans...); err != nil {
 		t.Fatal(err)
 	}
-	runs, insts = engineRuns.Load()-runs, simInstrs.Load()-insts
-	checkGolden(t, "cells/grid.txt", fmt.Sprintf("groups=%d\nruns=%d\ninsts=%d\n", r.Report().Cells, runs, insts))
+	runs, insts, cores = engineRuns.Load()-runs, simInstrs.Load()-insts, coresTimed.Load()-cores
+	checkGolden(t, "cells/grid.txt", fmt.Sprintf("groups=%d\nruns=%d\ninsts=%d\ncores=%d\n",
+		r.Report().Cells, runs, insts, cores))
 }

@@ -30,12 +30,14 @@ import (
 var defaultCodeCache atomic.Pointer[codecache.Cache]
 
 // engineRuns and simInstrs count every engine run RunClassesCtx
-// finishes and the instructions it simulated, process-wide. The cell
-// pins (testdata/golden/cells) record their per-group deltas, so extra
+// finishes and the instructions it simulated, process-wide; coresTimed
+// counts the distinct superscalar cores built to time those runs. The
+// cell pins (testdata/golden/cells) record their deltas, so extra
 // simulated work fails a test even when every payload stays the same.
 var (
 	engineRuns atomic.Int64
 	simInstrs  atomic.Uint64
+	coresTimed atomic.Int64
 )
 
 // SetCodeCache installs c as the process-default shared translation
