@@ -309,7 +309,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer cancel()
-		buildWorker(*name, *connect, runner, nets, 0, logf).Run(ctx)
+		if err := buildWorker(*name, *connect, runner, nets, 0, logf).Run(ctx); err != nil && ctx.Err() == nil {
+			fmt.Fprintf(stderr, "jrs: %v\n", err)
+			return 1
+		}
 		return 0
 	}
 	if cmd == "inproc" && fs.NArg() < 2 {

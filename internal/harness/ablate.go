@@ -36,7 +36,7 @@ func ablateInstallPlan(o Options) *Plan {
 	res := &AblateInstallResult{}
 	p := newPlan("ablate-install", res)
 	specCells(p, o, o.seven(), jitOnly, "wa+wna+direct", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (AblateInstallRow, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (AblateInstallRow, error)) {
 			wa := cache.PaperDefault()
 
 			wna := cache.NewHierarchy(
@@ -49,7 +49,7 @@ func ablateInstallPlan(o Options) *Plan {
 			direct.CodeLow = mem.CodeCacheBase
 			direct.CodeHigh = mem.ClassBase
 
-			return nil, []*cache.Hierarchy{wa, wna, direct}, func() (AblateInstallRow, error) {
+			return run{hs: []*cache.Hierarchy{wa, wna, direct}}, func() (AblateInstallRow, error) {
 				return AblateInstallRow{
 					Workload:        w.Name,
 					DMissesWA:       wa.D.Stats.Misses(),

@@ -5,7 +5,6 @@ import (
 
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -65,11 +64,11 @@ func ablateOoOPlan(o Options) *Plan {
 	cfgs := ablateOoOConfigs()
 	res := &AblateOoOResult{}
 	p := newPlan("ablate-ooo", res)
-	cells(p, o, o.seven(), jitOnly, "", pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,
-		func(w workloads.Workload, mode Mode) ([]run, func() (OoOCell, error)) {
-			g, check := coreGroup(o, cfgs)
-			return []run{{mode: mode, sinks: []trace.Sink{g}}}, func() (OoOCell, error) {
-				cores := g.Cores()
+	specCells(p, o, o.seven(), jitOnly, pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,
+		func(w workloads.Workload, mode Mode) (run, func() (OoOCell, error)) {
+			cs := &coreSet{cfgs: cfgs, check: o.CheckPipe}
+			return run{cores: cs}, func() (OoOCell, error) {
+				cores := cs.got
 				cell := OoOCell{}
 				for _, ax := range oooAxes {
 					row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
@@ -79,7 +78,7 @@ func ablateOoOPlan(o Options) *Plan {
 					cores = cores[len(ax.Sizes):]
 					cell.Rows = append(cell.Rows, row)
 				}
-				return cell, check()
+				return cell, cs.err()
 			}
 		})
 	return p

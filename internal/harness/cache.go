@@ -28,9 +28,9 @@ func table3Plan(o Options) *Plan {
 	res := &Table3Result{}
 	p := newPlan("table3", res)
 	specCells(p, o, o.seven(), interpJIT, "64K-32B-i2w-d4w", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (Table3Row, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (Table3Row, error)) {
 			h := cache.PaperDefault()
-			return nil, []*cache.Hierarchy{h}, func() (Table3Row, error) {
+			return run{hs: []*cache.Hierarchy{h}}, func() (Table3Row, error) {
 				return Table3Row{Workload: w.Name, Mode: mode, I: h.I.Stats, D: h.D.Stats}, nil
 			}
 		})
@@ -88,7 +88,7 @@ func fig3Plan(o Options) *Plan {
 	res := &Fig3Result{}
 	p := newPlan("fig3", res)
 	specCells(p, o, o.seven(), interpJIT, "dm-32B-8K..128K", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (Fig3Row, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (Fig3Row, error)) {
 			var hs []*cache.Hierarchy
 			for _, sz := range sizes {
 				hs = append(hs, cache.NewHierarchy(
@@ -96,7 +96,7 @@ func fig3Plan(o Options) *Plan {
 					cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
 				))
 			}
-			return nil, hs, func() (Fig3Row, error) {
+			return run{hs: hs}, func() (Fig3Row, error) {
 				row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
 				for _, h := range hs {
 					row.WriteMissFracs = append(row.WriteMissFracs, h.D.Stats.WriteMissFrac())
@@ -151,9 +151,9 @@ func fig4Plan(o Options) *Plan {
 	p := newPlan("fig4", res)
 	var grid []cacheIR
 	specCells(p, o, list, modes, "64K-32B-i2w-d4w", &grid,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (cacheIR, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (cacheIR, error)) {
 			h := cache.PaperDefault()
-			return nil, []*cache.Hierarchy{h}, func() (cacheIR, error) {
+			return run{hs: []*cache.Hierarchy{h}}, func() (cacheIR, error) {
 				return cacheIR{I: h.I.Stats, D: h.D.Stats}, nil
 			}
 		})
@@ -224,9 +224,9 @@ func fig5Plan(o Options) *Plan {
 	res := &Fig5Result{}
 	p := newPlan("fig5", res)
 	specCells(p, o, o.seven(), jitOnly, "64K-32B-i2w-d4w-phase", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (Fig5Row, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (Fig5Row, error)) {
 			h := cache.PaperDefault()
-			return nil, []*cache.Hierarchy{h}, func() (Fig5Row, error) { return fig5Row(w, h), nil }
+			return run{hs: []*cache.Hierarchy{h}}, func() (Fig5Row, error) { return fig5Row(w, h), nil }
 		})
 	return p
 }
@@ -294,9 +294,9 @@ func fig6Plan(o Options) *Plan {
 	p := newPlan("fig6", res)
 	var series [][]cache.Interval
 	specCells(p, o, []workloads.Workload{w}, interpJIT, fmt.Sprintf("window=%d", window), &series,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() ([]cache.Interval, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() ([]cache.Interval, error)) {
 			s := cache.NewSampler(cache.PaperDefault(), window)
-			return []trace.Sink{s}, nil, func() ([]cache.Interval, error) {
+			return run{sinks: []trace.Sink{s}}, func() ([]cache.Interval, error) {
 				s.Finish()
 				return s.Series, nil
 			}
@@ -409,12 +409,12 @@ func sweepPlan(o Options, experiment string, res Renderer, cfg string, rows *[]S
 	mk func(int) (cache.Config, cache.Config)) *Plan {
 	p := newPlan(experiment, res)
 	specCells(p, o, o.seven(), interpJIT, cfg, rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (SweepRow, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (SweepRow, error)) {
 			var hs []*cache.Hierarchy
 			for _, prm := range params {
 				hs = append(hs, cache.NewHierarchy(mk(prm)))
 			}
-			return nil, hs, func() (SweepRow, error) {
+			return run{hs: hs}, func() (SweepRow, error) {
 				row := SweepRow{Workload: w.Name, Mode: mode, Params: params}
 				for _, h := range hs {
 					row.IMiss = append(row.IMiss, h.I.Stats.MissRate())

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"jrs/internal/cache"
 	"jrs/internal/core"
@@ -13,34 +15,50 @@ import (
 )
 
 // run is one declared engine run of a cell: the workload under mode and
-// cfg with sinks attached to its native trace. scale 0 means the cell's
-// scale. done, when set, reads the finished engine, so a cell keeps no
-// engine alive past its own run.
+// cfg, observed by plain sinks, by cache hierarchies and by the cores
+// it wants timed. scale 0 means the cell's scale. done, when set, reads
+// the finished engine, so a cell keeps no engine alive past its own run.
 type run struct {
 	mode  Mode
 	cfg   core.Config
-	sinks []trace.Sink
 	scale int
+	sinks []trace.Sink
+	hs    []*cache.Hierarchy
+	cores *coreSet
 	done  func(*core.Engine)
 }
 
-// engineSpec is the one engine run a spec cell declares: w at scale
-// under mode with a zero core.Config. Cells of equal specs can share one
-// engine run. The zero spec marks a cell that declares its own runs.
+// coreSet is the cores a run times, one per config: the executor hands
+// them back in config order before the engine starts. Under check each
+// carries an invariant checker; equal configs share a core, and so its
+// checker.
+type coreSet struct {
+	cfgs  []pipeline.Config
+	check bool
+	got   []*pipeline.Core
+}
+
+// err returns the first violation the set's checkers saw.
+func (s *coreSet) err() error {
+	if !s.check {
+		return nil
+	}
+	for _, c := range s.got {
+		if err := c.Check().Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// engineSpec is the workload, scale and mode a declared cell runs at.
+// fuse marks a spec cell: spec cells of one spec can share their one
+// engine run, and any other cell is claimed alone.
 type engineSpec struct {
 	w     workloads.Workload
 	scale int
 	mode  Mode
-}
-
-// tap is what a spec cell attaches to its engine run: plain sinks, cache
-// hierarchies (every member's of a run reduce batches in one
-// cache.NewGroup) and the reduce that turns them, finished, into the
-// cell's payload.
-type tap struct {
-	sinks  []trace.Sink
-	hs     []*cache.Hierarchy
-	reduce func() (any, error)
+	fuse  bool
 }
 
 // Mode lists of the cells measured under one engine mode each.
@@ -81,61 +99,47 @@ func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, l
 	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]run, func() (R, error))) {
 	eachCell(o, list, modes, p.experiment, label, config, rows,
 		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
-			p.add(key, dest, func(ctx context.Context) (any, error) {
-				runs, reduce := decl(w, mode)
-				if err := execRuns(ctx, w, scale, runs); err != nil {
-					return nil, err
-				}
-				v, err := reduce()
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", w.Name, err)
-				}
-				return v, nil
-			})
-		})
-}
-
-// specCells is cells for spec cells: each declares exactly one run, mode
-// at the cell's own scale with a zero core.Config and no done, so cells
-// of one engine spec can share that run. decl returns the cell's plain
-// sinks, its cache hierarchies and its reduce; it is called afresh on
-// every attempt.
-func specCells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, config string,
-	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (R, error))) {
-	eachCell(o, list, modes, p.experiment, "", config, rows,
-		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
-			p.cells = append(p.cells, Cell{Key: key, dest: dest, spec: engineSpec{w, scale, mode},
-				tap: func() tap {
-					sinks, hs, reduce := decl(w, mode)
-					return tap{sinks, hs, func() (any, error) { return reduce() }}
+			p.cells = append(p.cells, Cell{Key: key, dest: dest, spec: engineSpec{w, scale, mode, false},
+				decl: func() ([]run, func() (any, error)) {
+					runs, reduce := decl(w, mode)
+					return runs, func() (any, error) { return reduce() }
 				}})
 		})
 }
 
-// execFused runs the engine spec the members share once. Every member's
-// sinks, and one cache.NewGroup of every member's hierarchies, observe
-// that run; then each member's reduce makes its payload. Taps are
-// declared afresh, so a retry starts from empty sinks. Any member's
-// error fails the whole run.
-func execFused(ctx context.Context, members []*CellGroup) ([]json.RawMessage, error) {
+// specCells is cells for spec cells, each declaring one run in its mode
+// (specCells sets it) at its scale with a zero core.Config and no done,
+// so cells of one engine spec can share that run.
+func specCells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, config string,
+	rows *[]R, decl func(w workloads.Workload, mode Mode) (run, func() (R, error))) {
+	eachCell(o, list, modes, p.experiment, "", config, rows,
+		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
+			p.cells = append(p.cells, Cell{Key: key, dest: dest, spec: engineSpec{w, scale, mode, true},
+				decl: func() ([]run, func() (any, error)) {
+					r, reduce := decl(w, mode)
+					r.mode = mode
+					return []run{r}, func() (any, error) { return reduce() }
+				}})
+		})
+}
+
+// runClaim runs a claim (one declared cell, or spec cells of one spec)
+// through execRuns, declaring its runs afresh so a retry starts from
+// empty sinks, and makes each member's payload. Any member's error
+// fails the whole claim.
+func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, error) {
 	spec := members[0].spec
-	taps := make([]tap, len(members))
-	var sinks []trace.Sink
-	var hs []*cache.Hierarchy
+	runs := make([][]run, len(members))
+	reduces := make([]func() (any, error), len(members))
 	for i, g := range members {
-		taps[i] = g.tap()
-		sinks = append(sinks, taps[i].sinks...)
-		hs = append(hs, taps[i].hs...)
+		runs[i], reduces[i] = g.decl()
 	}
-	if len(hs) > 0 {
-		sinks = append(sinks, cache.NewGroup(hs...))
-	}
-	if _, err := RunCtx(ctx, spec.w, spec.scale, spec.mode, core.Config{}, sinks...); err != nil {
+	if err := execRuns(ctx, spec.w, spec.scale, runs...); err != nil {
 		return nil, err
 	}
 	raws := make([]json.RawMessage, len(members))
-	for i, t := range taps {
-		v, err := t.reduce()
+	for i, reduce := range reduces {
+		v, err := reduce()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.w.Name, err)
 		}
@@ -146,20 +150,56 @@ func execFused(ctx context.Context, members []*CellGroup) ([]json.RawMessage, er
 	return raws, nil
 }
 
-// execRuns runs the declared runs of one cell in order, handing each
-// finished engine to its run's done.
-func execRuns(ctx context.Context, w workloads.Workload, scale int, runs []run) error {
-	for _, r := range runs {
-		s := r.scale
-		if s == 0 {
-			s = scale
+// execRuns is the one engine executor. It runs the members' runs run
+// by run (a solo cell is one member; a fused claim's members declare one
+// run each): the k-th runs share one engine run, in the first member's
+// mode, config and scale, observed by every member's sinks, one
+// cache.NewGroup of their hierarchies and one pipeline.NewGroup of their
+// core sets, whose cores each set gets back before the engine starts.
+// Then each member's done reads the finished engine.
+func execRuns(ctx context.Context, w workloads.Workload, scale int, members ...[]run) error {
+	for k, r := range members[0] {
+		var sinks []trace.Sink
+		var hs []*cache.Hierarchy
+		var cfgs []pipeline.Config
+		for _, m := range members {
+			sinks = append(sinks, m[k].sinks...)
+			hs = append(hs, m[k].hs...)
+			if m[k].cores != nil {
+				cfgs = append(cfgs, m[k].cores.cfgs...)
+			}
 		}
-		e, err := RunCtx(ctx, w, s, r.mode, r.cfg, r.sinks...)
+		if len(hs) > 0 {
+			sinks = append(sinks, cache.NewGroup(hs...))
+		}
+		if len(cfgs) > 0 {
+			g := pipeline.NewGroup(cfgs...)
+			cores := g.Cores()
+			for i, c := range cores {
+				if slices.Index(cores, c) == i {
+					coresTimed.Add(1)
+				}
+			}
+			for _, m := range members {
+				if s := m[k].cores; s != nil {
+					s.got, cores = cores[:len(s.cfgs)], cores[len(s.cfgs):]
+					for _, c := range s.got {
+						if s.check {
+							c.Check()
+						}
+					}
+				}
+			}
+			sinks = append(sinks, g)
+		}
+		e, err := RunCtx(ctx, w, cmp.Or(r.scale, scale), r.mode, r.cfg, sinks...)
 		if err != nil {
 			return err
 		}
-		if r.done != nil {
-			r.done(e)
+		for _, m := range members {
+			if m[k].done != nil {
+				m[k].done(e)
+			}
 		}
 	}
 	return nil
@@ -204,46 +244,11 @@ func oracleRuns(set map[int]bool, interp, jit, opt func(*core.Engine)) []run {
 }
 
 // RunOracleCtx executes w under the opt policy derived from profiling
-// (oracleRuns), with sinks attached to the opt run.
-func RunOracleCtx(ctx context.Context, w workloads.Workload, scale int, sinks ...trace.Sink) (*core.Engine, error) {
+// (oracleRuns).
+func RunOracleCtx(ctx context.Context, w workloads.Workload, scale int) (*core.Engine, error) {
 	var e *core.Engine
-	runs := oracleRuns(map[int]bool{}, nil, nil, func(opt *core.Engine) { e = opt })
-	runs[2].sinks = sinks
-	if err := execRuns(ctx, w, scale, runs); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// coreGroup builds a pipeline.Group of one core per config, each with an
-// invariant checker when o.CheckPipe is set. check, returned by a cell's
-// reduce, folds the checkers' first violation into the cell's error.
-// The superscalar cells declare their one run with cells, not
-// specCells: a fused claim keeps every member's sinks alive at once,
-// and a core group holds 4-19 MB even on hello, so fusing them raised
-// the peak RSS of a registry grid by a third while their engine runs
-// are a small share of their cost.
-func coreGroup(o Options, cfgs []pipeline.Config) (g *pipeline.Group, check func() error) {
-	g = pipeline.NewGroup(cfgs...)
-	distinct := map[*pipeline.Core]bool{}
-	for _, c := range g.Cores() {
-		distinct[c] = true
-	}
-	coresTimed.Add(int64(len(distinct)))
-	var checks []*pipeline.Checker
-	if o.CheckPipe {
-		for _, c := range g.Cores() {
-			checks = append(checks, c.Check())
-		}
-	}
-	return g, func() error {
-		for _, chk := range checks {
-			if err := chk.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	err := execRuns(ctx, w, scale, oracleRuns(map[int]bool{}, nil, nil, func(opt *core.Engine) { e = opt }))
+	return e, err
 }
 
 // pipeConfig is a superscalar cell's key Config: a run with the pipeline

@@ -104,12 +104,20 @@ func (f *frameConn) read() (MsgType, []byte, error) {
 
 // awaitSeq reads frames until one whose payload's Seq matches want,
 // discarding stale responses (answers to chaos-duplicated earlier
-// requests that the coordinator saw twice).
+// requests that the coordinator saw twice). A refusal answers any
+// request: it returns an error wrapping ErrRefused.
 func (f *frameConn) awaitSeq(want uint64) (MsgType, []byte, error) {
 	for {
 		t, p, err := f.read()
 		if err != nil {
 			return 0, nil, err
+		}
+		if t == MsgRefused {
+			var r Refused
+			if err := DecodeInto(p, &r); err != nil {
+				return 0, nil, err
+			}
+			return 0, nil, fmt.Errorf("%w: %s", ErrRefused, r.Reason)
 		}
 		var hdr struct {
 			Seq uint64 `json:"seq"`

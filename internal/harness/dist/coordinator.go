@@ -314,7 +314,7 @@ func (c *Coordinator) handleConn(cs *connState) {
 			if h.Build != atomicfile.Build() {
 				// A worker built from other code would commit cells
 				// this build might simulate differently.
-				c.cfg.Logf("dist: refusing worker %s: build %.12s, coordinator build %.12s", h.Worker, h.Build, atomicfile.Build())
+				c.refuse(cs, h.Worker, fmt.Sprintf("build %.12s, coordinator build %.12s", h.Build, atomicfile.Build()))
 				return
 			}
 			cs.greeted = true
@@ -333,7 +333,7 @@ func (c *Coordinator) handleConn(cs *connState) {
 				return
 			}
 			if !cs.greeted {
-				c.cfg.Logf("dist: conn %s: lease request without an accepted hello", req.Worker)
+				c.refuse(cs, req.Worker, "lease request without an accepted hello")
 				return
 			}
 			c.registerWorker(cs, req.Worker)
@@ -369,6 +369,13 @@ func (c *Coordinator) handleConn(cs *connState) {
 			return
 		}
 	}
+}
+
+// refuse logs why worker's connection is refused and tells the worker,
+// whose read then sees the frame before the close.
+func (c *Coordinator) refuse(cs *connState, worker, reason string) {
+	c.cfg.Logf("dist: refusing worker %s: %s", worker, reason)
+	cs.send(MsgRefused, Refused{Reason: reason})
 }
 
 // registerWorker binds a connection to a worker identity.

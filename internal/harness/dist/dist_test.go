@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -350,9 +351,10 @@ func TestLostLeaseRerun(t *testing.T) {
 }
 
 // TestForeignBuildWorkerRefused: a connection whose Hello carries
-// another build is closed, and so is one that asks for a lease with no
-// Hello; neither gets a lease or any other answer. The grid then
-// completes on a worker of this build, byte-identical to serial.
+// another build gets a refusal frame and is closed, and so does one
+// that asks for a lease with no Hello; neither gets a lease or any
+// other answer. The grid then completes on a worker of this build,
+// byte-identical to serial.
 func TestForeignBuildWorkerRefused(t *testing.T) {
 	grid := helloGrid("fig9")
 	want := serialOutput(t, grid)
@@ -380,13 +382,18 @@ func TestForeignBuildWorkerRefused(t *testing.T) {
 			rc.send(MsgHello, *tc.hello)
 		}
 		// The coordinator may already have closed the connection, so
-		// a failed write is the refusal too.
+		// this write may fail; the refusal is still there to read.
 		WriteFrame(rc.c, MsgLeaseReq, LeaseReq{Seq: 1, Worker: "skewed"})
 		rc.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		typ, payload, err := ReadFrame(rc.br)
+		var r Refused
+		if err != nil || typ != MsgRefused || DecodeInto(payload, &r) != nil || r.Reason == "" {
+			t.Fatalf("%s: got a %s frame %q (err %v), want a refusal with a reason", tc.name, typ, payload, err)
+		}
 		if typ, _, err := ReadFrame(rc.br); err == nil {
-			t.Fatalf("%s: coordinator answered with a %s frame, want the connection closed", tc.name, typ)
+			t.Fatalf("%s: coordinator sent a %s frame after the refusal, want the connection closed", tc.name, typ)
 		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			t.Fatalf("%s: connection left open: %v", tc.name, err)
+			t.Fatalf("%s: connection left open after the refusal: %v", tc.name, err)
 		}
 	}
 	if got := c.Committed(); got != 0 {
@@ -401,6 +408,49 @@ func TestForeignBuildWorkerRefused(t *testing.T) {
 	}
 	if out := s.out; out.ExitCode != 0 || out.Output != want {
 		t.Fatalf("exit %d, err %q; output differs from serial:\n%s", out.ExitCode, out.ErrMsg, out.Output)
+	}
+}
+
+// TestRefusedWorkerStops: a worker whose Hello is answered with a
+// refusal returns ErrRefused from Run after that one round trip, and
+// never dials again.
+func TestRefusedWorkerStops(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if typ, _, err := ReadFrame(bufio.NewReader(c)); err == nil && typ == MsgHello {
+				WriteFrame(c, MsgRefused, Refused{Reason: "build other"})
+			}
+			c.Close()
+		}
+	}()
+	var mu sync.Mutex
+	dials := 0
+	w := &Worker{Name: "w", Dial: func() (net.Conn, error) {
+		mu.Lock()
+		dials++
+		mu.Unlock()
+		return net.Dial("tcp", ln.Addr().String())
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	err = w.Run(ctx)
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), "build other") {
+		t.Fatalf("Run returned %v after %v, want the refusal", err, time.Since(start))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dials != 1 {
+		t.Fatalf("worker dialed %d times, want 1", dials)
 	}
 }
 

@@ -70,6 +70,10 @@ const (
 	// MsgOutput answers a submit with the merged, rendered grid
 	// (coordinator → client).
 	MsgOutput
+	// MsgRefused is the coordinator's last frame on a worker connection
+	// it refuses (coordinator → worker): the worker stops instead of
+	// re-dialing.
+	MsgRefused
 )
 
 // String names the type for diagnostics.
@@ -93,6 +97,8 @@ func (t MsgType) String() string {
 		return "submit"
 	case MsgOutput:
 		return "output"
+	case MsgRefused:
+		return "refused"
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -101,6 +107,10 @@ func (t MsgType) String() string {
 // ErrFrame as fatal for the connection: reset and re-dial, never try to
 // resynchronize inside a corrupted stream.
 var ErrFrame = errors.New("dist: bad frame")
+
+// ErrRefused tags a worker's refusal by the coordinator (a MsgRefused
+// frame): re-dialing would be refused again, so Worker.Run returns it.
+var ErrRefused = errors.New("dist: refused by coordinator")
 
 // EncodeFrame renders one frame: a 4-byte big-endian length of the body
 // (version + type + CRC + payload), then the body. The CRC covers the
@@ -232,10 +242,10 @@ func (g GridSpec) Canonical() string {
 }
 
 // Hello introduces a worker connection. Build is the worker's
-// atomicfile.Build: the coordinator refuses (closes) a connection whose
-// build differs from its own, and grants leases only on a connection
-// whose Hello it accepted, so every committed cell was simulated by the
-// coordinator's code.
+// atomicfile.Build: the coordinator refuses (Refused, then close) a
+// connection whose build differs from its own, and grants leases only
+// on a connection whose Hello it accepted, so every committed cell was
+// simulated by the coordinator's code.
 type Hello struct {
 	Worker string `json:"worker"`
 	Build  string `json:"build"`
@@ -306,6 +316,12 @@ const (
 type Ack struct {
 	Seq    uint64 `json:"seq"`
 	Status string `json:"status"`
+}
+
+// Refused tells a worker why the coordinator closes its connection. It
+// answers whatever the worker sent last, so it carries no Seq.
+type Refused struct {
+	Reason string `json:"reason"`
 }
 
 // Heartbeat renews every lease the worker holds. Fire-and-forget: no

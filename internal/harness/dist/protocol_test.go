@@ -117,6 +117,7 @@ func FuzzDistFrameDecode(f *testing.F) {
 
 	f.Add([]byte{})
 	f.Add(lease)
+	f.Add(valid(MsgRefused, []byte(`{"reason":"lease request without an accepted hello"}`)))
 	f.Add(lease[:5])                                  // truncated inside the header
 	f.Add(lease[:len(lease)-1])                       // truncated inside the payload
 	f.Add(append(lease, lease...))                    // two frames

@@ -60,7 +60,8 @@ func (w *Worker) Kills() int {
 
 // Run works the lease loop until ctx is canceled: dial, hello, then
 // request-execute-deliver, reconnecting with a paced retry after every
-// connection loss (including its own chaos kills).
+// connection loss (including its own chaos kills). A refusal ends it:
+// Run returns an error wrapping ErrRefused without re-dialing.
 func (w *Worker) Run(ctx context.Context) error {
 	logf := w.Logf
 	if logf == nil {
@@ -82,6 +83,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		conn.Close()
 		if ctx.Err() != nil {
 			return ctx.Err()
+		}
+		if errors.Is(err, ErrRefused) {
+			return fmt.Errorf("worker %s: %w", w.Name, err)
 		}
 		if err != nil {
 			logf("dist: worker %s: session: %v", w.Name, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"jrs/internal/branch"
-	"jrs/internal/cache"
 	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
@@ -34,10 +33,10 @@ func ablateIndirectPlan(o Options) *Plan {
 	res := &AblateIndirectResult{}
 	p := newPlan("ablate-indirect", res)
 	specCells(p, o, o.seven(), interpJIT, "btb+targetcache", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (IndirectRow, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (IndirectRow, error)) {
 			base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
 			enhanced := branch.NewIndirectUnit()
-			return []trace.Sink{base, enhanced}, nil, func() (IndirectRow, error) {
+			return run{sinks: []trace.Sink{base, enhanced}}, func() (IndirectRow, error) {
 				row := IndirectRow{Workload: w.Name, Mode: mode}
 				row.BTBMiss = base.Stats.MispredictRate()
 				row.TCMiss = enhanced.Stats.MispredictRate()

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"jrs/internal/cache"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -31,9 +30,9 @@ func fig2Plan(o Options) *Plan {
 	p := newPlan("fig2", res)
 	var counters []trace.Counter
 	specCells(p, o, list, interpJIT, "", &counters,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (trace.Counter, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (trace.Counter, error)) {
 			c := &trace.Counter{}
-			return []trace.Sink{c}, nil, func() (trace.Counter, error) { return *c, nil }
+			return run{sinks: []trace.Sink{c}}, func() (trace.Counter, error) { return *c, nil }
 		})
 	p.finish = func() error {
 		res.Rows = make([]MixRow, len(counters))

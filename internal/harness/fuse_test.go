@@ -8,11 +8,21 @@ import (
 	"testing"
 	"time"
 
-	"jrs/internal/cache"
 	"jrs/internal/harness/chaos"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
+
+// superscalarPlans is the superscalar experiments (fig9, which fig10
+// shares, ablate-interp-ilp and ablate-ooo) on the given options.
+func superscalarPlans(o Options) []*Plan {
+	var plans []*Plan
+	for _, name := range []string{"fig9", "ablate-interp-ilp", "ablate-ooo"} {
+		e, _ := Lookup(name)
+		plans = append(plans, e.Plan(o))
+	}
+	return plans
+}
 
 // cachesimPlans is the bench's cachesim grid (table2, table3, fig3,
 // fig7) on the given options, one plan per experiment.
@@ -29,7 +39,8 @@ func cachesimPlans(o Options) []*Plan {
 // of every spec cell group from one fused claim must equal, byte for
 // byte, what CellGroup.Run makes of the group alone. The grid is the
 // whole registry on hello plus the cachesim experiments on hello and db.
-// Every claim must also gather every pending group of its spec.
+// Every claim must also gather every pending group of its spec, and
+// some fused claim must hold a superscalar member.
 func TestFusedPayloadsMatchSolo(t *testing.T) {
 	var plans []*Plan
 	for _, e := range Experiments() {
@@ -37,16 +48,15 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 	}
 	plans = append(plans, cachesimPlans(helloOpts("hello", "db"))...)
 	l := NewLedger(LedgerConfig{}, plans...)
-	r := &Runner{}
 	claimed := map[engineSpec]bool{}
-	fused := 0
+	fused, fusedCores := 0, 0
 	for {
 		batch, _ := l.Claim(time.Now(), 0)
 		if len(batch) == 0 {
 			break
 		}
 		spec := l.groups[batch[0].Group].spec
-		if spec != (engineSpec{}) {
+		if spec.fuse {
 			if claimed[spec] {
 				t.Errorf("spec %s@%d/%s claimed twice", spec.w.Name, spec.scale, spec.mode)
 			}
@@ -55,8 +65,17 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 		var raws []json.RawMessage
 		if len(batch) > 1 {
 			fused++
+			for _, c := range batch {
+				if runs, _ := l.groups[c.Group].decl(); runs[0].cores != nil {
+					fusedCores++
+				}
+			}
+			members := make([]*CellGroup, len(batch))
+			for k, c := range batch {
+				members[k] = l.groups[c.Group]
+			}
 			var err error
-			if raws, err = r.runFused(l, batch); err != nil {
+			if raws, err = runClaim(context.Background(), members); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,6 +99,9 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 	}
 	if fused == 0 {
 		t.Fatal("no claim fused two groups: the differential compared nothing")
+	}
+	if fusedCores == 0 {
+		t.Fatal("no fused claim held a superscalar member")
 	}
 	if err := l.Finish(); err != nil {
 		t.Fatal(err)
@@ -108,13 +130,13 @@ func sameSpecPlans(bad int) ([]*Plan, []*countResult) {
 		res := &countResult{}
 		p := newPlan(fmt.Sprintf("fuse-%d", i), res)
 		specCells(p, helloOpts(), helloOpts().Workloads, jitOnly, "count", &res.Rows,
-			func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (uint64, error)) {
+			func(w workloads.Workload, mode Mode) (run, func() (uint64, error)) {
 				c := &trace.Counter{}
 				sinks := []trace.Sink{c}
 				if i == bad {
 					sinks = append(sinks, faultSink{})
 				}
-				return sinks, nil, func() (uint64, error) { return c.Total, nil }
+				return run{sinks: sinks}, func() (uint64, error) { return c.Total, nil }
 			})
 		plans = append(plans, p)
 		results = append(results, res)
@@ -158,10 +180,10 @@ func TestFusedFaultIsolated(t *testing.T) {
 	}
 }
 
-// TestFusedChaosMatchesUnfused runs the cachesim grid on hello under
-// injected panics, hangs and transient errors, once as one grid (every
-// spec's four cells fuse) and once experiment by experiment (nothing
-// fuses). The renders and the run reports must be byte-identical, and
+// TestFusedChaosMatchesUnfused runs the cachesim and superscalar grids
+// on hello under injected panics, hangs and transient errors, once as
+// one grid (every spec's cells fuse) and once experiment by experiment
+// (nothing fuses). The renders and the run reports must be byte-identical, and
 // the fused grid must make fewer engine runs. A second, degraded pass
 // faults every interpreter cell for good under KeepGoing.
 func TestFusedChaosMatchesUnfused(t *testing.T) {
@@ -185,8 +207,9 @@ func TestFusedChaosMatchesUnfused(t *testing.T) {
 				}
 				return out + r.Report().Render()
 			}
+			grid := func() []*Plan { return append(cachesimPlans(helloOpts()), superscalarPlans(helloOpts())...) }
 			faults := 0
-			for _, p := range cachesimPlans(helloOpts()) {
+			for _, p := range grid() {
 				for _, k := range p.Keys() {
 					if chaos.New(tc.spec).Decide(k.String(), 1) != chaos.None {
 						faults++
@@ -197,7 +220,7 @@ func TestFusedChaosMatchesUnfused(t *testing.T) {
 				t.Fatalf("chaos spec %v injects nothing into the grid", tc.spec)
 			}
 
-			plans := cachesimPlans(helloOpts())
+			plans := grid()
 			fused := runner()
 			runs := engineRuns.Load()
 			if err := fused.RunPlans(plans...); err != nil {
@@ -206,7 +229,7 @@ func TestFusedChaosMatchesUnfused(t *testing.T) {
 			fusedRuns := engineRuns.Load() - runs
 			got := render(fused, plans)
 
-			plans = cachesimPlans(helloOpts())
+			plans = grid()
 			unfused := runner()
 			runs = engineRuns.Load()
 			for _, p := range plans {
@@ -222,5 +245,81 @@ func TestFusedChaosMatchesUnfused(t *testing.T) {
 				t.Errorf("fused grid made %d engine runs, unfused %d: nothing fused", fusedRuns, unfusedRuns)
 			}
 		})
+	}
+}
+
+// TestCheckPipeFusedMatchesUnfused is the -checkpipe differential: the
+// superscalar experiments and table2 on hello under CheckPipe render
+// the same fused (one grid) as experiment by experiment, and a core two
+// experiments share (fig9's width-4 core is ablate-ooo's default) carries
+// one checker, attached before the run, that both members read.
+func TestCheckPipeFusedMatchesUnfused(t *testing.T) {
+	o := helloOpts()
+	o.CheckPipe = true
+	grid := func() []*Plan {
+		e, _ := Lookup("table2")
+		return append(superscalarPlans(o), e.Plan(o))
+	}
+	render := func(r *Runner, plans []*Plan) string {
+		out := ""
+		for _, p := range plans {
+			out += r.SafeRender(p.Result())
+		}
+		return out
+	}
+	plans := grid()
+	fused := &Runner{Workers: 1}
+	runs := engineRuns.Load()
+	if err := fused.RunPlans(plans...); err != nil {
+		t.Fatal(err)
+	}
+	fusedRuns := engineRuns.Load() - runs
+	got := render(fused, plans)
+	plans = grid()
+	unfused := &Runner{Workers: 1}
+	runs = engineRuns.Load()
+	for _, p := range plans {
+		if err := unfused.RunPlans(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := render(unfused, plans); got != want {
+		t.Errorf("fused -checkpipe grid renders\n%s\nunfused\n%s", got, want)
+	}
+	if unfusedRuns := engineRuns.Load() - runs; fusedRuns >= unfusedRuns {
+		t.Errorf("fused grid made %d engine runs, unfused %d: nothing fused", fusedRuns, unfusedRuns)
+	}
+
+	var fig9, ooo *CellGroup
+	for _, g := range GroupPlans(superscalarPlans(o)...) {
+		switch {
+		case g.Key.Experiment == "fig9" && g.Key.Mode == "jit":
+			fig9 = g
+		case g.Key.Experiment == "ablate-ooo":
+			ooo = g
+		}
+	}
+	if fig9.spec != ooo.spec {
+		t.Fatalf("fig9's JIT cell and ablate-ooo's are different specs")
+	}
+	runs9, reduce9 := fig9.decl()
+	runsOoO, reduceOoO := ooo.decl()
+	if err := execRuns(context.Background(), fig9.spec.w, fig9.spec.scale, runs9, runsOoO); err != nil {
+		t.Fatal(err)
+	}
+	r9, ro := runs9[0], runsOoO[0]
+	shared := r9.cores.got[2] // width 4
+	if ro.cores.got[3] != shared {
+		t.Fatal("fig9's width-4 core and ablate-ooo's default are not one core")
+	}
+	chk := r9.cores.got[2].Check()
+	if ro.cores.got[3].Check() != chk || chk.Count() == 0 || chk.Count() != shared.Instrs {
+		t.Fatalf("shared core: checkers %p and %p, %d of %d instructions checked",
+			chk, ro.cores.got[3].Check(), chk.Count(), shared.Instrs)
+	}
+	for _, reduce := range []func() (any, error){reduce9, reduceOoO} {
+		if _, err := reduce(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -32,16 +31,16 @@ func fig9Plan(o Options) *Plan {
 	widths := []int{1, 2, 4, 8}
 	res := &Fig9Result{}
 	p := newPlan("fig9", res)
-	cells(p, o, o.seven(), interpJIT, "", pipeConfig(o, "width=1,2,4,8"), &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]run, func() (ILPRow, error)) {
-			g, check := coreGroup(o, fig9Configs(widths))
-			return []run{{mode: mode, sinks: []trace.Sink{g}}}, func() (ILPRow, error) {
+	specCells(p, o, o.seven(), interpJIT, pipeConfig(o, "width=1,2,4,8"), &res.Rows,
+		func(w workloads.Workload, mode Mode) (run, func() (ILPRow, error)) {
+			cs := &coreSet{cfgs: fig9Configs(widths), check: o.CheckPipe}
+			return run{cores: cs}, func() (ILPRow, error) {
 				row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
-				for _, c := range g.Cores() {
+				for _, c := range cs.got {
 					row.IPC = append(row.IPC, c.IPC())
 					row.Cycles = append(row.Cycles, c.Cycles())
 				}
-				return row, check()
+				return row, cs.err()
 			}
 		})
 	return p

@@ -3,7 +3,6 @@ package harness
 import (
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
-	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
 
@@ -27,17 +26,16 @@ func ablateInterpILPPlan(o Options) *Plan {
 	widths := []int{1, 2, 4, 8}
 	res := &AblateInterpILPResult{}
 	p := newPlan("ablate-interp-ilp", res)
-	cells(p, o, o.seven(), []Mode{ModeInterp}, "", pipeConfig(o, "btb+targetcache-width=1,2,4,8"), &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]run, func() (InterpILPRow, error)) {
-			g, check := coreGroup(o, interpILPConfigs(widths))
-			return []run{{mode: mode, sinks: []trace.Sink{g}}}, func() (InterpILPRow, error) {
-				cores := g.Cores()
+	specCells(p, o, o.seven(), []Mode{ModeInterp}, pipeConfig(o, "btb+targetcache-width=1,2,4,8"), &res.Rows,
+		func(w workloads.Workload, mode Mode) (run, func() (InterpILPRow, error)) {
+			cs := &coreSet{cfgs: interpILPConfigs(widths), check: o.CheckPipe}
+			return run{cores: cs}, func() (InterpILPRow, error) {
 				row := InterpILPRow{Workload: w.Name, Widths: widths}
 				for i := range widths {
-					row.IPCBtb = append(row.IPCBtb, cores[2*i].IPC())
-					row.IPCTc = append(row.IPCTc, cores[2*i+1].IPC())
+					row.IPCBtb = append(row.IPCBtb, cs.got[2*i].IPC())
+					row.IPCTc = append(row.IPCTc, cs.got[2*i+1].IPC())
 				}
-				return row, check()
+				return row, cs.err()
 			}
 		})
 	return p

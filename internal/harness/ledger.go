@@ -165,7 +165,7 @@ func (l *Ledger) Claim(now time.Time, limit int) (batch []Claimed, wait time.Dur
 		l.start(i)
 		batch = append(batch, Claimed{Group: i, Attempt: l.attempts[i]})
 		spec = l.groups[i].spec
-		if spec == (engineSpec{}) || len(batch) == limit {
+		if !spec.fuse || len(batch) == limit {
 			break
 		}
 	}

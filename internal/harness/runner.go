@@ -54,18 +54,18 @@ func (k CellKey) Hash() string {
 
 // Cell is one schedulable simulation unit: a key, how the cell simulates
 // a JSON-serializable payload, and the destination the payload is
-// decoded into. A cell either declares its own runs (sim) or is a spec
-// cell: one engine run (spec) observed by what tap declares, which cells
-// of the same spec can share. Every payload — fresh or cached — passes
-// through the same JSON round trip, so a run never observes different
-// values depending on where a cell's result came from. sim receives the
+// decoded into. A cell declares its engine runs (decl; a spec cell's one
+// run can be shared by the cells of its spec) or starts its engines
+// itself (sim). Every payload — fresh or cached — passes through the
+// same JSON round trip, so a run never observes different values
+// depending on where a cell's result came from. sim receives the
 // attempt's context and must pass it down (RunCtx) so the supervisor's
 // watchdog can cancel a hung simulation cooperatively.
 type Cell struct {
 	Key  CellKey
 	sim  func(context.Context) (any, error)
 	spec engineSpec
-	tap  func() tap
+	decl func() ([]run, func() (any, error))
 	dest any
 }
 
@@ -198,18 +198,18 @@ type CellGroup struct {
 	// Key identifies the cell; Key.Hash() is its wire and cache address.
 	Key   CellKey
 	sim   func(context.Context) (any, error)
-	spec  engineSpec // a spec cell's engine run; zero when sim declares the runs
-	tap   func() tap
+	spec  engineSpec
+	decl  func() ([]run, func() (any, error))
 	dests []any
 	order int // lowest cell index, for deterministic error selection
 }
 
 // Run executes the group's simulation under ctx and marshals the
-// payload; a spec cell runs as a fused run of one. No recovery: callers
+// payload; a declared cell runs as a claim of one. No recovery: callers
 // own their panic-isolation boundary.
 func (g *CellGroup) Run(ctx context.Context) (json.RawMessage, error) {
-	if g.tap != nil {
-		raws, err := execFused(ctx, []*CellGroup{g})
+	if g.decl != nil {
+		raws, err := runClaim(ctx, []*CellGroup{g})
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +307,7 @@ func GroupPlans(plans ...*Plan) []*CellGroup {
 			hash := c.Key.Hash()
 			g, ok := index[hash]
 			if !ok {
-				g = &CellGroup{Key: c.Key, sim: c.sim, spec: c.spec, tap: c.tap, order: order}
+				g = &CellGroup{Key: c.Key, sim: c.sim, spec: c.spec, decl: c.decl, order: order}
 				index[hash] = g
 				groups = append(groups, g)
 			}
@@ -350,12 +350,12 @@ func (r *Runner) RunPlans(plans ...*Plan) error {
 
 // work claims, attempts and commits groups until the ledger has nothing
 // left to claim. A claim of several same-spec groups runs their engine
-// once (runFused). A member with an injected fault is attempted alone,
-// so the fault fires as it would unfused, and if the fused run fails
-// every member is attempted alone within the same claim, at the same
-// attempt number: failures, causes and retries then match an unfused
-// run. A retried group's backoff is slept here, by the worker whose
-// attempt failed.
+// once (runClaim, under one watchdog deadline). A member with an
+// injected fault is attempted alone, so the fault fires as it would
+// unfused, and if the fused run fails every member is attempted alone
+// within the same claim, at the same attempt number: failures, causes
+// and retries then match an unfused run. A retried group's backoff is
+// slept here, by the worker whose attempt failed.
 func (r *Runner) work(l *Ledger) {
 	for {
 		batch, wait := l.Claim(time.Now(), 0)
@@ -367,15 +367,21 @@ func (r *Runner) work(l *Ledger) {
 			continue
 		}
 		var fused, solo []Claimed
+		var members []*CellGroup
 		for _, c := range batch {
-			if r.Chaos != nil && r.Chaos.Decide(l.groups[c.Group].Key.String(), c.Attempt) != chaos.None {
+			if g := l.groups[c.Group]; r.Chaos != nil && r.Chaos.Decide(g.Key.String(), c.Attempt) != chaos.None {
 				solo = append(solo, c)
 			} else {
-				fused = append(fused, c)
+				fused, members = append(fused, c), append(members, g)
 			}
 		}
 		if len(fused) > 1 {
-			if raws, err := r.runFused(l, fused); err == nil {
+			var raws []json.RawMessage
+			err := guarded(context.Background(), r.CellTimeout, func(ctx context.Context) (err error) {
+				raws, err = runClaim(ctx, members)
+				return err
+			})
+			if err == nil {
 				for k, c := range fused {
 					r.settle(l, c, raws[k], nil)
 				}
@@ -387,20 +393,6 @@ func (r *Runner) work(l *Ledger) {
 			r.settle(l, c, raw, err)
 		}
 	}
-}
-
-// runFused runs the claimed groups' shared engine spec once, guarded by
-// one watchdog deadline.
-func (r *Runner) runFused(l *Ledger, batch []Claimed) (raws []json.RawMessage, err error) {
-	members := make([]*CellGroup, len(batch))
-	for k, c := range batch {
-		members[k] = l.groups[c.Group]
-	}
-	err = guarded(context.Background(), r.CellTimeout, func(ctx context.Context) (err error) {
-		raws, err = execFused(ctx, members)
-		return err
-	})
-	return raws, err
 }
 
 // settle commits an attempt's payload, or records its error (or the

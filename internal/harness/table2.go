@@ -2,7 +2,6 @@ package harness
 
 import (
 	"jrs/internal/branch"
-	"jrs/internal/cache"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -32,9 +31,9 @@ func table2Plan(o Options) *Plan {
 	res := &Table2Result{}
 	p := newPlan("table2", res)
 	specCells(p, o, o.seven(), interpJIT, "2bit+bht+gshare+gap", &res.Rows,
-		func(w workloads.Workload, mode Mode) ([]trace.Sink, []*cache.Hierarchy, func() (Table2Row, error)) {
+		func(w workloads.Workload, mode Mode) (run, func() (Table2Row, error)) {
 			suite := branch.NewSuite()
-			return []trace.Sink{suite}, nil, func() (Table2Row, error) {
+			return run{sinks: []trace.Sink{suite}}, func() (Table2Row, error) {
 				row := Table2Row{Workload: w.Name, Mode: mode}
 				var transfers, indirect uint64
 				for i, u := range suite.Units {
