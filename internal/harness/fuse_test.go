@@ -35,21 +35,51 @@ func cachesimPlans(o Options) []*Plan {
 	return plans
 }
 
+// multiRunPlans is every experiment whose cells declare several engine
+// runs, plus fig2, whose one-run cells are fused with them where they
+// share an engine spec, on the given options.
+func multiRunPlans(o Options) []*Plan {
+	var plans []*Plan
+	for _, name := range []string{"fig1", "table1", "fig2", "fig11", "ablate-inline", "ablate-threshold",
+		"ablate-scale", "ablate-tiered", "ablate-devirt", "ablate-elide", "ablate-checks"} {
+		e, _ := Lookup(name)
+		plans = append(plans, e.Plan(o))
+	}
+	return plans
+}
+
 // TestFusedPayloadsMatchSolo is the fusion differential: the payload
-// of every spec cell group from one fused claim must equal, byte for
-// byte, what CellGroup.Run makes of the group alone. The grid is the
-// whole registry on hello plus the cachesim experiments on hello and db.
-// Every claim must also gather every pending group of its spec, and
-// some fused claim must hold a superscalar member.
+// of every cell group from one fused claim must equal, byte for byte,
+// what CellGroup.Run makes of the group alone. The first grid is the
+// whole registry on hello plus the cachesim experiments on hello and db;
+// some fused claim there must hold a superscalar member. The second is
+// the multi-run experiments and fig2 on hello and db, where the §3
+// oracle compiles a nontrivial method set. Every claim must gather every
+// pending group of its spec.
 func TestFusedPayloadsMatchSolo(t *testing.T) {
 	var plans []*Plan
 	for _, e := range Experiments() {
 		plans = append(plans, e.Plan(helloOpts()))
 	}
 	plans = append(plans, cachesimPlans(helloOpts("hello", "db"))...)
+	fused, fusedCores := fusedDifferential(t, plans)
+	if fused == 0 {
+		t.Fatal("no claim fused two groups: the differential compared nothing")
+	}
+	if fusedCores == 0 {
+		t.Fatal("no fused claim held a superscalar member")
+	}
+	fusedDifferential(t, multiRunPlans(helloOpts("hello", "db")))
+}
+
+// fusedDifferential claims the plans' groups until none is left, runs
+// every claim of several groups fused and each group alone, compares
+// the payloads and commits the solo ones. It returns how many claims
+// fused and how many fused members time cores.
+func fusedDifferential(t *testing.T, plans []*Plan) (fused, fusedCores int) {
+	t.Helper()
 	l := NewLedger(LedgerConfig{}, plans...)
 	claimed := map[engineSpec]bool{}
-	fused, fusedCores := 0, 0
 	for {
 		batch, _ := l.Claim(time.Now(), 0)
 		if len(batch) == 0 {
@@ -97,15 +127,10 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 			}
 		}
 	}
-	if fused == 0 {
-		t.Fatal("no claim fused two groups: the differential compared nothing")
-	}
-	if fusedCores == 0 {
-		t.Fatal("no fused claim held a superscalar member")
-	}
 	if err := l.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	return fused, fusedCores
 }
 
 // faultSink panics on the first batch it sees.
