@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"slices"
 
 	"jrs/internal/branch"
@@ -35,8 +34,8 @@ type AblateInstallResult struct{ Rows []AblateInstallRow }
 func ablateInstallPlan(o Options) *Plan {
 	res := &AblateInstallResult{}
 	p := newPlan("ablate-install", res)
-	specCells(p, o, o.seven(), jitOnly, "wa+wna+direct", &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (AblateInstallRow, error)) {
+	cells(p, o, o.seven(), jitOnly, "", "wa+wna+direct", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (AblateInstallRow, error)) {
 			wa := cache.PaperDefault()
 
 			wna := cache.NewHierarchy(
@@ -49,7 +48,7 @@ func ablateInstallPlan(o Options) *Plan {
 			direct.CodeLow = mem.CodeCacheBase
 			direct.CodeHigh = mem.ClassBase
 
-			return run{hs: []*cache.Hierarchy{wa, wna, direct}}, func() (AblateInstallRow, error) {
+			return []run{{mode: mode, hs: []*cache.Hierarchy{wa, wna, direct}}}, func() (AblateInstallRow, error) {
 				return AblateInstallRow{
 					Workload:        w.Name,
 					DMissesWA:       wa.D.Stats.Misses(),
@@ -103,7 +102,7 @@ func ablateInlinePlan(o Options) *Plan {
 			onSuite, offSuite := branch.NewSuite(), branch.NewSuite()
 			return []run{
 					{mode: mode, sinks: []trace.Sink{on, onSuite}},
-					{mode: mode, cfg: core.Config{JITOptions: jitNoDevirt()}, sinks: []trace.Sink{off, offSuite}},
+					{mode: mode, name: "nodevirt", cfg: core.Config{JITOptions: jitNoDevirt()}, sinks: []trace.Sink{off, offSuite}},
 				}, func() (AblateInlineRow, error) {
 					return AblateInlineRow{Workload: w.Name,
 						IndirectFracOn: on.IndirectFrac(), GshareMissOn: onSuite.Units[2].Stats.MispredictRate(),
@@ -146,21 +145,20 @@ type AblateThresholdResult struct{ Rows []ThresholdRow }
 func ablateThresholdPlan(o Options) *Plan {
 	res := &AblateThresholdResult{}
 	p := newPlan("ablate-threshold", res)
-	cells(p, o, o.seven(), nil, "policy-sweep", "interp+thresh1,5,25,100+jit+oracle", &res.Rows,
+	cells(p, o, o.seven(), interpOnly, "policy-sweep", "interp+thresh1,5,25,100+jit+oracle", &res.Rows,
 		func(w workloads.Workload, _ Mode) ([]run, func() (ThresholdRow, error)) {
-			row := ThresholdRow{Workload: w.Name}
-			add := func(name string) func(*core.Engine) {
-				return func(e *core.Engine) {
-					row.Policies = append(row.Policies, name)
-					row.Instrs = append(row.Instrs, e.TotalInstrs())
-				}
+			row := ThresholdRow{Workload: w.Name,
+				Policies: []string{"interp", "thresh-1", "thresh-5", "thresh-25", "thresh-100", "jit-first", "oracle"}}
+			row.Instrs = make([]uint64, len(row.Policies))
+			slot := func(i int) func(*core.Engine) {
+				return func(e *core.Engine) { row.Instrs[i] = e.TotalInstrs() }
 			}
 			var sweep []run
-			for _, n := range []uint64{1, 5, 25, 100} {
-				sweep = append(sweep, run{mode: ModeJIT, cfg: core.Config{Policy: core.Threshold{N: n}},
-					done: add(fmt.Sprintf("thresh-%d", n))})
+			for i, n := range []uint64{1, 5, 25, 100} {
+				sweep = append(sweep, run{mode: ModeJIT, name: row.Policies[1+i],
+					cfg: core.Config{Policy: core.Threshold{N: n}}, done: slot(1 + i)})
 			}
-			runs := oracleRuns(map[int]bool{}, add("interp"), add("jit-first"), add("oracle"))
+			runs := oracleRuns(map[int]bool{}, slot(0), slot(5), slot(6))
 			return slices.Insert(runs, 1, sweep...), func() (ThresholdRow, error) { return row, nil }
 		})
 	return p

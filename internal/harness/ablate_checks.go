@@ -35,19 +35,19 @@ type AblateChecksResult struct{ Rows []AblateChecksRow }
 func ablateChecksPlan(o Options) *Plan {
 	res := &AblateChecksResult{}
 	p := newPlan("ablate-checks", res)
-	cells(p, o, o.seven(), nil, "interp+jit", "base+elide", &res.Rows,
+	cells(p, o, o.seven(), interpOnly, "interp+jit", "base+elide", &res.Rows,
 		func(w workloads.Workload, _ Mode) ([]run, func() (AblateChecksRow, error)) {
 			row := AblateChecksRow{Workload: w.Name}
 			elide := core.Config{ElideBounds: true, ElideNull: true}
 			return []run{
 				{mode: ModeInterp, done: func(e *core.Engine) { row.InterpChecksBase = e.VM.ChecksRun }},
-				{mode: ModeInterp, cfg: elide, done: func(e *core.Engine) {
+				{mode: ModeInterp, name: "elide-checks", cfg: elide, done: func(e *core.Engine) {
 					row.InterpChecksElide, row.InterpElided = e.VM.ChecksRun, e.VM.ChecksElided
 				}},
 				{mode: ModeJIT, done: func(e *core.Engine) {
 					row.JITChecksBase, row.JITInstrBase = e.VM.ChecksRun, e.Clock.Total
 				}},
-				{mode: ModeJIT, cfg: elide, done: func(e *core.Engine) {
+				{mode: ModeJIT, name: "elide-checks", cfg: elide, done: func(e *core.Engine) {
 					row.JITChecksElide, row.JITInstrElide = e.VM.ChecksRun, e.Clock.Total
 					if e.VRange != nil {
 						c := e.VRange.Summarize()

@@ -87,7 +87,7 @@ func ablateCodeCachePlan(o Options) *Plan {
 			// Cold populates a fresh in-process cache (instruction stream
 			// identical to an uncached run), then warm re-runs on it.
 			cc := codecache.NewMemory()
-			err = execRuns(ctx, w, scale, []run{
+			err = execRuns(ctx, w, scale, nil, []run{
 				{mode: ModeJIT, cfg: core.Config{CodeCache: cc}, done: func(e *core.Engine) {
 					row.TranslateCold = translate(e)
 					row.ColdMisses = cc.Stats().Misses

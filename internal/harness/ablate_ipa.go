@@ -39,10 +39,14 @@ func ablateDevirtPlan(o Options) *Plan {
 			row := AblateDevirtRow{Workload: w.Name}
 			var counters [3]*trace.Counter
 			var suites [3]*branch.Suite
-			var runs []run
-			for i, cfg := range []core.Config{{JITOptions: jitNoDevirt()}, {}, {Devirt: true}} {
+			runs := []run{
+				{mode: mode, name: "nodevirt", cfg: core.Config{JITOptions: jitNoDevirt()}},
+				{mode: mode},
+				{mode: mode, name: "ipa-devirt", cfg: core.Config{Devirt: true}},
+			}
+			for i := range runs {
 				counters[i], suites[i] = &trace.Counter{}, branch.NewSuite()
-				runs = append(runs, run{mode: mode, cfg: cfg, sinks: []trace.Sink{counters[i], suites[i]}})
+				runs[i].sinks = []trace.Sink{counters[i], suites[i]}
 			}
 			runs[2].done = func(e *core.Engine) { row.DevirtSites = e.IPA.Summarize().DevirtSites }
 			return runs, func() (AblateDevirtRow, error) {
@@ -99,7 +103,7 @@ func ablateElidePlan(o Options) *Plan {
 			row := AblateElideRow{Workload: w.Name}
 			return []run{
 				{mode: mode, done: func(e *core.Engine) { row.LockOpsBase = e.VM.Monitors.Stats().Ops() }},
-				{mode: mode, cfg: core.Config{ElideLocks: true}, done: func(e *core.Engine) {
+				{mode: mode, name: "elide-locks", cfg: core.Config{ElideLocks: true}, done: func(e *core.Engine) {
 					row.LockOpsElide = e.VM.Monitors.Stats().Ops()
 					row.ElidedCallSites, row.ElidedMonitorOps = e.ElidedSyncSites, e.ElidedMonitorOps
 				}},

@@ -64,10 +64,10 @@ func ablateOoOPlan(o Options) *Plan {
 	cfgs := ablateOoOConfigs()
 	res := &AblateOoOResult{}
 	p := newPlan("ablate-ooo", res)
-	specCells(p, o, o.seven(), jitOnly, pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,
-		func(w workloads.Workload, mode Mode) (run, func() (OoOCell, error)) {
+	cells(p, o, o.seven(), jitOnly, "", pipeConfig(o, "rob8-256.rs2-64.lsq4-128.width=4"), &res.Cells,
+		func(w workloads.Workload, mode Mode) ([]run, func() (OoOCell, error)) {
 			cs := &coreSet{cfgs: cfgs, check: o.CheckPipe}
-			return run{cores: cs}, func() (OoOCell, error) {
+			return []run{{mode: mode, cores: cs}}, func() (OoOCell, error) {
 				cores := cs.got
 				cell := OoOCell{}
 				for _, ax := range oooAxes {

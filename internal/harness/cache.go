@@ -27,10 +27,10 @@ type Table3Result struct {
 func table3Plan(o Options) *Plan {
 	res := &Table3Result{}
 	p := newPlan("table3", res)
-	specCells(p, o, o.seven(), interpJIT, "64K-32B-i2w-d4w", &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (Table3Row, error)) {
+	cells(p, o, o.seven(), interpJIT, "", "64K-32B-i2w-d4w", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Table3Row, error)) {
 			h := cache.PaperDefault()
-			return run{hs: []*cache.Hierarchy{h}}, func() (Table3Row, error) {
+			return []run{{mode: mode, hs: []*cache.Hierarchy{h}}}, func() (Table3Row, error) {
 				return Table3Row{Workload: w.Name, Mode: mode, I: h.I.Stats, D: h.D.Stats}, nil
 			}
 		})
@@ -87,8 +87,8 @@ func fig3Plan(o Options) *Plan {
 	sizes := []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
 	res := &Fig3Result{}
 	p := newPlan("fig3", res)
-	specCells(p, o, o.seven(), interpJIT, "dm-32B-8K..128K", &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (Fig3Row, error)) {
+	cells(p, o, o.seven(), interpJIT, "", "dm-32B-8K..128K", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Fig3Row, error)) {
 			var hs []*cache.Hierarchy
 			for _, sz := range sizes {
 				hs = append(hs, cache.NewHierarchy(
@@ -96,7 +96,7 @@ func fig3Plan(o Options) *Plan {
 					cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
 				))
 			}
-			return run{hs: hs}, func() (Fig3Row, error) {
+			return []run{{mode: mode, hs: hs}}, func() (Fig3Row, error) {
 				row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
 				for _, h := range hs {
 					row.WriteMissFracs = append(row.WriteMissFracs, h.D.Stats.WriteMissFrac())
@@ -150,10 +150,10 @@ func fig4Plan(o Options) *Plan {
 	res := &Fig4Result{}
 	p := newPlan("fig4", res)
 	var grid []cacheIR
-	specCells(p, o, list, modes, "64K-32B-i2w-d4w", &grid,
-		func(w workloads.Workload, mode Mode) (run, func() (cacheIR, error)) {
+	cells(p, o, list, modes, "", "64K-32B-i2w-d4w", &grid,
+		func(w workloads.Workload, mode Mode) ([]run, func() (cacheIR, error)) {
 			h := cache.PaperDefault()
-			return run{hs: []*cache.Hierarchy{h}}, func() (cacheIR, error) {
+			return []run{{mode: mode, hs: []*cache.Hierarchy{h}}}, func() (cacheIR, error) {
 				return cacheIR{I: h.I.Stats, D: h.D.Stats}, nil
 			}
 		})
@@ -223,10 +223,10 @@ type Fig5Result struct {
 func fig5Plan(o Options) *Plan {
 	res := &Fig5Result{}
 	p := newPlan("fig5", res)
-	specCells(p, o, o.seven(), jitOnly, "64K-32B-i2w-d4w-phase", &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (Fig5Row, error)) {
+	cells(p, o, o.seven(), jitOnly, "", "64K-32B-i2w-d4w-phase", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Fig5Row, error)) {
 			h := cache.PaperDefault()
-			return run{hs: []*cache.Hierarchy{h}}, func() (Fig5Row, error) { return fig5Row(w, h), nil }
+			return []run{{mode: mode, hs: []*cache.Hierarchy{h}}}, func() (Fig5Row, error) { return fig5Row(w, h), nil }
 		})
 	return p
 }
@@ -293,10 +293,10 @@ func fig6Plan(o Options) *Plan {
 	res := &Fig6Result{Workload: w.Name, Window: window}
 	p := newPlan("fig6", res)
 	var series [][]cache.Interval
-	specCells(p, o, []workloads.Workload{w}, interpJIT, fmt.Sprintf("window=%d", window), &series,
-		func(w workloads.Workload, mode Mode) (run, func() ([]cache.Interval, error)) {
+	cells(p, o, []workloads.Workload{w}, interpJIT, "", fmt.Sprintf("window=%d", window), &series,
+		func(w workloads.Workload, mode Mode) ([]run, func() ([]cache.Interval, error)) {
 			s := cache.NewSampler(cache.PaperDefault(), window)
-			return run{sinks: []trace.Sink{s}}, func() ([]cache.Interval, error) {
+			return []run{{mode: mode, sinks: []trace.Sink{s}}}, func() ([]cache.Interval, error) {
 				s.Finish()
 				return s.Series, nil
 			}
@@ -408,13 +408,13 @@ func (r *Fig8Result) Render() string {
 func sweepPlan(o Options, experiment string, res Renderer, cfg string, rows *[]SweepRow, params []int,
 	mk func(int) (cache.Config, cache.Config)) *Plan {
 	p := newPlan(experiment, res)
-	specCells(p, o, o.seven(), interpJIT, cfg, rows,
-		func(w workloads.Workload, mode Mode) (run, func() (SweepRow, error)) {
+	cells(p, o, o.seven(), interpJIT, "", cfg, rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (SweepRow, error)) {
 			var hs []*cache.Hierarchy
 			for _, prm := range params {
 				hs = append(hs, cache.NewHierarchy(mk(prm)))
 			}
-			return run{hs: hs}, func() (SweepRow, error) {
+			return []run{{mode: mode, hs: hs}}, func() (SweepRow, error) {
 				row := SweepRow{Workload: w.Name, Mode: mode, Params: params}
 				for _, h := range hs {
 					row.IMiss = append(row.IMiss, h.I.Stats.MissRate())

@@ -16,10 +16,13 @@ import (
 
 // run is one declared engine run of a cell: the workload under mode and
 // cfg, observed by plain sinks, by cache hierarchies and by the cores
-// it wants timed. scale 0 means the cell's scale. done, when set, reads
-// the finished engine, so a cell keeps no engine alive past its own run.
+// it wants timed. scale 0 means the cell's scale. name names cfg, empty
+// for the zero core.Config, so a run's identity is its mode, resolved
+// scale and name. done, when set, reads the finished engine, so a cell
+// keeps no engine alive past its own run.
 type run struct {
 	mode  Mode
+	name  string
 	cfg   core.Config
 	scale int
 	sinks []trace.Sink
@@ -51,82 +54,51 @@ func (s *coreSet) err() error {
 	return nil
 }
 
-// engineSpec is the workload, scale and mode a declared cell runs at.
-// fuse marks a spec cell: spec cells of one spec can share their one
-// engine run, and any other cell is claimed alone.
+// engineSpec is the workload, scale and lead mode a declared cell runs
+// at: the declared cells of one spec are claimed together.
 type engineSpec struct {
 	w     workloads.Workload
 	scale int
 	mode  Mode
-	fuse  bool
 }
 
-// Mode lists of the cells measured under one engine mode each.
+// Mode lists of the cells measured under one engine mode each, and the
+// lead mode of the cells whose runs span several modes.
 var (
-	interpJIT = []Mode{ModeInterp, ModeJIT}
-	jitOnly   = []Mode{ModeJIT}
+	interpJIT  = []Mode{ModeInterp, ModeJIT}
+	jitOnly    = []Mode{ModeJIT}
+	interpOnly = []Mode{ModeInterp}
 )
 
-// eachCell calls add once per workload × mode with the cell's key and
-// its row slot, in enumeration order, after sizing *rows to one slot per
+// cells adds one cell per workload × mode to p, in enumeration order,
+// and decodes the cells' payloads into *rows, sized to one slot per
 // cell. A key's Mode is the mode's name, or label for the cells whose
-// runs span several modes (modes nil: one cell per workload); its Config
-// is config.
-func eachCell[R any](o Options, list []workloads.Workload, modes []Mode, experiment, label, config string,
-	rows *[]R, add func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode)) {
-	if modes == nil {
-		modes = []Mode{ModeJIT} // a placeholder: labelled runs name their own modes
-	}
+// runs span several modes (mode is then their lead mode); its Config is
+// config. decl declares a cell's engine runs and the reduce that turns
+// their finished sinks into the payload. It is called afresh on every
+// attempt, so a retried cell starts from empty sinks.
+func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, label, config string,
+	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]run, func() (R, error))) {
 	*rows = make([]R, len(list)*len(modes))
 	for i, w := range list {
 		scale := resolveScale(o, w)
 		for j, mode := range modes {
-			key := CellKey{Experiment: experiment, Workload: w.Name, Scale: scale, Mode: mode.String(), Config: config}
-			if label != "" {
-				key.Mode = label
-			}
-			add(key, &(*rows)[i*len(modes)+j], w, scale, mode)
-		}
-	}
-}
-
-// cells adds one cell per workload × mode to p (keyed as eachCell
-// describes) and decodes the cells' payloads into *rows. decl declares a
-// cell's engine runs and the reduce that turns their finished sinks into
-// the payload. It is called afresh on every attempt, so a retried cell
-// starts from empty sinks.
-func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, label, config string,
-	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]run, func() (R, error))) {
-	eachCell(o, list, modes, p.experiment, label, config, rows,
-		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
-			p.cells = append(p.cells, Cell{Key: key, dest: dest, spec: engineSpec{w, scale, mode, false},
+			key := CellKey{Experiment: p.experiment, Workload: w.Name, Scale: scale,
+				Mode: cmp.Or(label, mode.String()), Config: config}
+			p.cells = append(p.cells, Cell{Key: key, dest: &(*rows)[i*len(modes)+j], spec: engineSpec{w, scale, mode},
 				decl: func() ([]run, func() (any, error)) {
 					runs, reduce := decl(w, mode)
 					return runs, func() (any, error) { return reduce() }
 				}})
-		})
+		}
+	}
 }
 
-// specCells is cells for spec cells, each declaring one run in its mode
-// (specCells sets it) at its scale with a zero core.Config and no done,
-// so cells of one engine spec can share that run.
-func specCells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, config string,
-	rows *[]R, decl func(w workloads.Workload, mode Mode) (run, func() (R, error))) {
-	eachCell(o, list, modes, p.experiment, "", config, rows,
-		func(key CellKey, dest *R, w workloads.Workload, scale int, mode Mode) {
-			p.cells = append(p.cells, Cell{Key: key, dest: dest, spec: engineSpec{w, scale, mode, true},
-				decl: func() ([]run, func() (any, error)) {
-					r, reduce := decl(w, mode)
-					r.mode = mode
-					return []run{r}, func() (any, error) { return reduce() }
-				}})
-		})
-}
-
-// runClaim runs a claim (one declared cell, or spec cells of one spec)
-// through execRuns, declaring its runs afresh so a retry starts from
-// empty sinks, and makes each member's payload. Any member's error
-// fails the whole claim.
+// runClaim runs a claim (one declared cell, or the declared cells of one
+// spec) through execRuns, declaring its runs afresh so a retry starts
+// from empty sinks. A member's payload is made as soon as its last run
+// is served, and its sinks are dropped with its reduce. Any member's
+// error fails the whole claim.
 func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, error) {
 	spec := members[0].spec
 	runs := make([][]run, len(members))
@@ -134,71 +106,106 @@ func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, err
 	for i, g := range members {
 		runs[i], reduces[i] = g.decl()
 	}
-	if err := execRuns(ctx, spec.w, spec.scale, runs...); err != nil {
-		return nil, err
-	}
 	raws := make([]json.RawMessage, len(members))
-	for i, reduce := range reduces {
-		v, err := reduce()
+	err := execRuns(ctx, spec.w, spec.scale, func(i int) error {
+		v, err := reduces[i]()
+		reduces[i] = nil
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.w.Name, err)
+			return fmt.Errorf("%s: %w", spec.w.Name, err)
 		}
-		if raws[i], err = encodePayload(members[i].Key, v); err != nil {
-			return nil, err
-		}
+		raws[i], err = encodePayload(members[i].Key, v)
+		return err
+	}, runs...)
+	if err != nil {
+		return nil, err
 	}
 	return raws, nil
 }
 
-// execRuns is the one engine executor. It runs the members' runs run
-// by run (a solo cell is one member; a fused claim's members declare one
-// run each): the k-th runs share one engine run, in the first member's
-// mode, config and scale, observed by every member's sinks, one
-// cache.NewGroup of their hierarchies and one pipeline.NewGroup of their
-// core sets, whose cores each set gets back before the engine starts.
-// Then each member's done reads the finished engine.
-func execRuns(ctx context.Context, w workloads.Workload, scale int, members ...[]run) error {
-	for k, r := range members[0] {
-		var sinks []trace.Sink
-		var hs []*cache.Hierarchy
-		var cfgs []pipeline.Config
-		for _, m := range members {
-			sinks = append(sinks, m[k].sinks...)
-			hs = append(hs, m[k].hs...)
-			if m[k].cores != nil {
-				cfgs = append(cfgs, m[k].cores.cfgs...)
+// execRuns is the one engine executor. It runs the members' runs member
+// by member, each in declaration order (a solo cell is one member). A
+// run also serves, in every later member, the first unserved run of the
+// same mode, resolved scale and name, and never a second run of one
+// member: the sharers make one engine run, in the executing member's
+// config, observed by every sharer's sinks, one cache.NewGroup of their
+// hierarchies and one pipeline.NewGroup of their core sets, whose cores
+// each set gets back before the engine starts. Then each sharer's done
+// reads the finished engine, and a member whose last run that was is
+// dropped and handed to release (nil: nothing to do).
+func execRuns(ctx context.Context, w workloads.Workload, scale int, release func(member int) error, members ...[]run) error {
+	served := make([][]bool, len(members))
+	left := make([]int, len(members))
+	for m, runs := range members {
+		served[m], left[m] = make([]bool, len(runs)), len(runs)
+	}
+	type at struct{ m, k int }
+	for m := range members {
+		for k := range served[m] {
+			if served[m][k] {
+				continue
 			}
-		}
-		if len(hs) > 0 {
-			sinks = append(sinks, cache.NewGroup(hs...))
-		}
-		if len(cfgs) > 0 {
-			g := pipeline.NewGroup(cfgs...)
-			cores := g.Cores()
-			for i, c := range cores {
-				if slices.Index(cores, c) == i {
-					coresTimed.Add(1)
-				}
-			}
-			for _, m := range members {
-				if s := m[k].cores; s != nil {
-					s.got, cores = cores[:len(s.cfgs)], cores[len(s.cfgs):]
-					for _, c := range s.got {
-						if s.check {
-							c.Check()
-						}
+			r := members[m][k]
+			rs := cmp.Or(r.scale, scale)
+			sharers := []at{{m, k}}
+			for n := m + 1; n < len(members); n++ {
+				for j, s := range members[n] {
+					if !served[n][j] && s.mode == r.mode && cmp.Or(s.scale, scale) == rs && s.name == r.name {
+						sharers = append(sharers, at{n, j})
+						break
 					}
 				}
 			}
-			sinks = append(sinks, g)
-		}
-		e, err := RunCtx(ctx, w, cmp.Or(r.scale, scale), r.mode, r.cfg, sinks...)
-		if err != nil {
-			return err
-		}
-		for _, m := range members {
-			if m[k].done != nil {
-				m[k].done(e)
+			var sinks []trace.Sink
+			var hs []*cache.Hierarchy
+			var cfgs []pipeline.Config
+			for _, a := range sharers {
+				s := &members[a.m][a.k]
+				served[a.m][a.k] = true
+				sinks = append(sinks, s.sinks...)
+				hs = append(hs, s.hs...)
+				if s.cores != nil {
+					cfgs = append(cfgs, s.cores.cfgs...)
+				}
+			}
+			if len(hs) > 0 {
+				sinks = append(sinks, cache.NewGroup(hs...))
+			}
+			if len(cfgs) > 0 {
+				g := pipeline.NewGroup(cfgs...)
+				cores := g.Cores()
+				for i, c := range cores {
+					if slices.Index(cores, c) == i {
+						coresTimed.Add(1)
+					}
+				}
+				for _, a := range sharers {
+					if s := members[a.m][a.k].cores; s != nil {
+						s.got, cores = cores[:len(s.cfgs)], cores[len(s.cfgs):]
+						for _, c := range s.got {
+							if s.check {
+								c.Check()
+							}
+						}
+					}
+				}
+				sinks = append(sinks, g)
+			}
+			e, err := RunCtx(ctx, w, rs, r.mode, r.cfg, sinks...)
+			if err != nil {
+				return err
+			}
+			for _, a := range sharers {
+				if done := members[a.m][a.k].done; done != nil {
+					done(e)
+				}
+				if left[a.m]--; left[a.m] == 0 {
+					members[a.m] = nil
+					if release != nil {
+						if err := release(a.m); err != nil {
+							return err
+						}
+					}
+				}
 			}
 		}
 	}
@@ -239,7 +246,7 @@ func oracleRuns(set map[int]bool, interp, jit, opt func(*core.Engine)) []run {
 				jit(e)
 			}
 		}},
-		{mode: ModeJIT, cfg: core.Config{Policy: core.Oracle{Set: set}}, done: opt},
+		{mode: ModeJIT, name: "opt", cfg: core.Config{Policy: core.Oracle{Set: set}}, done: opt},
 	}
 }
 
@@ -247,7 +254,7 @@ func oracleRuns(set map[int]bool, interp, jit, opt func(*core.Engine)) []run {
 // (oracleRuns).
 func RunOracleCtx(ctx context.Context, w workloads.Workload, scale int) (*core.Engine, error) {
 	var e *core.Engine
-	err := execRuns(ctx, w, scale, oracleRuns(map[int]bool{}, nil, nil, func(opt *core.Engine) { e = opt }))
+	err := execRuns(ctx, w, scale, nil, oracleRuns(map[int]bool{}, nil, nil, func(opt *core.Engine) { e = opt }))
 	return e, err
 }
 

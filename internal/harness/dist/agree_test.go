@@ -65,7 +65,7 @@ func TestLocalAndDistAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("local keep-going run: %v", err)
 		}
-		d := distRun(t, grid, Config{Retries: 1, KeepGoing: true, WaitMillis: 5}, spec)
+		d := distRun(t, grid, Config{Retries: 1, KeepGoing: true}, spec)
 		if d.ExitCode != 3 {
 			t.Fatalf("dist: exit %d, err %q; want 3", d.ExitCode, d.ErrMsg)
 		}
@@ -85,7 +85,7 @@ func TestLocalAndDistAgree(t *testing.T) {
 		if err == nil {
 			t.Fatal("local fail-fast run succeeded")
 		}
-		d := distRun(t, grid, Config{Retries: 1, WaitMillis: 5}, spec)
+		d := distRun(t, grid, Config{Retries: 1}, spec)
 		if d.ExitCode != 1 || d.ErrMsg != err.Error() {
 			t.Errorf("dist: exit %d, err %q; want exit 1, err %q", d.ExitCode, d.ErrMsg, err.Error())
 		}
@@ -120,7 +120,7 @@ func TestCachedCellJournalError(t *testing.T) {
 	if !strings.Contains(report, "cause=error") || !strings.Contains(report, "journal:") {
 		t.Fatalf("local run did not fail the cached cells on the journal error:\n%s", report)
 	}
-	d := distRun(t, grid, Config{Cache: cache, Journal: closed(), KeepGoing: true, WaitMillis: 5}, chaos.Spec{})
+	d := distRun(t, grid, Config{Cache: cache, Journal: closed(), KeepGoing: true}, chaos.Spec{})
 	if got := workerLines.ReplaceAllString(d.Report, ""); d.ExitCode != 3 || got != report {
 		t.Errorf("dist: exit %d, report:\n%s\nwant exit 3, report:\n%s", d.ExitCode, got, report)
 	}
@@ -129,7 +129,7 @@ func TestCachedCellJournalError(t *testing.T) {
 	if err == nil {
 		t.Fatal("local fail-fast run succeeded")
 	}
-	d = distRun(t, grid, Config{Cache: cache, Journal: closed(), WaitMillis: 5}, chaos.Spec{})
+	d = distRun(t, grid, Config{Cache: cache, Journal: closed()}, chaos.Spec{})
 	if d.ExitCode != 1 || d.ErrMsg != err.Error() {
 		t.Errorf("dist: exit %d, err %q; want exit 1, err %q", d.ExitCode, d.ErrMsg, err.Error())
 	}

@@ -34,9 +34,6 @@ type Config struct {
 	// KeepGoing drains every cell despite failures and reports them,
 	// instead of stopping the grid at the first failed cell.
 	KeepGoing bool
-	// WaitMillis is the backoff the coordinator hands a worker when
-	// nothing is grantable. 0 = 10ms.
-	WaitMillis int64
 	// Cache, when non-nil, serves already-computed cells without
 	// leasing them and persists every committed payload.
 	Cache *harness.ResultCache
@@ -107,13 +104,14 @@ type Coordinator struct {
 	wg       sync.WaitGroup
 }
 
+// waitMillis is the backoff the coordinator hands a worker when nothing
+// is grantable.
+const waitMillis = 10
+
 // NewCoordinator builds a coordinator with defaults applied.
 func NewCoordinator(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.WaitMillis <= 0 {
-		cfg.WaitMillis = 10
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -433,7 +431,7 @@ func (c *Coordinator) answerLeaseReq(cs *connState, req LeaseReq) error {
 	}
 	if grant < 0 {
 		c.mu.Unlock()
-		return cs.send(MsgWait, Wait{Seq: req.Seq, Millis: c.cfg.WaitMillis})
+		return cs.send(MsgWait, Wait{Seq: req.Seq, Millis: waitMillis})
 	}
 	l := c.table.grant(grant, req.Worker, cs, now, c.cfg.LeaseTTL)
 	lease := Lease{

@@ -224,7 +224,7 @@ func TestDuplicateDeliveryCommitsOnce(t *testing.T) {
 	want := serialOutput(t, grid)
 	groups := localGroups(t, grid)
 
-	c, addr := startCoord(t, Config{LeaseTTL: 5 * time.Second, WaitMillis: 5})
+	c, addr := startCoord(t, Config{LeaseTTL: 5 * time.Second})
 
 	outCh := make(chan Output, 1)
 	go func() {
@@ -298,7 +298,7 @@ func TestLostLeaseRerun(t *testing.T) {
 	want := serialOutput(t, grid)
 	groups := localGroups(t, grid)
 
-	_, addr := startCoord(t, Config{LeaseTTL: 10 * time.Second, Retries: 2, WaitMillis: 5})
+	_, addr := startCoord(t, Config{LeaseTTL: 10 * time.Second, Retries: 2})
 
 	outCh := make(chan Output, 1)
 	go func() {
@@ -358,7 +358,7 @@ func TestLostLeaseRerun(t *testing.T) {
 func TestForeignBuildWorkerRefused(t *testing.T) {
 	grid := helloGrid("fig9")
 	want := serialOutput(t, grid)
-	c, addr := startCoord(t, Config{LeaseTTL: 5 * time.Second, WaitMillis: 5})
+	c, addr := startCoord(t, Config{LeaseTTL: 5 * time.Second})
 
 	type submitted struct {
 		out Output
@@ -459,7 +459,7 @@ func TestRefusedWorkerStops(t *testing.T) {
 // must attribute each failure to the worker that ran it.
 func TestKeepGoingDegradedReport(t *testing.T) {
 	grid := helloGrid("fig9")
-	_, addr := startCoord(t, Config{LeaseTTL: 2 * time.Second, KeepGoing: true, WaitMillis: 5})
+	_, addr := startCoord(t, Config{LeaseTTL: 2 * time.Second, KeepGoing: true})
 	var mu sync.Mutex
 	startWorkers(t, 2, &addr, &mu, chaos.Spec{Seed: 3, ErrRate: 1.0, UpTo: 999}, chaos.NetSpec{})
 

@@ -32,11 +32,11 @@ type AblateIndirectResult struct{ Rows []IndirectRow }
 func ablateIndirectPlan(o Options) *Plan {
 	res := &AblateIndirectResult{}
 	p := newPlan("ablate-indirect", res)
-	specCells(p, o, o.seven(), interpJIT, "btb+targetcache", &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (IndirectRow, error)) {
+	cells(p, o, o.seven(), interpJIT, "", "btb+targetcache", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (IndirectRow, error)) {
 			base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
 			enhanced := branch.NewIndirectUnit()
-			return run{sinks: []trace.Sink{base, enhanced}}, func() (IndirectRow, error) {
+			return []run{{mode: mode, sinks: []trace.Sink{base, enhanced}}}, func() (IndirectRow, error) {
 				row := IndirectRow{Workload: w.Name, Mode: mode}
 				row.BTBMiss = base.Stats.MispredictRate()
 				row.TCMiss = enhanced.Stats.MispredictRate()
@@ -112,7 +112,7 @@ func ablateTieredPlan(o Options) *Plan {
 			row := TieredRow{Workload: w.Name}
 			return []run{
 				{mode: mode, done: func(e *core.Engine) { row.BaselineInstrs = e.TotalInstrs() }},
-				{mode: mode, cfg: core.Config{Policy: core.Tiered{N1: 0, N2: 20}}, done: func(e *core.Engine) {
+				{mode: mode, name: "tiered20", cfg: core.Config{Policy: core.Tiered{N1: 0, N2: 20}}, done: func(e *core.Engine) {
 					row.TieredInstrs, row.Reopts = e.TotalInstrs(), e.JIT.Reoptimizations
 				}},
 			}, func() (TieredRow, error) { return row, nil }

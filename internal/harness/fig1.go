@@ -73,7 +73,7 @@ func fig1Plan(o Options) *Plan {
 	}
 	res := &Fig1Result{}
 	p := newPlan("fig1", res)
-	cells(p, o, list, nil, "interp+jit+opt", "", &res.Rows,
+	cells(p, o, list, interpOnly, "interp+jit+opt", "", &res.Rows,
 		func(w workloads.Workload, _ Mode) ([]run, func() (Fig1Row, error)) {
 			row := Fig1Row{Workload: w.Name}
 			set := map[int]bool{}
@@ -161,7 +161,7 @@ func table1Plan(o Options) *Plan {
 	}
 	res := &Table1Result{}
 	p := newPlan("table1", res)
-	cells(p, o, list, nil, "interp+jit", "", &res.Rows,
+	cells(p, o, list, interpOnly, "interp+jit", "", &res.Rows,
 		func(w workloads.Workload, _ Mode) ([]run, func() (Table1Row, error)) {
 			row := Table1Row{Workload: w.Name}
 			return []run{

@@ -29,10 +29,10 @@ func fig2Plan(o Options) *Plan {
 	res := &Fig2Result{}
 	p := newPlan("fig2", res)
 	var counters []trace.Counter
-	specCells(p, o, list, interpJIT, "", &counters,
-		func(w workloads.Workload, mode Mode) (run, func() (trace.Counter, error)) {
+	cells(p, o, list, interpJIT, "", "", &counters,
+		func(w workloads.Workload, mode Mode) ([]run, func() (trace.Counter, error)) {
 			c := &trace.Counter{}
-			return run{sinks: []trace.Sink{c}}, func() (trace.Counter, error) { return *c, nil }
+			return []run{{mode: mode, sinks: []trace.Sink{c}}}, func() (trace.Counter, error) { return *c, nil }
 		})
 	p.finish = func() error {
 		res.Rows = make([]MixRow, len(counters))

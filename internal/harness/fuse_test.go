@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -69,7 +70,36 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 	if fusedCores == 0 {
 		t.Fatal("no fused claim held a superscalar member")
 	}
-	fusedDifferential(t, multiRunPlans(helloOpts("hello", "db")))
+	if fused, _ := fusedDifferential(t, multiRunPlans(helloOpts("hello", "db"))); fused == 0 {
+		t.Fatal("no multi-run claim fused two groups: the differential compared nothing")
+	}
+}
+
+// TestRunNamesCoverConfigs guards the sharing rule's run identity: a
+// declared run of the whole registry on hello and db has an empty name
+// exactly when its core.Config is zero, so two runs of one mode, scale
+// and name never differ in config.
+func TestRunNamesCoverConfigs(t *testing.T) {
+	var plans []*Plan
+	for _, e := range Experiments() {
+		plans = append(plans, e.Plan(helloOpts("hello", "db")))
+	}
+	declared := 0
+	for _, g := range GroupPlans(plans...) {
+		if g.decl == nil {
+			continue
+		}
+		runs, _ := g.decl()
+		for k, r := range runs {
+			declared++
+			if zero := reflect.ValueOf(r.cfg).IsZero(); zero != (r.name == "") {
+				t.Errorf("%s run %d: name %q, zero config %v", g.Key, k, r.name, zero)
+			}
+		}
+	}
+	if declared == 0 {
+		t.Fatal("the registry declared no runs")
+	}
 }
 
 // fusedDifferential claims the plans' groups until none is left, runs
@@ -86,7 +116,7 @@ func fusedDifferential(t *testing.T, plans []*Plan) (fused, fusedCores int) {
 			break
 		}
 		spec := l.groups[batch[0].Group].spec
-		if spec.fuse {
+		if l.groups[batch[0].Group].decl != nil {
 			if claimed[spec] {
 				t.Errorf("spec %s@%d/%s claimed twice", spec.w.Name, spec.scale, spec.mode)
 			}
@@ -139,8 +169,8 @@ type faultSink struct{}
 func (faultSink) Emit(trace.Inst)        { panic("sink fault") }
 func (faultSink) EmitBatch([]trace.Inst) { panic("sink fault") }
 
-// countResult is a synthetic spec-cell result: instructions counted per
-// cell.
+// countResult is a synthetic one-run cell result: instructions counted
+// per cell.
 type countResult struct{ Rows []uint64 }
 
 func (r *countResult) Render() string { return fmt.Sprint(r.Rows) }
@@ -154,14 +184,14 @@ func sameSpecPlans(bad int) ([]*Plan, []*countResult) {
 	for i := 0; i < 3; i++ {
 		res := &countResult{}
 		p := newPlan(fmt.Sprintf("fuse-%d", i), res)
-		specCells(p, helloOpts(), helloOpts().Workloads, jitOnly, "count", &res.Rows,
-			func(w workloads.Workload, mode Mode) (run, func() (uint64, error)) {
+		cells(p, helloOpts(), helloOpts().Workloads, jitOnly, "", "count", &res.Rows,
+			func(w workloads.Workload, mode Mode) ([]run, func() (uint64, error)) {
 				c := &trace.Counter{}
 				sinks := []trace.Sink{c}
 				if i == bad {
 					sinks = append(sinks, faultSink{})
 				}
-				return run{sinks: sinks}, func() (uint64, error) { return c.Total, nil }
+				return []run{{mode: mode, sinks: sinks}}, func() (uint64, error) { return c.Total, nil }
 			})
 		plans = append(plans, p)
 		results = append(results, res)
@@ -205,10 +235,11 @@ func TestFusedFaultIsolated(t *testing.T) {
 	}
 }
 
-// TestFusedChaosMatchesUnfused runs the cachesim and superscalar grids
-// on hello under injected panics, hangs and transient errors, once as
-// one grid (every spec's cells fuse) and once experiment by experiment
-// (nothing fuses). The renders and the run reports must be byte-identical, and
+// TestFusedChaosMatchesUnfused runs the cachesim and superscalar grids,
+// fig1 and ablate-threshold (which share their three §3 runs, the
+// derived opt run among them) on hello under injected panics, hangs and
+// transient errors, once as one grid (every spec's cells fuse) and once
+// experiment by experiment (nothing fuses). The renders and the run reports must be byte-identical, and
 // the fused grid must make fewer engine runs. A second, degraded pass
 // faults every interpreter cell for good under KeepGoing.
 func TestFusedChaosMatchesUnfused(t *testing.T) {
@@ -232,7 +263,14 @@ func TestFusedChaosMatchesUnfused(t *testing.T) {
 				}
 				return out + r.Report().Render()
 			}
-			grid := func() []*Plan { return append(cachesimPlans(helloOpts()), superscalarPlans(helloOpts())...) }
+			grid := func() []*Plan {
+				plans := append(cachesimPlans(helloOpts()), superscalarPlans(helloOpts())...)
+				for _, name := range []string{"fig1", "ablate-threshold"} {
+					e, _ := Lookup(name)
+					plans = append(plans, e.Plan(helloOpts()))
+				}
+				return plans
+			}
 			faults := 0
 			for _, p := range grid() {
 				for _, k := range p.Keys() {
@@ -329,7 +367,7 @@ func TestCheckPipeFusedMatchesUnfused(t *testing.T) {
 	}
 	runs9, reduce9 := fig9.decl()
 	runsOoO, reduceOoO := ooo.decl()
-	if err := execRuns(context.Background(), fig9.spec.w, fig9.spec.scale, runs9, runsOoO); err != nil {
+	if err := execRuns(context.Background(), fig9.spec.w, fig9.spec.scale, nil, runs9, runsOoO); err != nil {
 		t.Fatal(err)
 	}
 	r9, ro := runs9[0], runsOoO[0]

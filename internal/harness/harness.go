@@ -13,10 +13,8 @@ import (
 
 	"jrs/internal/bytecode"
 	"jrs/internal/core"
-	"jrs/internal/emit"
 	"jrs/internal/jit"
 	"jrs/internal/jit/codecache"
-	"jrs/internal/monitor"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
 )
@@ -172,19 +170,6 @@ func RunClassesCtx(ctx context.Context, name string, classes []*bytecode.Class, 
 	engineRuns.Add(1)
 	simInstrs.Add(e.TotalInstrs())
 	return e, nil
-}
-
-// monitorFactory adapts a named synchronization implementation.
-func monitorFactory(name string) func(*emit.Emitter) monitor.Manager {
-	switch name {
-	case "fat":
-		return func(em *emit.Emitter) monitor.Manager { return monitor.NewFat(em) }
-	case "thin":
-		return func(em *emit.Emitter) monitor.Manager { return monitor.NewThin(em) }
-	case "onebit":
-		return func(em *emit.Emitter) monitor.Manager { return monitor.NewOneBit(em) }
-	}
-	panic("unknown monitor implementation " + name)
 }
 
 // jitNoDevirt returns JIT options with virtual-call devirtualization off.

@@ -31,10 +31,10 @@ func fig9Plan(o Options) *Plan {
 	widths := []int{1, 2, 4, 8}
 	res := &Fig9Result{}
 	p := newPlan("fig9", res)
-	specCells(p, o, o.seven(), interpJIT, pipeConfig(o, "width=1,2,4,8"), &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (ILPRow, error)) {
+	cells(p, o, o.seven(), interpJIT, "", pipeConfig(o, "width=1,2,4,8"), &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (ILPRow, error)) {
 			cs := &coreSet{cfgs: fig9Configs(widths), check: o.CheckPipe}
-			return run{cores: cs}, func() (ILPRow, error) {
+			return []run{{mode: mode, cores: cs}}, func() (ILPRow, error) {
 				row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
 				for _, c := range cs.got {
 					row.IPC = append(row.IPC, c.IPC())

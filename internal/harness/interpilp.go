@@ -26,10 +26,10 @@ func ablateInterpILPPlan(o Options) *Plan {
 	widths := []int{1, 2, 4, 8}
 	res := &AblateInterpILPResult{}
 	p := newPlan("ablate-interp-ilp", res)
-	specCells(p, o, o.seven(), []Mode{ModeInterp}, pipeConfig(o, "btb+targetcache-width=1,2,4,8"), &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (InterpILPRow, error)) {
+	cells(p, o, o.seven(), interpOnly, "", pipeConfig(o, "btb+targetcache-width=1,2,4,8"), &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (InterpILPRow, error)) {
 			cs := &coreSet{cfgs: interpILPConfigs(widths), check: o.CheckPipe}
-			return run{cores: cs}, func() (InterpILPRow, error) {
+			return []run{{mode: mode, cores: cs}}, func() (InterpILPRow, error) {
 				row := InterpILPRow{Workload: w.Name, Widths: widths}
 				for i := range widths {
 					row.IPCBtb = append(row.IPCBtb, cs.got[2*i].IPC())

@@ -54,9 +54,9 @@ func (k CellKey) Hash() string {
 
 // Cell is one schedulable simulation unit: a key, how the cell simulates
 // a JSON-serializable payload, and the destination the payload is
-// decoded into. A cell declares its engine runs (decl; a spec cell's one
-// run can be shared by the cells of its spec) or starts its engines
-// itself (sim). Every payload — fresh or cached — passes through the
+// decoded into. A cell declares its engine runs (decl; equal runs of the
+// declared cells of one spec are shared) or starts its engines itself
+// (sim). Every payload — fresh or cached — passes through the
 // same JSON round trip, so a run never observes different values
 // depending on where a cell's result came from. sim receives the
 // attempt's context and must pass it down (RunCtx) so the supervisor's
@@ -349,8 +349,8 @@ func (r *Runner) RunPlans(plans ...*Plan) error {
 }
 
 // work claims, attempts and commits groups until the ledger has nothing
-// left to claim. A claim of several same-spec groups runs their engine
-// once (runClaim, under one watchdog deadline). A member with an
+// left to claim. A claim of several same-spec groups runs each of their
+// equal engine runs once (runClaim, under one watchdog deadline). A member with an
 // injected fault is attempted alone, so the fault fires as it would
 // unfused, and if the fused run fails every member is attempted alone
 // within the same claim, at the same attempt number: failures, causes

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"jrs/internal/core"
+	"jrs/internal/emit"
 	"jrs/internal/monitor"
 	"jrs/internal/stats"
 	"jrs/internal/workloads"
@@ -48,16 +49,17 @@ func fig11Plan(o Options) *Plan {
 	cells(p, o, o.seven(), jitOnly, "", "fat+thin+onebit", &res.Rows,
 		func(w workloads.Workload, mode Mode) ([]run, func() (SyncRow, error)) {
 			row := SyncRow{Workload: w.Name}
-			impl := func(name string) core.Config { return core.Config{Monitors: monitorFactory(name)} }
+			fat := func(em *emit.Emitter) monitor.Manager { return monitor.NewFat(em) }
+			onebit := func(em *emit.Emitter) monitor.Manager { return monitor.NewOneBit(em) }
 			return []run{
-				{mode: mode, cfg: impl("fat"), done: func(e *core.Engine) {
+				{mode: mode, name: "fat", cfg: core.Config{Monitors: fat}, done: func(e *core.Engine) {
 					st := e.VM.Monitors.Stats()
 					row.FatInstrs = st.Instrs
 					if e.TotalInstrs() > 0 {
 						row.SyncShareJIT = float64(st.Instrs) / float64(e.TotalInstrs())
 					}
 				}},
-				{mode: mode, cfg: impl("thin"), done: func(e *core.Engine) {
+				{mode: mode, done: func(e *core.Engine) { // thin locks, the VM's default
 					st := e.VM.Monitors.Stats()
 					row.ThinInstrs = st.Instrs
 					row.Enters = st.Enters
@@ -68,7 +70,7 @@ func fig11Plan(o Options) *Plan {
 						row.SyncedObjectFrac = float64(len(e.VM.SyncObjects)) / float64(e.VM.AllocObjects)
 					}
 				}},
-				{mode: mode, cfg: impl("onebit"), done: func(e *core.Engine) {
+				{mode: mode, name: "onebit", cfg: core.Config{Monitors: onebit}, done: func(e *core.Engine) {
 					row.OneBitInstrs = e.VM.Monitors.Stats().Instrs
 				}},
 			}, func() (SyncRow, error) { return row, nil }

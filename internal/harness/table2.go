@@ -30,10 +30,10 @@ type Table2Result struct {
 func table2Plan(o Options) *Plan {
 	res := &Table2Result{}
 	p := newPlan("table2", res)
-	specCells(p, o, o.seven(), interpJIT, "2bit+bht+gshare+gap", &res.Rows,
-		func(w workloads.Workload, mode Mode) (run, func() (Table2Row, error)) {
+	cells(p, o, o.seven(), interpJIT, "", "2bit+bht+gshare+gap", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (Table2Row, error)) {
 			suite := branch.NewSuite()
-			return run{sinks: []trace.Sink{suite}}, func() (Table2Row, error) {
+			return []run{{mode: mode, sinks: []trace.Sink{suite}}}, func() (Table2Row, error) {
 				row := Table2Row{Workload: w.Name, Mode: mode}
 				var transfers, indirect uint64
 				for i, u := range suite.Units {
