@@ -209,14 +209,13 @@ func ablateScalePlan(o Options) *Plan {
 	p := newPlan("ablate-scale", res)
 	cells(p, Options{}, o.seven(), jitOnly, "", "muls=0.25,1,4", &res.Rows,
 		func(w workloads.Workload, mode Mode) ([]run, func() (ScaleRow, error)) {
-			row := ScaleRow{Workload: w.Name}
+			row := ScaleRow{Workload: w.Name, Scales: make([]int, len(muls)), TransFrac: make([]float64, len(muls))}
 			var runs []run
-			for _, m := range muls {
-				scale := max(int(float64(w.DefaultN)*m), 1)
-				runs = append(runs, run{mode: mode, scale: scale, done: func(e *core.Engine) {
+			for i, m := range muls {
+				row.Scales[i] = max(int(float64(w.DefaultN)*m), 1)
+				runs = append(runs, run{mode: mode, scale: row.Scales[i], done: func(e *core.Engine) {
 					exec, translate, _ := e.PhaseInstrs()
-					row.Scales = append(row.Scales, scale)
-					row.TransFrac = append(row.TransFrac, float64(translate)/float64(translate+exec))
+					row.TransFrac[i] = float64(translate) / float64(translate+exec)
 				}})
 			}
 			return runs, func() (ScaleRow, error) { return row, nil }

@@ -214,34 +214,45 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 
 // oracleRuns declares the three runs of §3: the interpret-only and
 // JIT-always profiles, then a JIT run under the opt policy derived from
-// them. The JIT profile's done fills set: compile method i iff invoking
-// it n_i times is cheaper translated, i.e. n_i > N_i = T_i / (I_i - E_i).
-// interp, jit and opt (each may be nil) read the three finished engines.
+// them. Whichever profile's done comes second fills set, since sharing
+// may serve the two out of declaration order: compile method i iff
+// invoking it n_i times is cheaper translated, i.e. n_i > N_i =
+// T_i / (I_i - E_i). interp, jit and opt (each may be nil) read the
+// three finished engines.
 func oracleRuns(set map[int]bool, interp, jit, opt func(*core.Engine)) []run {
-	var interpStats []core.MethodStats
+	var interpStats, jitStats []core.MethodStats
+	profiled := 0
+	derive := func() {
+		if profiled++; profiled < 2 {
+			return
+		}
+		for id, sj := range jitStats {
+			if sj.Invocations == 0 || sj.TranslateInstrs == 0 {
+				// Never invoked, or never translated in the profile
+				// (intrinsics); skip.
+				continue
+			}
+			var si core.MethodStats
+			if id < len(interpStats) {
+				si = interpStats[id]
+			}
+			n := float64(sj.Invocations)
+			if float64(sj.TranslateInstrs)+n*sj.ExecAvg() < n*si.InterpAvg() {
+				set[id] = true
+			}
+		}
+	}
 	return []run{
 		{mode: ModeInterp, done: func(e *core.Engine) {
 			interpStats = e.Stats
+			derive()
 			if interp != nil {
 				interp(e)
 			}
 		}},
 		{mode: ModeJIT, done: func(e *core.Engine) {
-			for id, sj := range e.Stats {
-				if sj.Invocations == 0 || sj.TranslateInstrs == 0 {
-					// Never invoked, or never translated in the profile
-					// (intrinsics); skip.
-					continue
-				}
-				var si core.MethodStats
-				if id < len(interpStats) {
-					si = interpStats[id]
-				}
-				n := float64(sj.Invocations)
-				if float64(sj.TranslateInstrs)+n*sj.ExecAvg() < n*si.InterpAvg() {
-					set[id] = true
-				}
-			}
+			jitStats = e.Stats
+			derive()
 			if jit != nil {
 				jit(e)
 			}

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
 
+	"jrs/internal/core"
 	"jrs/internal/harness/chaos"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -55,8 +57,9 @@ func multiRunPlans(o Options) []*Plan {
 // whole registry on hello plus the cachesim experiments on hello and db;
 // some fused claim there must hold a superscalar member. The second is
 // the multi-run experiments and fig2 on hello and db, where the §3
-// oracle compiles a nontrivial method set. Every claim must gather every
-// pending group of its spec.
+// oracle compiles a nontrivial method set. The third is table2 and
+// ablate-scale on jack at its default scale. Every claim must gather
+// every pending group of its spec.
 func TestFusedPayloadsMatchSolo(t *testing.T) {
 	var plans []*Plan
 	for _, e := range Experiments() {
@@ -73,17 +76,34 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 	if fused, _ := fusedDifferential(t, multiRunPlans(helloOpts("hello", "db"))); fused == 0 {
 		t.Fatal("no multi-run claim fused two groups: the differential compared nothing")
 	}
+	// ablate-scale keys its cells at the default scale, where table2's
+	// JIT run serves its 1x run before its own 0.25x run executes; jack's
+	// default (8) spreads the three multiples over three scales.
+	var scalePlans []*Plan
+	for _, name := range []string{"table2", "ablate-scale"} {
+		e, _ := Lookup(name)
+		scalePlans = append(scalePlans, e.Plan(Options{Workloads: helloOpts("jack").Workloads}))
+	}
+	if fused, _ := fusedDifferential(t, scalePlans); fused == 0 {
+		t.Fatal("ablate-scale fused with no table2 cell: the differential compared nothing")
+	}
 }
 
 // TestRunNamesCoverConfigs guards the sharing rule's run identity: a
 // declared run of the whole registry on hello and db has an empty name
-// exactly when its core.Config is zero, so two runs of one mode, scale
-// and name never differ in config.
+// exactly when its core.Config is zero, and every run of one mode and
+// name declares the same config, so a shared run never serves one
+// config's engine to another.
 func TestRunNamesCoverConfigs(t *testing.T) {
 	var plans []*Plan
 	for _, e := range Experiments() {
 		plans = append(plans, e.Plan(helloOpts("hello", "db")))
 	}
+	type identity struct {
+		mode Mode
+		name string
+	}
+	first := map[identity]core.Config{}
 	declared := 0
 	for _, g := range GroupPlans(plans...) {
 		if g.decl == nil {
@@ -95,10 +115,60 @@ func TestRunNamesCoverConfigs(t *testing.T) {
 			if zero := reflect.ValueOf(r.cfg).IsZero(); zero != (r.name == "") {
 				t.Errorf("%s run %d: name %q, zero config %v", g.Key, k, r.name, zero)
 			}
+			id := identity{r.mode, r.name}
+			if cfg, ok := first[id]; !ok {
+				first[id] = r.cfg
+			} else if !sameConfig(cfg, r.cfg) {
+				t.Errorf("%s run %d: %s run %q declares another config than an earlier run of that name",
+					g.Key, k, r.mode, r.name)
+			}
 		}
 	}
 	if declared == 0 {
 		t.Fatal("the registry declared no runs")
+	}
+}
+
+// sameConfig reports whether two configs are equal field by field: func
+// fields (Monitors, Cancel) by code pointer, the rest by
+// reflect.DeepEqual.
+func sameConfig(a, b core.Config) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := range va.NumField() {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Func {
+			if fa.IsNil() != fb.IsNil() || !fa.IsNil() && fa.Pointer() != fb.Pointer() {
+				return false
+			}
+		} else if !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOracleSetIgnoresServeOrder: a claim-mate that declares the JIT
+// profile before the interpreter one serves oracleRuns' two profiles out
+// of their declaration order. The derived set and the opt run must still
+// match a solo oracle's, on db, where the set is not empty.
+func TestOracleSetIgnoresServeOrder(t *testing.T) {
+	w, _ := workloads.ByName("db")
+	oracle := func(mate ...[]run) (map[int]bool, uint64) {
+		set, instrs := map[int]bool{}, uint64(0)
+		runs := oracleRuns(set, nil, nil, func(e *core.Engine) { instrs = e.TotalInstrs() })
+		if err := execRuns(context.Background(), w, w.BenchN, nil, append(mate, runs)...); err != nil {
+			t.Fatal(err)
+		}
+		return set, instrs
+	}
+	soloSet, soloInstrs := oracle()
+	if len(soloSet) == 0 {
+		t.Fatal("the oracle compiles nothing on db: the test compares nothing")
+	}
+	set, instrs := oracle([]run{{mode: ModeJIT}, {mode: ModeInterp}})
+	if !maps.Equal(set, soloSet) || instrs != soloInstrs {
+		t.Errorf("served out of order: %d methods compiled, opt %d instructions; solo %d, %d",
+			len(set), instrs, len(soloSet), soloInstrs)
 	}
 }
 
@@ -239,8 +309,9 @@ func TestFusedFaultIsolated(t *testing.T) {
 // fig1 and ablate-threshold (which share their three §3 runs, the
 // derived opt run among them) on hello under injected panics, hangs and
 // transient errors, once as one grid (every spec's cells fuse) and once
-// experiment by experiment (nothing fuses). The renders and the run reports must be byte-identical, and
-// the fused grid must make fewer engine runs. A second, degraded pass
+// experiment by experiment (nothing fuses). The renders and the run
+// reports must be byte-identical, and the fused grid must make fewer
+// engine runs. A second, degraded pass
 // faults every interpreter cell for good under KeepGoing.
 func TestFusedChaosMatchesUnfused(t *testing.T) {
 	for _, tc := range []struct {
