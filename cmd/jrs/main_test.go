@@ -265,6 +265,31 @@ func TestKeepGoingExitCode(t *testing.T) {
 	}
 }
 
+// TestCodeCacheReportLine: with -codecache the -keepgoing run report
+// carries the shared translation cache's statistics; without it the
+// report has no code-cache line.
+func TestCodeCacheReportLine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-quick", "-w", "hello", "-codecache", "-keepgoing", "fig2"}, true},
+		{[]string{"-quick", "-w", "hello", "-keepgoing", "fig2"}, false},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit code = %d, want 0 (stderr: %s)", tc.args, code, errb.String())
+		}
+		s := out.String()
+		if !strings.Contains(s, "run report:") {
+			t.Fatalf("%v: stdout has no run report:\n%s", tc.args, s)
+		}
+		if got := strings.Contains(s, "\ncode cache: "); got != tc.want {
+			t.Errorf("%v: code cache line present = %v, want %v:\n%s", tc.args, got, tc.want, s)
+		}
+	}
+}
+
 // TestResumeFlagFlow: interrupt a cached run with a targeted persistent
 // panic, then finish it by rerunning on the same -cachedir with no
 // chaos; the rerun's stdout must equal an uninterrupted run's.
