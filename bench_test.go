@@ -54,8 +54,9 @@ func benchGrid(b *testing.B, workers int) {
 		if _, err := harness.RunAllWith(benchOpts(), r, nil); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.Simulated()), "cells-simulated/op")
-		b.ReportMetric(float64(r.CacheHits()), "cache-hits/op")
+		rep := r.Report()
+		b.ReportMetric(float64(rep.Simulated), "cells-simulated/op")
+		b.ReportMetric(float64(rep.CacheHits), "cache-hits/op")
 	}
 	b.StopTimer()
 	b.ReportMetric(translateProbe(b, nil), "db-translate-instrs")
@@ -98,11 +99,11 @@ func benchGridCodeCache(b *testing.B, workers int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := &harness.Runner{Workers: workers, CodeCache: cc}
+		r := &harness.Runner{Workers: workers}
 		if _, err := harness.RunAllWith(benchOpts(), r, nil); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.Simulated()), "cells-simulated/op")
+		b.ReportMetric(float64(r.Report().Simulated), "cells-simulated/op")
 	}
 	b.StopTimer()
 	s := cc.Stats()

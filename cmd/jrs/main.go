@@ -276,7 +276,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Retries:     *retries,
 		KeepGoing:   *keepgoing,
 		BackoffBase: 100 * time.Millisecond,
-		CodeCache:   cc,
 	}
 	if *chaosSpec != "" {
 		spec, err := chaos.ParseSpec(*chaosSpec)
@@ -379,8 +378,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "jrs: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "done: %d cells simulated, %d from cache\n",
-			runner.Simulated(), runner.CacheHits())
+		rep := runner.Report()
+		fmt.Fprintf(stderr, "done: %d cells simulated, %d from cache\n", rep.Simulated, rep.CacheHits)
 		fmt.Fprint(stdout, out)
 		return reportExit(runner, *keepgoing, stdout)
 

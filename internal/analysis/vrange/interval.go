@@ -29,9 +29,6 @@ func Point(v int64) Interval { return Interval{v, v} }
 // Range returns [lo, hi].
 func Range(lo, hi int64) Interval { return Interval{lo, hi} }
 
-// IsFull reports whether the interval is the lattice top.
-func (iv Interval) IsFull() bool { return iv.Lo == math.MinInt64 && iv.Hi == math.MaxInt64 }
-
 // Contains reports whether v lies in the interval.
 func (iv Interval) Contains(v int64) bool { return iv.Lo <= v && v <= iv.Hi }
 

@@ -78,9 +78,6 @@ type Config struct {
 	// Quantum is the scheduler slice in bytecodes (interpreter) and
 	// 8x that in native instructions. Default 4096.
 	Quantum int
-	// Verify selects the class-load verification level (default
-	// vm.VerifyFull: structural checks plus the full analysis passes).
-	Verify vm.VerifyLevel
 	// Devirt enables whole-program devirtualization: before the first
 	// run (or precompile), internal/analysis/ipa builds an RTA call
 	// graph and the JIT binds provably single-target virtual sites to
@@ -102,7 +99,10 @@ type Config struct {
 	ElideBounds bool
 	// ElideNull enables sound null-check elimination at getfield/
 	// putfield/arraylength/invoke-receiver/monitorenter/-exit sites the
-	// vrange analysis proves non-null. Default off.
+	// vrange analysis proves non-null. Default off. It is an interpreter
+	// setting only: native code has no null-check instructions (a null
+	// dereference traps on the low-page effective address, §4.1), so the
+	// JIT takes no null-elision option and generates the same code.
 	ElideNull bool
 	// CheckHook, when non-nil, observes every elided check as it
 	// executes with a re-validated verdict (jrs -checkelide attaches
@@ -233,7 +233,6 @@ func New(cfg Config) *Engine {
 	clock := &trace.Counter{}
 	batch := trace.NewBatcher(trace.Tee(clock, cfg.Sink), 0)
 	v := vm.New(batch, cfg.Monitors)
-	v.Verify = cfg.Verify
 	e := &Engine{
 		VM:          v,
 		Policy:      cfg.Policy,

@@ -254,7 +254,8 @@ func TestDeadlockDetection(t *testing.T) {
 
 	// main deliberately returns while holding the monitor (the leak the
 	// deadlock needs), which full verification would reject.
-	e := New(Config{Verify: vm.VerifyStructural})
+	e := New(Config{})
+	e.VM.Verify = vm.VerifyStructural
 	if err := e.VM.Load(classes); err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,6 @@ func (e *Engine) prepare() {
 		facts.vr = e.VRange
 		e.VM.Checks = facts
 		e.JIT.Opt.ElideBounds = e.elideBounds
-		e.JIT.Opt.ElideNull = e.elideNull
 	}
 	if e.devirt || facts.vr != nil {
 		e.JIT.Opt.Facts = facts

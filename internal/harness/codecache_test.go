@@ -168,6 +168,33 @@ func TestCodeCacheFactsInvalidation(t *testing.T) {
 		}
 	})
 
+	t.Run("elide-null", func(t *testing.T) {
+		// Native code has no null-check instructions to elide (the null
+		// check is the low-page address trap), so null elision generates
+		// the same code as the baseline and must reuse its translations.
+		for _, name := range []string{"hello", "db", "jess"} {
+			w, _ := workloads.ByName(name)
+			want, ref := runOut(t, w, ModeJIT, core.Config{ElideNull: true})
+			wantExec, _, _ := ref.PhaseInstrs()
+
+			cc := codecache.NewMemory()
+			runOut(t, w, ModeJIT, core.Config{CodeCache: cc})
+			before := cc.Stats()
+			out, e := runOut(t, w, ModeJIT, core.Config{ElideNull: true, CodeCache: cc})
+			after := cc.Stats()
+			if misses := after.Misses - before.Misses; misses != 0 {
+				t.Errorf("%s: elide-null run over a warm baseline cache added %d misses (%d hits), want 0",
+					name, misses, after.Hits-before.Hits)
+			}
+			if out != want {
+				t.Errorf("%s: cached elide-null output diverged from uncached", name)
+			}
+			if exec, _, _ := e.PhaseInstrs(); exec != wantExec {
+				t.Errorf("%s: cached elide-null exec phase = %d instructions, uncached %d", name, exec, wantExec)
+			}
+		}
+	})
+
 	t.Run("lock-elision-veto", func(t *testing.T) {
 		// racy.mj is the workload whose escape analysis vetoes elision on
 		// the shared counter: the veto must survive cache sharing with an

@@ -63,7 +63,7 @@ func TestChaosDifferentialCrashRestart(t *testing.T) {
 	// mid-grid by construction (the grid has four unique cells).
 	cfg1 := cfg
 	cfg1.Journal = openJournal()
-	cfg1.CrashAfterCommits = crashAfter
+	cfg1.crashAfter = crashAfter
 	c1 := NewCoordinator(cfg1)
 	addr1, err := c1.Start("127.0.0.1:0")
 	if err != nil {

@@ -41,12 +41,13 @@ type Config struct {
 	// holds the cache directory's single-writer lock. The coordinator
 	// owns the journal once passed: Stop closes it.
 	Journal *harness.Journal
-	// CrashAfterCommits, when positive, stops the coordinator cold
-	// (listener and every connection closed, journal released) after
-	// that many result commits — the crash-restart test hook.
-	CrashAfterCommits int64
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
+
+	// crashAfter, when positive, stops the coordinator cold (listener
+	// and every connection closed, journal released) after that many
+	// result commits — the crash-restart test hook.
+	crashAfter int64
 }
 
 // job is one submitted grid: the enumerated plans and the ledger that
@@ -492,7 +493,7 @@ func (c *Coordinator) commitResult(res Result) string {
 			if l == nil {
 				return AckStale
 			}
-			cause, _ := harness.Classify(err)
+			cause := harness.Classify(err)
 			return c.fail(j, idx, cause, err, worker, now)
 		}
 		c.commits++
@@ -500,7 +501,7 @@ func (c *Coordinator) commitResult(res Result) string {
 			w.stat.Completed++
 		}
 		c.cfg.Logf("dist: commit %s (worker %s)", res.Key, worker)
-		if c.cfg.CrashAfterCommits > 0 && c.commits >= c.cfg.CrashAfterCommits && !c.crashed {
+		if c.cfg.crashAfter > 0 && c.commits >= c.cfg.crashAfter && !c.crashed {
 			c.crashed = true
 			c.cfg.Logf("dist: crash hook: stopping after %d commits", c.commits)
 			go c.Stop()

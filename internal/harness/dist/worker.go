@@ -48,14 +48,6 @@ type Worker struct {
 
 	mu    sync.Mutex
 	plans map[string]map[string]*harness.CellGroup // grid canonical → key hash → group
-	kills int
-}
-
-// Kills reports how many chaos kills this worker absorbed.
-func (w *Worker) Kills() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.kills
 }
 
 // Run works the lease loop until ctx is canceled: dial, hello, then
@@ -128,9 +120,6 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 				return err
 			}
 			if w.Net != nil && w.Net.Kill(w.Name, l.LeaseID) {
-				w.mu.Lock()
-				w.kills++
-				w.mu.Unlock()
 				// Die holding the lease: the coordinator's expiry (or
 				// the connection-loss eviction) must recover the cell.
 				return errKilled
@@ -172,7 +161,7 @@ func (w *Worker) execute(ctx context.Context, fc *frameConn, l Lease) Result {
 	raw, err := g.Attempt(ctx, l.Attempt, w.CellTimeout, w.Chaos)
 	stop()
 	if err != nil {
-		cause, _ := harness.Classify(err)
+		cause := harness.Classify(err)
 		res.ErrMsg, res.Cause = err.Error(), cause
 		return res
 	}

@@ -43,10 +43,6 @@ var (
 // already built keep whatever they were built with.
 func SetCodeCache(c *codecache.Cache) { defaultCodeCache.Store(c) }
 
-// DefaultCodeCache returns the process-default shared translation cache,
-// or nil.
-func DefaultCodeCache() *codecache.Cache { return defaultCodeCache.Load() }
-
 // Mode selects the execution style of a measured run.
 type Mode int
 

@@ -89,7 +89,7 @@ func NewLedger(cfg LedgerConfig, plans ...*Plan) *Ledger {
 		}
 		l.start(i)
 		if err := l.commit(i, raw, true); err != nil {
-			cause, _ := Classify(err)
+			cause := Classify(err)
 			l.Fail(i, cause, err, "", time.Now())
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"jrs/internal/harness/chaos"
-	"jrs/internal/jit/codecache"
 	"jrs/internal/workloads"
 )
 
@@ -125,7 +124,9 @@ func resolveScale(o Options, w workloads.Workload) int {
 // state; the merge into experiment results is deterministic because each
 // cell decodes into a preallocated slot and post-aggregation runs in
 // enumeration order. A Runner with Workers <= 1 degenerates to the serial
-// execution order of the original per-experiment loops.
+// execution order of the original per-experiment loops. A Runner holds
+// no translation cache of its own: RunCtx attaches the process-default
+// one (SetCodeCache) to engines, and Report includes its statistics.
 type Runner struct {
 	// Workers bounds concurrent cells; 0 (or negative) means
 	// runtime.GOMAXPROCS(0).
@@ -133,11 +134,6 @@ type Runner struct {
 	// Cache, when non-nil, short-circuits cells whose key hash has a
 	// stored payload and persists fresh payloads for the next run.
 	Cache *ResultCache
-	// CodeCache, when non-nil, is the shared translation cache this run's
-	// engines were configured with (via harness.SetCodeCache or explicit
-	// core.Config wiring); the runner only surfaces its statistics in
-	// Report() — attachment to engines happens in RunCtx.
-	CodeCache *codecache.Cache
 	// Progress, when non-nil, is called (serialized) as each unique cell
 	// completes; cached reports whether the result came from the cache.
 	Progress func(key CellKey, cached bool)
@@ -176,17 +172,6 @@ type Runner struct {
 	mu    sync.Mutex
 	total RunReport // summed over every RunPlans call
 }
-
-// Simulated returns how many cells this runner actually simulated
-// (cache misses included, cache hits excluded).
-func (r *Runner) Simulated() int64 { return r.Report().Simulated }
-
-// CacheHits returns how many cells were served from the result cache.
-func (r *Runner) CacheHits() int64 { return r.Report().CacheHits }
-
-// Retried returns how many extra cell attempts supervision made beyond
-// each cell's first.
-func (r *Runner) Retried() int64 { return r.Report().Retries }
 
 // CellGroup is a set of cells sharing one key: simulated (or fetched)
 // once, decoded into every member's destination. The local Runner and
@@ -402,7 +387,7 @@ func (r *Runner) settle(l *Ledger, c Claimed, raw json.RawMessage, err error) {
 		err = l.Commit(c.Group, raw)
 	}
 	if err != nil {
-		cause, _ := Classify(err)
+		cause := Classify(err)
 		if retry, delay := l.Fail(c.Group, cause, err, "", time.Now()); retry {
 			r.sleepFor(delay)
 		}

@@ -100,7 +100,7 @@ func TestRunAllDedupesFig10(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(len(p9.Keys()))
-	if got := r.Simulated(); got != want {
+	if got := r.Report().Simulated; got != want {
 		t.Errorf("simulated %d cells, want %d (fig10 must reuse fig9's)", got, want)
 	}
 	if p10.Result().Render() == "" {
@@ -127,20 +127,20 @@ func TestResultCache(t *testing.T) {
 
 	r1 := &Runner{Workers: 4, Cache: open()}
 	first := renderWith(t, e, o, r1)
-	if r1.Simulated() == 0 {
+	if r1.Report().Simulated == 0 {
 		t.Fatal("first run simulated nothing")
 	}
-	if r1.CacheHits() != 0 {
-		t.Fatalf("first run hit the cache %d times on an empty dir", r1.CacheHits())
+	if r1.Report().CacheHits != 0 {
+		t.Fatalf("first run hit the cache %d times on an empty dir", r1.Report().CacheHits)
 	}
 
 	r2 := &Runner{Workers: 4, Cache: open()}
 	second := renderWith(t, e, o, r2)
-	if r2.Simulated() != 0 {
-		t.Errorf("second run re-simulated %d cells, want 0", r2.Simulated())
+	if r2.Report().Simulated != 0 {
+		t.Errorf("second run re-simulated %d cells, want 0", r2.Report().Simulated)
 	}
-	if r2.CacheHits() != r1.Simulated() {
-		t.Errorf("second run cache hits = %d, want %d", r2.CacheHits(), r1.Simulated())
+	if r2.Report().CacheHits != r1.Report().Simulated {
+		t.Errorf("second run cache hits = %d, want %d", r2.Report().CacheHits, r1.Report().Simulated)
 	}
 	if first != second {
 		t.Errorf("cached render differs from fresh render:\n--- fresh ---\n%s\n--- cached ---\n%s",
@@ -152,10 +152,10 @@ func TestResultCache(t *testing.T) {
 	o2.Scale = o.Workloads[0].BenchN + 1
 	r3 := &Runner{Workers: 4, Cache: open()}
 	renderWith(t, e, o2, r3)
-	if r3.CacheHits() != 0 {
-		t.Errorf("changed scale still hit the cache %d times", r3.CacheHits())
+	if r3.Report().CacheHits != 0 {
+		t.Errorf("changed scale still hit the cache %d times", r3.Report().CacheHits)
 	}
-	if r3.Simulated() == 0 {
+	if r3.Report().Simulated == 0 {
 		t.Error("changed scale simulated nothing")
 	}
 
@@ -177,11 +177,11 @@ func TestResultCache(t *testing.T) {
 	}
 	r4 := &Runner{Workers: 4, Cache: open()}
 	again := renderWith(t, e, o, r4)
-	if r4.CacheHits() != 0 {
-		t.Errorf("corrupt entries served %d hits", r4.CacheHits())
+	if r4.Report().CacheHits != 0 {
+		t.Errorf("corrupt entries served %d hits", r4.Report().CacheHits)
 	}
-	if r4.Simulated() != r1.Simulated() {
-		t.Errorf("corrupt-recovery simulated %d cells, want %d", r4.Simulated(), r1.Simulated())
+	if r4.Report().Simulated != r1.Report().Simulated {
+		t.Errorf("corrupt-recovery simulated %d cells, want %d", r4.Report().Simulated, r1.Report().Simulated)
 	}
 	if again != first {
 		t.Error("render after corruption recovery differs")
@@ -213,9 +213,9 @@ func TestCheckPipeBypassesCache(t *testing.T) {
 	if got := grid(o, checked); got != want {
 		t.Errorf("checked render differs from unchecked:\n--- checked ---\n%s\n--- unchecked ---\n%s", got, want)
 	}
-	if checked.CacheHits() != 0 || checked.Simulated() != unchecked.Simulated() {
+	if checked.Report().CacheHits != 0 || checked.Report().Simulated != unchecked.Report().Simulated {
 		t.Errorf("checked run: %d simulated, %d cached; want all %d simulated",
-			checked.Simulated(), checked.CacheHits(), unchecked.Simulated())
+			checked.Report().Simulated, checked.Report().CacheHits, unchecked.Report().Simulated)
 	}
 }
 
@@ -244,10 +244,10 @@ func TestCacheAcrossFullGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Simulated() != 0 {
-		t.Errorf("warm grid run re-simulated %d cells, want 0", r2.Simulated())
+	if r2.Report().Simulated != 0 {
+		t.Errorf("warm grid run re-simulated %d cells, want 0", r2.Report().Simulated)
 	}
-	if r2.CacheHits() == 0 {
+	if r2.Report().CacheHits == 0 {
 		t.Error("warm grid run recorded no cache hits")
 	}
 	if first != second {

@@ -73,55 +73,32 @@ func (e *CellError) Unwrap() error { return e.Err }
 // to tag an error retryable without harness depending on its package.
 type transienter interface{ Transient() bool }
 
-// classifyRule is one row of the classification table: the first rule
-// whose Match accepts the error decides its cause and retryability.
-type classifyRule struct {
-	Cause     string
-	Retryable bool
-	Match     func(error) bool
-}
-
-// classifyRules is the single decision procedure behind every cause
-// label, local or remote. Order
-// matters: a panic wrapping a context error is still a panic.
-var classifyRules = []classifyRule{
-	{CausePanic, true, func(err error) bool {
-		var pe *PanicError
-		return errors.As(err, &pe)
-	}},
-	{CauseTimeout, true, func(err error) bool {
-		return errors.Is(err, context.DeadlineExceeded)
-	}},
-	{CauseError, false, func(err error) bool {
-		return errors.Is(err, context.Canceled)
-	}},
-	{CauseTransient, true, func(err error) bool {
-		var tr transienter
-		return errors.As(err, &tr) && tr.Transient()
-	}},
-	{CauseTransient, true, func(err error) bool {
-		var pathErr *fs.PathError
-		return errors.As(err, &pathErr)
-	}},
-}
-
-// Classify maps an attempt error to its cause label and retryability.
-// Policy:
-// panics, watchdog timeouts, transient I/O and injected faults retry;
-// deterministic simulation errors fail fast; a canceled parent context
-// aborts without retry.
-func Classify(err error) (cause string, retryable bool) {
-	for _, r := range classifyRules {
-		if r.Match(err) {
-			return r.Cause, r.Retryable
-		}
+// Classify maps an attempt error to its cause label; retryableCause
+// decides what a label retries, locally and on the far side of a dist
+// connection alike. Order matters: a panic wrapping a context error is
+// still a panic, and a canceled parent context is a plain error.
+func Classify(err error) string {
+	var pe *PanicError
+	var tr transienter
+	var pathErr *fs.PathError
+	switch {
+	case errors.As(err, &pe):
+		return CausePanic
+	case errors.Is(err, context.DeadlineExceeded):
+		return CauseTimeout
+	case errors.Is(err, context.Canceled):
+		return CauseError
+	case errors.As(err, &tr) && tr.Transient(), errors.As(err, &pathErr):
+		return CauseTransient
 	}
-	return CauseError, false
+	return CauseError
 }
 
-// retryableCause reports whether a cause label (as produced by Classify,
-// possibly on the far side of a network connection) names a retryable
-// failure class. Unknown labels are conservative: not retryable.
+// retryableCause is the retry policy: panics, watchdog timeouts,
+// transient I/O and injected faults retry; deterministic simulation
+// errors fail fast; a canceled parent context aborts without retry.
+// Unknown labels (from Classify, possibly on the far side of a network
+// connection) are conservative: not retryable.
 func retryableCause(cause string) bool {
 	switch cause {
 	case CausePanic, CauseTimeout, CauseTransient:
@@ -195,8 +172,9 @@ type RunReport struct {
 	// for local runs — existing reports are unchanged). Rendered sorted
 	// by worker name, so a fixed outcome renders byte-identically.
 	Workers []WorkerStat `json:"workers,omitempty"`
-	// CodeCache snapshots the shared translation cache when the runner
-	// had one attached (nil otherwise — existing reports are unchanged).
+	// CodeCache snapshots the process-default shared translation cache
+	// (SetCodeCache) when one is installed (nil otherwise — existing
+	// reports are unchanged).
 	CodeCache *codecache.Stats `json:"codeCache,omitempty"`
 }
 
@@ -209,8 +187,8 @@ func (r *Runner) Report() *RunReport {
 	rep := r.total
 	r.mu.Unlock()
 	rep.Failures = append([]CellFailure(nil), rep.Failures...)
-	if r.CodeCache != nil {
-		s := r.CodeCache.Stats()
+	if cc := defaultCodeCache.Load(); cc != nil {
+		s := cc.Stats()
 		rep.CodeCache = &s
 	}
 	return &rep

@@ -107,8 +107,8 @@ func TestPanicRetryRecovers(t *testing.T) {
 			t.Errorf("cell %d = %d, want %d", i, v, i*10)
 		}
 	}
-	if r.Retried() != 1 {
-		t.Errorf("retried = %d, want 1", r.Retried())
+	if r.Report().Retries != 1 {
+		t.Errorf("retried = %d, want 1", r.Report().Retries)
 	}
 }
 
@@ -272,12 +272,12 @@ func TestFailFastAccounting(t *testing.T) {
 	if rep.Completed+rep.Failed+rep.Skipped != rep.Cells {
 		t.Errorf("report does not partition cells: %+v", rep)
 	}
-	if int64(progress) != r.Simulated()+r.CacheHits() {
+	if int64(progress) != rep.Simulated+rep.CacheHits {
 		t.Errorf("progress fired %d times, want %d: in-flight outcomes dropped",
-			progress, r.Simulated()+r.CacheHits())
+			progress, rep.Simulated+rep.CacheHits)
 	}
-	if int64(rep.Completed) != r.Simulated() {
-		t.Errorf("completed = %d but simulated = %d", rep.Completed, r.Simulated())
+	if int64(rep.Completed) != rep.Simulated {
+		t.Errorf("completed = %d but simulated = %d", rep.Completed, rep.Simulated)
 	}
 	if rep.Failed != 1 {
 		t.Errorf("failed = %d, want 1", rep.Failed)
@@ -313,7 +313,7 @@ func TestChaosGoldenEquality(t *testing.T) {
 		if out != clean {
 			t.Errorf("%s: chaotic render differs from clean render", name)
 		}
-		if chaotic.Retried() == 0 {
+		if chaotic.Report().Retries == 0 {
 			t.Errorf("%s: %d faults injected but nothing retried", name, faults)
 		}
 	}
@@ -340,11 +340,11 @@ func TestChaosCorruptCacheRecovery(t *testing.T) {
 
 	r2 := &Runner{Workers: 2, Cache: open()}
 	second := renderWith(t, e, o, r2)
-	if r2.CacheHits() != 0 {
-		t.Errorf("corrupted entries served %d hits", r2.CacheHits())
+	if r2.Report().CacheHits != 0 {
+		t.Errorf("corrupted entries served %d hits", r2.Report().CacheHits)
 	}
-	if r2.Simulated() != r1.Simulated() {
-		t.Errorf("recovery simulated %d cells, want %d", r2.Simulated(), r1.Simulated())
+	if r2.Report().Simulated != r1.Report().Simulated {
+		t.Errorf("recovery simulated %d cells, want %d", r2.Report().Simulated, r1.Report().Simulated)
 	}
 	if first != second {
 		t.Error("render after torn-write recovery differs")
@@ -431,7 +431,7 @@ func TestResumeAfterInterruption(t *testing.T) {
 		t.Fatalf("interruption did not happen: %v", err)
 	}
 	const n = 3
-	if got := r1.Simulated(); got != n {
+	if got := r1.Report().Simulated; got != n {
 		t.Fatalf("interrupted run simulated %d cells, want %d", got, n)
 	}
 	if journal.Len() != n {
@@ -452,10 +452,10 @@ func TestResumeAfterInterruption(t *testing.T) {
 	if err := r2.RunPlans(p2); err != nil {
 		t.Fatalf("rerun failed: %v", err)
 	}
-	if got := r2.Simulated(); got != total-n {
+	if got := r2.Report().Simulated; got != total-n {
 		t.Errorf("rerun re-simulated %d cells, want %d", got, total-n)
 	}
-	if got := r2.CacheHits(); got != n {
+	if got := r2.Report().CacheHits; got != n {
 		t.Errorf("rerun served %d cells from cache, want %d", got, n)
 	}
 	if out := res2.Render(); out != ref {
@@ -540,11 +540,11 @@ type errNotTransient struct{}
 func (errNotTransient) Error() string   { return "tagged but deterministic" }
 func (errNotTransient) Transient() bool { return false }
 
-// TestClassifyTable pins the exported classification table: one case
-// per failure class, including wrapped errors (the common shape after
-// fmt.Errorf("%s: %w", ...)) and the not-retryable edge cases. The
-// local runner and the distributed coordinator share this decision
-// procedure, so its rows are contract.
+// TestClassifyTable pins the classification and the retry rule on it:
+// one case per failure class, including wrapped errors (the common shape
+// after fmt.Errorf("%s: %w", ...)) and the not-retryable edge cases. The
+// local runner and the distributed coordinator share Classify and
+// retryableCause, so these rows are contract.
 func TestClassifyTable(t *testing.T) {
 	wrap := func(err error) error { return fmt.Errorf("cell x: %w", err) }
 	cases := []struct {
@@ -568,12 +568,9 @@ func TestClassifyTable(t *testing.T) {
 		{"panic wrapping cancel stays panic", newPanicError(context.Canceled), CausePanic, true},
 	}
 	for _, tc := range cases {
-		cause, retryable := Classify(tc.err)
-		if cause != tc.cause || retryable != tc.retryable {
-			t.Errorf("%s: Classify = (%s, %v), want (%s, %v)", tc.name, cause, retryable, tc.cause, tc.retryable)
-		}
-		if retryableCause(cause) != retryable {
-			t.Errorf("%s: retryableCause(%s) = %v disagrees with Classify", tc.name, cause, retryable)
+		cause := Classify(tc.err)
+		if retryable := retryableCause(cause); cause != tc.cause || retryable != tc.retryable {
+			t.Errorf("%s: Classify = %s (retryable %v), want %s (retryable %v)", tc.name, cause, retryable, tc.cause, tc.retryable)
 		}
 	}
 	if retryableCause("no-such-cause") {

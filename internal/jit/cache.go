@@ -40,9 +40,9 @@ func (c *Compiler) translationKey(m *bytecode.Method, opt Options, tier int) str
 	cls := m.Class
 	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
 	w("jrs-jit\x00")
-	w("opt:%t,%d,%t,%t,%t,tier%d\x00",
+	w("opt:%t,%d,%t,%t,tier%d\x00",
 		opt.Devirtualize, opt.MaxStackRegs, opt.BaselineCodegen,
-		opt.ElideBounds, opt.ElideNull, tier)
+		opt.ElideBounds, tier)
 	w("m:%s\x00%s\x00f%d\x00l%d\x00n%d\x00",
 		m.FullName(), m.Sig.String(), m.Flags, m.MaxLocals, len(m.Code))
 	for i, ins := range m.Code {

@@ -57,11 +57,6 @@ type Options struct {
 	// branches). The elided site is recorded in Compiled.Elided so the
 	// CPU can re-validate it under the -checkelide oracle.
 	ElideBounds bool
-	// ElideNull is accepted for symmetry with the interpreter but is a
-	// no-op here: native code has no explicit null-check instructions —
-	// null dereferences trap implicitly via the low-page effective-
-	// address check, which elision must not remove.
-	ElideNull bool
 }
 
 // Facts answers whole-program-analysis queries for compiled sites.
@@ -74,9 +69,6 @@ type Facts interface {
 	// of m has a provably in-range index on a non-null array (see
 	// internal/analysis/vrange).
 	BoundsProven(m *bytecode.Method, pc int) bool
-	// NullProven reports that the reference checked at instruction index
-	// pc of m is provably non-null.
-	NullProven(m *bytecode.Method, pc int) bool
 }
 
 // ElidedCheck describes one runtime check the generator skipped, keyed
