@@ -108,7 +108,8 @@ func FuzzAnalyzerAdmitsOnlySafeCode(f *testing.F) {
 		}()
 		in := interp.New(v)
 		th := v.NewThread(nil, 0)
-		fr := in.NewFrame(th, m, nil)
+		fr := new(interp.Frame)
+		in.PushFrame(fr, th, m, nil)
 		for steps := 0; steps < 3000; steps++ {
 			if tr := in.Step(th, fr); tr.Kind != rt.TrapNone {
 				if tr.Kind != rt.TrapReturn {

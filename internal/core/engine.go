@@ -180,42 +180,65 @@ type Engine struct {
 	ctxs []*threadCtx
 }
 
-// frameEntry is one stack frame owned by the trampoline: exactly one of
-// iframe (interpreted) or act (native) is set.
+// frameEntry is one stack frame owned by the trampoline. It holds the
+// storage of both engine kinds' frames; compiled says which is live:
+// act (native) or iframe (interpreted).
 type frameEntry struct {
-	m      *bytecode.Method
-	iframe *interp.Frame
-	act    *native.Activation
+	m        *bytecode.Method
+	compiled bool
+	iframe   interp.Frame
+	act      native.Activation
 	// syncObj is the monitor the engine took at invocation (synchronized
 	// methods).
 	syncObj uint64
 }
 
 func (fe *frameEntry) mark() *uint64 {
-	if fe.iframe != nil {
-		return &fe.iframe.Mark
+	if fe.compiled {
+		return &fe.act.Mark
 	}
-	return &fe.act.Mark
+	return &fe.iframe.Mark
 }
 
 func (fe *frameEntry) self() *uint64 {
-	if fe.iframe != nil {
-		return &fe.iframe.Self
+	if fe.compiled {
+		return &fe.act.Self
 	}
-	return &fe.act.Self
+	return &fe.iframe.Self
 }
 
 // pendingInvoke is an invocation that could not start (blocked on a
 // synchronized method's monitor, or a spawned thread's initial call).
+// It owns its args: the caller's slots they came from are reused while
+// the thread waits.
 type pendingInvoke struct {
 	m    *bytecode.Method
 	args []int64
 }
 
+// threadCtx is one thread's trampoline state. frames is its stack, kept
+// as on a JVM thread stack: a push at depth d reuses the entry the last
+// pop left at depth d in the backing array, so after warm-up a call
+// allocates nothing. pending.m is nil when no invocation waits.
 type threadCtx struct {
 	t       *vm.Thread
 	frames  []*frameEntry
-	pending *pendingInvoke
+	pending pendingInvoke
+}
+
+// push returns the frame entry for one level deeper than tc's stack top,
+// reusing the one last popped there.
+func (tc *threadCtx) push() *frameEntry {
+	n := len(tc.frames)
+	if n < cap(tc.frames) {
+		tc.frames = tc.frames[:n+1]
+	} else {
+		tc.frames = append(tc.frames, nil)
+	}
+	if tc.frames[n] == nil {
+		tc.frames[n] = new(frameEntry)
+	}
+	return tc.frames[n]
 }
 
 // New builds an engine per cfg. Load program classes via e.VM.Load, then
@@ -326,7 +349,7 @@ func (e *Engine) Run(entry *bytecode.Method) (err error) {
 	e.Stats = make([]MethodStats, len(e.VM.MethodByID))
 
 	t := e.VM.NewThread(nil, 0)
-	tc := &threadCtx{t: t, pending: &pendingInvoke{m: entry}}
+	tc := &threadCtx{t: t, pending: pendingInvoke{m: entry}}
 	e.ctxs = append(e.ctxs, tc)
 
 	for {
@@ -370,10 +393,9 @@ func (e *Engine) runSlice(tc *threadCtx) {
 	if e.VM.Race != nil {
 		e.VM.Race.SetThread(tc.t.ID)
 	}
-	if tc.pending != nil {
-		p := tc.pending
-		tc.pending = nil
-		if !e.startInvoke(tc, p.m, p.args) {
+	if m := tc.pending.m; m != nil {
+		tc.pending.m = nil
+		if !e.startInvoke(tc, m, tc.pending.args) {
 			return // blocked again
 		}
 	}
@@ -393,10 +415,10 @@ func (e *Engine) runSlice(tc *threadCtx) {
 		fe := tc.frames[len(tc.frames)-1]
 		*fe.mark() = e.now()
 		var tr rt.Trap
-		if fe.iframe != nil {
-			tr = e.Interp.Run(tc.t, fe.iframe, q)
+		if fe.compiled {
+			tr = e.CPU.Run(tc.t, &fe.act, q*8)
 		} else {
-			tr = e.CPU.Run(tc.t, fe.act, q*8)
+			tr = e.Interp.Run(tc.t, &fe.iframe, q)
 		}
 		e.handleTrap(tc, fe, tr)
 		if tr.Kind == rt.TrapNone || tr.Kind == rt.TrapYield {
@@ -443,8 +465,8 @@ func (e *Engine) handleTrap(tc *threadCtx, fe *frameEntry, tr rt.Trap) {
 	case rt.TrapCall:
 		e.suspend(fe)
 		args := tr.Args
-		if fe.act != nil {
-			args = native.ReadArgs(fe.act, tr.Target)
+		if fe.compiled {
+			args = e.CPU.ReadArgs(&fe.act, tr.Target)
 		}
 		if tr.Virtual {
 			e.VirtualCalls++
@@ -492,7 +514,9 @@ func (e *Engine) handleTrap(tc *threadCtx, fe *frameEntry, tr rt.Trap) {
 
 // startInvoke begins executing m with args on tc. It returns false if the
 // thread blocked on a synchronized method's monitor (a pendingInvoke is
-// recorded for retry).
+// recorded for retry, with its own copy of args). Otherwise args are
+// copied into the new frame before anything else can reuse them: they
+// may be the caller's popped operand slots or the CPU's decode scratch.
 func (e *Engine) startInvoke(tc *threadCtx, m *bytecode.Method, args []int64) bool {
 	v := e.VM
 
@@ -506,7 +530,9 @@ func (e *Engine) startInvoke(tc *threadCtx, m *bytecode.Method, args []int64) bo
 			syncObj = uint64(args[0])
 		}
 		if !v.LockObject(tc.t.ID, syncObj) {
-			tc.pending = &pendingInvoke{m: m, args: args}
+			// args may be tc.pending.args itself (a retry): append
+			// copies in place.
+			tc.pending = pendingInvoke{m: m, args: append(tc.pending.args[:0], args...)}
 			tc.t.State = vm.ThreadBlocked
 			tc.t.BlockedOn = syncObj
 			return false
@@ -541,18 +567,22 @@ func (e *Engine) startInvoke(tc *threadCtx, m *bytecode.Method, args []int64) bo
 
 	// Push the frame.
 	start := e.now()
-	fe := &frameEntry{m: m, syncObj: syncObj}
+	var retAddr uint64
 	if cm != nil {
-		fe.act = native.NewActivation(tc.t, cm, args, e.returnAddrFor(tc))
+		retAddr = e.returnAddrFor(tc) // the caller is still the top
+	}
+	fe := tc.push()
+	fe.m, fe.compiled, fe.syncObj = m, cm != nil, syncObj
+	if cm != nil {
+		e.CPU.Activate(&fe.act, tc.t, cm, args, retAddr)
 		fe.act.SyncObj = syncObj
 		fe.act.Mark = start
 	} else {
-		fe.iframe = e.Interp.NewFrame(tc.t, m, args)
+		e.Interp.PushFrame(&fe.iframe, tc.t, m, args)
 		fe.iframe.SyncObj = syncObj
 		fe.iframe.Mark = start
 	}
 	tc.t.NoteStack()
-	tc.frames = append(tc.frames, fe)
 	return true
 }
 
@@ -563,7 +593,7 @@ func (e *Engine) returnAddrFor(tc *threadCtx) uint64 {
 		return 0
 	}
 	parent := tc.frames[len(tc.frames)-1]
-	if parent.act != nil {
+	if parent.compiled {
 		return parent.act.C.AddrOf(parent.act.PC)
 	}
 	return mem.HandlerBase
@@ -580,16 +610,18 @@ func (e *Engine) finishReturn(tc *threadCtx, fe *frameEntry, tr rt.Trap) {
 
 	// Record self time.
 	st := e.stat(fe.m)
-	if fe.iframe != nil {
-		st.InterpInstrs += fe.iframe.Self
-		st.InterpRuns++
-		e.Interp.PopFrame(tc.t, fe.iframe)
-	} else {
+	if fe.compiled {
 		st.ExecInstrs += fe.act.Self
 		st.ExecRuns++
 		fe.act.Release(tc.t)
+	} else {
+		st.InterpInstrs += fe.iframe.Self
+		st.InterpRuns++
+		e.Interp.PopFrame(tc.t, &fe.iframe)
 	}
 
+	// The popped entry stays in the backing array for the next push at
+	// this depth; fe remains valid until then.
 	tc.frames = tc.frames[:len(tc.frames)-1]
 	if len(tc.frames) == 0 {
 		e.finishThread(tc)
@@ -604,10 +636,10 @@ func (e *Engine) finishReturn(tc *threadCtx, fe *frameEntry, tr rt.Trap) {
 
 // deliver pushes a result into a frame per its engine kind.
 func (e *Engine) deliver(fe *frameEntry, t bytecode.Type, val int64) {
-	if fe.iframe != nil {
-		e.Interp.Push(fe.iframe, val)
+	if fe.compiled {
+		native.SetResult(&fe.act, t, val)
 	} else {
-		native.SetResult(fe.act, t, val)
+		e.Interp.Push(&fe.iframe, val)
 	}
 }
 
@@ -642,7 +674,7 @@ func (e *Engine) spawn(obj uint64) int {
 	t := v.NewThread(run, obj)
 	e.ctxs = append(e.ctxs, &threadCtx{
 		t:       t,
-		pending: &pendingInvoke{m: run, args: []int64{int64(obj)}},
+		pending: pendingInvoke{m: run, args: []int64{int64(obj)}},
 	})
 	return t.ID
 }

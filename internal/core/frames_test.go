@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"jrs/internal/minijava"
@@ -190,6 +192,60 @@ class Main {
 			if n == 0 {
 				t.Errorf("seed %d %s: no invoke blocked at entry", seed, name)
 			}
+		}
+	}
+}
+
+// callLoop is a program making n calls at constant depth: main calls
+// step, which calls leaf, with integer and float arguments.
+func callLoop(n int) string {
+	return fmt.Sprintf(`
+class Main {
+	static int leaf(int a, float f) { return a + 1; }
+	static int step(int a, int b) { return leaf(a ^ b, 0.5); }
+	static void main() {
+		int s = 0;
+		for (int i = 0; i < %d; i = i + 1) { s = step(s, i); }
+		Sys.printi(s);
+	}
+}`, n)
+}
+
+// TestCallsAllocateNothing: a simulated call and return allocate nothing
+// on the host, so the mallocs of a run do not grow with its call count.
+// Each mode runs a loop of n and of 4n calls; the longer run may malloc
+// only a small fixed slack more than the shorter one.
+func TestCallsAllocateNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the engine under a malloc count")
+	}
+	const n, slack = 2000, 16
+	for _, p := range []Policy{InterpretOnly{}, CompileFirst{}, Tiered{N1: 3, N2: 9}} {
+		mallocs := func(calls int) uint64 {
+			classes, err := minijava.Compile("t.mj", callLoop(calls))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(Config{Policy: p})
+			if err := e.VM.Load(classes); err != nil {
+				t.Fatal(err)
+			}
+			m, err := e.VM.LookupMain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := e.Run(m); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		short, long := mallocs(n), mallocs(4*n)
+		if long > short+slack {
+			t.Errorf("%s: %d calls malloc %d times, %d calls %d times (%.2f per extra call)",
+				p.Name(), 2*n, short, 8*n, long, float64(long-short)/float64(6*n))
 		}
 	}
 }

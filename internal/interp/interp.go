@@ -91,13 +91,28 @@ func New(v *vm.VM) *Interp {
 	return &Interp{VM: v, EM: emit.New(v.RT.Batch, trace.PhaseExec)}
 }
 
-// NewFrame builds a frame for m with args (receiver first for instance
-// methods), placing it at the thread's current stack top.
-func (in *Interp) NewFrame(t *vm.Thread, m *bytecode.Method, args []int64) *Frame {
-	f := &Frame{
+// PushFrame makes f a fresh frame for m with args (receiver first for
+// instance methods), placed at the thread's current stack top. It leaves
+// f exactly as a newly allocated frame would be, but keeps f's Locals
+// and Stack storage when it is large enough, so one record serves call
+// after call at the same stack depth. args must not alias f's slices.
+func (in *Interp) PushFrame(f *Frame, t *vm.Thread, m *bytecode.Method, args []int64) {
+	locals, stack := f.Locals, f.Stack
+	if cap(locals) < m.MaxLocals {
+		locals = make([]int64, m.MaxLocals)
+	} else {
+		locals = locals[:m.MaxLocals]
+		clear(locals)
+	}
+	if stack == nil {
+		stack = make([]int64, maxOperandStack)
+	} else {
+		clear(stack)
+	}
+	*f = Frame{
 		M:          m,
-		Locals:     make([]int64, m.MaxLocals),
-		Stack:      make([]int64, maxOperandStack),
+		Locals:     locals,
+		Stack:      stack,
 		localsAddr: t.StackTop,
 		stackAddr:  t.StackTop + uint64(m.MaxLocals)*8,
 	}
@@ -109,7 +124,6 @@ func (in *Interp) NewFrame(t *vm.Thread, m *bytecode.Method, args []int64) *Fram
 		s.Store(f.localAddr(i))
 	}
 	s.ALU(2).Store(f.localsAddr - 8) // link frame
-	return f
 }
 
 // PopFrame releases f's simulated stack space.
@@ -457,10 +471,11 @@ func (in *Interp) invoke(f *Frame, ins bytecode.Instr, h *emit.Seq, next int) rt
 	if !m.IsStatic() {
 		total++
 	}
-	args := make([]int64, total)
-	for i := total - 1; i >= 0; i-- {
-		args[i] = f.pop()
-	}
+	// Pop the arguments. The trap passes them in place, as the slots
+	// just popped; the trampoline copies them into the callee's frame
+	// before this frame's stack is written again.
+	f.SP -= total
+	args := f.Stack[f.SP : f.SP+total : f.SP+total]
 	// Argument copy-out: load each operand slot (the callee's frame
 	// setup stores them).
 	for i := 0; i < total; i++ {

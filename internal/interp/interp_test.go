@@ -33,7 +33,8 @@ func setup(t *testing.T, maxLocals int, code []bytecode.Instr, pool func(*byteco
 	}
 	in := New(v)
 	th := v.NewThread(nil, 0)
-	f := in.NewFrame(th, m, nil)
+	f := new(Frame)
+	in.PushFrame(f, th, m, nil)
 	return in, th, f, ctr
 }
 

@@ -37,29 +37,30 @@ const NumArgRegs = 8
 
 // ArgRegs assigns argument registers positionally: parameter i goes to
 // the next free integer register (RArg0+k) or float register (FReg0+k)
-// according to isFloat[i]. It returns one register per parameter, or nil
-// if the signature needs more registers than the ABI provides (callers
-// treat such methods as uncompilable).
+// according to isFloat[i]. It appends one register per parameter to dst
+// and returns the extended slice, or nil and false if the signature
+// needs more registers than the ABI provides (callers treat such methods
+// as uncompilable). A dst with spare capacity keeps the call free of
+// allocation.
 //
 // The JIT's call-site code generator and the native CPU's trap decoder
 // must agree on this mapping; both use this function.
-func ArgRegs(isFloat []bool) []uint8 {
-	regs := make([]uint8, len(isFloat))
+func ArgRegs(dst []uint8, isFloat []bool) (regs []uint8, ok bool) {
 	intN, fpN := 0, 0
-	for i, f := range isFloat {
+	for _, f := range isFloat {
 		if f {
 			if fpN >= NumArgRegs {
-				return nil
+				return nil, false
 			}
-			regs[i] = uint8(FReg0 + fpN)
+			dst = append(dst, uint8(FReg0+fpN))
 			fpN++
 		} else {
 			if intN >= NumArgRegs {
-				return nil
+				return nil, false
 			}
-			regs[i] = uint8(RArg0 + intN)
+			dst = append(dst, uint8(RArg0+intN))
 			intN++
 		}
 	}
-	return regs
+	return dst, true
 }

@@ -62,12 +62,12 @@ func TestDisassemble(t *testing.T) {
 
 func TestArgRegs(t *testing.T) {
 	// All-int signature.
-	regs := ArgRegs([]bool{false, false, false})
-	if len(regs) != 3 || regs[0] != RArg0 || regs[2] != RArg0+2 {
+	regs, ok := ArgRegs(nil, []bool{false, false, false})
+	if !ok || len(regs) != 3 || regs[0] != RArg0 || regs[2] != RArg0+2 {
 		t.Fatalf("int regs: %v", regs)
 	}
 	// Mixed: floats get their own file.
-	regs = ArgRegs([]bool{false, true, false, true})
+	regs, _ = ArgRegs(nil, []bool{false, true, false, true})
 	want := []uint8{RArg0, FReg0, RArg0 + 1, FReg0 + 1}
 	for i := range want {
 		if regs[i] != want[i] {
@@ -76,15 +76,25 @@ func TestArgRegs(t *testing.T) {
 	}
 	// Overflow.
 	many := make([]bool, NumArgRegs+1)
-	if ArgRegs(many) != nil {
+	if _, ok := ArgRegs(nil, many); ok {
 		t.Fatal("over-wide int signature should fail")
 	}
 	floats := make([]bool, NumArgRegs+1)
 	for i := range floats {
 		floats[i] = true
 	}
-	if ArgRegs(floats) != nil {
+	if _, ok := ArgRegs(nil, floats); ok {
 		t.Fatal("over-wide float signature should fail")
+	}
+	// Appending: dst's contents stay, a niladic signature is ok, and a
+	// dst with room does not allocate.
+	buf := make([]uint8, 1, 2*NumArgRegs+1)
+	if regs, ok := ArgRegs(buf, nil); !ok || len(regs) != 1 {
+		t.Fatalf("niladic: %v %v", regs, ok)
+	}
+	mixed := []bool{true, false, true}
+	if n := testing.AllocsPerRun(10, func() { ArgRegs(buf[:0], mixed) }); n != 0 {
+		t.Fatalf("ArgRegs into a roomy dst allocates %v times", n)
 	}
 }
 

@@ -333,7 +333,7 @@ func (g *gen) run() (*Compiled, error) {
 				g.m.FullName(), len(s))
 		}
 	}
-	if isa.ArgRegs(argFloats(g.m)) == nil {
+	if _, ok := isa.ArgRegs(nil, ArgFloats(nil, g.m)); !ok {
 		return nil, fmt.Errorf("%s: too many parameters for ABI", g.m.FullName())
 	}
 
@@ -373,17 +373,18 @@ func (g *gen) run() (*Compiled, error) {
 	}, nil
 }
 
-// argFloats returns the per-argument is-float vector (receiver first for
-// instance methods).
-func argFloats(m *bytecode.Method) []bool {
-	var fs []bool
+// ArgFloats appends to dst the per-argument is-float vector of m
+// (receiver first for instance methods) and returns it: the ABI key the
+// call-site generator here and the native CPU's trap decoder both pass
+// to isa.ArgRegs.
+func ArgFloats(dst []bool, m *bytecode.Method) []bool {
 	if !m.IsStatic() {
-		fs = append(fs, false)
+		dst = append(dst, false)
 	}
 	for _, p := range m.Sig.Params {
-		fs = append(fs, p == bytecode.TFloat)
+		dst = append(dst, p == bytecode.TFloat)
 	}
-	return fs
+	return dst
 }
 
 // emit appends one native instruction; in pass 2 it also emits the
@@ -435,7 +436,7 @@ func (g *gen) body() error {
 		ts = g.c.EM.At(tcProl + 0x100)
 		ts.ALU(methodOverheadALU - methodOverheadALU/2)
 	}
-	regs := isa.ArgRegs(argFloats(m))
+	regs, _ := isa.ArgRegs(nil, ArgFloats(nil, m))
 	for i, r := range regs {
 		op := isa.OpSt
 		if r >= isa.FReg0 {
@@ -453,6 +454,8 @@ func (g *gen) body() error {
 		}
 	}
 	for i, ins := range m.Code {
+		// Declared per bytecode so the Seq stays on the host stack.
+		var ts *emit.Seq
 		if g.sizing {
 			g.start[i] = g.count
 		} else {
@@ -774,7 +777,7 @@ func (g *gen) invoke(i int, ins bytecode.Instr, ts *emit.Seq) error {
 	base := depth - total // stack slot of first arg (receiver)
 
 	// Marshal arguments into ABI registers.
-	regs := isa.ArgRegs(argFloats(callee))
+	regs, _ := isa.ArgRegs(nil, ArgFloats(nil, callee))
 	for k, r := range regs {
 		src := g.regFor(base+k, g.stk(i, base+k))
 		if r >= isa.FReg0 {

@@ -45,34 +45,8 @@ type Activation struct {
 	Self uint64
 }
 
-// NewActivation prepares an activation of cm with args marshalled into
-// the ABI argument registers, its frame placed at the thread's stack top.
-func NewActivation(t *vm.Thread, cm *jit.Compiled, args []int64, retAddr uint64) *Activation {
-	a := &Activation{C: cm, FP: t.StackTop, RetAddr: retAddr}
-	a.Regs[isa.RSP] = int64(a.FP)
-	regs := isa.ArgRegs(ArgFloats(cm.M))
-	for i, r := range regs {
-		a.Regs[r] = args[i]
-	}
-	t.StackTop += cm.FrameBytes
-	return a
-}
-
 // Release returns the activation's frame space to the thread stack.
 func (a *Activation) Release(t *vm.Thread) { t.StackTop -= a.C.FrameBytes }
-
-// ArgFloats returns the per-argument float-ness vector (receiver first)
-// of m — the ABI key shared with the JIT's call-site generator.
-func ArgFloats(m *bytecode.Method) []bool {
-	var fs []bool
-	if !m.IsStatic() {
-		fs = append(fs, false)
-	}
-	for _, p := range m.Sig.Params {
-		fs = append(fs, p == bytecode.TFloat)
-	}
-	return fs
-}
 
 // CPU executes native code for one VM.
 type CPU struct {
@@ -85,11 +59,36 @@ type CPU struct {
 	// instruction-budget path); a non-nil return ends the slice with a
 	// yield so the engine's scheduler can abort the run.
 	Cancel func() error
+
+	// Scratch for decoding the ABI of a call: the argument float-ness
+	// vector, its registers and the decoded values. Sized for every
+	// signature the ABI accepts, so a call allocates nothing.
+	floats [2 * isa.NumArgRegs]bool
+	regs   [2 * isa.NumArgRegs]uint8
+	args   [2 * isa.NumArgRegs]int64
 }
 
 // New builds a CPU for v emitting to the VM's trace transport.
 func New(v *vm.VM) *CPU {
 	return &CPU{VM: v, EM: emit.New(v.RT.Batch, trace.PhaseExec)}
+}
+
+// Activate makes a an activation of cm with args marshalled into the ABI
+// argument registers, its frame placed at the thread's stack top. It
+// overwrites all of a, so one record serves call after call.
+func (c *CPU) Activate(a *Activation, t *vm.Thread, cm *jit.Compiled, args []int64, retAddr uint64) {
+	*a = Activation{C: cm, FP: t.StackTop, RetAddr: retAddr}
+	a.Regs[isa.RSP] = int64(a.FP)
+	for i, r := range c.argRegs(cm.M) {
+		a.Regs[r] = args[i]
+	}
+	t.StackTop += cm.FrameBytes
+}
+
+// argRegs returns m's ABI argument registers, in c's scratch.
+func (c *CPU) argRegs(m *bytecode.Method) []uint8 {
+	regs, _ := isa.ArgRegs(c.regs[:0], jit.ArgFloats(c.floats[:0], m))
+	return regs
 }
 
 // Run executes up to quantum instructions of a, returning the suspending
@@ -376,10 +375,12 @@ func (c *CPU) callTrap(target uint64, virtual bool) rt.Trap {
 }
 
 // ReadArgs extracts the ABI-register arguments for m from a caller's
-// activation (used by the trampoline right after a call trap).
-func ReadArgs(a *Activation, m *bytecode.Method) []int64 {
-	regs := isa.ArgRegs(ArgFloats(m))
-	args := make([]int64, len(regs))
+// activation (used by the trampoline right after a call trap). The
+// result is c's scratch: it holds until the next ReadArgs, so a caller
+// that keeps the arguments past the call must copy them.
+func (c *CPU) ReadArgs(a *Activation, m *bytecode.Method) []int64 {
+	regs := c.argRegs(m)
+	args := c.args[:len(regs)]
 	for i, r := range regs {
 		args[i] = a.Regs[r]
 	}

@@ -27,7 +27,8 @@ func compileOne(t *testing.T, classes []*bytecode.Class, m *bytecode.Method, arg
 	}
 	cpu := New(v)
 	th := v.NewThread(nil, 0)
-	act := NewActivation(th, cm, args, 0)
+	act := new(Activation)
+	cpu.Activate(act, th, cm, args, 0)
 	return cpu, th, act
 }
 
@@ -179,7 +180,7 @@ func TestCallTrapAndArgMarshalling(t *testing.T) {
 	if tr.Kind != rt.TrapCall || tr.Target != callee {
 		t.Fatalf("trap %+v", tr)
 	}
-	args := ReadArgs(act, callee)
+	args := cpu.ReadArgs(act, callee)
 	if len(args) != 2 || args[0] != 11 || vm.Bits2F(args[1]) != 1.5 {
 		t.Fatalf("args %v", args)
 	}
@@ -243,17 +244,27 @@ func TestTraceHasRealPCsAndAddrs(t *testing.T) {
 	}
 }
 
+// TestArgFloats: the ABI key the decoder shares with the JIT's call-site
+// generator puts the receiver first and marks float parameters,
+// appending to the buffer it is given.
 func TestArgFloats(t *testing.T) {
 	m := mkMethod("f", "(IFA)V", 3, []bytecode.Instr{{Op: bytecode.Return}})
-	fs := ArgFloats(m)
+	fs := jit.ArgFloats(nil, m)
 	want := []bool{false, true, false}
+	if len(fs) != len(want) {
+		t.Fatalf("ArgFloats = %v", fs)
+	}
 	for i := range want {
 		if fs[i] != want[i] {
 			t.Fatalf("ArgFloats = %v", fs)
 		}
 	}
 	inst := &bytecode.Method{Name: "g", Sig: m.Sig} // instance method
-	if fs := ArgFloats(inst); len(fs) != 4 || fs[0] {
+	if fs := jit.ArgFloats(nil, inst); len(fs) != 4 || fs[0] || !fs[2] {
 		t.Fatalf("instance ArgFloats = %v", fs)
+	}
+	buf := make([]bool, 0, 8)
+	if n := testing.AllocsPerRun(10, func() { jit.ArgFloats(buf, inst) }); n != 0 {
+		t.Fatalf("ArgFloats into a roomy buffer allocates %v times", n)
 	}
 }
