@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"jrs/internal/analysis/ipa"
 	"jrs/internal/analysis/vrange"
@@ -230,11 +231,7 @@ type threadCtx struct {
 // reusing the one last popped there.
 func (tc *threadCtx) push() *frameEntry {
 	n := len(tc.frames)
-	if n < cap(tc.frames) {
-		tc.frames = tc.frames[:n+1]
-	} else {
-		tc.frames = append(tc.frames, nil)
-	}
+	tc.frames = slices.Grow(tc.frames, 1)[:n+1]
 	if tc.frames[n] == nil {
 		tc.frames[n] = new(frameEntry)
 	}
