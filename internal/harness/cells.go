@@ -129,7 +129,8 @@ func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, err
 // member: the sharers make one engine run, in the executing member's
 // config, observed by every sharer's sinks, one cache.NewGroup of their
 // hierarchies and one pipeline.NewGroup of their core sets, whose cores
-// each set gets back before the engine starts. Then each sharer's done
+// each set gets back before the engine starts; the core group is
+// released as soon as the engine returns. Then each sharer's done
 // reads the finished engine, and a member whose last run that was is
 // dropped and handed to release (nil: nothing to do).
 func execRuns(ctx context.Context, w workloads.Workload, scale int, release func(member int) error, members ...[]run) error {
@@ -170,8 +171,9 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 			if len(hs) > 0 {
 				sinks = append(sinks, cache.NewGroup(hs...))
 			}
+			var g *pipeline.Group
 			if len(cfgs) > 0 {
-				g := pipeline.NewGroup(cfgs...)
+				g = pipeline.NewGroup(cfgs...)
 				cores := g.Cores()
 				for i, c := range cores {
 					if slices.Index(cores, c) == i {
@@ -191,6 +193,11 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 				sinks = append(sinks, g)
 			}
 			e, err := RunCtx(ctx, w, rs, r.mode, r.cfg, sinks...)
+			if g != nil {
+				// done reads only the cores' counters, which outlive
+				// the group's store index.
+				g.Release()
+			}
 			if err != nil {
 				return err
 			}

@@ -62,7 +62,9 @@ func emitBatches(s trace.Sink, insts []trace.Inst) {
 // the JIT: a standalone core (pipeline.New) per issue width, fig9's
 // four widths as one pipeline.Group, and ablate-ooo's 18 configs (16
 // distinct cores) as one group. ns/inst is host time per trace
-// instruction, so a group's figure covers all of its cores.
+// instruction, so a group's figure covers all of its cores. A group is
+// released after each pass, as execRuns releases it after each engine
+// run, so later passes reuse its store index.
 //
 //	go test ./internal/harness -run '^$' -bench CoreEmitBatch -count 10
 func BenchmarkCoreEmitBatch(b *testing.B) {
@@ -73,8 +75,13 @@ func BenchmarkCoreEmitBatch(b *testing.B) {
 	widths := []int{1, 2, 4, 8}
 	bench := func(name string, insts []trace.Inst, sink func() trace.Sink) {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				emitBatches(sink(), insts)
+				s := sink()
+				emitBatches(s, insts)
+				if g, ok := s.(*pipeline.Group); ok {
+					g.Release()
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(insts)), "ns/inst")
 		})

@@ -275,14 +275,9 @@ type Core struct {
 	// the earliest-issuing occupant vacates.
 	rs [numRSClasses]rsPool
 
-	// stores[s] is the cycle the last store to the word in slot s of
-	// the group's store index completes, or 0 before any store to it (a
-	// store completes at cycle 2 at the earliest). Loads from the word
-	// forward from it (and replay off it when they speculated past it).
-	// This carries the true memory dependences — loop variables the
-	// JIT keeps in frame slots, the interpreter's operand stack —
-	// without which the model overstates ILP badly.
-	stores []uint64
+	// id is the core's place among its group's timed cores: its store
+	// array is g.idx.stores[id].
+	id int
 
 	// commit-stage bookkeeping: in-order, IssueWidth per cycle.
 	lastCommitCycle  uint64
@@ -374,7 +369,7 @@ func (c *Core) run(batch []trace.Inst, ops []uop, fe []uint8) {
 	seq, memSeq := c.Instrs, c.memOps
 	rob, robSize, robMask := c.rob, uint64(cfg.ROBSize), uint64(len(c.rob)-1)
 	lsq, lsqSize, lsqMask := c.lsq, uint64(cfg.LSQSize), uint64(len(c.lsq)-1)
-	stores := c.stores
+	stores := c.g.idx.stores[c.id]
 	fe = fe[:len(ops)]
 	for i := range ops {
 		op := &ops[i]
@@ -551,27 +546,28 @@ func (c *Core) run(batch []trace.Inst, ops []uop, fe []uint8) {
 // decodes each batch once into µops, numbering the words loads and
 // stores touch in one store index, and shares one front end among the
 // cores with equal ICache, DCache and TargetCache, and one core among
-// equal configs. Feed its cores only through the group.
+// equal configs. Feed its cores only through the group, and only until
+// Release.
 type Group struct {
 	fronts []*frontEnd
 	cores  []*Core // one per config, in config order
 	timed  []*Core // the distinct cores, each timed once per batch
-	words  wordTable
+	idx    *storeIndex
 	ops    []uop // the batch last decoded
 }
 
 // NewGroup builds one core per distinct config; Cores lists one entry
-// per config, in order.
+// per config, in order. The group takes a store index from a pool;
+// Release hands it back.
 func NewGroup(cfgs ...Config) *Group {
 	fronts := map[Config]*frontEnd{} // keyed by the front-end fields alone
 	built := map[Config]*Core{}
 	g := &Group{}
-	g.words.init()
 	for _, cfg := range cfgs {
 		c := built[cfg]
 		if c == nil {
 			c = newCore(cfg)
-			c.g = g
+			c.g, c.id = g, len(g.timed)
 			k := Config{ICache: cfg.ICache, DCache: cfg.DCache, TargetCache: cfg.TargetCache}
 			if c.fe = fronts[k]; c.fe == nil {
 				c.fe = newFrontEnd(cfg)
@@ -583,7 +579,19 @@ func NewGroup(cfgs ...Config) *Group {
 		}
 		g.cores = append(g.cores, c)
 	}
+	g.idx = getStoreIndex(len(g.timed))
 	return g
+}
+
+// Release hands the group's store index back for a later group to
+// reuse. The cores' counters stay readable, but feeding the group or
+// any of its cores afterwards panics. Releasing twice does nothing; a
+// group never released leaves its index to the garbage collector.
+func (g *Group) Release() {
+	if g.idx != nil {
+		g.idx.put(len(g.timed))
+		g.idx = nil
+	}
 }
 
 // Cores returns the group's cores in config order: equal configs share
@@ -604,9 +612,9 @@ func (g *Group) decode(batch []trace.Inst) {
 		case trace.FPU:
 			op.kind = uopFP
 		case trace.Load:
-			op.kind, op.slot = uopLoad, uint32(g.words.slot(in.Addr>>3))
+			op.kind, op.slot = uopLoad, g.idx.slot(in.Addr>>3)
 		case trace.Store:
-			op.kind, op.slot = uopStore, uint32(g.words.slot(in.Addr>>3))
+			op.kind, op.slot = uopStore, g.idx.slot(in.Addr>>3)
 		}
 		g.ops[i] = op
 	}
@@ -614,19 +622,16 @@ func (g *Group) decode(batch []trace.Inst) {
 
 // EmitBatch implements trace.Sink: each front end reduces the batch to
 // outcome bits and the group decodes it to µops, once; then every
-// distinct core times it. A core's store array grows with the store
-// index, to the index's power-of-two capacity.
+// distinct core times it. It panics once the group is released.
 func (g *Group) EmitBatch(batch []trace.Inst) {
+	if g.idx == nil {
+		panic("pipeline: EmitBatch on a released Group")
+	}
 	for _, f := range g.fronts {
 		f.run(batch)
 	}
 	g.decode(batch)
 	for _, c := range g.timed {
-		if n := len(g.words.keys); len(c.stores) < n {
-			grown := make([]uint64, n)
-			copy(grown, c.stores)
-			c.stores = grown
-		}
 		c.run(batch, g.ops, c.fe.bits)
 	}
 }

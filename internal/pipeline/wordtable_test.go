@@ -167,17 +167,23 @@ func TestWordTableGrowthOrderIndependence(t *testing.T) {
 
 // TestWordTableSlots checks the store index's numbering: words get
 // dense slots in the order they are first seen, a repeated word keeps
-// its slot, and the numbering survives growth.
+// its slot, the numbering survives growth, and slot reports growth
+// exactly when the table grew.
 func TestWordTableSlots(t *testing.T) {
 	var tb wordTable
 	tb.init()
 	const n = 3 * wordTableInitSize
 	for i := 0; i < n; i++ {
-		if s := tb.slot(uint64(i) * 5); s != uint64(i) {
+		mask := tb.mask
+		s, grew := tb.slot(uint64(i) * 5)
+		if s != uint64(i) {
 			t.Fatalf("word %d: slot %d on first sight, want %d", i*5, s, i)
 		}
-		if s := tb.slot(uint64(i/2) * 5); s != uint64(i/2) {
-			t.Fatalf("word %d: slot %d when repeated, want %d", i/2*5, s, i/2)
+		if grew != (tb.mask != mask) {
+			t.Fatalf("word %d: grew %t, table %d → %d slots", i*5, grew, mask+1, tb.mask+1)
+		}
+		if s, grew := tb.slot(uint64(i/2) * 5); s != uint64(i/2) || grew {
+			t.Fatalf("word %d: slot %d (grew %t) when repeated, want %d", i/2*5, s, grew, i/2)
 		}
 	}
 	if tb.n != n {
