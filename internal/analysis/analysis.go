@@ -113,8 +113,8 @@ func PassNames() []string {
 }
 
 // CheckMethod runs every pass over m and returns its findings sorted by
-// (pc, pass). The class must have a resolved constant pool (the loader
-// resolves it; lint links classes first). Structural validity
+// (pc, pass). The class must have a resolved constant pool (vm.Link
+// resolves it, and runs CheckMethod over every method it links). Structural validity
 // (bytecode.Verify) is a precondition: structurally broken bodies are
 // reported as a single "cfg" diagnostic.
 func CheckMethod(c *bytecode.Class, m *bytecode.Method) []Diagnostic {
@@ -137,25 +137,6 @@ func CheckMethod(c *bytecode.Class, m *bytecode.Method) []Diagnostic {
 		}
 		return out[i].Pass < out[j].Pass
 	})
-	return out
-}
-
-// CheckClass runs CheckMethod over every declared method, in
-// declaration order.
-func CheckClass(c *bytecode.Class) []Diagnostic {
-	var out []Diagnostic
-	for _, m := range c.Methods {
-		out = append(out, CheckMethod(c, m)...)
-	}
-	return out
-}
-
-// CheckProgram checks every class of a linked program in input order.
-func CheckProgram(classes []*bytecode.Class) []Diagnostic {
-	var out []Diagnostic
-	for _, c := range classes {
-		out = append(out, CheckClass(c)...)
-	}
 	return out
 }
 

@@ -32,8 +32,8 @@
 // differential soundness check wired into the harness
 // (FuzzStaticSubsumesDynamicRaces).
 //
-// Analyze requires classes that have been through vm.Load: pools
-// resolved, global method ids assigned, vtables materialized.
+// Analyze requires classes that have been through vm.Link: pools
+// resolved, global method ids assigned, vtables built.
 package conc
 
 import (

@@ -15,8 +15,9 @@
 // jump, and a monitor operation on a provably non-escaping object can
 // be dropped before the monitor subsystem ever sees it.
 //
-// Analyze requires classes that have been through vm.Load: pools
-// resolved, global method ids assigned, vtables materialized.
+// Analyze requires classes that have been through vm.Link: pools
+// resolved, global method ids assigned, vtables built. It only reads
+// them, so analyses of one shared program may run concurrently.
 package ipa
 
 import (

@@ -39,6 +39,8 @@ type DirPredictor interface {
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc uint64, taken bool)
+	// Reset restores the state the constructor left.
+	Reset()
 }
 
 // TwoBit is the paper's "simple 2-bit predictor": a single shared
@@ -56,6 +58,9 @@ func (p *TwoBit) Predict(uint64) bool { return p.c.taken() }
 
 // Update implements DirPredictor.
 func (p *TwoBit) Update(_ uint64, taken bool) { p.c = p.c.update(taken) }
+
+// Reset implements DirPredictor.
+func (p *TwoBit) Reset() { p.c = 1 }
 
 // BHT is a one-level branch history table: a PC-indexed table of 2-bit
 // counters (2K entries in the paper's configuration).
@@ -82,6 +87,9 @@ func (p *BHT) Update(pc uint64, taken bool) {
 	i := p.idx(pc)
 	p.table[i] = p.table[i].update(taken)
 }
+
+// Reset implements DirPredictor.
+func (p *BHT) Reset() { clear(p.table) }
 
 // Gshare XORs a global history register into the PC to index a table of
 // 2-bit counters (2K entries, 5 history bits in the paper's setup).
@@ -119,6 +127,12 @@ func (p *Gshare) Update(pc uint64, taken bool) {
 		bit = 1
 	}
 	p.history = ((p.history << 1) | bit) & p.histMask
+}
+
+// Reset implements DirPredictor.
+func (p *Gshare) Reset() {
+	clear(p.table)
+	p.history = 0
 }
 
 // GAp is the two-level per-address scheme of Yeh and Patt: a first-level
@@ -168,6 +182,12 @@ func (p *GAp) Update(pc uint64, taken bool) {
 	p.histories[hi] = ((h << 1) | bit) & ((1 << p.histBits) - 1)
 }
 
+// Reset implements DirPredictor.
+func (p *GAp) Reset() {
+	clear(p.histories)
+	clear(p.pattern)
+}
+
 // BTB is a direct-mapped branch target buffer.
 type BTB struct {
 	tags    []uint64
@@ -200,4 +220,11 @@ func (b *BTB) Lookup(pc uint64) (uint64, bool) {
 func (b *BTB) Update(pc, target uint64) {
 	i := (pc >> 2) & b.mask
 	b.tags[i], b.targets[i], b.valid[i] = pc, target, true
+}
+
+// Reset empties the buffer.
+func (b *BTB) Reset() {
+	clear(b.tags)
+	clear(b.targets)
+	clear(b.valid)
 }

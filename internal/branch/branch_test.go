@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,53 @@ func TestPredictorNames(t *testing.T) {
 	for want, p := range names {
 		if p.Name() != want {
 			t.Errorf("name %q != %q", p.Name(), want)
+		}
+	}
+}
+
+// TestUnitResetMatchesNew dirties every predictor the units are built
+// from (each direction scheme, the BTB and the target cache) and resets
+// the unit: its tables, histories and statistics must then equal a new
+// unit's, and it must predict and count exactly as the new one does.
+func TestUnitResetMatchesNew(t *testing.T) {
+	units := map[string]func() *Unit{
+		"2bit":     func() *Unit { return NewUnit(NewTwoBit(), 64) },
+		"BHT":      func() *Unit { return NewUnit(NewBHT(256), 64) },
+		"gshare":   func() *Unit { return NewUnit(NewGshare(256, 5), 64) },
+		"GAp":      func() *Unit { return NewUnit(NewGAp(256, 8, 64), 64) },
+		"indirect": NewIndirectUnit,
+	}
+	seed := uint64(1)
+	events := func(n int) []trace.Inst {
+		out := make([]trace.Inst, 0, n)
+		for len(out) < n {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			e := seed >> 33
+			cl := trace.Class(e % 10)
+			if !cl.IsControl() {
+				continue
+			}
+			out = append(out, trace.Inst{PC: (e >> 4 & 0x3FF) * 4, Class: cl,
+				Target: (e >> 14 & 0xFF) * 64, Taken: e>>22&1 == 0 || cl != trace.Branch})
+		}
+		return out
+	}
+	for name, mk := range units {
+		u, fresh := mk(), mk()
+		for _, in := range events(5000) {
+			u.Observe(in)
+		}
+		u.Reset()
+		if !reflect.DeepEqual(u, fresh) {
+			t.Fatalf("%s: state after Reset differs from a new unit's", name)
+		}
+		for i, in := range events(5000) {
+			if got, want := u.Observe(in), fresh.Observe(in); got != want {
+				t.Fatalf("%s: event %d after Reset mispredicted=%t, fresh unit %t", name, i, got, want)
+			}
+		}
+		if u.Stats != fresh.Stats {
+			t.Fatalf("%s: after Reset %+v, fresh %+v", name, u.Stats, fresh.Stats)
 		}
 	}
 }

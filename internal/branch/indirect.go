@@ -50,6 +50,13 @@ func (t *TargetCache) Update(pc, target uint64) {
 	t.history = ((t.history << 2) ^ (target >> 4)) & ((1 << t.histBits) - 1)
 }
 
+// Reset empties the cache and its path history.
+func (t *TargetCache) Reset() {
+	clear(t.targets)
+	clear(t.valid)
+	t.history = 0
+}
+
 // NewIndirectUnit builds the enhanced unit the paper concludes an
 // interpreter-mode machine should have: gshare directions and a BTB for
 // direct transfers, with indirect transfers predicted by a TargetCache.

@@ -51,6 +51,17 @@ func NewUnit(dir DirPredictor, btbEntries int) *Unit {
 	return &Unit{Dir: dir, BTB: NewBTB(btbEntries)}
 }
 
+// Reset restores the state NewUnit (and NewIndirectUnit) left: every
+// table empty and zero statistics.
+func (u *Unit) Reset() {
+	u.Dir.Reset()
+	u.BTB.Reset()
+	if u.TC != nil {
+		u.TC.Reset()
+	}
+	u.Stats = Stats{}
+}
+
 // Observe runs one control-transfer instruction through the unit and
 // reports whether it was mispredicted.
 func (u *Unit) Observe(in trace.Inst) bool {

@@ -115,16 +115,16 @@ type Method struct {
 	MaxLocals int
 	// Code is the bytecode body.
 	Code []Instr
-	// Class is set by the loader.
+	// Class is set once by vm.Link.
 	Class *Class
-	// VIndex is the method's vtable slot (virtual methods), set during
-	// resolution; -1 for static/special.
+	// VIndex is the method's vtable slot (virtual methods), set once by
+	// vm.Link; -1 for static/special.
 	VIndex int
-	// ID is a global dense method id assigned at load time, used by the
+	// ID is a global dense method id, set once by vm.Link, used by the
 	// execution engines for per-method accounting.
 	ID int
 	// Addr is the simulated address of the bytecode stream in the class
-	// segment, assigned at load time; PCOffsets[i] is instruction i's
+	// segment, set once by vm.Link; PCOffsets[i] is instruction i's
 	// byte offset so the interpreter reads the right data addresses.
 	Addr      uint64
 	PCOffsets []uint64
@@ -167,18 +167,18 @@ type Field struct {
 }
 
 // Pool reference kinds. References are symbolic in a freshly built class
-// and resolved by the loader.
+// and resolved once by vm.Link.
 type (
 	// ClassRef names a class.
 	ClassRef struct {
 		Name string
-		// Resolved is filled by the loader.
+		// Resolved is set once by vm.Link.
 		Resolved *Class
 	}
 	// FieldRef names a field of a class.
 	FieldRef struct {
 		Class, Name string
-		// Resolved is filled by the loader.
+		// Resolved is set once by vm.Link.
 		Resolved *Field
 		// Static records which table the field lives in.
 		Static bool
@@ -188,7 +188,7 @@ type (
 	// MethodRef names a method of a class.
 	MethodRef struct {
 		Class, Name, Sig string
-		// Resolved is filled by the loader (for virtual calls this is
+		// Resolved is set once by vm.Link (for virtual calls this is
 		// the statically named method; dispatch uses its VIndex).
 		Resolved *Method
 	}
@@ -279,12 +279,12 @@ type Class struct {
 	// StaticBase is the simulated address of the static field area.
 	StaticBase uint64
 	// PoolBase is the simulated address of the materialized constant
-	// pool data (floats first, then interned string references), set by
-	// the loader.
+	// pool data (floats first, then interned string references), set
+	// once by vm.Link.
 	PoolBase uint64
-	// ID is a dense class id assigned at load time.
+	// ID is a dense class id, set once by vm.Link.
 	ID int
-	// Loaded marks resolution complete.
+	// Loaded marks resolution complete (set by vm.Link).
 	Loaded bool
 }
 

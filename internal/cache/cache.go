@@ -301,6 +301,19 @@ func (c *Cache) installLine(line uint64) {
 	c.fill(w, line, tag, 1)
 }
 
+// Reset returns the cache to the state New left it in — empty, with no
+// line ever seen and zero statistics — keeping its tag store and the
+// pages of its seen set for reuse.
+func (c *Cache) Reset() {
+	clear(c.ways)
+	c.tick, c.last, c.lastWay = 0, 0, -1
+	for _, page := range c.seen {
+		*page = linePage{}
+	}
+	c.Stats, c.PhaseStats = Stats{}, [trace.NumPhases]Stats{}
+	c.ps = &c.PhaseStats[0]
+}
+
 // Flush invalidates all lines (contents only; statistics and compulsory
 // history are preserved).
 func (c *Cache) Flush() {

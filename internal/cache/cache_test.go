@@ -614,3 +614,49 @@ func groupLeg(t *testing.T, b fuzzBytes) {
 		}
 	}
 }
+
+// TestResetMatchesNew dirties caches of several geometries — lines seen,
+// ways filled and dirtied, a phase selected, statistics counted — and
+// resets them: each must then behave exactly as a fresh cache, access
+// by access, down to the compulsory classification and the per-phase
+// split.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	stream := func(c *Cache, n int) []bool {
+		hits := make([]bool, n)
+		for i := range hits {
+			c.SetPhase(rng.Intn(int(trace.NumPhases)))
+			addr := uint64(rng.Intn(1 << 16))
+			if rng.Intn(50) == 0 {
+				c.InstallLine(addr)
+				continue
+			}
+			hits[i] = c.Access(addr, rng.Intn(3) == 0)
+		}
+		return hits
+	}
+	for _, cf := range []Config{cfg(1024, 32, 1), cfg(8192, 64, 4),
+		{Name: "N", Size: 2048, LineSize: 16, Assoc: 2}} {
+		c := New(cf)
+		stream(c, 20000)
+		c.Reset()
+		fresh := New(cf)
+		if c.tick != fresh.tick || c.last != fresh.last || c.lastWay != fresh.lastWay ||
+			c.Stats != fresh.Stats || c.PhaseStats != fresh.PhaseStats || c.ps != &c.PhaseStats[0] {
+			t.Fatalf("%+v: reset state differs from a new cache's", cf)
+		}
+		seed := rng.Int63()
+		rng.Seed(seed)
+		got := stream(c, 20000)
+		rng.Seed(seed)
+		want := stream(fresh, 20000)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: access %d after Reset hit=%t, fresh cache hit=%t", cf, i, got[i], want[i])
+			}
+		}
+		if c.Stats != fresh.Stats || c.PhaseStats != fresh.PhaseStats {
+			t.Fatalf("%+v: after Reset %+v / %+v, fresh %+v / %+v", cf, c.Stats, c.PhaseStats, fresh.Stats, fresh.PhaseStats)
+		}
+	}
+}

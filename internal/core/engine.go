@@ -238,8 +238,8 @@ func (tc *threadCtx) push() *frameEntry {
 	return tc.frames[n]
 }
 
-// New builds an engine per cfg. Load program classes via e.VM.Load, then
-// call Run.
+// New builds an engine per cfg. Load program classes via e.VM.Load (or
+// install a linked program via e.VM.Install), then call Run.
 func New(cfg Config) *Engine {
 	if cfg.Policy == nil {
 		cfg.Policy = CompileFirst{}
@@ -342,7 +342,9 @@ func (e *Engine) Run(entry *bytecode.Method) (err error) {
 	if len(entry.Sig.Params) != 0 || !entry.IsStatic() {
 		return fmt.Errorf("entry %s must be a static niladic method", entry.FullName())
 	}
-	e.prepare()
+	if err := e.prepare(); err != nil {
+		return err
+	}
 	e.Stats = make([]MethodStats, len(e.VM.MethodByID))
 
 	t := e.VM.NewThread(nil, 0)
@@ -686,7 +688,9 @@ func (e *Engine) PrecompileAll() error {
 	// be dropped or observed by) the *current* sink destination before
 	// the harness swaps a Switchable to the measured simulators.
 	defer e.FlushTrace()
-	e.prepare()
+	if err := e.prepare(); err != nil {
+		return err
+	}
 	for _, m := range e.VM.MethodByID {
 		if m.Class != nil && m.Class.Name == "Sys" {
 			continue

@@ -15,13 +15,16 @@ package core
 //     clone of that target, and monitorenter/monitorexit on thread-local
 //     objects becomes a plain pop — the monitor subsystem never sees
 //     the operation, statically reclassifying the §5 / Figure 11
-//     thread-local lock traffic.
+//     thread-local lock traffic. So it needs a program the engine
+//     loaded for itself (VM.Load), never a shared one (VM.Install).
 //
 // All rewrites preserve instruction widths (invoke 3 bytes either way,
 // monitorenter/monitorexit/pop all 1 byte), so code layout, addresses,
 // and footprint are unchanged.
 
 import (
+	"errors"
+
 	"jrs/internal/analysis/conc"
 	"jrs/internal/analysis/ipa"
 	"jrs/internal/analysis/vrange"
@@ -64,14 +67,11 @@ func (f *ipaFacts) NullProven(m *bytecode.Method, pc int) bool {
 }
 
 // prepare runs the analysis and applies the enabled optimizations.
-// Guarded so Run after PrecompileAll (the AOT sequence) analyzes once.
-func (e *Engine) prepare() {
-	if e.prepared {
-		return
-	}
-	e.prepared = true
-	if !e.devirt && !e.elideLocks && !e.elideBounds && !e.elideNull {
-		return
+// Guarded so Run after PrecompileAll (the AOT sequence) analyzes once;
+// a failed prepare fails again on the next call.
+func (e *Engine) prepare() error {
+	if e.prepared || !e.devirt && !e.elideLocks && !e.elideBounds && !e.elideNull {
+		return nil
 	}
 	res := ipa.Analyze(e.VM.ClassList)
 	e.IPA = res
@@ -79,7 +79,9 @@ func (e *Engine) prepare() {
 
 	if e.elideLocks {
 		e.vetoRacyElisions(res)
-		e.applyElision(res, alias)
+		if err := e.applyElision(res, alias); err != nil {
+			return err
+		}
 	}
 	facts := &ipaFacts{res: res, alias: alias, devirt: e.devirt}
 	if e.elideBounds || e.elideNull {
@@ -93,6 +95,8 @@ func (e *Engine) prepare() {
 	if e.devirt || facts.vr != nil {
 		e.JIT.Opt.Facts = facts
 	}
+	e.prepared = true
+	return nil
 }
 
 // vetoRacyElisions consults the static race analysis before any lock is
@@ -125,8 +129,13 @@ func (e *Engine) vetoRacyElisions(res *ipa.Result) {
 }
 
 // applyElision rewrites elidable sites in place. Iteration order is
-// class list / method list / pc, so clone ids are deterministic.
-func (e *Engine) applyElision(res *ipa.Result, alias map[int]int) {
+// class list / method list / pc, so clone ids are deterministic. It
+// refuses a program other VMs may share (vm.Install): the engine must
+// load a private one (VM.Load).
+func (e *Engine) applyElision(res *ipa.Result, alias map[int]int) error {
+	if e.VM.SharesProgram() {
+		return errors.New("lock elision rewrites bytecode in place: load a private program, not a shared one")
+	}
 	clones := map[*bytecode.Method]*bytecode.Method{}
 	for _, c := range e.VM.ClassList {
 		for _, m := range c.Methods {
@@ -157,6 +166,7 @@ func (e *Engine) applyElision(res *ipa.Result, alias map[int]int) {
 			}
 		}
 	}
+	return nil
 }
 
 // clonePoolRef returns a pool index whose Resolved is the clone,

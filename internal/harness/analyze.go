@@ -9,7 +9,6 @@ import (
 	"jrs/internal/analysis/conc"
 	"jrs/internal/analysis/ipa"
 	"jrs/internal/analysis/vrange"
-	"jrs/internal/bytecode"
 	"jrs/internal/vm"
 	"jrs/internal/workloads"
 )
@@ -55,21 +54,21 @@ type AnalyzeResult struct {
 	Rows []AnalyzeRow `json:"programs"`
 }
 
-// analyzeClasses links the program and runs the interprocedural
-// analysis, flattening the fact maps into the deterministic row form.
-func analyzeClasses(name string, classes []*bytecode.Class, races, checks bool) (AnalyzeRow, error) {
-	v := vm.New(nil, nil)
-	if err := v.Load(classes); err != nil {
+// analyzeProgram runs the interprocedural analysis over a linked
+// program that full verification admits, flattening the fact maps into
+// the deterministic row form.
+func analyzeProgram(name string, p *vm.Program, races, checks bool) (AnalyzeRow, error) {
+	if err := p.Verdict(); err != nil {
 		return AnalyzeRow{}, fmt.Errorf("%s: %w", name, err)
 	}
-	res := ipa.Analyze(v.ClassList)
+	res := ipa.Analyze(p.Classes)
 
 	row := AnalyzeRow{Workload: name, Summary: res.Summarize()}
 	if races {
-		row.Concurrency = conc.Analyze(v.ClassList, res)
+		row.Concurrency = conc.Analyze(p.Classes, res)
 	}
 	if checks {
-		row.Checks = checkCensus(vrange.Analyze(v.ClassList, res))
+		row.Checks = checkCensus(vrange.Analyze(p.Classes, res))
 	}
 	sites := func(fs []ipa.SiteFact) []AnalyzeSite {
 		out := make([]AnalyzeSite, len(fs))
@@ -112,7 +111,11 @@ func analyzePlan(o Options) (*Plan, *AnalyzeResult) {
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "analyze", Workload: w.Name, Scale: scale, Mode: "static", Config: cfg}
 		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			return analyzeClasses(w.Name, w.Classes(scale), o.Races, o.Checks)
+			prog, err := linkedProgram(w, scale)
+			if err != nil {
+				return AnalyzeRow{}, fmt.Errorf("%s: %w", w.Name, err)
+			}
+			return analyzeProgram(w.Name, prog, o.Races, o.Checks)
 		})
 	}
 	return p, res
@@ -139,7 +142,11 @@ func AnalyzeWith(o Options, r *Runner) (*AnalyzeResult, error) {
 func AnalyzePrograms(progs []LintProgram, races, checks bool) (*AnalyzeResult, error) {
 	res := &AnalyzeResult{Rows: make([]AnalyzeRow, len(progs))}
 	for i, p := range progs {
-		row, err := analyzeClasses(p.Name, p.Classes, races, checks)
+		prog, err := p.linked()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		row, err := analyzeProgram(p.Name, prog, races, checks)
 		if err != nil {
 			return nil, err
 		}

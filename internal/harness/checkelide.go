@@ -8,6 +8,7 @@ import (
 	"jrs/internal/analysis/vrange"
 	"jrs/internal/bytecode"
 	"jrs/internal/core"
+	"jrs/internal/vm"
 	"jrs/internal/workloads"
 )
 
@@ -18,15 +19,15 @@ type CheckCensus struct {
 	Proven []vrange.SiteVerdict `json:"proven,omitempty"`
 }
 
-// StaticChecks links the program on a fresh VM and runs the
-// value-range/nullness analysis over it (ipa reachability first, vrange
-// on top), keeping only proven sites in the site list.
+// StaticChecks links the program and runs the value-range/nullness
+// analysis over it (ipa reachability first, vrange on top), keeping
+// only proven sites in the site list.
 func StaticChecks(classes []*bytecode.Class) (*CheckCensus, error) {
-	loaded, err := linkStructural(classes)
+	p, err := vm.Link(classes)
 	if err != nil {
 		return nil, err
 	}
-	return checkCensus(vrange.Analyze(loaded, ipa.Analyze(loaded))), nil
+	return checkCensus(vrange.Analyze(p.Classes, ipa.Analyze(p.Classes))), nil
 }
 
 // checkCensus tallies res and lists its proven sites.
@@ -72,8 +73,7 @@ func (ec *ElideCheck) Err() error {
 
 // CheckElideWorkload runs w twice under mode — baseline, then with
 // ElideBounds+ElideNull on and the vrange.CheckOracle attached — and
-// compares program output byte-for-byte. Workload classes are rebuilt
-// per run (vm.Load mutates class state).
+// compares program output byte-for-byte.
 func CheckElideWorkload(ctx context.Context, w workloads.Workload, scale int, mode Mode) (*ElideCheck, error) {
 	base, err := RunCtx(ctx, w, scale, mode, core.Config{})
 	if err != nil {

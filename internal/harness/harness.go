@@ -9,6 +9,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"jrs/internal/bytecode"
@@ -16,6 +17,7 @@ import (
 	"jrs/internal/jit"
 	"jrs/internal/jit/codecache"
 	"jrs/internal/trace"
+	"jrs/internal/vm"
 	"jrs/internal/workloads"
 )
 
@@ -107,20 +109,62 @@ func (o Options) seven() []workloads.Workload {
 	return workloads.Seven()
 }
 
+// programKey names one linked workload program: the workload's name and
+// source, at a resolved scale.
+type programKey struct {
+	name, source string
+	scale        int
+}
+
+// programs holds one linked program per programKey for the process,
+// each built once on first use: every engine run, analysis and lint of
+// the workload at that scale shares it.
+var programs sync.Map // programKey → func() (*vm.Program, error)
+
+// linkedProgram returns the process's linked program of w at scale
+// (scale <= 0 selects DefaultN), compiling and linking it on first use.
+func linkedProgram(w workloads.Workload, scale int) (*vm.Program, error) {
+	if scale <= 0 {
+		scale = w.DefaultN
+	}
+	k := programKey{w.Name, w.Source, scale}
+	f, ok := programs.Load(k)
+	if !ok {
+		f, _ = programs.LoadOrStore(k, sync.OnceValues(func() (*vm.Program, error) {
+			return vm.Link(w.Classes(scale))
+		}))
+	}
+	return f.(func() (*vm.Program, error))()
+}
+
 // RunCtx executes workload w at the scale under the mode, with the
 // given extra sinks attached to the native trace, and returns the
-// finished engine. The engine polls ctx on the instruction-budget path
-// (cooperative cancellation), so a deadline or cancellation converts a
-// hung or overlong simulation into an error instead of a stuck
-// goroutine.
+// finished engine. The engine installs the process's shared linked
+// program of (w, scale); a run that elides locks rewrites bytecode, so
+// it compiles and links a private copy instead. The engine polls ctx on
+// the instruction-budget path (cooperative cancellation), so a deadline
+// or cancellation converts a hung or overlong simulation into an error
+// instead of a stuck goroutine.
 func RunCtx(ctx context.Context, w workloads.Workload, scale int, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
-	return RunClassesCtx(ctx, w.Name, w.Classes(scale), mode, cfg, sinks...)
+	if cfg.ElideLocks {
+		return RunClassesCtx(ctx, w.Name, w.Classes(scale), mode, cfg, sinks...)
+	}
+	p, err := linkedProgram(w, scale)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
+	}
+	return runEngine(ctx, w.Name, func(v *vm.VM) error { return v.Install(p) }, mode, cfg, sinks...)
 }
 
 // RunClassesCtx is RunCtx over an already-compiled program — a
-// workload's classes, or a class bundle written by cmd/mjc. name
-// prefixes every error.
+// workload's classes, or a class bundle written by cmd/mjc — which the
+// engine links for itself. name prefixes every error.
 func RunClassesCtx(ctx context.Context, name string, classes []*bytecode.Class, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
+	return runEngine(ctx, name, func(v *vm.VM) error { return v.Load(classes) }, mode, cfg, sinks...)
+}
+
+// runEngine builds an engine, loads its program with load and runs it.
+func runEngine(ctx context.Context, name string, load func(*vm.VM) error, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
 	if ctx != nil && ctx.Done() != nil && cfg.Cancel == nil {
 		cfg.Cancel = ctx.Err
 	}
@@ -147,7 +191,7 @@ func RunClassesCtx(ctx context.Context, name string, classes []*bytecode.Class, 
 	cfg.Sink = sw
 
 	e := core.New(cfg)
-	if err := e.VM.Load(classes); err != nil {
+	if err := load(e.VM); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if mode == ModeAOT {

@@ -18,29 +18,30 @@ import (
 type LintProgram struct {
 	Name    string
 	Classes []*bytecode.Class
+	// prog is Classes already linked (a workload's shared program), or
+	// nil for lint to link them.
+	prog *vm.Program
 }
 
-// linkStructural links the program (assigning ids, laying out code and
-// resolving constant pools — analysis passes need resolved method and
-// field references) and returns the loaded class list. It uses
-// structural verification only: lint's job is to report findings, not
-// to refuse the program outright.
-func linkStructural(classes []*bytecode.Class) ([]*bytecode.Class, error) {
-	v := vm.New(nil, nil)
-	v.Verify = vm.VerifyStructural
-	if err := v.Load(classes); err != nil {
-		return nil, err
+// linked returns the program's link (ids, code layout and resolved
+// constant pools — analysis passes need resolved method and field
+// references). Only a structural failure is an error: lint's job is to
+// report the full verifier's findings, not to refuse the program.
+func (p LintProgram) linked() (*vm.Program, error) {
+	if p.prog != nil {
+		return p.prog, nil
 	}
-	return v.ClassList, nil
+	return vm.Link(p.Classes)
 }
 
-// LintClasses links the program and runs every analysis pass over
-// every method.
+// LintClasses links the program and returns every analysis pass's
+// findings over every method.
 func LintClasses(classes []*bytecode.Class) ([]analysis.Diagnostic, error) {
-	if _, err := linkStructural(classes); err != nil {
+	p, err := vm.Link(classes)
+	if err != nil {
 		return nil, err
 	}
-	return analysis.CheckProgram(classes), nil
+	return p.Diagnostics, nil
 }
 
 // LintFinding is one diagnostic in the structured lint report.
@@ -91,16 +92,12 @@ func BuildLintReport(progs []LintProgram, races, checks bool) (*LintReport, erro
 		r.Passes = append(r.Passes, "checks")
 	}
 	for _, p := range progs {
-		methods := 0
-		for _, c := range p.Classes {
-			methods += len(c.Methods)
-		}
-		loaded, err := linkStructural(p.Classes)
+		prog, err := p.linked()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.Name, err)
 		}
-		diags := analysis.CheckProgram(p.Classes)
-		pr := LintProgramReport{Name: p.Name, Classes: len(p.Classes), Methods: methods}
+		loaded, diags := prog.Classes, prog.Diagnostics
+		pr := LintProgramReport{Name: p.Name, Classes: len(loaded), Methods: len(prog.Methods)}
 		for _, d := range diags {
 			pr.Findings = append(pr.Findings, LintFinding{
 				Method: d.Method, PC: d.PC, Pass: d.Pass,
@@ -126,14 +123,20 @@ func BuildLintReport(progs []LintProgram, races, checks bool) (*LintReport, erro
 	return r, nil
 }
 
-// StaticRaces links the program on a fresh VM and runs the static
-// race/deadlock analysis over it (ipa facts first, conc on top).
+// StaticRaces links the program and runs the static race/deadlock
+// analysis over it.
 func StaticRaces(classes []*bytecode.Class) (*conc.Report, error) {
-	loaded, err := linkStructural(classes)
+	p, err := vm.Link(classes)
 	if err != nil {
 		return nil, err
 	}
-	return conc.Analyze(loaded, ipa.Analyze(loaded)), nil
+	return staticRaces(p), nil
+}
+
+// staticRaces runs the static race/deadlock analysis over a linked
+// program (ipa facts first, conc on top).
+func staticRaces(p *vm.Program) *conc.Report {
+	return conc.Analyze(p.Classes, ipa.Analyze(p.Classes))
 }
 
 // Render formats the deterministic text report: one status line per
@@ -194,8 +197,9 @@ func Lint(progs []LintProgram) (string, int, error) {
 	return r.Render(), r.Findings, nil
 }
 
-// WorkloadPrograms compiles every workload (or the opts subset) at its
-// default scale for linting.
+// WorkloadPrograms returns every workload (or the opts subset) at
+// opts.Scale (0: its default scale) for linting, as the process's
+// shared linked programs.
 func WorkloadPrograms(opts Options) []LintProgram {
 	ws := opts.Workloads
 	if len(ws) == 0 {
@@ -203,7 +207,13 @@ func WorkloadPrograms(opts Options) []LintProgram {
 	}
 	progs := make([]LintProgram, len(ws))
 	for i, w := range ws {
-		progs[i] = LintProgram{Name: w.Name, Classes: w.Classes(opts.Scale)}
+		progs[i] = LintProgram{Name: w.Name}
+		if p, err := linkedProgram(w, opts.Scale); err == nil {
+			progs[i].Classes, progs[i].prog = p.Classes, p
+		} else {
+			// Lint links the classes again and reports the error.
+			progs[i].Classes = w.Classes(opts.Scale)
+		}
 	}
 	return progs
 }

@@ -54,14 +54,13 @@ func (rc *RaceCheck) Err() error {
 // schedules can drive a seeded-deadlock fixture into the real thing —
 // but it must be predicted by the static lock-order analysis.
 func CheckRacesWorkload(ctx context.Context, w workloads.Workload, scale int, mode Mode, seed uint64) (*RaceCheck, error) {
-	static, err := StaticRaces(w.Classes(scale))
+	p, err := linkedProgram(w, scale)
 	if err != nil {
 		return nil, fmt.Errorf("%s: static analysis: %w", w.Name, err)
 	}
+	static := staticRaces(p)
 	oracle := conc.NewOracle()
 	cfg := core.Config{RaceHook: oracle, SchedSeed: seed}
-	// Workload classes are rebuilt: vm.Load mutates class state, and the
-	// static pass above consumed the first build.
 	_, runErr := RunCtx(ctx, w, scale, mode, cfg)
 	rc := &RaceCheck{
 		Workload: w.Name,

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"jrs/internal/branch"
+	"jrs/internal/cache"
 	"jrs/internal/trace"
 )
 
@@ -15,16 +17,25 @@ func counters(c *Core) [6]uint64 {
 	return [6]uint64{c.Instrs, c.LastCycle, c.Mispredicts, c.SquashCycles, c.MemForwards, c.MemReplays}
 }
 
+// frontEndStats is a front end's cache and predictor statistics.
+type frontEndStats struct {
+	ic, dc cache.Stats
+	bp     branch.Stats
+}
+
+func statsOf(f *frontEnd) frontEndStats { return frontEndStats{f.ic.Stats, f.dc.Stats, f.bp.Stats} }
+
 // checkGroupMatchesStandalone drives one Group over cfgs, feeding tr in
 // batches of batch instructions, releases it, and requires every group
 // core to count exactly what a standalone core of its config counts,
-// with a clean checker, on wantFronts shared front ends. Two configs
-// must share a core exactly when they are equal. It returns the slot
-// count of the store index the group started with.
-func checkGroupMatchesStandalone(t *testing.T, cfgs []Config, tr []trace.Inst, batch, wantFronts int) (slots int) {
+// with a clean checker, on wantFronts shared front ends whose cache and
+// predictor statistics equal the standalone core's. Two configs must
+// share a core exactly when they are equal. It returns the slot count
+// of the store index the group started with and the group's front ends.
+func checkGroupMatchesStandalone(t *testing.T, cfgs []Config, tr []trace.Inst, batch, wantFronts int) (slots int, fronts []*frontEnd) {
 	t.Helper()
 	g := NewGroup(cfgs...)
-	slots = len(g.idx.words.keys)
+	slots, fronts = len(g.idx.words.keys), g.fronts
 	if n := g.FrontEnds(); n != wantFronts {
 		t.Fatalf("%d front ends for %d cores, want %d", n, len(cfgs), wantFronts)
 	}
@@ -47,22 +58,27 @@ func checkGroupMatchesStandalone(t *testing.T, cfgs []Config, tr []trace.Inst, b
 		g.EmitBatch(rest[:n])
 		rest = rest[n:]
 	}
-	var alone [][6]uint64
+	var alone []*Core
 	for _, cfg := range cfgs {
 		c := New(cfg)
 		c.EmitBatch(tr)
-		alone = append(alone, counters(c))
+		alone = append(alone, c)
+	}
+	for i, c := range g.Cores() {
+		if got, want := statsOf(c.fe), statsOf(alone[i].fe); got != want {
+			t.Fatalf("group core %d (%+v): front end %+v, standalone %+v", i, cfgs[i], got, want)
+		}
 	}
 	g.Release()
 	for i, c := range g.Cores() {
 		if err := checks[i].Err(); err != nil {
 			t.Fatalf("group core %d (%+v): %v", i, cfgs[i], err)
 		}
-		if got, want := counters(c), alone[i]; got != want {
+		if got, want := counters(c), counters(alone[i]); got != want {
 			t.Fatalf("group core %d (%+v): counters %v, standalone %v", i, cfgs[i], got, want)
 		}
 	}
-	return slots
+	return slots, fronts
 }
 
 // TestGroupMatchesStandalone checks that sharing a front end, a store
@@ -106,17 +122,29 @@ func oneP(t *testing.T) {
 }
 
 // TestGroupReuseMatchesFresh dirties a store index with a trace of over
-// 8K words and releases it; groups that pick it up must then count
-// exactly what fresh standalone cores count. Under -race, sync.Pool
-// drops released items at random, so only the counts are required
-// there, not the pick-up.
+// 8K words, and three front ends (fig9's, a target-cache one and a
+// small-L1 one) with it, and releases them; groups that pick them up
+// must then count exactly what fresh standalone cores count, in the
+// cores and in the front ends' caches and predictors. The collector is
+// off, since a pool drops what sits in it through two collections and
+// the small-L1 and target-cache front ends wait through the first
+// case. Under -race, sync.Pool drops released items at random, so only
+// the counts are required there, not the pick-up.
 func TestGroupReuseMatchesFresh(t *testing.T) {
 	oneP(t)
-	g := NewGroup(fig9Widths()...)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := NewGroup(append(fig9Widths(), ownFrontEnds()...)...)
 	g.EmitBatch(mixedTrace(80000, 3))
 	words, slots := g.idx.words.n, len(g.idx.words.keys)
 	if words <= 8<<10 {
 		t.Fatalf("dirtying trace numbered %d words, want over %d", words, 8<<10)
+	}
+	dirty := map[*frontEnd]bool{}
+	for _, f := range g.fronts {
+		dirty[f] = true
+	}
+	if len(dirty) != 3 || !g.fronts[1].key.TargetCache || g.fronts[0].key.TargetCache {
+		t.Fatalf("dirtying group has front ends %v, want fig9's, a target-cache one and a small-L1 one", g.fronts)
 	}
 	g.Release()
 
@@ -129,9 +157,17 @@ func TestGroupReuseMatchesFresh(t *testing.T) {
 		{append(fig9Widths(), ownFrontEnds()...), 333, 3},
 		{ownFrontEnds(), 4096, 3},
 	} {
-		got := checkGroupMatchesStandalone(t, c.cfgs, tr, c.batch, c.fronts)
-		if got != slots && !raceEnabled {
+		got, fronts := checkGroupMatchesStandalone(t, c.cfgs, tr, c.batch, c.fronts)
+		if raceEnabled {
+			continue
+		}
+		if got != slots {
 			t.Fatalf("group of %d configs started with %d index slots, want the released %d", len(c.cfgs), got, slots)
+		}
+		for _, f := range fronts {
+			if !dirty[f] {
+				t.Fatalf("group of %d configs built a front end for %+v, want a released one", len(c.cfgs), f.key)
+			}
 		}
 	}
 }

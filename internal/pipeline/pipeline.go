@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"jrs/internal/branch"
 	"jrs/internal/cache"
@@ -117,18 +118,48 @@ const (
 
 // frontEnd holds a core's L1 caches and branch predictor.
 type frontEnd struct {
-	ic, dc  *cache.Cache
-	observe func(trace.Inst) bool // the predictor: true on a mispredict
-	bits    []uint8               // outcomes of the batch last passed to run
+	key    Config // the front-end fields of the configs it serves
+	ic, dc *cache.Cache
+	bp     *branch.Unit
+	bits   []uint8 // outcomes of the batch last passed to run
 }
 
-func newFrontEnd(cfg Config) *frontEnd {
-	f := &frontEnd{ic: cache.New(cfg.ICache), dc: cache.New(cfg.DCache),
-		observe: branch.NewUnit(branch.NewGshare(2048, 5), 1024).Observe}
-	if cfg.TargetCache {
-		f.observe = branch.NewIndirectUnit().Observe
+// frontEndKey keeps the fields of cfg a front end depends on.
+func frontEndKey(cfg Config) Config {
+	return Config{ICache: cfg.ICache, DCache: cfg.DCache, TargetCache: cfg.TargetCache}
+}
+
+// frontEnds pools released front ends, one sync.Pool per frontEndKey,
+// so a group reuses the caches and predictor tables of an earlier one
+// rather than allocating them again.
+var frontEnds sync.Map // Config → *sync.Pool
+
+// getFrontEnd returns a front end in the state a fresh one starts in:
+// a released one for key, reset, or a new one.
+func getFrontEnd(key Config) *frontEnd {
+	pool, ok := frontEnds.Load(key)
+	if !ok {
+		pool, _ = frontEnds.LoadOrStore(key, new(sync.Pool))
+	}
+	if f, ok := pool.(*sync.Pool).Get().(*frontEnd); ok {
+		f.ic.Reset()
+		f.dc.Reset()
+		f.bp.Reset()
+		return f
+	}
+	f := &frontEnd{key: key, ic: cache.New(key.ICache), dc: cache.New(key.DCache)}
+	if key.TargetCache {
+		f.bp = branch.NewIndirectUnit()
+	} else {
+		f.bp = branch.NewUnit(branch.NewGshare(2048, 5), 1024)
 	}
 	return f
+}
+
+// put hands f back for a later group to reuse.
+func (f *frontEnd) put() {
+	pool, _ := frontEnds.Load(f.key)
+	pool.(*sync.Pool).Put(f)
 }
 
 // outcome returns one instruction's outcome bits.
@@ -143,7 +174,7 @@ func (f *frontEnd) outcome(in *trace.Inst) uint8 {
 			b |= dMiss
 		}
 	case in.Class.IsControl():
-		if f.observe(*in) {
+		if f.bp.Observe(*in) {
 			b |= mispredicted
 		}
 	}
@@ -557,10 +588,10 @@ type Group struct {
 }
 
 // NewGroup builds one core per distinct config; Cores lists one entry
-// per config, in order. The group takes a store index from a pool;
-// Release hands it back.
+// per config, in order. The group takes its store index and front ends
+// from pools; Release hands them back.
 func NewGroup(cfgs ...Config) *Group {
-	fronts := map[Config]*frontEnd{} // keyed by the front-end fields alone
+	fronts := map[Config]*frontEnd{} // keyed by frontEndKey
 	built := map[Config]*Core{}
 	g := &Group{}
 	for _, cfg := range cfgs {
@@ -568,9 +599,9 @@ func NewGroup(cfgs ...Config) *Group {
 		if c == nil {
 			c = newCore(cfg)
 			c.g, c.id = g, len(g.timed)
-			k := Config{ICache: cfg.ICache, DCache: cfg.DCache, TargetCache: cfg.TargetCache}
+			k := frontEndKey(cfg)
 			if c.fe = fronts[k]; c.fe == nil {
-				c.fe = newFrontEnd(cfg)
+				c.fe = getFrontEnd(k)
 				fronts[k] = c.fe
 				g.fronts = append(g.fronts, c.fe)
 			}
@@ -583,14 +614,17 @@ func NewGroup(cfgs ...Config) *Group {
 	return g
 }
 
-// Release hands the group's store index back for a later group to
-// reuse. The cores' counters stay readable, but feeding the group or
-// any of its cores afterwards panics. Releasing twice does nothing; a
-// group never released leaves its index to the garbage collector.
+// Release hands the group's store index and front ends back for a
+// later group to reuse. The cores' counters stay readable, but feeding
+// the group or any of its cores afterwards panics. Releasing twice does
+// nothing; a group never released leaves them to the garbage collector.
 func (g *Group) Release() {
 	if g.idx != nil {
 		g.idx.put(len(g.timed))
 		g.idx = nil
+		for _, f := range g.fronts {
+			f.put()
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"jrs/internal/analysis"
@@ -9,27 +10,70 @@ import (
 	"jrs/internal/mem"
 )
 
-// Load registers, links and resolves a program's classes. It assigns
-// class/method ids, lays out bytecode in the class segment (so the
-// interpreter's bytecode reads and the translator's walks touch stable
-// data addresses), computes field slots and vtables, resolves pool
-// references, verifies every method, and emits the class-loading trace
-// that produces the paper's start-of-run miss spikes (Figure 6).
-func (v *VM) Load(classes []*bytecode.Class) error {
+// Program is a linked class list: class and method ids, field slots,
+// vtables, code layout and resolved pool references, laid out at a
+// fresh VM's class and static bases. Link builds it and nothing writes
+// into its classes afterwards, so any number of VMs, on any goroutines,
+// may install one Program (see DESIGN.md, "A program is linked once per
+// process").
+type Program struct {
+	// Classes are the classes in load order; a class's ID is its index.
+	Classes []*bytecode.Class
+	// Methods are the declared methods, indexed by method ID.
+	Methods []*bytecode.Method
+	// Diagnostics are the analysis pass suite's findings
+	// (analysis.CheckMethod) over every method, in class and method
+	// order.
+	Diagnostics []analysis.Diagnostic
+	// verdict is the first class a full verification rejects, as the
+	// load error, or nil.
+	verdict error
+}
+
+// Verdict returns the error full verification (VerifyFull) reports for
+// the program, or nil when it admits every class.
+func (p *Program) Verdict() error { return p.verdict }
+
+// staticBase is where a fresh VM lays out the first class's statics.
+const staticBase = mem.VMBase + 0x100_0000
+
+// Link links a program's classes for any fresh VM to install. It
+// assigns class and method ids, lays out bytecode in the class segment
+// (so the interpreter's bytecode reads and the translator's walks touch
+// stable data addresses), computes field slots and vtables, resolves
+// pool references and verifies every method. A structural failure
+// (linking, resolution, bytecode.Verify) is Link's error; the full
+// analysis pass suite's verdict is kept on the Program, for the VMs
+// that verify fully to report.
+func Link(classes []*bytecode.Class) (*Program, error) {
+	p, err := link(classes)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// link is Link, returning the program even on a structural error: its
+// verdict then covers the classes before the failing one, which a fully
+// verifying Load reports first.
+func link(classes []*bytecode.Class) (*Program, error) {
+	p := &Program{}
 	// Deterministic order: as provided.
+	byName := make(map[string]*bytecode.Class, len(classes))
 	for _, c := range classes {
-		if _, dup := v.Classes[c.Name]; dup {
-			return fmt.Errorf("load: duplicate class %q", c.Name)
+		if _, dup := byName[c.Name]; dup {
+			return p, fmt.Errorf("load: duplicate class %q", c.Name)
 		}
-		c.ID = len(v.ClassList)
-		v.Classes[c.Name] = c
-		v.ClassList = append(v.ClassList, c)
+		c.ID = len(p.Classes)
+		byName[c.Name] = c
+		p.Classes = append(p.Classes, c)
 	}
 
 	// Resolve supers and build layouts parents-first.
-	var link func(c *bytecode.Class) error
+	staticNext := staticBase
+	var linkClass func(c *bytecode.Class) error
 	linking := make(map[string]bool)
-	link = func(c *bytecode.Class) error {
+	linkClass = func(c *bytecode.Class) error {
 		if c.Loaded {
 			return nil
 		}
@@ -40,11 +84,11 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 		defer delete(linking, c.Name)
 
 		if c.SuperName != "" {
-			super, ok := v.Classes[c.SuperName]
+			super, ok := byName[c.SuperName]
 			if !ok {
 				return fmt.Errorf("load: %q extends unknown %q", c.Name, c.SuperName)
 			}
-			if err := link(super); err != nil {
+			if err := linkClass(super); err != nil {
 				return err
 			}
 			c.Super = super
@@ -61,8 +105,8 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 		for i := range c.Statics {
 			c.Statics[i].Slot = i
 		}
-		c.StaticBase = v.staticNext
-		v.staticNext += uint64(len(c.Statics)+1) * 8
+		c.StaticBase = staticNext
+		staticNext += uint64(len(c.Statics)+1) * 8
 
 		// VTable: inherit, override, extend.
 		if c.Super != nil {
@@ -94,8 +138,8 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 		return nil
 	}
 	for _, c := range classes {
-		if err := link(c); err != nil {
-			return err
+		if err := linkClass(c); err != nil {
+			return p, err
 		}
 	}
 
@@ -103,15 +147,16 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 	// classes appearing later in the input order).
 	for _, c := range classes {
 		for _, m := range c.Methods {
-			m.ID = len(v.MethodByID)
-			v.MethodByID = append(v.MethodByID, m)
+			m.ID = len(p.Methods)
+			p.Methods = append(p.Methods, m)
 		}
 	}
 
-	// Lay out bytecode, verify, resolve pools.
+	// Lay out bytecode and the pool data, resolve pools, verify.
+	classNext := mem.ClassBase
 	for _, c := range classes {
 		for _, m := range c.Methods {
-			m.Addr = v.classNext
+			m.Addr = classNext
 			m.PCOffsets = make([]uint64, len(m.Code))
 			var off uint64
 			for i, ins := range m.Code {
@@ -119,13 +164,81 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 				off += ins.Op.Size()
 			}
 			m.CodeBytes = off
-			v.classNext += off
+			classNext += off
 			// Methods are padded apart the way real method blocks are.
-			v.classNext = (v.classNext + 31) &^ 31
+			classNext = (classNext + 31) &^ 31
 		}
-		if err := v.resolvePool(c); err != nil {
-			return err
+		if err := resolvePool(c, byName); err != nil {
+			return p, err
 		}
+		// The materialized constant pool data: float values, then
+		// interned string references (see install).
+		c.PoolBase = classNext
+		classNext += uint64(len(c.Pool.Floats)+len(c.Pool.Strings)) * 8
+		classNext = (classNext + 31) &^ 31
+		for _, m := range c.Methods {
+			if err := bytecode.Verify(c, m); err != nil {
+				return p, err
+			}
+		}
+		// Full verification: the shared static-analysis passes run over
+		// every admitted method, and any Error finding (stack
+		// discipline, definite assignment, monitor balance) rejects the
+		// class — interpreted code gets the same guarantees the JIT's
+		// typeflow used to give compiled code only.
+		for _, m := range c.Methods {
+			diags := analysis.CheckMethod(c, m)
+			p.Diagnostics = append(p.Diagnostics, diags...)
+			if errs := analysis.Errors(diags); len(errs) > 0 && p.verdict == nil {
+				p.verdict = fmt.Errorf("load %s: verification failed: %s", c.Name, errs[0].Msg)
+			}
+		}
+	}
+	return p, nil
+}
+
+// Load links classes and installs them on v, the VM's own program:
+// unlike a Program from Link, lock elision may rewrite it.
+func (v *VM) Load(classes []*bytecode.Class) error {
+	p, err := link(classes)
+	if err != nil {
+		if v.Verify == VerifyFull && p.verdict != nil {
+			return p.verdict
+		}
+		return err
+	}
+	return v.install(p)
+}
+
+// Install loads a linked program on v, which must not hold classes yet.
+// It registers the classes and methods in v's tables, materializes each
+// vtable and constant pool in v's memory, interns the pool strings and
+// emits the class-loading trace that produces the paper's start-of-run
+// miss spikes (Figure 6). It returns the program's verdict when v
+// verifies fully. The program stays shared: nothing here writes into it.
+func (v *VM) Install(p *Program) error {
+	if err := v.install(p); err != nil {
+		return err
+	}
+	v.shared = true
+	return nil
+}
+
+func (v *VM) install(p *Program) error {
+	if len(v.ClassList) > 0 {
+		return fmt.Errorf("load: VM already holds %d classes", len(v.ClassList))
+	}
+	if v.Verify == VerifyFull && p.verdict != nil {
+		return p.verdict
+	}
+	// Clipped, so a VM that appends (lock elision's clones) copies
+	// rather than writing into the program's arrays.
+	v.ClassList = slices.Clip(p.Classes)
+	v.MethodByID = slices.Clip(p.Methods)
+	for _, c := range p.Classes {
+		v.Classes[c.Name] = c
+	}
+	for _, c := range p.Classes {
 		// Materialize the vtable in simulated memory: each slot holds the
 		// implementing method's entry-stub address. Generated virtual
 		// dispatch code loads these words.
@@ -134,32 +247,12 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 		}
 		// Materialize the constant pool data: float values, then interned
 		// string references (class loading resolves constants eagerly).
-		c.PoolBase = v.classNext
 		for i, fv := range c.Pool.Floats {
 			v.Mem.Store(c.PoolBase+uint64(i)*8, F2Bits(fv))
 		}
 		strBase := c.PoolBase + uint64(len(c.Pool.Floats))*8
 		for i, sv := range c.Pool.Strings {
 			v.Mem.Store(strBase+uint64(i)*8, int64(v.Intern(sv)))
-		}
-		v.classNext += uint64(len(c.Pool.Floats)+len(c.Pool.Strings)) * 8
-		v.classNext = (v.classNext + 31) &^ 31
-		for _, m := range c.Methods {
-			if err := bytecode.Verify(c, m); err != nil {
-				return err
-			}
-		}
-		if v.Verify == VerifyFull {
-			// Full verification: the shared static-analysis passes run
-			// over every admitted method, and any Error finding (stack
-			// discipline, definite assignment, monitor balance) rejects
-			// the class — interpreted code gets the same guarantees the
-			// JIT's typeflow used to give compiled code only.
-			for _, m := range c.Methods {
-				if errs := analysis.Errors(analysis.CheckMethod(c, m)); len(errs) > 0 {
-					return fmt.Errorf("load %s: verification failed: %s", c.Name, errs[0].Msg)
-				}
-			}
 		}
 		v.emitLoadTrace(c)
 	}
@@ -169,12 +262,18 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 	return nil
 }
 
-// resolvePool fills in the Resolved fields of c's pool references.
-func (v *VM) resolvePool(c *bytecode.Class) error {
+// SharesProgram reports whether v runs a Program installed from Link,
+// which other VMs may be running too, rather than one Load linked for
+// v alone.
+func (v *VM) SharesProgram() bool { return v.shared }
+
+// resolvePool fills in the Resolved fields of c's pool references
+// against the program's classes.
+func resolvePool(c *bytecode.Class, classes map[string]*bytecode.Class) error {
 	p := &c.Pool
 	for i := range p.Classes {
 		r := &p.Classes[i]
-		cl, ok := v.Classes[r.Name]
+		cl, ok := classes[r.Name]
 		if !ok {
 			return fmt.Errorf("resolve %s: unknown class %q", c.Name, r.Name)
 		}
@@ -182,7 +281,7 @@ func (v *VM) resolvePool(c *bytecode.Class) error {
 	}
 	for i := range p.Fields {
 		r := &p.Fields[i]
-		cl, ok := v.Classes[r.Class]
+		cl, ok := classes[r.Class]
 		if !ok {
 			return fmt.Errorf("resolve %s: field ref to unknown class %q", c.Name, r.Class)
 		}
@@ -216,7 +315,7 @@ func (v *VM) resolvePool(c *bytecode.Class) error {
 	}
 	for i := range p.Methods {
 		r := &p.Methods[i]
-		cl, ok := v.Classes[r.Class]
+		cl, ok := classes[r.Class]
 		if !ok {
 			return fmt.Errorf("resolve %s: method ref to unknown class %q", c.Name, r.Class)
 		}

@@ -61,27 +61,28 @@ func Throwf(kind, format string, args ...any) {
 	panic(&Error{Kind: kind, Msg: fmt.Sprintf(format, args...)})
 }
 
-// VerifyLevel selects how much static checking Load performs on every
-// method before admitting a class.
+// VerifyLevel selects which static checks a VM enforces before
+// admitting a program's classes. Link runs both levels' checks once
+// per program; the level only picks the verdict.
 type VerifyLevel int
 
 const (
-	// VerifyFull (the default) runs the structural checks plus the full
-	// internal/analysis pass suite — stack-type verification, definite
-	// assignment, monitor balance — and rejects any Error finding, the
-	// way the JVM verifier gates class loading.
+	// VerifyFull (the default) enforces the structural checks plus the
+	// full internal/analysis pass suite — stack-type verification,
+	// definite assignment, monitor balance — and rejects any Error
+	// finding, the way the JVM verifier gates class loading.
 	VerifyFull VerifyLevel = iota
-	// VerifyStructural runs only bytecode.Verify (branch targets, pool
-	// indices, local slots). Tests exercising deliberately ill-typed
-	// bodies opt into this level.
+	// VerifyStructural enforces only bytecode.Verify (branch targets,
+	// pool indices, local slots). Tests exercising deliberately
+	// ill-typed bodies opt into this level.
 	VerifyStructural
 )
 
 // VM is the runtime instance.
 type VM struct {
 	Mem *mem.Memory
-	// Verify is the admission-check level Load applies (default
-	// VerifyFull).
+	// Verify is the admission-check level Load and Install apply
+	// (default VerifyFull).
 	Verify VerifyLevel
 	// Classes maps name to loaded class; ClassList is indexed by class
 	// id; MethodByID is indexed by method id.
@@ -98,8 +99,7 @@ type VM struct {
 	Out bytes.Buffer
 
 	heapNext     uint64
-	classNext    uint64
-	staticNext   uint64
+	shared       bool // the classes came from Install (SharesProgram)
 	strings      map[string]uint64
 	classObjects map[int]uint64
 	threads      []*Thread
@@ -140,8 +140,6 @@ func New(sink trace.Sink, makeMonitors func(*emit.Emitter) monitor.Manager) *VM 
 		RT:          rt,
 		LD:          ld,
 		heapNext:    mem.HeapBase,
-		classNext:   mem.ClassBase,
-		staticNext:  mem.VMBase + 0x100_0000,
 		strings:     make(map[string]uint64),
 		SyncObjects: make(map[uint64]struct{}),
 	}
