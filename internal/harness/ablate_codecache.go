@@ -1,41 +1,43 @@
 package harness
 
 import (
-	"context"
 	"fmt"
+	"math/rand/v2"
 	"os"
-	"sync"
+	"path/filepath"
 
 	"jrs/internal/core"
 	"jrs/internal/jit/codecache"
 	"jrs/internal/stats"
+	"jrs/internal/workloads"
 )
 
 // AblateCodeCacheRow measures, for one workload under the JIT, what the
 // shared translation cache saves: translate-phase instructions cold vs
 // warm (in-process) vs disk-warm (fresh process image, warm on-disk
 // store), and the translate de-duplication when four engines share one
-// initially cold cache (serial vs parallel sharing).
+// initially cold cache (the cold run and three warm runs on it).
 type AblateCodeCacheRow struct {
 	Workload string
 	// TranslateCold is the translate-phase instruction count of the run
 	// that populates a fresh cache — identical to an uncached run (a
 	// miss runs the full generator; the probe cost is charged on hits
-	// only). TranslateWarm re-runs against the warm in-process cache;
-	// TranslateDisk against a warm disk store through a cold in-process
-	// level (the "next morning" shape).
+	// only). TranslateWarm is the first re-run against the warm
+	// in-process cache; TranslateDisk a run through a second handle on
+	// the cache's directory, which reads the warm disk store through a
+	// cold in-process level (the "next morning" shape).
 	TranslateCold, TranslateWarm, TranslateDisk uint64
 	// ColdMisses is the number of distinct translations the cold run
-	// stored; WarmHits the warm run's cache hits.
+	// stored; WarmHits the hits after the first warm run.
 	ColdMisses, WarmHits int64
-	// SharedMisses / SharedHits aggregate four engines sharing one
-	// initially cold cache: singleflight translates each successful key
-	// exactly once, so SharedMisses stays at the cold-run level while
-	// SharedHits absorbs the other three engines' compiles.
+	// SharedMisses / SharedHits aggregate the four engines on the first
+	// handle: each key is translated once, by the cold run, so
+	// SharedMisses stays at the cold-run level while SharedHits absorbs
+	// the three warm runs' compiles. Engines racing one cache give the
+	// same totals (singleflight).
 	SharedMisses, SharedHits int64
-	// SharedTranslate is the four engines' summed translate-phase count —
-	// deterministic (one full translation plus three probes per method)
-	// even though per-engine attribution depends on scheduling.
+	// SharedTranslate is the four engines' summed translate-phase count:
+	// one full translation plus three probes per method.
 	SharedTranslate uint64
 	// CodeKB is the per-engine installed native code size: address-space
 	// footprint is paid per engine either way; the cache shares the
@@ -46,103 +48,56 @@ type AblateCodeCacheRow struct {
 // AblateCodeCacheResult is the shared-translation-cache ablation.
 type AblateCodeCacheResult struct{ Rows []AblateCodeCacheRow }
 
-// ablateCodeCachePlan enumerates one cell per workload. Every cell
-// builds its own cache instances, so the measurement is isolated from
-// any process-default cache `jrs -codecache` may have installed. The
-// cold, warm and disk legs are declared runs; the shared leg races four
-// engines on one cache, so it is the one cell that starts engines
-// itself.
+// ablateCodeCachePlan enumerates one JIT cell per workload, claimed
+// alone: every run attaches a cache of the cell's own, so it shares no
+// engine run with another cell, and the measurement is isolated from
+// any process-default cache `jrs -codecache` may have installed. A cell
+// makes five runs in order: a cold run on a disk-backed cache, three
+// warm runs on it, and a run through a second handle on its directory.
 func ablateCodeCachePlan(o Options) *Plan {
-	list := o.seven()
-	res := &AblateCodeCacheResult{Rows: make([]AblateCodeCacheRow, len(list))}
+	res := &AblateCodeCacheResult{}
 	p := newPlan("ablate-codecache", res)
-	for i, w := range list {
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "ablate-codecache", Workload: w.Name, Scale: scale, Mode: "jit",
-			Config: "cold+warm+disk+shared4"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+	cells(p, o, o.seven(), jitOnly, "", "cold+warm+disk+shared4", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (AblateCodeCacheRow, error)) {
 			row := AblateCodeCacheRow{Workload: w.Name}
-			translate := func(e *core.Engine) uint64 {
+			// The cold run's first store makes dir, so declaring the cell
+			// writes nothing, and the cold run's cleanup removes dir
+			// however the attempt ends.
+			dir := filepath.Join(os.TempDir(), fmt.Sprintf("jrs-codecache-%016x", rand.Uint64()))
+			cc, disk := codecache.NewMemory(), codecache.NewMemory()
+			cc.Dir, disk.Dir = dir, dir
+			shared := func(e *core.Engine) uint64 {
 				_, tr, _ := e.PhaseInstrs()
+				row.SharedTranslate += tr
 				return tr
 			}
-
-			// Disk-warm populates a disk-backed cache, then reads it back
-			// through a second handle with a cold in-process level — the
-			// persistent cross-run reuse path. A handle reads the disk
-			// lazily, so both open up front.
-			dir, err := os.MkdirTemp("", "jrs-codecache-*")
-			if err != nil {
-				return row, err
-			}
-			defer os.RemoveAll(dir)
-			d1, err := codecache.Open(dir)
-			if err != nil {
-				return row, err
-			}
-			d2, err := codecache.Open(dir)
-			if err != nil {
-				return row, err
-			}
-			// Cold populates a fresh in-process cache (instruction stream
-			// identical to an uncached run), then warm re-runs on it.
-			cc := codecache.NewMemory()
-			err = execRuns(ctx, w, scale, nil, []run{
-				{mode: ModeJIT, cfg: core.Config{CodeCache: cc}, done: func(e *core.Engine) {
-					row.TranslateCold = translate(e)
+			runs := []run{{mode: mode, name: "codecache-cold", cfg: core.Config{CodeCache: cc},
+				cleanup: func() { os.RemoveAll(dir) },
+				done: func(e *core.Engine) {
+					row.TranslateCold = shared(e)
 					row.ColdMisses = cc.Stats().Misses
 					row.CodeKB = e.JIT.CodeBytes >> 10
-				}},
-				{mode: ModeJIT, cfg: core.Config{CodeCache: cc}, done: func(e *core.Engine) {
-					row.TranslateWarm = translate(e)
-					row.WarmHits = cc.Stats().Hits
-				}},
-				{mode: ModeJIT, cfg: core.Config{CodeCache: d1}},
-				{mode: ModeJIT, cfg: core.Config{CodeCache: d2}, done: func(e *core.Engine) {
-					row.TranslateDisk = translate(e)
-				}},
-			})
-			if err != nil {
-				return row, err
-			}
-
-			// Shared: four engines race one initially cold cache.
-			// Singleflight makes the aggregate counts and the summed
-			// translate-phase total deterministic regardless of
-			// scheduling; only per-engine attribution varies.
-			sc := codecache.NewMemory()
-			var (
-				wg       sync.WaitGroup
-				mu       sync.Mutex
-				firstErr error
-				sharedTr uint64
-			)
-			for range 4 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					e, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{CodeCache: sc})
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
+				}}}
+			for k := range 3 {
+				runs = append(runs, run{mode: mode, name: "codecache-warm", cfg: core.Config{CodeCache: cc},
+					done: func(e *core.Engine) {
+						if tr := shared(e); k == 0 {
+							row.TranslateWarm, row.WarmHits = tr, cc.Stats().Hits
 						}
-						return
-					}
-					sharedTr += translate(e)
-				}()
+					}})
 			}
-			wg.Wait()
-			if firstErr != nil {
-				return row, fmt.Errorf("shared leg: %w", firstErr)
+			runs = append(runs, run{mode: mode, name: "codecache-disk", cfg: core.Config{CodeCache: disk},
+				done: func(e *core.Engine) { _, row.TranslateDisk, _ = e.PhaseInstrs() }})
+			return runs, func() (AblateCodeCacheRow, error) {
+				s := cc.Stats()
+				if s.StoreErrors > 0 {
+					return row, fmt.Errorf("code cache %s: %d of %d stores failed", dir, s.StoreErrors, s.Stores)
+				}
+				row.SharedMisses, row.SharedHits = s.Misses, s.Hits
+				return row, nil
 			}
-			s := sc.Stats()
-			row.SharedMisses, row.SharedHits = s.Misses, s.Hits
-			row.SharedTranslate = sharedTr
-			return row, nil
 		})
-	}
+	p.claimAlone()
 	return p
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -56,10 +55,11 @@ type AnalyzeResult struct {
 
 // analyzeProgram runs the interprocedural analysis over a linked
 // program that full verification admits, flattening the fact maps into
-// the deterministic row form.
+// the deterministic row form. Callers prefix its error with the
+// program's name.
 func analyzeProgram(name string, p *vm.Program, races, checks bool) (AnalyzeRow, error) {
 	if err := p.Verdict(); err != nil {
-		return AnalyzeRow{}, fmt.Errorf("%s: %w", name, err)
+		return AnalyzeRow{}, err
 	}
 	res := ipa.Analyze(p.Classes)
 
@@ -89,16 +89,17 @@ func analyzeProgram(name string, p *vm.Program, races, checks bool) (AnalyzeRow,
 	return row, nil
 }
 
-// analyzePlan enumerates one static-analysis cell per workload. The
-// cells are pure static analysis (no simulation), but going through a
-// Plan lets `jrs analyze` share the -parallel worker pool and keeps the
-// merge deterministic regardless of completion order.
+// analyzePlan enumerates one static-analysis cell per workload, claimed
+// alone. A cell declares no engine runs: its reduce analyzes the
+// workload's linked program. Going through a Plan lets `jrs analyze`
+// share the -parallel worker pool and keeps the merge deterministic
+// regardless of completion order.
 func analyzePlan(o Options) (*Plan, *AnalyzeResult) {
 	list := o.Workloads
 	if list == nil {
 		list = workloads.All()
 	}
-	res := &AnalyzeResult{Rows: make([]AnalyzeRow, len(list))}
+	res := &AnalyzeResult{}
 	p := newPlan("analyze", res)
 	cfg := "ipa"
 	if o.Races {
@@ -107,17 +108,17 @@ func analyzePlan(o Options) (*Plan, *AnalyzeResult) {
 	if o.Checks {
 		cfg += "+checks"
 	}
-	for i, w := range list {
-		scale := resolveScale(o, w)
-		key := CellKey{Experiment: "analyze", Workload: w.Name, Scale: scale, Mode: "static", Config: cfg}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			prog, err := linkedProgram(w, scale)
-			if err != nil {
-				return AnalyzeRow{}, fmt.Errorf("%s: %w", w.Name, err)
+	cells(p, o, list, interpOnly, "static", cfg, &res.Rows,
+		func(w workloads.Workload, _ Mode) ([]run, func() (AnalyzeRow, error)) {
+			return nil, func() (AnalyzeRow, error) {
+				prog, err := linkedProgram(w, resolveScale(o, w))
+				if err != nil {
+					return AnalyzeRow{}, err
+				}
+				return analyzeProgram(w.Name, prog, o.Races, o.Checks)
 			}
-			return analyzeProgram(w.Name, prog, o.Races, o.Checks)
 		})
-	}
+	p.claimAlone()
 	return p, res
 }
 
@@ -143,14 +144,12 @@ func AnalyzePrograms(progs []LintProgram, races, checks bool) (*AnalyzeResult, e
 	res := &AnalyzeResult{Rows: make([]AnalyzeRow, len(progs))}
 	for i, p := range progs {
 		prog, err := p.linked()
+		if err == nil {
+			res.Rows[i], err = analyzeProgram(p.Name, prog, races, checks)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		row, err := analyzeProgram(p.Name, prog, races, checks)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows[i] = row
 	}
 	return res, nil
 }

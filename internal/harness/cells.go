@@ -19,16 +19,19 @@ import (
 // it wants timed. scale 0 means the cell's scale. name names cfg, empty
 // for the zero core.Config, so a run's identity is its mode, resolved
 // scale and name. done, when set, reads the finished engine, so a cell
-// keeps no engine alive past its own run.
+// keeps no engine alive past its own run. cleanup, when set, removes
+// what cfg leaves on disk once execRuns returns, whether or not the run
+// was reached.
 type run struct {
-	mode  Mode
-	name  string
-	cfg   core.Config
-	scale int
-	sinks []trace.Sink
-	hs    []*cache.Hierarchy
-	cores *coreSet
-	done  func(*core.Engine)
+	mode    Mode
+	name    string
+	cfg     core.Config
+	scale   int
+	sinks   []trace.Sink
+	hs      []*cache.Hierarchy
+	cores   *coreSet
+	done    func(*core.Engine)
+	cleanup func()
 }
 
 // coreSet is the cores a run times, one per config: the executor hands
@@ -54,12 +57,14 @@ func (s *coreSet) err() error {
 	return nil
 }
 
-// engineSpec is the workload, scale and lead mode a declared cell runs
-// at: the declared cells of one spec are claimed together.
+// engineSpec is the workload, scale and lead mode a cell runs at: the
+// cells of one spec are claimed together. alone is the key of a cell
+// that can share no run (claimAlone), so no other cell has its spec.
 type engineSpec struct {
 	w     workloads.Workload
 	scale int
 	mode  Mode
+	alone CellKey
 }
 
 // Mode lists of the cells measured under one engine mode each, and the
@@ -74,9 +79,9 @@ var (
 // and decodes the cells' payloads into *rows, sized to one slot per
 // cell. A key's Mode is the mode's name, or label for the cells whose
 // runs span several modes (mode is then their lead mode); its Config is
-// config. decl declares a cell's engine runs and the reduce that turns
-// their finished sinks into the payload. It is called afresh on every
-// attempt, so a retried cell starts from empty sinks.
+// config. decl declares a cell's engine runs (possibly none) and the
+// reduce that turns their finished sinks into the payload. It is called
+// afresh on every attempt, so a retried cell starts from empty sinks.
 func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, label, config string,
 	rows *[]R, decl func(w workloads.Workload, mode Mode) ([]run, func() (R, error))) {
 	*rows = make([]R, len(list)*len(modes))
@@ -85,39 +90,56 @@ func cells[R any](p *Plan, o Options, list []workloads.Workload, modes []Mode, l
 		for j, mode := range modes {
 			key := CellKey{Experiment: p.experiment, Workload: w.Name, Scale: scale,
 				Mode: cmp.Or(label, mode.String()), Config: config}
-			p.cells = append(p.cells, Cell{Key: key, dest: &(*rows)[i*len(modes)+j], spec: engineSpec{w, scale, mode},
-				decl: func() ([]run, func() (any, error)) {
+			p.cells = append(p.cells, Cell{Key: key, dest: &(*rows)[i*len(modes)+j], spec: engineSpec{w: w, scale: scale, mode: mode},
+				decl: func() ([]run, func(context.Context) (any, error)) {
 					runs, reduce := decl(w, mode)
-					return runs, func() (any, error) { return reduce() }
+					return runs, func(context.Context) (any, error) { return reduce() }
 				}})
 		}
 	}
 }
 
-// runClaim runs a claim (one declared cell, or the declared cells of one
-// spec) through execRuns, declaring its runs afresh so a retry starts
-// from empty sinks. A member's payload is made as soon as its last run
-// is served, and its sinks are dropped with its reduce. Any member's
-// error fails the whole claim.
+// claimAlone gives every cell of p a spec of its own, so each is claimed
+// alone: for cells that can share no engine run with another cell.
+func (p *Plan) claimAlone() {
+	for i := range p.cells {
+		p.cells[i].spec.alone = p.cells[i].Key
+	}
+}
+
+// runClaim runs a claim (one cell, or the cells of one spec) through
+// execRuns, declaring its runs afresh so a retry starts from empty
+// sinks. A member's payload is made as soon as its last run is served,
+// and its sinks are dropped with its reduce; the members that declare
+// no runs are reduced last. Any member's error fails the whole claim.
 func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, error) {
 	spec := members[0].spec
 	runs := make([][]run, len(members))
-	reduces := make([]func() (any, error), len(members))
+	reduces := make([]func(context.Context) (any, error), len(members))
 	for i, g := range members {
 		runs[i], reduces[i] = g.decl()
 	}
 	raws := make([]json.RawMessage, len(members))
-	err := execRuns(ctx, spec.w, spec.scale, func(i int) error {
-		v, err := reduces[i]()
+	reduce := func(i int) error {
+		v, err := reduces[i](ctx)
 		reduces[i] = nil
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.w.Name, err)
 		}
-		raws[i], err = encodePayload(members[i].Key, v)
-		return err
-	}, runs...)
-	if err != nil {
+		if raws[i], err = json.Marshal(v); err != nil {
+			return fmt.Errorf("%s: encode cell payload: %w", members[i].Key, err)
+		}
+		return nil
+	}
+	if err := execRuns(ctx, spec.w, spec.scale, reduce, runs...); err != nil {
 		return nil, err
+	}
+	for i := range members {
+		if reduces[i] != nil {
+			if err := reduce(i); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return raws, nil
 }
@@ -132,8 +154,16 @@ func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, err
 // each set gets back before the engine starts; the core group is
 // released as soon as the engine returns. Then each sharer's done
 // reads the finished engine, and a member whose last run that was is
-// dropped and handed to release (nil: nothing to do).
+// dropped and handed to release (nil: nothing to do). Every run's
+// cleanup runs when execRuns returns.
 func execRuns(ctx context.Context, w workloads.Workload, scale int, release func(member int) error, members ...[]run) error {
+	for _, runs := range members {
+		for _, r := range runs {
+			if r.cleanup != nil {
+				defer r.cleanup()
+			}
+		}
+	}
 	served := make([][]bool, len(members))
 	left := make([]int, len(members))
 	for m, runs := range members {

@@ -2,7 +2,11 @@ package harness
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"jrs/internal/core"
 	"jrs/internal/jit/codecache"
@@ -290,6 +294,99 @@ func TestAblateCodeCacheShape(t *testing.T) {
 			t.Errorf("%s: shared misses/hits %d/%d, want %d/%d",
 				row.Workload, row.SharedMisses, row.SharedHits, row.ColdMisses, 3*row.ColdMisses)
 		}
+	}
+}
+
+// TestAblateCodeCacheTempDirs: an ablate-codecache cell's cold run makes
+// the cell's cache directory under TMPDIR, and the cell removes it
+// however the attempt ends. Declaring the registry leaves no directory
+// behind, and neither does an attempt that succeeds, one whose engine
+// fails, one that panics or one the watchdog cancels. A directory that
+// cannot be made fails the cell.
+func TestAblateCodeCacheTempDirs(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	dirs := func() []string {
+		m, err := filepath.Glob(filepath.Join(os.TempDir(), "jrs-codecache-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	left := func(what string) {
+		t.Helper()
+		if m := dirs(); len(m) > 0 {
+			t.Errorf("%s left %v behind", what, m)
+		}
+	}
+	for _, e := range Experiments() {
+		for _, g := range GroupPlans(e.Plan(helloOpts("hello", "db"))) {
+			g.decl()
+		}
+	}
+	left("declaring the registry")
+
+	e, _ := Lookup("ablate-codecache")
+	// attempt makes one attempt at hello's cell, with fault applied to
+	// its declared runs, and checks that the cold run made a directory.
+	attempt := func(timeout time.Duration, fault func([]run)) error {
+		t.Helper()
+		g := GroupPlans(e.Plan(helloOpts()))[0]
+		decl, made := g.decl, false
+		g.decl = func() ([]run, func(context.Context) (any, error)) {
+			runs, reduce := decl()
+			done := runs[0].done
+			runs[0].done = func(e *core.Engine) {
+				done(e)
+				made = len(dirs()) > 0
+			}
+			fault(runs)
+			return runs, reduce
+		}
+		_, err := g.Attempt(context.Background(), 1, timeout, nil)
+		if !made {
+			t.Error("the cold run made no cache directory")
+		}
+		return err
+	}
+	if err := attempt(0, func([]run) {}); err != nil {
+		t.Fatal(err)
+	}
+	left("a successful attempt")
+	errFault := errors.New("engine fault")
+	err := attempt(0, func(runs []run) { runs[1].cfg.Cancel = func() error { return errFault } })
+	if !errors.Is(err, errFault) {
+		t.Errorf("failing engine: got %v, want %v", err, errFault)
+	}
+	left("a failed engine")
+	err = attempt(0, func(runs []run) { runs[1].sinks = append(runs[1].sinks, faultSink{}) })
+	if cause := Classify(err); cause != CausePanic {
+		t.Errorf("panicking sink: cause %s (%v), want %s", cause, err, CausePanic)
+	}
+	left("a panic")
+	// The cold run's done outlasts the deadline, so the first warm run
+	// is cancelled.
+	const timeout = 500 * time.Millisecond
+	err = attempt(timeout, func(runs []run) {
+		done := runs[0].done
+		runs[0].done = func(e *core.Engine) {
+			done(e)
+			time.Sleep(timeout)
+		}
+	})
+	if cause := Classify(err); cause != CauseTimeout {
+		t.Errorf("watchdog: cause %s (%v), want %s", cause, err, CauseTimeout)
+	}
+	left("a watchdog timeout")
+
+	// A directory that cannot be made fails the cell instead of
+	// measuring a disk level that never held an entry.
+	file := filepath.Join(os.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("TMPDIR", file)
+	if _, err := GroupPlans(e.Plan(helloOpts()))[0].Run(context.Background()); err == nil {
+		t.Error("an unwritable cache directory did not fail the cell")
 	}
 }
 

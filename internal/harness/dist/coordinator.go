@@ -618,7 +618,7 @@ func (c *Coordinator) finalize(j *job) {
 // plans. "all" expands to every registered experiment; more than one
 // experiment renders with section headers (the `jrs all` format). The
 // coordinator and every worker enumerate through here, so a cell key
-// resolves to the same simulation closure on either side.
+// resolves to the same cell declaration on either side.
 func enumerate(grid GridSpec) (exps []harness.Experiment, plans []*harness.Plan, headerMode bool, err error) {
 	switch {
 	case len(grid.Experiments) == 0:

@@ -3,7 +3,7 @@
 // registered experiment's plan into cells, grants time-bounded leases
 // over a compact length-prefixed binary TCP protocol, and merges
 // streamed per-cell results deterministically in enumeration order; a
-// Worker holds the simulation closures (re-enumerated from the same
+// Worker holds the cell declarations (re-enumerated from the same
 // registry) and executes leased cells under panic isolation and a
 // watchdog. Scheduling is not the coordinator's: each job runs on a
 // harness.Ledger, the state machine the local Runner drives too, and the
@@ -228,8 +228,8 @@ func (s OptionsSpec) Options() (harness.Options, error) {
 
 // GridSpec names a grid: which registered experiments, under which
 // options. Both the coordinator and every worker enumerate it through
-// the same registry, so a cell key resolves to the same simulation
-// closure everywhere.
+// the same registry, so a cell key resolves to the same cell
+// declaration everywhere.
 type GridSpec struct {
 	Experiments []string    `json:"experiments"`
 	Opts        OptionsSpec `json:"opts"`

@@ -22,7 +22,7 @@ const reconnectDelay = 20 * time.Millisecond
 // process crashing and being respawned.
 var errKilled = errors.New("dist: chaos killed worker")
 
-// Worker executes leased cells. It holds the simulation closures —
+// Worker executes leased cells. It holds the cell declarations —
 // re-enumerated from the shared experiment registry per grid spec — and
 // runs each leased cell through harness.CellGroup.Attempt, the same
 // attempt the local runner makes; classification happens here and ships
@@ -200,7 +200,7 @@ func (w *Worker) heartbeat(fc *frameConn, l Lease) (stop func()) {
 // group resolves a cell key against the grid's enumerated plans,
 // building (and caching) the plan set on first sight of a grid spec.
 // Coordinator and worker run the same registry code, so a key enumerated
-// there resolves to the same simulation closure here.
+// there resolves to the same cell declaration here.
 func (w *Worker) group(grid GridSpec, key harness.CellKey) (*harness.CellGroup, error) {
 	canon := grid.Canonical()
 	w.mu.Lock()

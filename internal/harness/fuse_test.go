@@ -93,29 +93,29 @@ func TestFusedPayloadsMatchSolo(t *testing.T) {
 // declared run of the whole registry on hello and db has an empty name
 // exactly when its core.Config is zero, and every run of one mode and
 // name declares the same config, so a shared run never serves one
-// config's engine to another.
+// config's engine to another. A cell claimed alone shares runs with no
+// other cell, so its runs are held to that only among themselves
+// (ablate-codecache's legs each attach the cell's own cache).
 func TestRunNamesCoverConfigs(t *testing.T) {
 	var plans []*Plan
 	for _, e := range Experiments() {
 		plans = append(plans, e.Plan(helloOpts("hello", "db")))
 	}
 	type identity struct {
-		mode Mode
-		name string
+		alone CellKey
+		mode  Mode
+		name  string
 	}
 	first := map[identity]core.Config{}
 	declared := 0
 	for _, g := range GroupPlans(plans...) {
-		if g.decl == nil {
-			continue
-		}
 		runs, _ := g.decl()
 		for k, r := range runs {
 			declared++
 			if zero := reflect.ValueOf(r.cfg).IsZero(); zero != (r.name == "") {
 				t.Errorf("%s run %d: name %q, zero config %v", g.Key, k, r.name, zero)
 			}
-			id := identity{r.mode, r.name}
+			id := identity{g.spec.alone, r.mode, r.name}
 			if cfg, ok := first[id]; !ok {
 				first[id] = r.cfg
 			} else if !sameConfig(cfg, r.cfg) {
@@ -186,12 +186,10 @@ func fusedDifferential(t *testing.T, plans []*Plan) (fused, fusedCores int) {
 			break
 		}
 		spec := l.groups[batch[0].Group].spec
-		if l.groups[batch[0].Group].decl != nil {
-			if claimed[spec] {
-				t.Errorf("spec %s@%d/%s claimed twice", spec.w.Name, spec.scale, spec.mode)
-			}
-			claimed[spec] = true
+		if claimed[spec] {
+			t.Errorf("spec %s@%d/%s claimed twice", spec.w.Name, spec.scale, spec.mode)
 		}
+		claimed[spec] = true
 		var raws []json.RawMessage
 		if len(batch) > 1 {
 			fused++
@@ -267,6 +265,53 @@ func sameSpecPlans(bad int) ([]*Plan, []*countResult) {
 		results = append(results, res)
 	}
 	return plans, results
+}
+
+// TestClaimReducesRunlessMembers: a cell that declares no runs is
+// claimed with the engine cells of its spec, and the claim reduces it
+// too. Here it sits between two instruction-counting cells that share
+// one engine run; every member's payload must equal its solo payload
+// byte for byte.
+func TestClaimReducesRunlessMembers(t *testing.T) {
+	counts, _ := sameSpecPlans(-1)
+	res := &countResult{}
+	static := newPlan("fuse-static", res)
+	cells(static, helloOpts(), helloOpts().Workloads, jitOnly, "", "methods", &res.Rows,
+		func(w workloads.Workload, mode Mode) ([]run, func() (uint64, error)) {
+			return nil, func() (uint64, error) {
+				prog, err := linkedProgram(w, resolveScale(helloOpts(), w))
+				if err != nil {
+					return 0, err
+				}
+				return uint64(len(prog.Methods)), nil
+			}
+		})
+	l := NewLedger(LedgerConfig{}, counts[0], static, counts[1])
+	batch, _ := l.Claim(time.Now(), 0)
+	if len(batch) != 3 {
+		t.Fatalf("claimed %d groups, want the 3 of one spec", len(batch))
+	}
+	members := make([]*CellGroup, len(batch))
+	for k, c := range batch {
+		members[k] = l.groups[c.Group]
+	}
+	runs := engineRuns.Load()
+	raws, err := runClaim(context.Background(), members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs = engineRuns.Load() - runs; runs != 1 {
+		t.Errorf("the claim made %d engine runs, want 1", runs)
+	}
+	for k, g := range members {
+		solo, err := g.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raws[k]) == 0 || string(raws[k]) == "0" || !bytes.Equal(raws[k], solo) {
+			t.Errorf("%s: claimed payload %s, solo %s", g.Key, raws[k], solo)
+		}
+	}
 }
 
 // TestFusedFaultIsolated: one of three same-spec cells panics in its
@@ -451,8 +496,8 @@ func TestCheckPipeFusedMatchesUnfused(t *testing.T) {
 		t.Fatalf("shared core: checkers %p and %p, %d of %d instructions checked",
 			chk, ro.cores.got[3].Check(), chk.Count(), shared.Instrs)
 	}
-	for _, reduce := range []func() (any, error){reduce9, reduceOoO} {
-		if _, err := reduce(); err != nil {
+	for _, reduce := range []func(context.Context) (any, error){reduce9, reduceOoO} {
+		if _, err := reduce(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -136,24 +136,23 @@ func (l *Ledger) settle(i int, st GroupState) {
 type Claimed struct{ Group, Attempt int }
 
 // Claim moves the earliest eligible pending group in flight, together
-// with every other eligible pending declared group of the same engine
-// spec when it is declared (at most limit groups in all, limit <= 0 for
-// no bound), and returns them in enumeration order with their attempt
-// numbers. A group is eligible once its backoff has elapsed; after a
-// fail-fast failure only groups attempted before stay eligible, so
-// claimed work finishes its retry budget while fresh work is skipped.
-// With nothing eligible Claim returns no groups and how long until a
-// backed-off group becomes eligible (0: nothing is left to claim).
+// with every other eligible pending group of the same engine spec (at
+// most limit groups in all, limit <= 0 for no bound), and returns them
+// in enumeration order with their attempt numbers. A group is eligible
+// once its backoff has elapsed; after a fail-fast failure only groups
+// attempted before stay eligible, so claimed work finishes its retry
+// budget while fresh work is skipped. With nothing eligible Claim
+// returns no groups and how long until a backed-off group becomes
+// eligible (0: nothing is left to claim).
 func (l *Ledger) Claim(now time.Time, limit int) (batch []Claimed, wait time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	stopped := l.stopped()
 	for i, st := range l.state {
-		g := l.groups[i]
 		if st != GroupPending || (stopped && !l.attempted[i]) {
 			continue
 		}
-		if len(batch) > 0 && (g.decl == nil || g.spec != l.groups[batch[0].Group].spec) {
+		if len(batch) > 0 && l.groups[i].spec != l.groups[batch[0].Group].spec {
 			continue
 		}
 		if d := l.notBefore[i].Sub(now); d > 0 {
@@ -164,7 +163,7 @@ func (l *Ledger) Claim(now time.Time, limit int) (batch []Claimed, wait time.Dur
 		}
 		l.start(i)
 		batch = append(batch, Claimed{Group: i, Attempt: l.attempts[i]})
-		if g.decl == nil || len(batch) == limit {
+		if len(batch) == limit {
 			break
 		}
 	}

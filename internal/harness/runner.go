@@ -51,20 +51,18 @@ func (k CellKey) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Cell is one schedulable simulation unit: a key, how the cell simulates
-// a JSON-serializable payload, and the destination the payload is
-// decoded into. A cell declares its engine runs (decl; equal runs of the
-// declared cells of one spec are shared) or starts its engines itself
-// (sim). Every payload — fresh or cached — passes through the
-// same JSON round trip, so a run never observes different values
-// depending on where a cell's result came from. sim receives the
-// attempt's context and must pass it down (RunCtx) so the supervisor's
-// watchdog can cancel a hung simulation cooperatively.
+// Cell is one schedulable simulation unit: a key, its declaration, and
+// the destination its JSON-serializable payload is decoded into. decl
+// declares the cell's engine runs (none for a cell that starts no
+// engine) and the reduce that turns their finished sinks into the
+// payload; the reduce gets the attempt's context. Equal runs of the
+// cells of one spec are shared. Every payload — fresh or cached —
+// passes through the same JSON round trip, so a run never observes
+// different values depending on where a cell's result came from.
 type Cell struct {
 	Key  CellKey
-	sim  func(context.Context) (any, error)
 	spec engineSpec
-	decl func() ([]run, func() (any, error))
+	decl func() ([]run, func(context.Context) (any, error))
 	dest any
 }
 
@@ -81,12 +79,6 @@ type Plan struct {
 
 func newPlan(experiment string, result Renderer) *Plan {
 	return &Plan{experiment: experiment, result: result}
-}
-
-// add appends a cell. dest must be a pointer; the cell payload (from the
-// simulation or the cache) is JSON-decoded into it.
-func (p *Plan) add(key CellKey, dest any, sim func(context.Context) (any, error)) {
-	p.cells = append(p.cells, Cell{Key: key, sim: sim, dest: dest})
 }
 
 // Keys returns the plan's cell keys in enumeration order.
@@ -119,10 +111,12 @@ func resolveScale(o Options, w workloads.Workload) int {
 // supervision: Workers goroutines drive one Ledger, each attempt running
 // with panic isolation (a panicking simulator becomes a structured
 // CellError, not a dead process), an optional watchdog deadline, and
-// bounded retry with deterministic backoff for transient failures. Every
-// cell owns its engine and simulators, so cells never share mutable
-// state; the merge into experiment results is deterministic because each
-// cell decodes into a preallocated slot and post-aggregation runs in
+// bounded retry with deterministic backoff for transient failures. A
+// worker runs a claim — the pending cells of one spec — as one
+// execRuns, so the claim's members share equal engine runs; a member
+// never shares its sinks, which it declares afresh on every attempt.
+// The merge into experiment results is deterministic because each cell
+// decodes into a preallocated slot and post-aggregation runs in
 // enumeration order. A Runner with Workers <= 1 degenerates to the serial
 // execution order of the original per-experiment loops. A Runner holds
 // no translation cache of its own: RunCtx attaches the process-default
@@ -177,43 +171,26 @@ type Runner struct {
 // once, decoded into every member's destination. The local Runner and
 // the distributed coordinator/worker split the same group differently:
 // the Runner does both halves in-process, a dist worker calls Attempt (it
-// holds the sims) while the coordinator's Ledger commits (it holds the
-// destinations).
+// holds the declarations) while the coordinator's Ledger commits (it
+// holds the destinations).
 type CellGroup struct {
 	// Key identifies the cell; Key.Hash() is its wire and cache address.
 	Key   CellKey
-	sim   func(context.Context) (any, error)
 	spec  engineSpec
-	decl  func() ([]run, func() (any, error))
+	decl  func() ([]run, func(context.Context) (any, error))
 	dests []any
 	order int // lowest cell index, for deterministic error selection
 }
 
-// Run executes the group's simulation under ctx and marshals the
-// payload; a declared cell runs as a claim of one. No recovery: callers
-// own their panic-isolation boundary.
+// Run executes the group as a claim of one under ctx and returns its
+// marshaled payload. No recovery: callers own their panic-isolation
+// boundary.
 func (g *CellGroup) Run(ctx context.Context) (json.RawMessage, error) {
-	if g.decl != nil {
-		raws, err := runClaim(ctx, []*CellGroup{g})
-		if err != nil {
-			return nil, err
-		}
-		return raws[0], nil
-	}
-	payload, err := g.sim(ctx)
+	raws, err := runClaim(ctx, []*CellGroup{g})
 	if err != nil {
 		return nil, err
 	}
-	return encodePayload(g.Key, payload)
-}
-
-// encodePayload marshals cell key's payload.
-func encodePayload(key CellKey, payload any) (json.RawMessage, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%s: encode cell payload: %w", key, err)
-	}
-	return raw, nil
+	return raws[0], nil
 }
 
 // Attempt makes attempt number attempt at the group in isolation: chaos
@@ -240,7 +217,7 @@ func (g *CellGroup) Attempt(ctx context.Context, attempt int, timeout time.Durat
 		}
 		var err error
 		if raw, err = g.Run(ctx); err != nil && ctx.Err() != nil {
-			return fmt.Errorf("%s: %w (sim: %v)", g.Key, ctx.Err(), err)
+			return fmt.Errorf("%s: %w (cell: %v)", g.Key, ctx.Err(), err)
 		}
 		return err
 	})
@@ -292,7 +269,7 @@ func GroupPlans(plans ...*Plan) []*CellGroup {
 			hash := c.Key.Hash()
 			g, ok := index[hash]
 			if !ok {
-				g = &CellGroup{Key: c.Key, sim: c.sim, spec: c.spec, decl: c.decl, order: order}
+				g = &CellGroup{Key: c.Key, spec: c.spec, decl: c.decl, order: order}
 				index[hash] = g
 				groups = append(groups, g)
 			}

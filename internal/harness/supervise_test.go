@@ -15,6 +15,7 @@ import (
 
 	"jrs/internal/atomicfile"
 	"jrs/internal/harness/chaos"
+	"jrs/internal/workloads"
 )
 
 // intsResult is a synthetic experiment result: one int slot per cell.
@@ -22,15 +23,20 @@ type intsResult struct{ Vals []int }
 
 func (r *intsResult) Render() string { return fmt.Sprint(r.Vals) }
 
-// syntheticPlan builds an n-cell plan whose cell i runs sim(ctx, i).
-// Keys are stable (w00, w01, ...) so chaos targeting and journal hashes
-// are reproducible.
+// syntheticPlan builds an n-cell plan whose cell i declares no runs and
+// reduces to sim(ctx, i) under the attempt's context. Keys are stable
+// (w00, w01, ...) so chaos targeting and journal hashes are
+// reproducible; each cell's workload, and so its spec, is its own.
 func syntheticPlan(n int, sim func(ctx context.Context, i int) (any, error)) (*Plan, *intsResult) {
 	res := &intsResult{Vals: make([]int, n)}
 	p := newPlan("syn", res)
 	for i := 0; i < n; i++ {
 		key := synKey(i)
-		p.add(key, &res.Vals[i], func(ctx context.Context) (any, error) { return sim(ctx, i) })
+		p.cells = append(p.cells, Cell{Key: key, dest: &res.Vals[i],
+			spec: engineSpec{w: workloads.Workload{Name: key.Workload}, scale: key.Scale},
+			decl: func() ([]run, func(context.Context) (any, error)) {
+				return nil, func(ctx context.Context) (any, error) { return sim(ctx, i) }
+			}})
 	}
 	return p, res
 }
