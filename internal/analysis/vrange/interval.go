@@ -6,9 +6,10 @@
 // newarray/arraylength and interprocedural argument/return summaries
 // on the ipa RTA call graph). Its verdicts — BoundsProven / NullProven
 // per bytecode site — let the execution engines elide the runtime
-// checks the paper charges to Java's dynamic safety semantics, and the
-// CheckOracle re-validates every elided site at runtime so a soundness
-// bug can never silently corrupt a run.
+// checks the paper charges to Java's dynamic safety semantics, and a
+// dynamic oracle (package harness, behind `jrs -checkelide run`)
+// re-validates every elided site at runtime so a soundness bug can
+// never silently corrupt a run.
 package vrange
 
 import "math"

@@ -107,7 +107,7 @@ type Config struct {
 	ElideNull bool
 	// CheckHook, when non-nil, observes every elided check as it
 	// executes with a re-validated verdict (jrs -checkelide attaches
-	// the vrange.CheckOracle here to pin the subsumption invariant:
+	// the harness's check oracle here to pin the subsumption invariant:
 	// no elided check may ever fire).
 	CheckHook vm.CheckHook
 	// RaceHook, when non-nil, receives allocation, memory-access and

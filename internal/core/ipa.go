@@ -1,9 +1,12 @@
 package core
 
-// Whole-program optimization plumbing: when Config.Devirt or
-// Config.ElideLocks is set, the engine runs internal/analysis/ipa once
-// over the loaded class set before the first execution (or precompile)
-// and applies the proofs:
+// Whole-program optimization plumbing: when Config.Devirt,
+// Config.ElideLocks, Config.ElideBounds or Config.ElideNull is set, the
+// engine takes the whole-program facts before the first execution (or
+// precompile) and applies the proofs. A shared program (VM.Install)
+// holds its facts, built once per program and only read here
+// (vm.Program.IPA and Ranges); a program the engine loaded for itself
+// (VM.Load) is analyzed here, once:
 //
 //   - Devirt feeds single-target facts to the JIT through jit.Facts, so
 //     proven-monomorphic invokevirtual sites compile to direct calls
@@ -17,6 +20,8 @@ package core
 //     the operation, statically reclassifying the §5 / Figure 11
 //     thread-local lock traffic. So it needs a program the engine
 //     loaded for itself (VM.Load), never a shared one (VM.Install).
+//     Its race veto withdraws elisions into sets the engine owns: no
+//     code writes into an ipa.Result once Analyze returns it.
 //
 // All rewrites preserve instruction widths (invoke 3 bytes either way,
 // monitorenter/monitorexit/pop all 1 byte), so code layout, addresses,
@@ -24,6 +29,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"jrs/internal/analysis/conc"
 	"jrs/internal/analysis/ipa"
@@ -66,28 +72,41 @@ func (f *ipaFacts) NullProven(m *bytecode.Method, pc int) bool {
 	return f.vr != nil && f.vr.NullProvenID(f.origID(m), pc)
 }
 
-// prepare runs the analysis and applies the enabled optimizations.
-// Guarded so Run after PrecompileAll (the AOT sequence) analyzes once;
-// a failed prepare fails again on the next call.
+// prepare reads the whole-program facts and applies the enabled
+// optimizations. A VM that shares its program reads the facts the
+// program holds (vm.Program.IPA and Ranges), built once per program; a
+// VM that loaded its own program analyzes that copy here. Guarded so
+// Run after PrecompileAll (the AOT sequence) analyzes once; a failed
+// prepare fails again on the next call.
 func (e *Engine) prepare() error {
 	if e.prepared || !e.devirt && !e.elideLocks && !e.elideBounds && !e.elideNull {
 		return nil
 	}
-	res := ipa.Analyze(e.VM.ClassList)
+	p := e.VM.Program()
+	var res *ipa.Result
+	if p != nil {
+		res = p.IPA()
+	} else {
+		res = ipa.Analyze(e.VM.ClassList)
+	}
 	e.IPA = res
 	alias := map[int]int{}
 
 	if e.elideLocks {
-		e.vetoRacyElisions(res)
 		if err := e.applyElision(res, alias); err != nil {
 			return err
 		}
 	}
 	facts := &ipaFacts{res: res, alias: alias, devirt: e.devirt}
 	if e.elideBounds || e.elideNull {
-		// The value-range analysis runs after lock elision's bytecode
-		// rewrites so it sees the code that will actually execute.
-		e.VRange = vrange.Analyze(e.VM.ClassList, res)
+		// On a private program the value-range analysis runs after lock
+		// elision's bytecode rewrites, so it sees the code that will
+		// actually execute.
+		if p != nil {
+			e.VRange = p.Ranges()
+		} else {
+			e.VRange = vrange.Analyze(e.VM.ClassList, res)
+		}
 		facts.vr = e.VRange
 		e.VM.Checks = facts
 		e.JIT.Opt.ElideBounds = e.elideBounds
@@ -99,47 +118,47 @@ func (e *Engine) prepare() error {
 	return nil
 }
 
-// vetoRacyElisions consults the static race analysis before any lock is
-// elided: an elision whose receiver allocation site participates in a
-// reported race pair is withdrawn. Escape analysis already proves the
-// receivers thread-local — so on a correct analysis pair this never
-// fires — but the cross-check means a soundness bug in one analysis
-// cannot silently remove a lock that real races depend on.
-func (e *Engine) vetoRacyElisions(res *ipa.Result) {
+// elisions returns the call sites and methods lock elision may rewrite:
+// res's, less those the static race analysis vetoes. An elision whose
+// receiver allocation site participates in a reported race pair is
+// withdrawn. Escape analysis already proves the receivers thread-local
+// — so on a correct analysis pair this never vetoes — but the
+// cross-check means a soundness bug in one analysis cannot silently
+// remove a lock that real races depend on. The sets are the engine's
+// own: res is never written.
+func (e *Engine) elisions(res *ipa.Result) (map[ipa.Site]*bytecode.Method, map[*bytecode.Method]bool) {
+	calls := make(map[ipa.Site]*bytecode.Method, len(res.ElideCalls))
+	monitors := make(map[*bytecode.Method]bool, len(res.ElideMonitors))
 	if len(res.ElideCalls) == 0 && len(res.ElideMonitors) == 0 {
-		return
+		return calls, monitors
 	}
 	racy := conc.Analyze(e.VM.ClassList, res).RacySites()
-	if len(racy) == 0 {
-		return
-	}
-	for site, as := range res.ElideRecv {
-		if racy[as] {
-			delete(res.ElideCalls, site)
+	for site, target := range res.ElideCalls {
+		if as, ok := res.ElideRecv[site]; !ok || !racy[as] {
+			calls[site] = target
 		}
 	}
-	for m, sites := range res.ElideMonitorSites {
-		for _, as := range sites {
-			if racy[as] {
-				delete(res.ElideMonitors, m)
-				break
-			}
+	for m := range res.ElideMonitors {
+		if !slices.ContainsFunc(res.ElideMonitorSites[m], func(as ipa.Site) bool { return racy[as] }) {
+			monitors[m] = true
 		}
 	}
+	return calls, monitors
 }
 
-// applyElision rewrites elidable sites in place. Iteration order is
-// class list / method list / pc, so clone ids are deterministic. It
-// refuses a program other VMs may share (vm.Install): the engine must
-// load a private one (VM.Load).
+// applyElision rewrites the sites elisions admits in place. Iteration
+// order is class list / method list / pc, so clone ids are
+// deterministic. It refuses a program other VMs may share
+// (vm.Install): the engine must load a private one (VM.Load).
 func (e *Engine) applyElision(res *ipa.Result, alias map[int]int) error {
 	if e.VM.SharesProgram() {
 		return errors.New("lock elision rewrites bytecode in place: load a private program, not a shared one")
 	}
+	calls, monitors := e.elisions(res)
 	clones := map[*bytecode.Method]*bytecode.Method{}
 	for _, c := range e.VM.ClassList {
 		for _, m := range c.Methods {
-			if res.ElideMonitors[m] {
+			if monitors[m] {
 				for pc, ins := range m.Code {
 					if ins.Op == bytecode.MonitorEnter || ins.Op == bytecode.MonitorExit {
 						m.Code[pc] = bytecode.Instr{Op: bytecode.Pop}
@@ -148,7 +167,7 @@ func (e *Engine) applyElision(res *ipa.Result, alias map[int]int) error {
 				}
 			}
 			for pc := range m.Code {
-				target := res.ElideCalls[ipa.Site{Method: m.ID, PC: pc}]
+				target := calls[ipa.Site{Method: m.ID, PC: pc}]
 				if target == nil {
 					continue
 				}

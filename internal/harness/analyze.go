@@ -7,7 +7,6 @@ import (
 
 	"jrs/internal/analysis/conc"
 	"jrs/internal/analysis/ipa"
-	"jrs/internal/analysis/vrange"
 	"jrs/internal/vm"
 	"jrs/internal/workloads"
 )
@@ -53,22 +52,22 @@ type AnalyzeResult struct {
 	Rows []AnalyzeRow `json:"programs"`
 }
 
-// analyzeProgram runs the interprocedural analysis over a linked
-// program that full verification admits, flattening the fact maps into
+// analyzeProgram reads the whole-program facts of a linked program
+// that full verification admits, flattening the fact maps into
 // the deterministic row form. Callers prefix its error with the
 // program's name.
 func analyzeProgram(name string, p *vm.Program, races, checks bool) (AnalyzeRow, error) {
 	if err := p.Verdict(); err != nil {
 		return AnalyzeRow{}, err
 	}
-	res := ipa.Analyze(p.Classes)
+	res := p.IPA()
 
 	row := AnalyzeRow{Workload: name, Summary: res.Summarize()}
 	if races {
-		row.Concurrency = conc.Analyze(p.Classes, res)
+		row.Concurrency = p.Races()
 	}
 	if checks {
-		row.Checks = checkCensus(vrange.Analyze(p.Classes, res))
+		row.Checks = checkCensus(p.Ranges())
 	}
 	sites := func(fs []ipa.SiteFact) []AnalyzeSite {
 		out := make([]AnalyzeSite, len(fs))

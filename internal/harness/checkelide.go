@@ -3,8 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"sort"
 
-	"jrs/internal/analysis/ipa"
 	"jrs/internal/analysis/vrange"
 	"jrs/internal/bytecode"
 	"jrs/internal/core"
@@ -17,17 +17,6 @@ import (
 type CheckCensus struct {
 	Census vrange.Census        `json:"census"`
 	Proven []vrange.SiteVerdict `json:"proven,omitempty"`
-}
-
-// StaticChecks links the program and runs the value-range/nullness
-// analysis over it (ipa reachability first, vrange on top), keeping
-// only proven sites in the site list.
-func StaticChecks(classes []*bytecode.Class) (*CheckCensus, error) {
-	p, err := vm.Link(classes)
-	if err != nil {
-		return nil, err
-	}
-	return checkCensus(vrange.Analyze(p.Classes, ipa.Analyze(p.Classes))), nil
 }
 
 // checkCensus tallies res and lists its proven sites.
@@ -48,14 +37,14 @@ func checkCensus(res *vrange.Result) *CheckCensus {
 // invariant is Violations == nil (no elided check may ever fire) and
 // the two runs' program output must be byte-identical.
 type ElideCheck struct {
-	Workload string             `json:"workload"`
-	Mode     string             `json:"mode"`
-	Census   vrange.Census      `json:"census"`
-	Elided   uint64             `json:"elided"`
-	Checked  uint64             `json:"checked"`
-	Runtime  uint64             `json:"validations"`
-	Mismatch bool               `json:"outputMismatch,omitempty"`
-	Violated []vrange.Violation `json:"violations,omitempty"`
+	Workload string           `json:"workload"`
+	Mode     string           `json:"mode"`
+	Census   vrange.Census    `json:"census"`
+	Elided   uint64           `json:"elided"`
+	Checked  uint64           `json:"checked"`
+	Runtime  uint64           `json:"validations"`
+	Mismatch bool             `json:"outputMismatch,omitempty"`
+	Violated []CheckViolation `json:"violations,omitempty"`
 }
 
 // Err folds the invariants into an error (nil when the check holds).
@@ -72,14 +61,14 @@ func (ec *ElideCheck) Err() error {
 }
 
 // CheckElideWorkload runs w twice under mode — baseline, then with
-// ElideBounds+ElideNull on and the vrange.CheckOracle attached — and
+// ElideBounds+ElideNull on and a checkOracle attached — and
 // compares program output byte-for-byte.
 func CheckElideWorkload(ctx context.Context, w workloads.Workload, scale int, mode Mode) (*ElideCheck, error) {
 	base, err := RunCtx(ctx, w, scale, mode, core.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s baseline: %w", w.Name, mode, err)
 	}
-	oracle := vrange.NewOracle()
+	oracle := newCheckOracle()
 	cfg := core.Config{ElideBounds: true, ElideNull: true, CheckHook: oracle}
 	elided, err := RunCtx(ctx, w, scale, mode, cfg)
 	if err != nil {
@@ -98,4 +87,58 @@ func CheckElideWorkload(ctx context.Context, w workloads.Workload, scale int, mo
 		ec.Census = elided.VRange.Summarize()
 	}
 	return ec, nil
+}
+
+// CheckViolation is one elided check that would have fired at runtime —
+// a soundness bug in the static analysis (the subsumption invariant is
+// that this never happens).
+type CheckViolation struct {
+	Method string `json:"method"`
+	PC     int    `json:"pc"`
+	Kind   string `json:"kind"`
+}
+
+func (v CheckViolation) String() string {
+	return fmt.Sprintf("%s @%d (%s)", v.Method, v.PC, v.Kind)
+}
+
+// checkOracle is the dynamic soundness oracle for check elision: a
+// vm.CheckHook that re-validates every elided site as it executes
+// (behind `jrs -checkelide run`). Validations counts dynamic
+// re-checks — a run with zero validations proves nothing, which the
+// non-vacuity tests guard against.
+type checkOracle struct {
+	Validations uint64
+	violated    map[CheckViolation]bool
+}
+
+func newCheckOracle() *checkOracle {
+	return &checkOracle{violated: map[CheckViolation]bool{}}
+}
+
+// OnElidedCheck implements vm.CheckHook.
+func (o *checkOracle) OnElidedCheck(m *bytecode.Method, pc int, kind vm.CheckKind, ok bool) {
+	o.Validations++
+	if !ok {
+		o.violated[CheckViolation{Method: m.FullName(), PC: pc, Kind: kind.String()}] = true
+	}
+}
+
+// Violations lists the distinct violated sites, sorted.
+func (o *checkOracle) Violations() []CheckViolation {
+	var out []CheckViolation
+	for v := range o.violated {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Method != b.Method {
+			return a.Method < b.Method
+		}
+		if a.PC != b.PC {
+			return a.PC < b.PC
+		}
+		return a.Kind < b.Kind
+	})
+	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"jrs/internal/analysis"
 	"jrs/internal/analysis/conc"
-	"jrs/internal/analysis/ipa"
 	"jrs/internal/analysis/vrange"
 	"jrs/internal/bytecode"
 	"jrs/internal/vm"
@@ -32,16 +31,6 @@ func (p LintProgram) linked() (*vm.Program, error) {
 		return p.prog, nil
 	}
 	return vm.Link(p.Classes)
-}
-
-// LintClasses links the program and returns every analysis pass's
-// findings over every method.
-func LintClasses(classes []*bytecode.Class) ([]analysis.Diagnostic, error) {
-	p, err := vm.Link(classes)
-	if err != nil {
-		return nil, err
-	}
-	return p.Diagnostics, nil
 }
 
 // LintFinding is one diagnostic in the structured lint report.
@@ -103,40 +92,20 @@ func BuildLintReport(progs []LintProgram, races, checks bool) (*LintReport, erro
 				Method: d.Method, PC: d.PC, Pass: d.Pass,
 				Severity: d.Sev.String(), Message: d.Msg})
 		}
-		var res *ipa.Result
-		if races || checks {
-			res = ipa.Analyze(loaded)
-		}
 		if races {
-			rep := conc.Analyze(loaded, res)
+			rep := prog.Races()
 			pr.Races = rep.Races
 			pr.Deadlocks = rep.Deadlocks
 			r.Findings += len(pr.Races) + len(pr.Deadlocks)
 		}
 		if checks {
-			c := vrange.Analyze(loaded, res).Summarize()
+			c := prog.Ranges().Summarize()
 			pr.Checks = &c
 		}
 		r.Programs = append(r.Programs, pr)
 		r.Findings += len(diags)
 	}
 	return r, nil
-}
-
-// StaticRaces links the program and runs the static race/deadlock
-// analysis over it.
-func StaticRaces(classes []*bytecode.Class) (*conc.Report, error) {
-	p, err := vm.Link(classes)
-	if err != nil {
-		return nil, err
-	}
-	return staticRaces(p), nil
-}
-
-// staticRaces runs the static race/deadlock analysis over a linked
-// program (ipa facts first, conc on top).
-func staticRaces(p *vm.Program) *conc.Report {
-	return conc.Analyze(p.Classes, ipa.Analyze(p.Classes))
 }
 
 // Render formats the deterministic text report: one status line per

@@ -11,6 +11,7 @@ import (
 	"jrs/internal/analysis"
 	"jrs/internal/bytecode"
 	"jrs/internal/minijava"
+	"jrs/internal/vm"
 )
 
 // TestLintWorkloadsGolden pins the full `jrs lint` report over every
@@ -63,10 +64,7 @@ func TestLintSeededBugs(t *testing.T) {
 		}),
 	}}
 
-	diags, err := LintClasses([]*bytecode.Class{c})
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := linkProgram(t, []*bytecode.Class{c}).Diagnostics
 	type want struct {
 		method, pass string
 		pc           int
@@ -124,11 +122,11 @@ func TestLintExamples(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		diags, err := LintClasses(classes)
+		p, err := vm.Link(classes)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		if len(diags) != 0 {
+		if diags := p.Diagnostics; len(diags) != 0 {
 			t.Errorf("%s: findings %v", e.Name(), diags)
 		}
 	}

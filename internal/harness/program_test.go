@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -261,5 +262,102 @@ func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 	if warmBytes+compileBytes >= coldBytes {
 		t.Errorf("a warm run of %s allocates %d bytes, a run on a fresh compile %d: it saves less than the compile's %d",
 			w.Name, warmBytes, coldBytes, compileBytes)
+	}
+}
+
+// TestSharedFactsMatchFresh: after every engine configuration of
+// sharedRunCases, plus a second devirtualizing engine, has run at once
+// on each workload's shared program, the program's whole-program facts
+// give exactly the analyze row (ipa, races and checks) that a fresh
+// compile and link give. Every devirtualizing engine reads the
+// program's own ipa result, and every check-eliding one its ranges.
+// Run under -race, it shows that no engine writes into the facts.
+func TestSharedFactsMatchFresh(t *testing.T) {
+	for _, w := range workloads.All() {
+		p, err := linkedProgram(w, w.BenchN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := append(sharedRunCases(), sharedRunCase{"devirt-aot", ModeAOT, func() core.Config { return core.Config{Devirt: true} }})
+		engines := make([]*core.Engine, len(cases))
+		errs := make([]error, len(cases))
+		var wg sync.WaitGroup
+		for i, c := range cases {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				engines[i], errs[i] = RunCtx(context.Background(), w, w.BenchN, c.mode, c.cfg())
+			}()
+		}
+		wg.Wait()
+		for i, c := range cases {
+			if errs[i] != nil {
+				t.Fatalf("%s/%s: %v", w.Name, c.name, errs[i])
+			}
+			e, cfg := engines[i], c.cfg()
+			if cfg.ElideLocks {
+				continue
+			}
+			if cfg.Devirt && e.IPA != p.IPA() {
+				t.Errorf("%s/%s: the engine's ipa result is not its shared program's", w.Name, c.name)
+			}
+			if cfg.ElideBounds && e.VRange != p.Ranges() {
+				t.Errorf("%s/%s: the engine's value ranges are not its shared program's", w.Name, c.name)
+			}
+		}
+
+		fresh, err := vm.Link(w.Classes(w.BenchN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [2]string
+		for i, prog := range []*vm.Program{p, fresh} {
+			row, err := analyzeProgram(w.Name, prog, true, true)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			out, err := json.MarshalIndent(row, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[i] = string(out)
+		}
+		if rows[0] != rows[1] {
+			t.Errorf("%s: the shared program's facts differ from a fresh link's:\n%s", w.Name, firstDiff(rows[0], rows[1]))
+		}
+	}
+}
+
+// TestWarmAnalyzeAllocatesLittle: the whole-program facts are built
+// once per program, so a second analysis of all eight programs, with
+// races and checks, mallocs a small fraction of what the first does.
+// The workloads are copies whose source gains a trailing newline: that
+// keys programs of their own, which no other test has analyzed.
+func TestWarmAnalyzeAllocatesLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyzes all eight programs under an allocation count")
+	}
+	var ws []workloads.Workload
+	for _, w := range workloads.All() {
+		w.Source += "\n"
+		if _, err := linkedProgram(w, w.DefaultN); err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	o := Options{Workloads: ws, Races: true, Checks: true}
+	analyzeMallocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := AnalyzeWith(o, serialRunner()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	cold := analyzeMallocs()
+	warm := analyzeMallocs()
+	if warm*10 > cold {
+		t.Errorf("a second analysis of %d programs mallocs %d times, the first %d: want under a tenth", len(ws), warm, cold)
 	}
 }

@@ -58,7 +58,7 @@ func CheckRacesWorkload(ctx context.Context, w workloads.Workload, scale int, mo
 	if err != nil {
 		return nil, fmt.Errorf("%s: static analysis: %w", w.Name, err)
 	}
-	static := staticRaces(p)
+	static := p.Races()
 	oracle := conc.NewOracle()
 	cfg := core.Config{RaceHook: oracle, SchedSeed: seed}
 	_, runErr := RunCtx(ctx, w, scale, mode, cfg)

@@ -13,6 +13,7 @@ import (
 	"jrs/internal/bytecode"
 	"jrs/internal/core"
 	"jrs/internal/minijava"
+	"jrs/internal/vm"
 	"jrs/internal/workloads"
 )
 
@@ -29,6 +30,18 @@ func compileExample(t testing.TB, name string) []*bytecode.Class {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return classes
+}
+
+// linkProgram links classes as the harness does a workload's: the
+// program carries the lint findings (Diagnostics) and the facts
+// analyze, lint and the race check read (IPA, Races, Ranges).
+func linkProgram(t testing.TB, classes []*bytecode.Class) *vm.Program {
+	t.Helper()
+	p, err := vm.Link(classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // fieldAccessPCs scans method full-name target for GetField/PutField
@@ -76,10 +89,7 @@ func TestRacyFixtureReport(t *testing.T) {
 	classes := compileExample(t, "racy.mj")
 	pcs := fieldAccessPCs(t, classes, "Racer", "run", "Shared", "x")
 
-	report, err := StaticRaces(classes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := linkProgram(t, classes).Races()
 	if len(report.Races) != 1 {
 		t.Fatalf("races = %v, want exactly 1", report.Races)
 	}
@@ -123,10 +133,7 @@ func TestRacyFixtureReport(t *testing.T) {
 // data race (every access holds both locks) and exactly one two-lock
 // cycle whose edges come from Left.run and Right.run.
 func TestDeadlockFixtureReport(t *testing.T) {
-	report, err := StaticRaces(compileExample(t, "deadlock.mj"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := linkProgram(t, compileExample(t, "deadlock.mj")).Races()
 	if len(report.Races) != 0 {
 		t.Fatalf("races = %v, want none (all accesses doubly locked)", report.Races)
 	}
@@ -161,10 +168,7 @@ func TestDeadlockFixtureReport(t *testing.T) {
 // lint-clean multithreaded exemplar — threads exist, locations are
 // shared, but every access is ordered through the pool's monitor.
 func TestWorkerPoolFixtureClean(t *testing.T) {
-	report, err := StaticRaces(compileExample(t, "workerpool.mj"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := linkProgram(t, compileExample(t, "workerpool.mj")).Races()
 	if len(report.Spawns) != 3 {
 		t.Errorf("spawns = %v, want 3", report.Spawns)
 	}

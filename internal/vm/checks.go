@@ -36,8 +36,8 @@ type CheckFacts interface {
 
 // CheckHook observes every elided check site as it executes, with the
 // re-validated verdict (ok=false is a soundness violation: an elided
-// check would have fired). The vrange.CheckOracle implements this for
-// `jrs -checkelide run`.
+// check would have fired). The harness's check oracle implements this
+// for `jrs -checkelide run`.
 type CheckHook interface {
 	OnElidedCheck(m *bytecode.Method, pc int, kind CheckKind, ok bool)
 }

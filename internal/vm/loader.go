@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"jrs/internal/analysis"
+	"jrs/internal/analysis/conc"
+	"jrs/internal/analysis/ipa"
+	"jrs/internal/analysis/vrange"
 	"jrs/internal/bytecode"
 	"jrs/internal/mem"
 )
@@ -15,7 +19,8 @@ import (
 // fresh VM's class and static bases. Link builds it and nothing writes
 // into its classes afterwards, so any number of VMs, on any goroutines,
 // may install one Program (see DESIGN.md, "A program is linked once per
-// process").
+// process"). Its whole-program facts (IPA, Races, Ranges) are built
+// once, on first use, and are read-only as well.
 type Program struct {
 	// Classes are the classes in load order; a class's ID is its index.
 	Classes []*bytecode.Class
@@ -28,11 +33,28 @@ type Program struct {
 	// verdict is the first class a full verification rejects, as the
 	// load error, or nil.
 	verdict error
+	// ipa, races and ranges build the whole-program facts on first use
+	// (see IPA, Races and Ranges).
+	ipa    func() *ipa.Result
+	races  func() *conc.Report
+	ranges func() *vrange.Result
 }
 
 // Verdict returns the error full verification (VerifyFull) reports for
 // the program, or nil when it admits every class.
 func (p *Program) Verdict() error { return p.verdict }
+
+// IPA returns the program's interprocedural facts (ipa.Analyze), built
+// on the first call. Every caller shares the result and only reads it.
+func (p *Program) IPA() *ipa.Result { return p.ipa() }
+
+// Races returns the program's static race and deadlock report
+// (conc.Analyze over IPA), built on the first call and read-only.
+func (p *Program) Races() *conc.Report { return p.races() }
+
+// Ranges returns the program's value-range and nullness verdicts
+// (vrange.Analyze over IPA), built on the first call and read-only.
+func (p *Program) Ranges() *vrange.Result { return p.ranges() }
 
 // staticBase is where a fresh VM lays out the first class's statics.
 const staticBase = mem.VMBase + 0x100_0000
@@ -50,6 +72,9 @@ func Link(classes []*bytecode.Class) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.ipa = sync.OnceValue(func() *ipa.Result { return ipa.Analyze(p.Classes) })
+	p.races = sync.OnceValue(func() *conc.Report { return conc.Analyze(p.Classes, p.IPA()) })
+	p.ranges = sync.OnceValue(func() *vrange.Result { return vrange.Analyze(p.Classes, p.IPA()) })
 	return p, nil
 }
 
@@ -220,7 +245,7 @@ func (v *VM) Install(p *Program) error {
 	if err := v.install(p); err != nil {
 		return err
 	}
-	v.shared = true
+	v.prog = p
 	return nil
 }
 
@@ -262,10 +287,14 @@ func (v *VM) install(p *Program) error {
 	return nil
 }
 
+// Program returns the program Install installed on v, or nil when v
+// holds no classes or Load linked them for v alone.
+func (v *VM) Program() *Program { return v.prog }
+
 // SharesProgram reports whether v runs a Program installed from Link,
 // which other VMs may be running too, rather than one Load linked for
 // v alone.
-func (v *VM) SharesProgram() bool { return v.shared }
+func (v *VM) SharesProgram() bool { return v.prog != nil }
 
 // resolvePool fills in the Resolved fields of c's pool references
 // against the program's classes.

@@ -99,7 +99,7 @@ type VM struct {
 	Out bytes.Buffer
 
 	heapNext     uint64
-	shared       bool // the classes came from Install (SharesProgram)
+	prog         *Program // the program Install installed (SharesProgram)
 	strings      map[string]uint64
 	classObjects map[int]uint64
 	threads      []*Thread
