@@ -2,6 +2,8 @@ package branch
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -252,4 +254,30 @@ func TestUnitResetMatchesNew(t *testing.T) {
 			t.Fatalf("%s: after Reset %+v, fresh %+v", name, u.Stats, fresh.Stats)
 		}
 	}
+}
+
+// TestSuiteReleaseMatchesNew: a dirtied suite that is released and
+// taken back by NewSuite is in a new suite's state, and a second
+// Release of one suite panics. Two collections empty the pool first, so
+// the suite compared against is built, not reused.
+func TestSuiteReleaseMatchesNew(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := NewSuite()
+	for i := uint64(0); i < 5000; i++ {
+		s.Emit(trace.Inst{PC: i % 700 * 4, Class: trace.Class(i % 10), Target: i % 37 * 64, Taken: i%3 != 0})
+	}
+	runtime.GC()
+	runtime.GC()
+	fresh := NewSuite()
+	s.Release()
+	if back := NewSuite(); !reflect.DeepEqual(back, fresh) {
+		t.Fatal("a released suite taken back by NewSuite differs from a new suite")
+	}
+	fresh.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release did not panic")
+		}
+	}()
+	fresh.Release()
 }

@@ -1,6 +1,10 @@
 package branch
 
-import "jrs/internal/trace"
+import (
+	"sync"
+
+	"jrs/internal/trace"
+)
 
 // Stats accumulates prediction outcomes for one scheme.
 type Stats struct {
@@ -131,10 +135,25 @@ func (u *Unit) EmitBatch(batch []trace.Inst) {
 // 256-entry second level, 1K-entry BTB, 5 bits of Gshare global history.
 type Suite struct {
 	Units []*Unit
+	// released is set from Release until NewSuite hands the suite out
+	// again.
+	released bool
 }
 
-// NewSuite builds the four-predictor suite with the paper's parameters.
+// suites pools released suites, so a NewSuite reuses the predictor
+// tables and BTBs of an earlier one rather than allocating them again.
+var suites sync.Pool
+
+// NewSuite builds the four-predictor suite with the paper's
+// parameters: a released suite, reset, or a new one.
 func NewSuite() *Suite {
+	if s, ok := suites.Get().(*Suite); ok {
+		for _, u := range s.Units {
+			u.Reset()
+		}
+		s.released = false
+		return s
+	}
 	const (
 		firstLevel  = 2048
 		secondLevel = 256
@@ -148,6 +167,18 @@ func NewSuite() *Suite {
 		NewUnit(NewGshare(firstLevel, gshareHist), btbEntries),
 		NewUnit(NewGAp(firstLevel, gapHist, secondLevel), btbEntries),
 	}}
+}
+
+// Release hands s back for a later NewSuite to reuse. Its statistics
+// stay readable until then, but s must not be fed again. Releasing a
+// suite twice panics: two holders of one suite would count into each
+// other.
+func (s *Suite) Release() {
+	if s.released {
+		panic("branch: suite released twice")
+	}
+	s.released = true
+	suites.Put(s)
 }
 
 // Emit implements trace.Sink.

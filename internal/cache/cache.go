@@ -20,6 +20,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"jrs/internal/trace"
 )
@@ -139,13 +140,36 @@ type Cache struct {
 	// ps points at the current phase's PhaseStats entry so the
 	// per-access path doesn't re-index; SetPhase keeps it current.
 	ps *Stats
+	// released is set from Release until New hands c out again.
+	released bool
 }
 
-// New builds a cache from cfg. It panics on an invalid configuration;
-// callers constructing configs from user input should Validate first.
+// stores pools released caches, one sync.Pool per geometry (a Config
+// without its Name), so a New reuses the tag store and the seen-set
+// pages of an earlier cache rather than allocating them again.
+var stores sync.Map // Config → *sync.Pool
+
+// storePool returns the pool of cfg's geometry.
+func storePool(cfg Config) *sync.Pool {
+	cfg.Name = ""
+	pool, ok := stores.Load(cfg)
+	if !ok {
+		pool, _ = stores.LoadOrStore(cfg, new(sync.Pool))
+	}
+	return pool.(*sync.Pool)
+}
+
+// New builds a cache from cfg: a released cache of cfg's geometry,
+// reset, or a new one. It panics on an invalid configuration; callers
+// constructing configs from user input should Validate first.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	if c, ok := storePool(cfg).Get().(*Cache); ok {
+		c.cfg, c.released = cfg, false
+		c.Reset()
+		return c
 	}
 	numSets := cfg.Size / (cfg.LineSize * cfg.Assoc)
 	c := &Cache{
@@ -159,6 +183,18 @@ func New(cfg Config) *Cache {
 	}
 	c.ps = &c.PhaseStats[0]
 	return c
+}
+
+// Release hands c back for a later New of its geometry to reuse. Its
+// counters stay readable until then, but c must not be fed again.
+// Releasing a cache twice panics: two holders of one tag store would
+// count into each other.
+func (c *Cache) Release() {
+	if c.released {
+		panic("cache: cache released twice")
+	}
+	c.released = true
+	storePool(c.cfg).Put(c)
 }
 
 // Config returns the cache's configuration.

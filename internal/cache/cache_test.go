@@ -2,6 +2,9 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -635,6 +638,25 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 		return hits
 	}
+	// same streams a and b through one seed's accesses and requires
+	// equal outcomes and counters.
+	same := func(what string, cf Config, a, b *Cache) {
+		t.Helper()
+		seed := rng.Int63()
+		rng.Seed(seed)
+		got := stream(a, 20000)
+		rng.Seed(seed)
+		want := stream(b, 20000)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: access %d after %s hit=%t, fresh cache hit=%t", cf, i, what, got[i], want[i])
+			}
+		}
+		if a.Stats != b.Stats || a.PhaseStats != b.PhaseStats {
+			t.Fatalf("%+v: after %s %+v / %+v, fresh %+v / %+v", cf, what, a.Stats, a.PhaseStats, b.Stats, b.PhaseStats)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, cf := range []Config{cfg(1024, 32, 1), cfg(8192, 64, 4),
 		{Name: "N", Size: 2048, LineSize: 16, Assoc: 2}} {
 		c := New(cf)
@@ -645,18 +667,55 @@ func TestResetMatchesNew(t *testing.T) {
 			c.Stats != fresh.Stats || c.PhaseStats != fresh.PhaseStats || c.ps != &c.PhaseStats[0] {
 			t.Fatalf("%+v: reset state differs from a new cache's", cf)
 		}
-		seed := rng.Int63()
-		rng.Seed(seed)
-		got := stream(c, 20000)
-		rng.Seed(seed)
-		want := stream(fresh, 20000)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%+v: access %d after Reset hit=%t, fresh cache hit=%t", cf, i, got[i], want[i])
+		same("Reset", cf, c, fresh)
+
+		// Released dirty and taken back by New under another name, c
+		// must be in a brand-new cache's state. Two collections empty
+		// the pools, so brand is built, not reused.
+		runtime.GC()
+		runtime.GC()
+		other := cf
+		other.Name = "other"
+		brand := New(other)
+		c.Release()
+		back := New(other)
+		if !raceEnabled && back != c {
+			t.Fatalf("%+v: New built a cache while one of its geometry was released", cf)
+		}
+		if !sameState(back, brand) {
+			t.Fatalf("%+v: a released cache taken back by New differs from a new cache", cf)
+		}
+		same("Release and New", cf, back, brand)
+	}
+}
+
+// TestReleaseTwicePanics: a cache released twice would be handed to two
+// holders, so the second Release panics.
+func TestReleaseTwicePanics(t *testing.T) {
+	c := New(cfg(1024, 32, 1))
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release did not panic")
+		}
+	}()
+	c.Release()
+}
+
+// sameState reports whether a and b are in one state: equal
+// configuration, tag store and counters, and no line seen by either
+// (a reused cache keeps its seen set's pages, zeroed).
+func sameState(a, b *Cache) bool {
+	for _, c := range []*Cache{a, b} {
+		for _, page := range c.seen {
+			if *page != (linePage{}) {
+				return false
 			}
 		}
-		if c.Stats != fresh.Stats || c.PhaseStats != fresh.PhaseStats {
-			t.Fatalf("%+v: after Reset %+v / %+v, fresh %+v / %+v", cf, c.Stats, c.PhaseStats, fresh.Stats, fresh.PhaseStats)
-		}
 	}
+	return a.cfg == b.cfg && a.assoc == b.assoc && a.lineShift == b.lineShift &&
+		a.setShift == b.setShift && a.setMask == b.setMask && slices.Equal(a.ways, b.ways) &&
+		a.tick == b.tick && a.last == b.last && a.lastWay == b.lastWay &&
+		a.Stats == b.Stats && a.PhaseStats == b.PhaseStats &&
+		a.ps == &a.PhaseStats[0] && b.ps == &b.PhaseStats[0] && a.released == b.released
 }

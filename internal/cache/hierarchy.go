@@ -3,6 +3,7 @@ package cache
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"jrs/internal/trace"
 )
@@ -31,6 +32,19 @@ type Hierarchy struct {
 // NewHierarchy builds a split hierarchy with the two configurations.
 func NewHierarchy(icfg, dcfg Config) *Hierarchy {
 	return &Hierarchy{I: New(icfg), D: New(dcfg)}
+}
+
+// Release hands the hierarchy's caches back for later hierarchies to
+// reuse (Cache.Release), and the buffers of its group of one. Its
+// counters stay readable until a New takes the caches again; release a
+// hierarchy only once no group feeds it.
+func (h *Hierarchy) Release() {
+	h.I.Release()
+	h.D.Release()
+	if h.solo != nil {
+		h.solo.release()
+		h.solo = nil
+	}
 }
 
 // PaperDefault returns the headline configuration of Table 3: 64KB
@@ -133,13 +147,30 @@ type bucket struct {
 	is, ds         []*Cache
 	iChain, dChain int
 	merge          bool
-	spans          []span
-	fetches        []fetch
-	refs           []ref
-	installs       []install
+	*reduction
 }
 
-func newBucket(k bucketKey, hs ...*Hierarchy) *bucket { return &bucket{key: k, hs: hs} }
+// reduction is a bucket's current batch, reduced. Its buffers grow to
+// the largest batch seen and are rebuilt by every reduce, so a bucket
+// takes them from reductions and release hands them back.
+type reduction struct {
+	spans    []span
+	fetches  []fetch
+	refs     []ref
+	installs []install
+}
+
+var reductions = sync.Pool{New: func() any { return new(reduction) }}
+
+func newBucket(k bucketKey, hs ...*Hierarchy) *bucket {
+	return &bucket{key: k, hs: hs, reduction: reductions.Get().(*reduction)}
+}
+
+// release hands the bucket's buffers back and drops its hierarchies.
+func (b *bucket) release() {
+	reductions.Put(b.reduction)
+	*b = bucket{}
+}
 
 // plan sets the bucket's stepping order once every member is in. The
 // D side merges and chains only when every D cache write-allocates: a
@@ -341,17 +372,25 @@ func (b *bucket) stepD(c *Cache, member bool) {
 	}
 }
 
-// group is the trace.Sink NewGroup returns.
+// Group is the sink NewGroup returns: Release hands back the buffers
+// it reduces batches into.
+type Group interface {
+	trace.Sink
+	Release()
+}
+
+// group is the Group NewGroup builds.
 type group struct{ buckets []*bucket }
 
-// NewGroup returns a trace.Sink that feeds one trace to every
-// hierarchy in hs, with the exact counters of attaching each on its
-// own. Each batch is reduced once per bucket, the hierarchies sharing
-// I line size, D line size and direct-install range, and every cache
-// in the bucket steps off that reduction. Set DirectInstall and the
-// code range before grouping. A grouped hierarchy's caches belong to
-// the group: do not flush them or feed them any other way.
-func NewGroup(hs ...*Hierarchy) trace.Sink {
+// NewGroup returns a Group that feeds one trace to every hierarchy in
+// hs, with the exact counters of attaching each on its own. Each batch
+// is reduced once per bucket, the hierarchies sharing I line size, D
+// line size and direct-install range, and every cache in the bucket
+// steps off that reduction. Set DirectInstall and the code range before
+// grouping. A grouped hierarchy's caches belong to the group: do not
+// flush them or feed them any other way. The buckets take their
+// reduction buffers from a pool; Release hands them back.
+func NewGroup(hs ...*Hierarchy) Group {
 	g := &group{}
 	index := map[bucketKey]*bucket{}
 	for _, h := range hs {
@@ -378,6 +417,18 @@ func (g *group) EmitBatch(batch []trace.Inst) {
 
 // Emit implements trace.Sink.
 func (g *group) Emit(in trace.Inst) { g.EmitBatch([]trace.Inst{in}) }
+
+// Release drops the group's hierarchies and hands its reduction
+// buffers back for a later group to reuse. The hierarchies keep their
+// counters and caches, which Hierarchy.Release hands back; a released
+// group counts nothing it is fed. Releasing twice does nothing, and a
+// group never released leaves its buffers to the garbage collector.
+func (g *group) Release() {
+	for _, b := range g.buckets {
+		b.release()
+	}
+	g.buckets = nil
+}
 
 // Interval is one sampling window of miss counts (Figure 6's time
 // profile).

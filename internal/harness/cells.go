@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 
+	"jrs/internal/branch"
 	"jrs/internal/cache"
 	"jrs/internal/core"
 	"jrs/internal/pipeline"
@@ -151,11 +152,15 @@ func runClaim(ctx context.Context, members []*CellGroup) ([]json.RawMessage, err
 // member: the sharers make one engine run, in the executing member's
 // config, observed by every sharer's sinks, one cache.NewGroup of their
 // hierarchies and one pipeline.NewGroup of their core sets, whose cores
-// each set gets back before the engine starts; the core group is
+// each set gets back before the engine starts; both groups are
 // released as soon as the engine returns. Then each sharer's done
 // reads the finished engine, and a member whose last run that was is
-// dropped and handed to release (nil: nothing to do). Every run's
-// cleanup runs when execRuns returns.
+// dropped and handed to release (nil: nothing to do). Once release
+// has read the member's sinks, its distinct hierarchies and branch
+// suites are handed back for later cells to reuse (releaseSinks); a
+// member whose run or release fails, or panics, keeps them, and the
+// garbage collector takes them. Every run's cleanup runs when execRuns
+// returns.
 func execRuns(ctx context.Context, w workloads.Workload, scale int, release func(member int) error, members ...[]run) error {
 	for _, runs := range members {
 		for _, r := range runs {
@@ -198,8 +203,10 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 					cfgs = append(cfgs, s.cores.cfgs...)
 				}
 			}
+			var cg cache.Group
 			if len(hs) > 0 {
-				sinks = append(sinks, cache.NewGroup(hs...))
+				cg = cache.NewGroup(hs...)
+				sinks = append(sinks, cg)
 			}
 			var g *pipeline.Group
 			if len(cfgs) > 0 {
@@ -223,6 +230,9 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 				sinks = append(sinks, g)
 			}
 			e, err := RunCtx(ctx, w, rs, r.mode, r.cfg, sinks...)
+			if cg != nil {
+				cg.Release()
+			}
 			if g != nil {
 				// done reads only the cores' counters, which outlive
 				// the group's store index.
@@ -236,17 +246,45 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 					done(e)
 				}
 				if left[a.m]--; left[a.m] == 0 {
+					runs := members[a.m]
 					members[a.m] = nil
 					if release != nil {
 						if err := release(a.m); err != nil {
 							return err
 						}
+						releaseSinks(runs)
 					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// releaseSinks hands back the hierarchies and branch suites that runs
+// declare, each distinct one once: a member may attach one sink to
+// several of its runs.
+func releaseSinks(runs []run) {
+	var hs []*cache.Hierarchy
+	var suites []*branch.Suite
+	for _, r := range runs {
+		for _, h := range r.hs {
+			if !slices.Contains(hs, h) {
+				hs = append(hs, h)
+			}
+		}
+		for _, s := range r.sinks {
+			if s, ok := s.(*branch.Suite); ok && !slices.Contains(suites, s) {
+				suites = append(suites, s)
+			}
+		}
+	}
+	for _, h := range hs {
+		h.Release()
+	}
+	for _, s := range suites {
+		s.Release()
+	}
 }
 
 // oracleRuns declares the three runs of §3: the interpret-only and
