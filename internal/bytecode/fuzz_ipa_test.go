@@ -24,11 +24,12 @@ import (
 	"jrs/internal/bytecode"
 	"jrs/internal/core"
 	"jrs/internal/minijava"
+	"jrs/internal/vm"
 )
 
 // buildIPAFuzzProgram decodes fuzz bytes into a fresh program. Classes
-// are rebuilt per engine run: the optimizer rewrites Code in place, so
-// sharing them across configurations would contaminate the baseline.
+// are rebuilt per engine run: linking (and vm.LinkElided's rewrite)
+// writes into them, so each configuration links its own.
 func buildIPAFuzzProgram(data []byte) []*bytecode.Class {
 	sig := func(s string) bytecode.Signature {
 		sg, err := bytecode.ParseSignature(s)
@@ -159,12 +160,21 @@ func buildIPAFuzzProgram(data []byte) []*bytecode.Class {
 	return []*bytecode.Class{a, b, c, g, minijava.SysClass()}
 }
 
-// runIPAFuzzConfig executes one freshly built copy of the program and
-// returns the output plus the dynamic monitor-operation count.
+// runIPAFuzzConfig links one freshly built copy of the program (by
+// vm.LinkElided when cfg elides locks), executes it and returns the
+// output plus the dynamic monitor-operation count.
 func runIPAFuzzConfig(t *testing.T, data []byte, cfg core.Config) (string, uint64) {
 	t.Helper()
+	link := vm.Link
+	if cfg.ElideLocks {
+		link = vm.LinkElided
+	}
+	p, err := link(buildIPAFuzzProgram(data))
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
 	e := core.New(cfg)
-	if err := e.VM.Load(buildIPAFuzzProgram(data)); err != nil {
+	if err := e.VM.Install(p); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	main, err := e.VM.LookupMain()

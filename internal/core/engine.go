@@ -85,12 +85,13 @@ type Config struct {
 	// direct calls instead of vtable-indexed indirect jumps (§4.2).
 	// Default off so baseline metrics stay untouched.
 	Devirt bool
-	// ElideLocks enables escape-analysis lock elision (§5): virtual
-	// call sites whose receiver is provably thread-local and whose
-	// unique target is synchronized are rebound to an unsynchronized
-	// clone, and monitorenter/monitorexit on thread-local objects is
-	// rewritten away, before internal/monitor sees any of it.
-	// Default off.
+	// ElideLocks selects escape-analysis lock elision (§5): the engine
+	// runs a program vm.LinkElided rewrote, in which virtual call sites
+	// whose receiver is provably thread-local and whose unique target is
+	// synchronized are rebound to an unsynchronized clone, and
+	// monitorenter/monitorexit on thread-local objects is rewritten
+	// away, before internal/monitor sees any of it. The run fails when
+	// the installed program's lock-elided marker disagrees. Default off.
 	ElideLocks bool
 	// ElideBounds enables sound bounds-check elimination: before the
 	// first run, internal/analysis/vrange proves per-site index ranges
@@ -159,12 +160,9 @@ type Engine struct {
 	// (engine-level, both modes).
 	VirtualCalls uint64
 
-	// IPA holds the whole-program analysis result once prepare has run
-	// (nil when both knobs are off). ElidedSyncSites and
-	// ElidedMonitorOps count the static rewrites lock elision applied.
-	IPA              *ipa.Result
-	ElidedSyncSites  int
-	ElidedMonitorOps int
+	// IPA holds the installed program's whole-program analysis result
+	// once prepare has run (nil when every knob is off).
+	IPA *ipa.Result
 	// VRange holds the value-range/nullness analysis result once prepare
 	// has run with ElideBounds or ElideNull set (nil otherwise).
 	VRange *vrange.Result

@@ -2,36 +2,19 @@ package core
 
 // Whole-program optimization plumbing: when Config.Devirt,
 // Config.ElideLocks, Config.ElideBounds or Config.ElideNull is set, the
-// engine takes the whole-program facts before the first execution (or
-// precompile) and applies the proofs. A shared program (VM.Install)
-// holds its facts, built once per program and only read here
-// (vm.Program.IPA and Ranges); a program the engine loaded for itself
-// (VM.Load) is analyzed here, once:
-//
-//   - Devirt feeds single-target facts to the JIT through jit.Facts, so
-//     proven-monomorphic invokevirtual sites compile to direct calls
-//     instead of vtable-indexed indirect jumps (the paper's §4.2 / Table
-//     2 cost).
-//   - ElideLocks rewrites bytecode in place: an invokevirtual whose
-//     receiver is a thread-local allocation and whose unique target is
-//     synchronized is rebound (invokespecial) to an unsynchronized
-//     clone of that target, and monitorenter/monitorexit on thread-local
-//     objects becomes a plain pop — the monitor subsystem never sees
-//     the operation, statically reclassifying the §5 / Figure 11
-//     thread-local lock traffic. So it needs a program the engine
-//     loaded for itself (VM.Load), never a shared one (VM.Install).
-//     Its race veto withdraws elisions into sets the engine owns: no
-//     code writes into an ipa.Result once Analyze returns it.
-//
-// All rewrites preserve instruction widths (invoke 3 bytes either way,
-// monitorenter/monitorexit/pop all 1 byte), so code layout, addresses,
-// and footprint are unchanged.
+// engine reads its installed program's facts (vm.Program.IPA and
+// Ranges, built once per program) before the first execution (or
+// precompile) and applies the proofs. Devirt feeds single-target facts
+// to the JIT through jit.Facts, so proven-monomorphic invokevirtual
+// sites compile to direct calls (the paper's §4.2 / Table 2 cost).
+// ElideLocks runs a program vm.LinkElided rewrote at link time (§5 /
+// Figure 11); the engine rewrites nothing. ElideBounds and ElideNull
+// let the VM and the JIT skip the checks proven redundant.
 
 import (
 	"errors"
-	"slices"
+	"fmt"
 
-	"jrs/internal/analysis/conc"
 	"jrs/internal/analysis/ipa"
 	"jrs/internal/analysis/vrange"
 	"jrs/internal/bytecode"
@@ -72,41 +55,31 @@ func (f *ipaFacts) NullProven(m *bytecode.Method, pc int) bool {
 	return f.vr != nil && f.vr.NullProvenID(f.origID(m), pc)
 }
 
-// prepare reads the whole-program facts and applies the enabled
-// optimizations. A VM that shares its program reads the facts the
-// program holds (vm.Program.IPA and Ranges), built once per program; a
-// VM that loaded its own program analyzes that copy here. Guarded so
-// Run after PrecompileAll (the AOT sequence) analyzes once; a failed
-// prepare fails again on the next call.
+// prepare reads the installed program's whole-program facts and
+// applies the enabled optimizations. It fails when Config.ElideLocks and
+// the program's lock-elided marker disagree. Guarded so Run after
+// PrecompileAll (the AOT sequence) prepares once; a failed prepare
+// fails again on the next call.
 func (e *Engine) prepare() error {
-	if e.prepared || !e.devirt && !e.elideLocks && !e.elideBounds && !e.elideNull {
+	if e.prepared {
 		return nil
 	}
 	p := e.VM.Program()
-	var res *ipa.Result
-	if p != nil {
-		res = p.IPA()
-	} else {
-		res = ipa.Analyze(e.VM.ClassList)
+	if p == nil {
+		return errors.New("no program installed")
 	}
-	e.IPA = res
-	alias := map[int]int{}
-
-	if e.elideLocks {
-		if err := e.applyElision(res, alias); err != nil {
-			return err
-		}
+	if e.elideLocks != p.LockElided {
+		return fmt.Errorf("lock elision is %t for the engine but %t for its program: Config.ElideLocks runs exactly the programs vm.LinkElided links",
+			e.elideLocks, p.LockElided)
 	}
-	facts := &ipaFacts{res: res, alias: alias, devirt: e.devirt}
+	e.prepared = true
+	if !e.devirt && !e.elideLocks && !e.elideBounds && !e.elideNull {
+		return nil
+	}
+	e.IPA = p.IPA()
+	facts := &ipaFacts{res: e.IPA, alias: p.Alias, devirt: e.devirt}
 	if e.elideBounds || e.elideNull {
-		// On a private program the value-range analysis runs after lock
-		// elision's bytecode rewrites, so it sees the code that will
-		// actually execute.
-		if p != nil {
-			e.VRange = p.Ranges()
-		} else {
-			e.VRange = vrange.Analyze(e.VM.ClassList, res)
-		}
+		e.VRange = p.Ranges()
 		facts.vr = e.VRange
 		e.VM.Checks = facts
 		e.JIT.Opt.ElideBounds = e.elideBounds
@@ -114,96 +87,5 @@ func (e *Engine) prepare() error {
 	if e.devirt || facts.vr != nil {
 		e.JIT.Opt.Facts = facts
 	}
-	e.prepared = true
 	return nil
-}
-
-// elisions returns the call sites and methods lock elision may rewrite:
-// res's, less those the static race analysis vetoes. An elision whose
-// receiver allocation site participates in a reported race pair is
-// withdrawn. Escape analysis already proves the receivers thread-local
-// — so on a correct analysis pair this never vetoes — but the
-// cross-check means a soundness bug in one analysis cannot silently
-// remove a lock that real races depend on. The sets are the engine's
-// own: res is never written.
-func (e *Engine) elisions(res *ipa.Result) (map[ipa.Site]*bytecode.Method, map[*bytecode.Method]bool) {
-	calls := make(map[ipa.Site]*bytecode.Method, len(res.ElideCalls))
-	monitors := make(map[*bytecode.Method]bool, len(res.ElideMonitors))
-	if len(res.ElideCalls) == 0 && len(res.ElideMonitors) == 0 {
-		return calls, monitors
-	}
-	racy := conc.Analyze(e.VM.ClassList, res).RacySites()
-	for site, target := range res.ElideCalls {
-		if as, ok := res.ElideRecv[site]; !ok || !racy[as] {
-			calls[site] = target
-		}
-	}
-	for m := range res.ElideMonitors {
-		if !slices.ContainsFunc(res.ElideMonitorSites[m], func(as ipa.Site) bool { return racy[as] }) {
-			monitors[m] = true
-		}
-	}
-	return calls, monitors
-}
-
-// applyElision rewrites the sites elisions admits in place. Iteration
-// order is class list / method list / pc, so clone ids are
-// deterministic. It refuses a program other VMs may share
-// (vm.Install): the engine must load a private one (VM.Load).
-func (e *Engine) applyElision(res *ipa.Result, alias map[int]int) error {
-	if e.VM.SharesProgram() {
-		return errors.New("lock elision rewrites bytecode in place: load a private program, not a shared one")
-	}
-	calls, monitors := e.elisions(res)
-	clones := map[*bytecode.Method]*bytecode.Method{}
-	for _, c := range e.VM.ClassList {
-		for _, m := range c.Methods {
-			if monitors[m] {
-				for pc, ins := range m.Code {
-					if ins.Op == bytecode.MonitorEnter || ins.Op == bytecode.MonitorExit {
-						m.Code[pc] = bytecode.Instr{Op: bytecode.Pop}
-						e.ElidedMonitorOps++
-					}
-				}
-			}
-			for pc := range m.Code {
-				target := calls[ipa.Site{Method: m.ID, PC: pc}]
-				if target == nil {
-					continue
-				}
-				clone := clones[target]
-				if clone == nil {
-					clone = e.VM.RegisterUnsyncClone(target)
-					clones[target] = clone
-					alias[clone.ID] = target.ID
-				}
-				m.Code[pc] = bytecode.Instr{
-					Op: bytecode.InvokeSpecial,
-					A:  clonePoolRef(&m.Class.Pool, clone),
-				}
-				e.ElidedSyncSites++
-			}
-		}
-	}
-	return nil
-}
-
-// clonePoolRef returns a pool index whose Resolved is the clone,
-// appending a pre-resolved entry on first use per pool. Pool.AddMethod
-// cannot be used: it dedupes by (class, name, sig) against entries the
-// loader resolved through the class's method tables, which the clone is
-// deliberately absent from.
-func clonePoolRef(p *bytecode.Pool, clone *bytecode.Method) int32 {
-	for i := range p.Methods {
-		if p.Methods[i].Resolved == clone {
-			return int32(i)
-		}
-	}
-	p.Methods = append(p.Methods, bytecode.MethodRef{
-		Class:    clone.Class.Name,
-		Name:     clone.Name,
-		Sig:      clone.Sig.String(),
-		Resolved: clone,
-	})
-	return int32(len(p.Methods) - 1)
 }

@@ -5,6 +5,7 @@ import (
 
 	"jrs/internal/minijava"
 	"jrs/internal/trace"
+	"jrs/internal/vm"
 )
 
 // ipaSrc mixes everything the whole-program knobs touch: a class
@@ -52,15 +53,31 @@ class Main {
 	}
 }`
 
-func runIPA(t *testing.T, src string, p Policy, cfg Config) (*Engine, string) {
+// linkFor compiles src and links it the way cfg runs it: by
+// vm.LinkElided when cfg elides locks, by vm.Link otherwise.
+func linkFor(t *testing.T, src string, cfg Config) *vm.Program {
 	t.Helper()
 	classes, err := minijava.Compile("t.mj", src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	link := vm.Link
+	if cfg.ElideLocks {
+		link = vm.LinkElided
+	}
+	prog, err := link(classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+func runIPA(t *testing.T, src string, p Policy, cfg Config) (*Engine, string) {
+	t.Helper()
+	prog := linkFor(t, src, cfg)
 	cfg.Policy = p
 	e := New(cfg)
-	if err := e.VM.Load(classes); err != nil {
+	if err := e.VM.Install(prog); err != nil {
 		t.Fatal(err)
 	}
 	m, err := e.VM.LookupMain()
@@ -104,10 +121,10 @@ func TestElideLocksReducesMonitorTraffic(t *testing.T) {
 		t.Error("the escaping Tally must still lock; elision was unsound")
 	}
 	// t.add / t.sum: 13 dynamic sync calls from 3 static sites.
-	if eOpt.ElidedSyncSites != 3 {
-		t.Errorf("ElidedSyncSites = %d, want 3 (t.add x2, t.sum)", eOpt.ElidedSyncSites)
+	if n := eOpt.VM.Program().ElidedSyncSites; n != 3 {
+		t.Errorf("ElidedSyncSites = %d, want 3 (t.add x2, t.sum)", n)
 	}
-	if eBase.ElidedSyncSites != 0 || eBase.IPA != nil {
+	if eBase.VM.Program().ElidedSyncSites != 0 || eBase.IPA != nil {
 		t.Error("knobs off must not analyze or rewrite")
 	}
 }
@@ -157,12 +174,9 @@ func TestDevirtReducesIndirection(t *testing.T) {
 // TestAOTWithKnobs: PrecompileAll must see the same prepared program as
 // Run (clones compiled, rewrites applied once).
 func TestAOTWithKnobs(t *testing.T) {
-	classes, err := minijava.Compile("t.mj", ipaSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(Config{Devirt: true, ElideLocks: true})
-	if err := e.VM.Load(classes); err != nil {
+	cfg := Config{Devirt: true, ElideLocks: true}
+	e := New(cfg)
+	if err := e.VM.Install(linkFor(t, ipaSrc, cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.PrecompileAll(); err != nil {

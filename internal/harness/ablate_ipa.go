@@ -78,15 +78,17 @@ func (r *AblateDevirtResult) Render() string {
 }
 
 // AblateElideRow compares baseline synchronization against escape-based
-// lock elision (core.Config.ElideLocks) for one workload.
+// lock elision for one workload: a JIT run of its plain program against
+// one of its lock-elided program (vm.LinkElided, run with
+// core.Config.ElideLocks).
 type AblateElideRow struct {
 	Workload string
 	// LockOpsBase/Elide count dynamic monitor operations
 	// (monitorenter + monitorexit) reaching the monitor manager.
 	LockOpsBase, LockOpsElide uint64
 	// ElidedCallSites and ElidedMonitorOps are the static rewrites the
-	// analysis performed (synchronized calls redirected to unsynchronized
-	// clones; monitorenter/exit bytecodes dropped).
+	// elided program's link performed (synchronized calls redirected to
+	// unsynchronized clones; monitorenter/exit bytecodes dropped).
 	ElidedCallSites, ElidedMonitorOps int
 }
 
@@ -105,7 +107,8 @@ func ablateElidePlan(o Options) *Plan {
 				{mode: mode, done: func(e *core.Engine) { row.LockOpsBase = e.VM.Monitors.Stats().Ops() }},
 				{mode: mode, name: "elide-locks", cfg: core.Config{ElideLocks: true}, done: func(e *core.Engine) {
 					row.LockOpsElide = e.VM.Monitors.Stats().Ops()
-					row.ElidedCallSites, row.ElidedMonitorOps = e.ElidedSyncSites, e.ElidedMonitorOps
+					p := e.VM.Program()
+					row.ElidedCallSites, row.ElidedMonitorOps = p.ElidedSyncSites, p.ElidedMonitorOps
 				}},
 			}, func() (AblateElideRow, error) { return row, nil }
 		})

@@ -110,7 +110,7 @@ func analyzePlan(o Options) (*Plan, *AnalyzeResult) {
 	cells(p, o, list, interpOnly, "static", cfg, &res.Rows,
 		func(w workloads.Workload, _ Mode) ([]run, func() (AnalyzeRow, error)) {
 			return nil, func() (AnalyzeRow, error) {
-				prog, err := linkedProgram(w, resolveScale(o, w))
+				prog, err := linkedProgram(w, resolveScale(o, w), false)
 				if err != nil {
 					return AnalyzeRow{}, err
 				}

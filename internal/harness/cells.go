@@ -263,7 +263,7 @@ func execRuns(ctx context.Context, w workloads.Workload, scale int, release func
 
 // releaseSinks hands back the hierarchies and branch suites that runs
 // declare, each distinct one once: a member may attach one sink to
-// several of its runs.
+// several of its runs. A sampler's hierarchy counts as declared.
 func releaseSinks(runs []run) {
 	var hs []*cache.Hierarchy
 	var suites []*branch.Suite
@@ -274,8 +274,15 @@ func releaseSinks(runs []run) {
 			}
 		}
 		for _, s := range r.sinks {
-			if s, ok := s.(*branch.Suite); ok && !slices.Contains(suites, s) {
-				suites = append(suites, s)
+			switch s := s.(type) {
+			case *branch.Suite:
+				if !slices.Contains(suites, s) {
+					suites = append(suites, s)
+				}
+			case *cache.Sampler:
+				if !slices.Contains(hs, s.H) {
+					hs = append(hs, s.H)
+				}
 			}
 		}
 	}

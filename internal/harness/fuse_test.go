@@ -279,7 +279,7 @@ func TestClaimReducesRunlessMembers(t *testing.T) {
 	cells(static, helloOpts(), helloOpts().Workloads, jitOnly, "", "methods", &res.Rows,
 		func(w workloads.Workload, mode Mode) ([]run, func() (uint64, error)) {
 			return nil, func() (uint64, error) {
-				prog, err := linkedProgram(w, resolveScale(helloOpts(), w))
+				prog, err := linkedProgram(w, resolveScale(helloOpts(), w), false)
 				if err != nil {
 					return 0, err
 				}

@@ -110,10 +110,12 @@ func (o Options) seven() []workloads.Workload {
 }
 
 // programKey names one linked workload program: the workload's name and
-// source, at a resolved scale.
+// source, at a resolved scale, and whether lock elision rewrote it
+// (vm.LinkElided).
 type programKey struct {
 	name, source string
 	scale        int
+	elide        bool
 }
 
 // programs holds one linked program per programKey for the process,
@@ -123,15 +125,21 @@ var programs sync.Map // programKey → func() (*vm.Program, error)
 
 // linkedProgram returns the process's linked program of w at scale
 // (scale <= 0 selects DefaultN), compiling and linking it on first use.
-func linkedProgram(w workloads.Workload, scale int) (*vm.Program, error) {
+// With elide, it is the lock-elided program (vm.LinkElided), compiled
+// and linked apart from the plain one.
+func linkedProgram(w workloads.Workload, scale int, elide bool) (*vm.Program, error) {
 	if scale <= 0 {
 		scale = w.DefaultN
 	}
-	k := programKey{w.Name, w.Source, scale}
+	k := programKey{w.Name, w.Source, scale, elide}
 	f, ok := programs.Load(k)
 	if !ok {
+		link := vm.Link
+		if elide {
+			link = vm.LinkElided
+		}
 		f, _ = programs.LoadOrStore(k, sync.OnceValues(func() (*vm.Program, error) {
-			return vm.Link(w.Classes(scale))
+			return link(w.Classes(scale))
 		}))
 	}
 	return f.(func() (*vm.Program, error))()
@@ -140,16 +148,12 @@ func linkedProgram(w workloads.Workload, scale int) (*vm.Program, error) {
 // RunCtx executes workload w at the scale under the mode, with the
 // given extra sinks attached to the native trace, and returns the
 // finished engine. The engine installs the process's shared linked
-// program of (w, scale); a run that elides locks rewrites bytecode, so
-// it compiles and links a private copy instead. The engine polls ctx on
-// the instruction-budget path (cooperative cancellation), so a deadline
-// or cancellation converts a hung or overlong simulation into an error
-// instead of a stuck goroutine.
+// program of (w, scale), lock-elided when cfg.ElideLocks is set. The
+// engine polls ctx on the instruction-budget path (cooperative
+// cancellation), so a deadline or cancellation converts a hung or
+// overlong simulation into an error instead of a stuck goroutine.
 func RunCtx(ctx context.Context, w workloads.Workload, scale int, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
-	if cfg.ElideLocks {
-		return RunClassesCtx(ctx, w.Name, w.Classes(scale), mode, cfg, sinks...)
-	}
-	p, err := linkedProgram(w, scale)
+	p, err := linkedProgram(w, scale, cfg.ElideLocks)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
@@ -158,7 +162,8 @@ func RunCtx(ctx context.Context, w workloads.Workload, scale int, mode Mode, cfg
 
 // RunClassesCtx is RunCtx over an already-compiled program — a
 // workload's classes, or a class bundle written by cmd/mjc — which the
-// engine links for itself. name prefixes every error.
+// engine links for itself (VM.Load), so it runs without lock elision.
+// name prefixes every error.
 func RunClassesCtx(ctx context.Context, name string, classes []*bytecode.Class, mode Mode, cfg core.Config, sinks ...trace.Sink) (*core.Engine, error) {
 	return runEngine(ctx, name, func(v *vm.VM) error { return v.Load(classes) }, mode, cfg, sinks...)
 }

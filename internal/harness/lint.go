@@ -177,7 +177,7 @@ func WorkloadPrograms(opts Options) []LintProgram {
 	progs := make([]LintProgram, len(ws))
 	for i, w := range ws {
 		progs[i] = LintProgram{Name: w.Name}
-		if p, err := linkedProgram(w, opts.Scale); err == nil {
+		if p, err := linkedProgram(w, opts.Scale, false); err == nil {
 			progs[i].Classes, progs[i].prog = p.Classes, p
 		} else {
 			// Lint links the classes again and reports the error.

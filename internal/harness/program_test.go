@@ -3,9 +3,11 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,41 +49,90 @@ func linkLayout(classes []*bytecode.Class) string {
 	return b.String()
 }
 
+// programLayout renders everything a link decides: linkLayout and
+// codeOf over the program's classes, then every method by id (lock
+// elision's clones included), the clone alias and the elision counts.
+func programLayout(p *vm.Program) string {
+	var b strings.Builder
+	b.WriteString(linkLayout(p.Classes))
+	b.WriteString(codeOf(p.Classes))
+	for id, m := range p.Methods {
+		fmt.Fprintf(&b, "id %d: %s flags=%#x addr=%#x\n", id, m.FullName(), m.Flags, m.Addr)
+	}
+	clones := make([]int, 0, len(p.Alias))
+	for id := range p.Alias {
+		clones = append(clones, id)
+	}
+	slices.Sort(clones)
+	for _, id := range clones {
+		fmt.Fprintf(&b, "alias %d -> %d\n", id, p.Alias[id])
+	}
+	fmt.Fprintf(&b, "lock-elided=%t sync-sites=%d monitor-ops=%d\n", p.LockElided, p.ElidedSyncSites, p.ElidedMonitorOps)
+	return b.String()
+}
+
+// freshLink compiles w at scale n and links it afresh, as cfg runs it:
+// by vm.LinkElided when cfg elides locks, by vm.Link otherwise.
+func freshLink(w workloads.Workload, n int, cfg core.Config) (*vm.Program, error) {
+	if cfg.ElideLocks {
+		return vm.LinkElided(w.Classes(n))
+	}
+	return vm.Link(w.Classes(n))
+}
+
+// runFresh runs w at scale n on a program freshLink builds for it.
+func runFresh(w workloads.Workload, n int, mode Mode, cfg core.Config) (*core.Engine, error) {
+	p, err := freshLink(w, n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return runEngine(context.Background(), w.Name, func(v *vm.VM) error { return v.Install(p) }, mode, cfg)
+}
+
 // TestSharedProgramMatchesFresh: at the bench scale, a JIT run on the
-// process's linked program of every workload asks the code cache for
-// exactly the keys a fresh-compile run asks for; after that run, the
-// shared program at two scales holds the code and lays out and
-// resolves exactly what a fresh compile loaded into a fresh VM does.
+// process's linked program of every workload, plain and lock-elided,
+// asks the code cache for exactly the keys a run on a fresh compile
+// asks for; after those runs, each shared program at two scales holds
+// the code and lays out, rewrites and resolves exactly what a fresh
+// compile and link do (a fresh VM.Load for the plain program, a fresh
+// vm.LinkElided for the elided one): ids, clone ids and their alias,
+// addresses, vtables, pool targets and elision counts.
 func TestSharedProgramMatchesFresh(t *testing.T) {
 	for _, w := range workloads.All() {
-		shared, cold := codecache.NewMemory(), codecache.NewMemory()
-		if _, err := RunCtx(context.Background(), w, w.BenchN, ModeJIT, core.Config{CodeCache: shared}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunClassesCtx(context.Background(), w.Name, w.Classes(w.BenchN), ModeJIT, core.Config{CodeCache: cold}); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := shared.Keys(), cold.Keys(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: a JIT run on the shared program used %d code-cache keys, a fresh compile %d (or different ones)", w.Name, len(got), len(want))
-		}
-		for _, n := range []int{w.BenchN, w.DefaultN} {
-			p, err := linkedProgram(w, n)
-			if err != nil {
-				t.Fatalf("%s@%d: %v", w.Name, n, err)
+		for _, elide := range []bool{false, true} {
+			shared, cold := codecache.NewMemory(), codecache.NewMemory()
+			if _, err := RunCtx(context.Background(), w, w.BenchN, ModeJIT, core.Config{ElideLocks: elide, CodeCache: shared}); err != nil {
+				t.Fatal(err)
 			}
-			v := vm.New(nil, nil)
-			if err := v.Load(w.Classes(n)); err != nil {
-				t.Fatalf("%s@%d fresh: %v", w.Name, n, err)
+			if _, err := runFresh(w, w.BenchN, ModeJIT, core.Config{ElideLocks: elide, CodeCache: cold}); err != nil {
+				t.Fatal(err)
 			}
-			if got, want := linkLayout(p.Classes)+codeOf(p.Classes), linkLayout(v.ClassList)+codeOf(v.ClassList); got != want {
-				t.Fatalf("%s@%d: shared program's link differs from a fresh load:\n%s", w.Name, n, firstDiff(got, want))
+			if got, want := shared.Keys(), cold.Keys(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (elide %t): a JIT run on the shared program used %d code-cache keys, a fresh compile %d (or different ones)", w.Name, elide, len(got), len(want))
 			}
-			if len(p.Methods) != len(v.MethodByID) {
-				t.Fatalf("%s@%d: %d methods shared, %d loaded", w.Name, n, len(p.Methods), len(v.MethodByID))
-			}
-			for id, m := range p.Methods {
-				if m.ID != id {
-					t.Fatalf("%s@%d: method %s at index %d has id %d", w.Name, n, m.FullName(), id, m.ID)
+			for _, n := range []int{w.BenchN, w.DefaultN} {
+				p, err := linkedProgram(w, n, elide)
+				if err != nil {
+					t.Fatalf("%s@%d: %v", w.Name, n, err)
+				}
+				var fresh *vm.Program
+				if elide {
+					fresh, err = vm.LinkElided(w.Classes(n))
+				} else {
+					v := vm.New(nil, nil)
+					err = v.Load(w.Classes(n))
+					fresh = v.Program()
+				}
+				if err != nil {
+					t.Fatalf("%s@%d fresh: %v", w.Name, n, err)
+				}
+				if got, want := programLayout(p), programLayout(fresh); got != want {
+					t.Fatalf("%s@%d (elide %t): shared program's link differs from a fresh one:\n%s", w.Name, n, elide, firstDiff(got, want))
+				}
+				for id, m := range p.Methods {
+					if m.ID != id {
+						t.Fatalf("%s@%d: method %s at index %d has id %d", w.Name, n, m.FullName(), id, m.ID)
+					}
 				}
 			}
 		}
@@ -117,15 +168,17 @@ func sharedRunCases() []sharedRunCase {
 		{"checks", ModeJIT, cfg(core.Config{ElideBounds: true, ElideNull: true})},
 		{"checks-interp", ModeInterp, cfg(core.Config{ElideBounds: true, ElideNull: true})},
 		{"elide-locks", ModeJIT, cfg(core.Config{ElideLocks: true, Devirt: true})},
+		{"elide-locks-checks", ModeInterp, cfg(core.Config{ElideLocks: true, ElideBounds: true, ElideNull: true})},
 	}
 }
 
 // TestSharedProgramConcurrentEngines runs every engine configuration of
-// sharedRunCases at once on separate goroutines, all but the
-// lock-eliding one on the one shared program of each workload (lock
-// elision links a private copy), and requires each to print and
-// simulate exactly what the same configuration does on a fresh compile.
-// Run under -race, it shows that nothing writes into a shared program.
+// sharedRunCases at once on separate goroutines, on the one shared
+// program of each workload (the lock-eliding ones on its shared
+// lock-elided program), and requires each to share that program and to
+// print and simulate exactly what the same configuration does on a
+// fresh compile. Run under -race, it shows that nothing writes into a
+// shared program.
 func TestSharedProgramConcurrentEngines(t *testing.T) {
 	type result struct {
 		out    string
@@ -136,7 +189,7 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 		cases := sharedRunCases()
 		want := make([]result, len(cases))
 		for i, c := range cases {
-			e, err := RunClassesCtx(context.Background(), w.Name, w.Classes(w.BenchN), c.mode, c.cfg())
+			e, err := runFresh(w, w.BenchN, c.mode, c.cfg())
 			if err != nil {
 				t.Fatalf("%s/%s fresh: %v", w.Name, c.name, err)
 			}
@@ -150,11 +203,13 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				e, err := RunCtx(context.Background(), w, w.BenchN, c.mode, c.cfg())
-				if errs[i] = err; err == nil {
-					got[i] = result{e.VM.Out.String(), e.TotalInstrs()}
-					if shares := e.VM.SharesProgram(); shares == c.cfg().ElideLocks {
-						errs[i] = fmt.Errorf("engine shares the program: %t", shares)
-					}
+				if errs[i] = err; err != nil {
+					return
+				}
+				got[i] = result{e.VM.Out.String(), e.TotalInstrs()}
+				p, err := linkedProgram(w, w.BenchN, c.cfg().ElideLocks)
+				if errs[i] = err; err == nil && e.VM.Program() != p {
+					errs[i] = errors.New("the engine does not run the shared program")
 				}
 			}()
 		}
@@ -171,40 +226,42 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 	}
 }
 
-// TestElisionRefusesSharedProgram: lock elision on an engine that
-// installed a shared program fails the run with an error and rewrites
-// nothing, where the same run on a private load elides.
-func TestElisionRefusesSharedProgram(t *testing.T) {
+// TestElisionNeedsElidedProgram: an engine whose Config.ElideLocks
+// disagrees with its program's lock-elided marker fails before it runs
+// and leaves the program as it was, both ways round: lock elision on a
+// Link program, and a LinkElided program without lock elision. The
+// elided program does rewrite mtrt, so the two programs differ.
+func TestElisionNeedsElidedProgram(t *testing.T) {
 	w := workloads.Mtrt()
-	p, err := vm.Link(w.Classes(w.BenchN))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := linkLayout(p.Classes) + codeOf(p.Classes)
-	e := core.New(core.Config{ElideLocks: true})
-	if err := e.VM.Install(p); err != nil {
-		t.Fatal(err)
-	}
-	main, err := e.VM.LookupMain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(main); err == nil || !strings.Contains(err.Error(), "shared") {
-		t.Fatalf("lock elision on a shared program: err = %v, want a refusal", err)
-	}
-	if after := linkLayout(p.Classes) + codeOf(p.Classes); after != before {
-		t.Fatalf("a refused elision changed the shared program:\n%s", firstDiff(after, before))
-	}
-	if err := e.PrecompileAll(); err == nil {
-		t.Fatal("precompiling after the refusal succeeded")
-	}
-
-	private, err := RunCtx(context.Background(), w, w.BenchN, ModeJIT, core.Config{ElideLocks: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if private.ElidedSyncSites+private.ElidedMonitorOps == 0 {
-		t.Fatalf("%s elides no lock on a private load: the refusal above shows nothing", w.Name)
+	for _, elide := range []bool{true, false} {
+		p, err := freshLink(w, w.BenchN, core.Config{ElideLocks: !elide})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !elide && p.ElidedSyncSites+p.ElidedMonitorOps == 0 {
+			t.Fatalf("%s: LinkElided elides no lock: the mismatch below shows nothing", w.Name)
+		}
+		before := programLayout(p)
+		e := core.New(core.Config{ElideLocks: elide})
+		if err := e.VM.Install(p); err != nil {
+			t.Fatal(err)
+		}
+		main, err := e.VM.LookupMain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(main); err == nil || !strings.Contains(err.Error(), "LinkElided") {
+			t.Fatalf("ElideLocks=%t on a program with LockElided=%t: err = %v, want a mismatch", elide, p.LockElided, err)
+		}
+		if e.Stats != nil || e.VM.Out.Len() != 0 {
+			t.Fatalf("ElideLocks=%t: the mismatched engine started running", elide)
+		}
+		if err := e.PrecompileAll(); err == nil {
+			t.Fatalf("ElideLocks=%t: precompiling after the mismatch succeeded", elide)
+		}
+		if after := programLayout(p); after != before {
+			t.Fatalf("ElideLocks=%t: a mismatched engine changed its program:\n%s", elide, firstDiff(after, before))
+		}
 	}
 }
 
@@ -226,7 +283,10 @@ func codeOf(classes []*bytecode.Class) string {
 // alone makes more than a compile), and it allocates at least a
 // compile's bytes less than the same run on a fresh compile. Its bytes
 // alone exceed a compile's: the simulated heap's pages are most of
-// them.
+// them. A warm lock-eliding JIT run compiles, links and analyzes
+// nothing either: it mallocs less than a compile more than a warm plain
+// JIT run does. (The JIT translates afresh in every run, so a warm JIT
+// run of javac alone mallocs more than a compile.)
 func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the engine under an allocation count")
@@ -250,7 +310,15 @@ func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 	warmRun := run(func() (*core.Engine, error) {
 		return RunCtx(context.Background(), w, n, ModeInterp, core.Config{})
 	})
+	warmJIT := run(func() (*core.Engine, error) {
+		return RunCtx(context.Background(), w, n, ModeJIT, core.Config{})
+	})
+	warmElide := run(func() (*core.Engine, error) {
+		return RunCtx(context.Background(), w, n, ModeJIT, core.Config{ElideLocks: true})
+	})
 	warmRun()
+	warmJIT()
+	warmElide()
 	compileMallocs, compileBytes := measure(func() { w.Classes(n) })
 	_, coldBytes := measure(run(func() (*core.Engine, error) {
 		return RunClassesCtx(context.Background(), w.Name, w.Classes(n), ModeInterp, core.Config{})
@@ -258,6 +326,11 @@ func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 	warmMallocs, warmBytes := measure(warmRun)
 	if warmMallocs >= compileMallocs {
 		t.Errorf("a warm run of %s mallocs %d times, a compile of it %d", w.Name, warmMallocs, compileMallocs)
+	}
+	jitMallocs, _ := measure(warmJIT)
+	if elideMallocs, _ := measure(warmElide); elideMallocs >= jitMallocs+compileMallocs {
+		t.Errorf("a warm lock-eliding JIT run of %s mallocs %d times, a warm plain JIT run %d: not less than a compile's %d more",
+			w.Name, elideMallocs, jitMallocs, compileMallocs)
 	}
 	if warmBytes+compileBytes >= coldBytes {
 		t.Errorf("a warm run of %s allocates %d bytes, a run on a fresh compile %d: it saves less than the compile's %d",
@@ -267,16 +340,22 @@ func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 
 // TestSharedFactsMatchFresh: after every engine configuration of
 // sharedRunCases, plus a second devirtualizing engine, has run at once
-// on each workload's shared program, the program's whole-program facts
-// give exactly the analyze row (ipa, races and checks) that a fresh
-// compile and link give. Every devirtualizing engine reads the
-// program's own ipa result, and every check-eliding one its ranges.
-// Run under -race, it shows that no engine writes into the facts.
+// on each workload's shared programs (plain and lock-elided), each
+// program's whole-program facts give exactly the analyze row (ipa,
+// races and checks) that a fresh compile and link give. Every engine
+// runs its shared program; every devirtualizing or lock-eliding engine
+// reads the program's own ipa result, and every check-eliding one its
+// ranges. Run under -race, it shows that no engine writes into the
+// facts.
 func TestSharedFactsMatchFresh(t *testing.T) {
 	for _, w := range workloads.All() {
-		p, err := linkedProgram(w, w.BenchN)
-		if err != nil {
-			t.Fatal(err)
+		var progs [2]*vm.Program // plain, lock-elided
+		for i, elide := range []bool{false, true} {
+			p, err := linkedProgram(w, w.BenchN, elide)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs[i] = p
 		}
 		cases := append(sharedRunCases(), sharedRunCase{"devirt-aot", ModeAOT, func() core.Config { return core.Config{Devirt: true} }})
 		engines := make([]*core.Engine, len(cases))
@@ -295,10 +374,14 @@ func TestSharedFactsMatchFresh(t *testing.T) {
 				t.Fatalf("%s/%s: %v", w.Name, c.name, errs[i])
 			}
 			e, cfg := engines[i], c.cfg()
+			p := progs[0]
 			if cfg.ElideLocks {
-				continue
+				p = progs[1]
 			}
-			if cfg.Devirt && e.IPA != p.IPA() {
+			if e.VM.Program() != p {
+				t.Errorf("%s/%s: the engine does not run its shared program", w.Name, c.name)
+			}
+			if (cfg.Devirt || cfg.ElideLocks) && e.IPA != p.IPA() {
 				t.Errorf("%s/%s: the engine's ipa result is not its shared program's", w.Name, c.name)
 			}
 			if cfg.ElideBounds && e.VRange != p.Ranges() {
@@ -306,24 +389,26 @@ func TestSharedFactsMatchFresh(t *testing.T) {
 			}
 		}
 
-		fresh, err := vm.Link(w.Classes(w.BenchN))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows [2]string
-		for i, prog := range []*vm.Program{p, fresh} {
-			row, err := analyzeProgram(w.Name, prog, true, true)
-			if err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
-			}
-			out, err := json.MarshalIndent(row, "", " ")
+		for k, elide := range []bool{false, true} {
+			fresh, err := freshLink(w, w.BenchN, core.Config{ElideLocks: elide})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows[i] = string(out)
-		}
-		if rows[0] != rows[1] {
-			t.Errorf("%s: the shared program's facts differ from a fresh link's:\n%s", w.Name, firstDiff(rows[0], rows[1]))
+			var rows [2]string
+			for i, prog := range []*vm.Program{progs[k], fresh} {
+				row, err := analyzeProgram(w.Name, prog, true, true)
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				out, err := json.MarshalIndent(row, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows[i] = string(out)
+			}
+			if rows[0] != rows[1] {
+				t.Errorf("%s (elide %t): the shared program's facts differ from a fresh link's:\n%s", w.Name, elide, firstDiff(rows[0], rows[1]))
+			}
 		}
 	}
 }
@@ -340,7 +425,7 @@ func TestWarmAnalyzeAllocatesLittle(t *testing.T) {
 	var ws []workloads.Workload
 	for _, w := range workloads.All() {
 		w.Source += "\n"
-		if _, err := linkedProgram(w, w.DefaultN); err != nil {
+		if _, err := linkedProgram(w, w.DefaultN, false); err != nil {
 			t.Fatal(err)
 		}
 		ws = append(ws, w)

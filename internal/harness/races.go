@@ -54,7 +54,7 @@ func (rc *RaceCheck) Err() error {
 // schedules can drive a seeded-deadlock fixture into the real thing —
 // but it must be predicted by the static lock-order analysis.
 func CheckRacesWorkload(ctx context.Context, w workloads.Workload, scale int, mode Mode, seed uint64) (*RaceCheck, error) {
-	p, err := linkedProgram(w, scale)
+	p, err := linkedProgram(w, scale, false)
 	if err != nil {
 		return nil, fmt.Errorf("%s: static analysis: %w", w.Name, err)
 	}

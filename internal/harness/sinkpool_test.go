@@ -78,8 +78,9 @@ func TestSinkReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSinksReleasedOnce: a member that attaches one hierarchy and one
-// suite to two runs hands each back exactly once, after its reduce.
+// TestSinksReleasedOnce: a member that attaches one hierarchy, one
+// suite and one sampler (as fig6 does) to two runs hands each back
+// exactly once, after its reduce: the sampler's hierarchy included.
 // Handed back twice, a cache or suite would go to two later holders, so
 // two later calls of its constructor must return distinct sinks (and
 // Release panics on a second release). The caches' geometries are used
@@ -89,15 +90,21 @@ func TestSinksReleasedOnce(t *testing.T) {
 	w, _ := workloads.ByName("hello")
 	icfg := cache.Config{Name: "I", Size: 2 << 10, LineSize: 16, Assoc: 2, WriteAllocate: true}
 	dcfg := cache.Config{Name: "D", Size: 2 << 10, LineSize: 16, Assoc: 4, WriteAllocate: true}
+	sicfg := cache.Config{Name: "I", Size: 1 << 10, LineSize: 16, Assoc: 1, WriteAllocate: true}
+	sdcfg := cache.Config{Name: "D", Size: 1 << 10, LineSize: 16, Assoc: 2, WriteAllocate: true}
 	h, s := cache.NewHierarchy(icfg, dcfg), branch.NewSuite()
+	sm := cache.NewSampler(cache.NewHierarchy(sicfg, sdcfg), 50_000)
 	runs := []run{
-		{mode: ModeInterp, hs: []*cache.Hierarchy{h}, sinks: []trace.Sink{s}},
-		{mode: ModeJIT, hs: []*cache.Hierarchy{h}, sinks: []trace.Sink{s}},
+		{mode: ModeInterp, hs: []*cache.Hierarchy{h}, sinks: []trace.Sink{s, sm}},
+		{mode: ModeJIT, hs: []*cache.Hierarchy{h}, sinks: []trace.Sink{s, sm}},
 	}
 	reduced := 0
 	reduce := func(int) error {
-		if h.I.Stats.Refs() == 0 || s.Units[0].Stats.Transfers() == 0 {
+		if h.I.Stats.Refs() == 0 || s.Units[0].Stats.Transfers() == 0 || sm.H.D.Stats.Refs() == 0 {
 			t.Error("the member's sinks were reset before its reduce read them")
+		}
+		if sm.Finish(); len(sm.Series) == 0 {
+			t.Error("the sampler closed no window")
 		}
 		reduced++
 		return nil
@@ -112,7 +119,7 @@ func TestSinksReleasedOnce(t *testing.T) {
 		name string
 		cfg  cache.Config
 		was  *cache.Cache
-	}{{"I", icfg, h.I}, {"D", dcfg, h.D}} {
+	}{{"I", icfg, h.I}, {"D", dcfg, h.D}, {"sampler I", sicfg, sm.H.I}, {"sampler D", sdcfg, sm.H.D}} {
 		a, b := cache.New(c.cfg), cache.New(c.cfg)
 		if a == b {
 			t.Errorf("%s: two New calls returned one cache: it was handed back twice", c.name)

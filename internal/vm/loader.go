@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -16,16 +15,24 @@ import (
 
 // Program is a linked class list: class and method ids, field slots,
 // vtables, code layout and resolved pool references, laid out at a
-// fresh VM's class and static bases. Link builds it and nothing writes
-// into its classes afterwards, so any number of VMs, on any goroutines,
-// may install one Program (see DESIGN.md, "A program is linked once per
-// process"). Its whole-program facts (IPA, Races, Ranges) are built
-// once, on first use, and are read-only as well.
+// fresh VM's class and static bases. Link (or LinkElided) builds it and
+// nothing writes into its classes afterwards, so any number of VMs, on
+// any goroutines, may install one Program (see DESIGN.md, "A program is
+// linked once per process"). Its whole-program facts (IPA, Races,
+// Ranges) are built once, on first use, and are read-only as well.
 type Program struct {
 	// Classes are the classes in load order; a class's ID is its index.
 	Classes []*bytecode.Class
-	// Methods are the declared methods, indexed by method ID.
+	// Methods are the declared methods, then any unsynchronized clones
+	// LinkElided added, indexed by method ID.
 	Methods []*bytecode.Method
+	// LockElided marks a program LinkElided rewrote. Alias maps each
+	// clone's ID to the ID of the synchronized original whose code it
+	// shares. ElidedSyncSites counts the call sites rebound to a clone
+	// and ElidedMonitorOps the monitorenter/monitorexit turned into pop.
+	LockElided                        bool
+	Alias                             map[int]int
+	ElidedSyncSites, ElidedMonitorOps int
 	// Diagnostics are the analysis pass suite's findings
 	// (analysis.CheckMethod) over every method, in class and method
 	// order.
@@ -72,9 +79,6 @@ func Link(classes []*bytecode.Class) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.ipa = sync.OnceValue(func() *ipa.Result { return ipa.Analyze(p.Classes) })
-	p.races = sync.OnceValue(func() *conc.Report { return conc.Analyze(p.Classes, p.IPA()) })
-	p.ranges = sync.OnceValue(func() *vrange.Result { return vrange.Analyze(p.Classes, p.IPA()) })
 	return p, nil
 }
 
@@ -83,6 +87,9 @@ func Link(classes []*bytecode.Class) (*Program, error) {
 // verifying Load reports first.
 func link(classes []*bytecode.Class) (*Program, error) {
 	p := &Program{}
+	p.ipa = sync.OnceValue(func() *ipa.Result { return ipa.Analyze(p.Classes) })
+	p.races = sync.OnceValue(func() *conc.Report { return conc.Analyze(p.Classes, p.IPA()) })
+	p.ranges = sync.OnceValue(func() *vrange.Result { return vrange.Analyze(p.Classes, p.IPA()) })
 	// Deterministic order: as provided.
 	byName := make(map[string]*bytecode.Class, len(classes))
 	for _, c := range classes {
@@ -222,8 +229,9 @@ func link(classes []*bytecode.Class) (*Program, error) {
 	return p, nil
 }
 
-// Load links classes and installs them on v, the VM's own program:
-// unlike a Program from Link, lock elision may rewrite it.
+// Load links classes and installs them on v: Link, then Install. Under
+// VerifyFull, a verification failure in a class before the one that
+// fails to link is the error reported.
 func (v *VM) Load(classes []*bytecode.Class) error {
 	p, err := link(classes)
 	if err != nil {
@@ -232,7 +240,7 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 		}
 		return err
 	}
-	return v.install(p)
+	return v.Install(p)
 }
 
 // Install loads a linked program on v, which must not hold classes yet.
@@ -242,24 +250,14 @@ func (v *VM) Load(classes []*bytecode.Class) error {
 // miss spikes (Figure 6). It returns the program's verdict when v
 // verifies fully. The program stays shared: nothing here writes into it.
 func (v *VM) Install(p *Program) error {
-	if err := v.install(p); err != nil {
-		return err
-	}
-	v.prog = p
-	return nil
-}
-
-func (v *VM) install(p *Program) error {
 	if len(v.ClassList) > 0 {
 		return fmt.Errorf("load: VM already holds %d classes", len(v.ClassList))
 	}
 	if v.Verify == VerifyFull && p.verdict != nil {
 		return p.verdict
 	}
-	// Clipped, so a VM that appends (lock elision's clones) copies
-	// rather than writing into the program's arrays.
-	v.ClassList = slices.Clip(p.Classes)
-	v.MethodByID = slices.Clip(p.Methods)
+	v.ClassList = p.Classes
+	v.MethodByID = p.Methods
 	for _, c := range p.Classes {
 		v.Classes[c.Name] = c
 	}
@@ -284,17 +282,13 @@ func (v *VM) install(p *Program) error {
 	if v.Race != nil {
 		v.Race.OnClasses(v.ClassList)
 	}
+	v.prog = p
 	return nil
 }
 
-// Program returns the program Install installed on v, or nil when v
-// holds no classes or Load linked them for v alone.
+// Program returns the program Load or Install installed on v, or nil
+// while v holds no classes.
 func (v *VM) Program() *Program { return v.prog }
-
-// SharesProgram reports whether v runs a Program installed from Link,
-// which other VMs may be running too, rather than one Load linked for
-// v alone.
-func (v *VM) SharesProgram() bool { return v.prog != nil }
 
 // resolvePool fills in the Resolved fields of c's pool references
 // against the program's classes.

@@ -99,7 +99,7 @@ type VM struct {
 	Out bytes.Buffer
 
 	heapNext     uint64
-	prog         *Program // the program Install installed (SharesProgram)
+	prog         *Program // the installed program (Program)
 	strings      map[string]uint64
 	classObjects map[int]uint64
 	threads      []*Thread
@@ -463,31 +463,4 @@ func (v *VM) UnlockObject(tid int, ref uint64) {
 		v.Race.OnRelease(tid, ref)
 	}
 	v.Monitors.Exit(tid, ref)
-}
-
-// RegisterUnsyncClone registers an unsynchronized twin of a
-// synchronized method, used by lock elision to rebind call sites whose
-// receiver is provably thread-local. The clone shares the original's
-// body and layout (Code, Addr, PCOffsets, CodeBytes — so in-place
-// bytecode rewrites apply to both, and footprint/addresses are
-// unchanged) and differs only in its flags and its fresh dense id. It
-// is appended to MethodByID for stub dispatch and compilation but
-// deliberately NOT to Class.Methods: it is invisible to name lookup,
-// vtables, and per-class accounting.
-func (v *VM) RegisterUnsyncClone(m *bytecode.Method) *bytecode.Method {
-	clone := &bytecode.Method{
-		Name:      m.Name + "$unsync",
-		Sig:       m.Sig,
-		Flags:     m.Flags &^ bytecode.FlagSynchronized,
-		MaxLocals: m.MaxLocals,
-		Code:      m.Code,
-		Class:     m.Class,
-		VIndex:    -1,
-		ID:        len(v.MethodByID),
-		Addr:      m.Addr,
-		PCOffsets: m.PCOffsets,
-		CodeBytes: m.CodeBytes,
-	}
-	v.MethodByID = append(v.MethodByID, clone)
-	return clone
 }
