@@ -40,6 +40,12 @@ var (
 	coresTimed atomic.Int64
 )
 
+// runTap, when set, is called as every engine run starts and returns a
+// sink that sees the whole stream the engine emits: class loading and
+// the translation an AOT run keeps out of its measurement included.
+// The stream pins (testdata/golden/cells/streams.txt) set it.
+var runTap atomic.Pointer[func(name string, mode Mode) trace.Sink]
+
 // SetCodeCache installs c as the process-default shared translation
 // cache (nil removes it). Callers set it before starting a run; engines
 // already built keep whatever they were built with.
@@ -194,6 +200,9 @@ func runEngine(ctx context.Context, name string, load func(*vm.VM) error, mode M
 		// Measurement attaches only after precompilation below.
 	}
 	cfg.Sink = sw
+	if tap := runTap.Load(); tap != nil {
+		cfg.Sink = trace.Tee(sw, (*tap)(name, mode))
+	}
 
 	e := core.New(cfg)
 	if err := load(e.VM); err != nil {
