@@ -51,6 +51,13 @@ func (f *ipaFacts) BoundsProven(m *bytecode.Method, pc int) bool {
 	return f.vr != nil && f.vr.BoundsProvenID(f.origID(m), pc)
 }
 
+// factsPrint is an ipaFacts fingerprint. Over one program the results
+// are the program's own, so the answers differ only in whether
+// DevirtTarget answers at all and whether range proofs are present.
+type factsPrint struct{ devirt, ranges bool }
+
+func (f *ipaFacts) Fingerprint() any { return factsPrint{f.devirt, f.vr != nil} }
+
 func (f *ipaFacts) NullProven(m *bytecode.Method, pc int) bool {
 	return f.vr != nil && f.vr.NullProvenID(f.origID(m), pc)
 }

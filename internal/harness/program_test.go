@@ -177,15 +177,27 @@ func sharedRunCases() []sharedRunCase {
 // program of each workload (the lock-eliding ones on its shared
 // lock-elided program), and requires each to share that program and to
 // print and simulate exactly what the same configuration does on a
-// fresh compile. Run under -race, it shows that nothing writes into a
-// shared program.
+// fresh compile. The workloads are copies whose source gains a trailing
+// newline, so their programs hold no translation record yet: the JIT,
+// AOT and tiered engines, which key their tier-1 translations alike,
+// race to record and replay the same methods. A JIT run on a privately
+// linked program (RunClassesCtx), first alone and then racing with the
+// others, records on its own program and leaves none on the shared
+// one. Run under -race, it shows that nothing writes into a shared
+// program or its records.
 func TestSharedProgramConcurrentEngines(t *testing.T) {
 	type result struct {
 		out    string
 		instrs uint64
 	}
+	records := func(p *vm.Program) int {
+		n := 0
+		p.Translations().Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
 	for _, name := range []string{"mtrt", "db"} {
 		w, _ := workloads.ByName(name)
+		w.Source += "\n"
 		cases := sharedRunCases()
 		want := make([]result, len(cases))
 		for i, c := range cases {
@@ -195,8 +207,29 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 			}
 			want[i] = result{e.VM.Out.String(), e.TotalInstrs()}
 		}
-		got := make([]result, len(cases))
-		errs := make([]error, len(cases))
+		shared, err := linkedProgram(w, w.BenchN, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		private := func() (result, error) {
+			e, err := RunClassesCtx(context.Background(), w.Name, w.Classes(w.BenchN), ModeJIT, core.Config{})
+			if err != nil {
+				return result{}, err
+			}
+			if p := e.VM.Program(); p == shared || records(p) == 0 {
+				return result{}, errors.New("the private run recorded no translation on its own program")
+			}
+			return result{e.VM.Out.String(), e.TotalInstrs()}, nil
+		}
+		wantJIT := want[slices.IndexFunc(cases, func(c sharedRunCase) bool { return c.name == "jit" })]
+		if got, err := private(); err != nil || got != wantJIT {
+			t.Fatalf("%s private: %v (printed %q in %d instructions)", w.Name, err, got.out, got.instrs)
+		}
+		if n := records(shared); n != 0 {
+			t.Fatalf("%s: a run on a private program left %d records on the shared one", w.Name, n)
+		}
+		got := make([]result, len(cases)+1)
+		errs := make([]error, len(cases)+1)
 		var wg sync.WaitGroup
 		for i, c := range cases {
 			wg.Add(1)
@@ -213,7 +246,14 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 				}
 			}()
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[len(cases)], errs[len(cases)] = private()
+		}()
 		wg.Wait()
+		cases = append(cases, sharedRunCase{name: "jit-private"})
+		want = append(want, wantJIT)
 		for i, c := range cases {
 			if errs[i] != nil {
 				t.Fatalf("%s/%s shared: %v", w.Name, c.name, errs[i])
@@ -222,6 +262,9 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 				t.Errorf("%s/%s: shared program printed %q in %d instructions, fresh compile %q in %d",
 					w.Name, c.name, got[i].out, got[i].instrs, want[i].out, want[i].instrs)
 			}
+		}
+		if records(shared) == 0 {
+			t.Errorf("%s: the JIT engines left no translation record on the shared program", w.Name)
 		}
 	}
 }
@@ -283,10 +326,11 @@ func codeOf(classes []*bytecode.Class) string {
 // alone makes more than a compile), and it allocates at least a
 // compile's bytes less than the same run on a fresh compile. Its bytes
 // alone exceed a compile's: the simulated heap's pages are most of
-// them. A warm lock-eliding JIT run compiles, links and analyzes
-// nothing either: it mallocs less than a compile more than a warm plain
-// JIT run does. (The JIT translates afresh in every run, so a warm JIT
-// run of javac alone mallocs more than a compile.)
+// them. A warm plain JIT run translates nothing afresh either: it
+// replays the program's translation records, so it too mallocs less
+// than a compile. A warm lock-eliding JIT run compiles, links and
+// analyzes nothing: it mallocs less than a compile more than a warm
+// plain JIT run does.
 func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the engine under an allocation count")
@@ -328,6 +372,9 @@ func TestWarmRunAllocatesLessThanCompile(t *testing.T) {
 		t.Errorf("a warm run of %s mallocs %d times, a compile of it %d", w.Name, warmMallocs, compileMallocs)
 	}
 	jitMallocs, _ := measure(warmJIT)
+	if jitMallocs >= compileMallocs {
+		t.Errorf("a warm JIT run of %s mallocs %d times, a compile of it %d", w.Name, jitMallocs, compileMallocs)
+	}
 	if elideMallocs, _ := measure(warmElide); elideMallocs >= jitMallocs+compileMallocs {
 		t.Errorf("a warm lock-eliding JIT run of %s mallocs %d times, a warm plain JIT run %d: not less than a compile's %d more",
 			w.Name, elideMallocs, jitMallocs, compileMallocs)

@@ -106,23 +106,13 @@ func (c *Compiler) invokeKey(h interface{ Write([]byte) (int, error) }, m *bytec
 
 // encodeEntry converts a freshly installed translation into the
 // position-independent cache form: intra-method branch targets (the only
-// base-dependent words — calls go through absolute stubs, traps through
-// the absolute trap vector) become base-relative, their indices recorded
-// in Rel. The compiled code is copied, never mutated.
+// base-dependent words) become base-relative, their indices recorded in
+// Rel. The compiled code is never mutated.
 func encodeEntry(cm *Compiled) *codecache.Entry {
-	code := make([]isa.Inst, len(cm.Code))
-	copy(code, cm.Code)
-	limit := cm.Base + uint64(len(cm.Code))*isa.WordSize
-	var rel []int32
-	for idx := range code {
-		if t := code[idx].Target; t >= cm.Base && t < limit {
-			code[idx].Target = t - cm.Base
-			rel = append(rel, int32(idx))
-		}
-	}
+	rel := relTargets(cm.Code, cm.Base)
 	e := &codecache.Entry{
 		Method:     cm.M.FullName(),
-		Code:       code,
+		Code:       relocate(cm.Code, rel, -cm.Base),
 		Rel:        rel,
 		FrameBytes: cm.FrameBytes,
 		Tier:       cm.Tier,
@@ -138,16 +128,9 @@ func encodeEntry(cm *Compiled) *codecache.Entry {
 // installEntry rebases a shared translation into this engine's code
 // cache at the next aligned address, rebuilding the Compiled the rest of
 // the engine expects. The entry is immutable and possibly shared with
-// concurrent engines, so the code is copied before relocation.
+// concurrent engines, so relocation copies the code.
 func (c *Compiler) installEntry(m *bytecode.Method, e *codecache.Entry, tier int) *Compiled {
-	base := c.codeNext
-	code := make([]isa.Inst, len(e.Code))
-	copy(code, e.Code)
-	for _, idx := range e.Rel {
-		code[idx].Target += base
-	}
-	c.codeNext += uint64(len(code)) * isa.WordSize
-	c.codeNext = (c.codeNext + 63) &^ 63
+	base := c.claim(len(e.Code))
 	var elided map[int]ElidedCheck
 	for _, s := range e.Elided {
 		if elided == nil {
@@ -158,7 +141,7 @@ func (c *Compiler) installEntry(m *bytecode.Method, e *codecache.Entry, tier int
 	return &Compiled{
 		M:          m,
 		Base:       base,
-		Code:       code,
+		Code:       relocate(e.Code, e.Rel, base),
 		FrameBytes: e.FrameBytes,
 		Tier:       tier,
 		Elided:     elided,
@@ -209,7 +192,7 @@ func (c *Compiler) emitHitTrace(key string, e *codecache.Entry, base uint64) {
 // a shared translation was installed instead of running the generator.
 func (c *Compiler) compile(m *bytecode.Method, opt Options, tier int) (cm *Compiled, hit bool, err error) {
 	if c.Cache == nil {
-		cm, err = c.translate(m, opt)
+		cm, err = c.translate(m, opt, tier)
 		return cm, false, err
 	}
 	key := c.translationKey(m, opt, tier)
@@ -219,7 +202,7 @@ func (c *Compiler) compile(m *bytecode.Method, opt Options, tier int) (cm *Compi
 	c.Keys[m.ID] = key
 	var fresh *Compiled
 	entry, hit, err := c.Cache.Do(key, func() (*codecache.Entry, error) {
-		g, gerr := c.translate(m, opt)
+		g, gerr := c.translate(m, opt, tier)
 		if gerr != nil {
 			return nil, gerr
 		}

@@ -13,7 +13,16 @@
 // bytecode stream, its code-generation work, and — crucially — the data
 // *write* per installed instruction whose compulsory D-cache misses the
 // paper identifies as the dominant cost of the translate phase
-// (Figures 3 and 5).
+// (Figures 3 and 5). Code generation itself is pure; one emitter,
+// traceTranslation, produces that stream from the method and the
+// translation's layout.
+//
+// A method is translated once per program: the first translation under
+// a key (method, tier, options, what Facts answers) is recorded on the
+// linked vm.Program, and every later one, in any engine installing the
+// program, installs the recorded code at its own base and emits the
+// same stream a fresh translation would (record.go). The simulation is
+// charged the same; the host skips type flow and code generation.
 package jit
 
 import (
@@ -69,6 +78,12 @@ type Facts interface {
 	// of m has a provably in-range index on a non-null array (see
 	// internal/analysis/vrange).
 	BoundsProven(m *bytecode.Method, pc int) bool
+	// Fingerprint names what the facts answer: a comparable value that
+	// two Facts over one program share only when they answer every
+	// query above alike. It keys the program's translation records
+	// (see record.go), so it must tell apart facts that differ only in
+	// which proofs they release.
+	Fingerprint() any
 }
 
 // ElidedCheck describes one runtime check the generator skipped, keyed
@@ -197,13 +212,6 @@ func (c *Compiler) Compile(m *bytecode.Method) (*Compiled, error) {
 	return cm, nil
 }
 
-// translate runs the code generator for m under opt (the uncached
-// translate path; Compile/Optimize wrap it with cache bookkeeping).
-func (c *Compiler) translate(m *bytecode.Method, opt Options) (*Compiled, error) {
-	g := &gen{c: c, m: m, cls: m.Class, opt: opt}
-	return g.run()
-}
-
 // Optimize recompiles an already-translated method at tier 2: the
 // operand stack stays in registers with no per-bytecode glue — the
 // profile-triggered reoptimization the paper's §7 sketches (a hot-site
@@ -283,7 +291,7 @@ type gen struct {
 	count  int
 	code   []isa.Inst
 	// start[i] is the native instruction index where bytecode i begins.
-	start []int
+	start []int32
 	// fixups record branches needing target resolution after pass 1.
 	types [][]bytecode.Type
 	base  uint64
@@ -344,9 +352,9 @@ func (g *gen) run() (*Compiled, error) {
 	}
 	total := g.count
 
-	// Pass 2: emit with resolved targets, tracing the translation.
+	// Pass 2: emit with resolved targets at the claimed install base.
 	g.sizing = false
-	g.base = g.c.codeNext
+	g.base = g.c.claim(total)
 	g.code = make([]isa.Inst, 0, total)
 	if err := g.body(); err != nil {
 		return nil, err
@@ -354,9 +362,6 @@ func (g *gen) run() (*Compiled, error) {
 	if len(g.code) != total {
 		return nil, fmt.Errorf("%s: pass size mismatch %d != %d", g.m.FullName(), len(g.code), total)
 	}
-	g.c.codeNext += uint64(total) * isa.WordSize
-	// Methods are padded apart in the code cache.
-	g.c.codeNext = (g.c.codeNext + 63) &^ 63
 
 	maxDepth := 0
 	for _, s := range types {
@@ -373,6 +378,14 @@ func (g *gen) run() (*Compiled, error) {
 	}, nil
 }
 
+// claim reserves the code-cache space of an n-instruction translation
+// and returns its base; methods are padded apart to 64 bytes.
+func (c *Compiler) claim(n int) uint64 {
+	base := c.codeNext
+	c.codeNext = (base + uint64(n)*isa.WordSize + 63) &^ 63
+	return base
+}
+
 // ArgFloats appends to dst the per-argument is-float vector of m
 // (receiver first for instance methods) and returns it: the ABI key the
 // call-site generator here and the native CPU's trap decoder both pass
@@ -387,20 +400,13 @@ func ArgFloats(dst []bool, m *bytecode.Method) []bool {
 	return dst
 }
 
-// emit appends one native instruction; in pass 2 it also emits the
-// translator's work: its own I-side activity plus the installation store.
-func (g *gen) emit(in isa.Inst, ts *emit.Seq) {
+// emit appends one native instruction (pass 2) or counts it (pass 1).
+func (g *gen) emit(in isa.Inst) {
 	if g.sizing {
 		g.count++
 		return
 	}
-	idx := len(g.code)
 	g.code = append(g.code, in)
-	if ts != nil {
-		// Encoding work (register selection, operand packing) then the
-		// install write into the code cache.
-		ts.ALU(emitALUPerInst).Store(g.base + uint64(idx)*isa.WordSize)
-	}
 }
 
 // target resolves a bytecode index to a native address (pass 2 only).
@@ -414,27 +420,7 @@ func (g *gen) target(bcIdx int) uint64 {
 func (g *gen) body() error {
 	m := g.m
 	if g.start == nil || g.sizing {
-		g.start = make([]int, len(m.Code))
-	}
-
-	// Pass-2 translator trace: per-method overhead, then the analysis
-	// sweeps reading the bytecode and writing the IR workspace.
-	var ts *emit.Seq
-	if !g.sizing {
-		ts = g.c.EM.At(tcProl)
-		ts.ALU(methodOverheadALU / 2)
-		for p := 0; p < analysisPasses; p++ {
-			as := g.c.EM.At(tcAnalyze)
-			for i := range m.Code {
-				as.Load(m.Addr+m.PCOffsets[i]).ALU(analysisALUPerBC/2).
-					Load(irWorkspace(i)).ALU(analysisALUPerBC-analysisALUPerBC/2).
-					Store(irWorkspace(i)).Store(irWorkspace(i)+8).
-					Branch(i+1 < len(m.Code), tcAnalyze)
-			}
-			as.Ret(0)
-		}
-		ts = g.c.EM.At(tcProl + 0x100)
-		ts.ALU(methodOverheadALU - methodOverheadALU/2)
+		g.start = make([]int32, len(m.Code))
 	}
 	regs, _ := isa.ArgRegs(nil, ArgFloats(nil, m))
 	for i, r := range regs {
@@ -442,7 +428,7 @@ func (g *gen) body() error {
 		if r >= isa.FReg0 {
 			op = isa.OpFSt
 		}
-		g.emit(isa.Inst{Op: op, Rs1: isa.RSP, Rs2: r, Imm: int64(i) * 8}, ts)
+		g.emit(isa.Inst{Op: op, Rs1: isa.RSP, Rs2: r, Imm: int64(i) * 8})
 	}
 
 	// Branch targets force the memory stack to be architecturally current,
@@ -454,26 +440,19 @@ func (g *gen) body() error {
 		}
 	}
 	for i, ins := range m.Code {
-		// Declared per bytecode so the Seq stays on the host stack.
-		var ts *emit.Seq
 		if g.sizing {
-			g.start[i] = g.count
+			g.start[i] = int32(g.count)
 		} else {
-			g.start[i] = len(g.code) // stable from pass 1; re-recorded harmlessly
-			// Code selection: re-read the IR, run the opcode's generation
-			// routine.
-			ts = g.c.EM.At(opRoutinePC(ins.Op))
-			ts.Load(irWorkspace(i)).ALU(codegenALUPerBC / 2).
-				Load(m.Addr + m.PCOffsets[i]).ALU(codegenALUPerBC - codegenALUPerBC/2)
+			g.start[i] = int32(len(g.code)) // stable from pass 1; re-recorded harmlessly
 		}
 		before := g.types[i]
 		if g.opt.BaselineCodegen {
 			// Per-bytecode glue a naive one-bytecode-at-a-time code
 			// generator emits: PC bookkeeping and address scratch work.
 			g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0 + 2, Rs1: isa.RSP,
-				Imm: g.slotOff(len(before))}, ts)
+				Imm: g.slotOff(len(before))})
 		}
-		if err := g.instr(i, ins, ts); err != nil {
+		if err := g.instr(i, ins); err != nil {
 			return err
 		}
 		if g.opt.BaselineCodegen {
@@ -494,25 +473,74 @@ func (g *gen) body() error {
 					op = isa.OpFSt
 				}
 				g.emit(isa.Inst{Op: op, Rs1: isa.RSP, Rs2: g.regFor(d, t),
-					Imm: g.slotOff(d)}, ts)
+					Imm: g.slotOff(d)})
 			}
 		}
-	}
-
-	// Branch-fixup pass: the translator re-reads and patches every
-	// branch site (pass 2 trace only; targets were already resolved
-	// because pass 1 fixed the layout).
-	if !g.sizing {
-		fs := g.c.EM.At(tcFixup)
-		for i, ins := range m.Code {
-			if ins.Op.IsBranch() {
-				addr := g.base + uint64(g.start[i])*isa.WordSize
-				fs.Load(addr).ALU(1).Store(addr)
-			}
-		}
-		fs.Ret(0)
 	}
 	return nil
+}
+
+// traceTranslation emits the translator's own work for one translation
+// of m installed at base: per-method overhead, the analysis sweeps
+// reading the bytecode and writing the IR workspace, then per bytecode
+// its code-selection routine followed by the encoding work and install
+// write of each native instruction it produced, and last the
+// branch-fixup pass re-reading and patching every branch site. start[i]
+// is the native index where bytecode i begins and total the code
+// length: the stream depends on nothing else, so a fresh translation and
+// a replay of its record (record.go) emit it alike.
+func (c *Compiler) traceTranslation(m *bytecode.Method, base uint64, start []int32, total int) {
+	ts := c.EM.At(tcProl)
+	ts.ALU(methodOverheadALU / 2)
+	for p := 0; p < analysisPasses; p++ {
+		as := c.EM.At(tcAnalyze)
+		for i := range m.Code {
+			as.Load(m.Addr+m.PCOffsets[i]).ALU(analysisALUPerBC/2).
+				Load(irWorkspace(i)).ALU(analysisALUPerBC-analysisALUPerBC/2).
+				Store(irWorkspace(i)).Store(irWorkspace(i)+8).
+				Branch(i+1 < len(m.Code), tcAnalyze)
+		}
+		as.Ret(0)
+	}
+	ts = c.EM.At(tcProl + 0x100)
+	ts.ALU(methodOverheadALU - methodOverheadALU/2)
+	end := total
+	if len(start) > 0 {
+		end = int(start[0])
+	}
+	traceInstalls(ts, base, 0, end) // the argument stores
+	for i, ins := range m.Code {
+		// Code selection: re-read the IR, run the opcode's generation
+		// routine.
+		ts := c.EM.At(opRoutinePC(ins.Op))
+		ts.Load(irWorkspace(i)).ALU(codegenALUPerBC / 2).
+			Load(m.Addr + m.PCOffsets[i]).ALU(codegenALUPerBC - codegenALUPerBC/2)
+		end := total
+		if i+1 < len(start) {
+			end = int(start[i+1])
+		}
+		traceInstalls(ts, base, int(start[i]), end)
+	}
+	// Branch-fixup pass: targets were already resolved because pass 1
+	// fixed the layout, but the translator re-reads and patches every
+	// branch site.
+	fs := c.EM.At(tcFixup)
+	for i, ins := range m.Code {
+		if ins.Op.IsBranch() {
+			addr := base + uint64(start[i])*isa.WordSize
+			fs.Load(addr).ALU(1).Store(addr)
+		}
+	}
+	fs.Ret(0)
+}
+
+// traceInstalls emits, for native instructions from to to-1, the
+// encoding work (register selection, operand packing) and then the
+// install write into the code cache.
+func traceInstalls(ts *emit.Seq, base uint64, from, to int) {
+	for idx := from; idx < to; idx++ {
+		ts.ALU(emitALUPerInst).Store(base + uint64(idx)*isa.WordSize)
+	}
 }
 
 // stk returns the type of stack slot d at bytecode i (depth from bottom).
@@ -524,157 +552,156 @@ func (g *gen) stk(i, d int) bytecode.Type {
 	return s[d]
 }
 
-func (g *gen) instr(i int, ins bytecode.Instr, ts *emit.Seq) error {
+func (g *gen) instr(i int, ins bytecode.Instr) error {
 	m, cls := g.m, g.cls
 	depth := len(g.types[i])
-	e := func(in isa.Inst) { g.emit(in, ts) }
 	// Shorthands for the slot registers around the current depth.
 	top := depth - 1
 
 	switch op := ins.Op; op {
 	case bytecode.Nop:
-		e(isa.Inst{Op: isa.OpNop})
+		g.emit(isa.Inst{Op: isa.OpNop})
 
 	case bytecode.IConst:
-		e(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: int64(ins.A)})
+		g.emit(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: int64(ins.A)})
 	case bytecode.FConst:
 		// Load the constant from the materialized class pool.
-		e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero,
+		g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero,
 			Imm: int64(vm.PoolFloatAddr(cls, ins.A))})
 	case bytecode.SConst:
-		e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero,
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero,
 			Imm: int64(vm.PoolStringAddr(cls, ins.A))})
 	case bytecode.AConstNull:
-		e(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: 0})
+		g.emit(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: 0})
 
 	case bytecode.ILoad, bytecode.ALoad:
-		e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
 	case bytecode.FLoad:
-		e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
+		g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
 	case bytecode.IStore, bytecode.AStore:
-		e(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: intReg(top), Imm: int64(ins.A) * 8})
+		g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: intReg(top), Imm: int64(ins.A) * 8})
 	case bytecode.FStore:
-		e(isa.Inst{Op: isa.OpFSt, Rs1: isa.RSP, Rs2: floatReg(top), Imm: int64(ins.A) * 8})
+		g.emit(isa.Inst{Op: isa.OpFSt, Rs1: isa.RSP, Rs2: floatReg(top), Imm: int64(ins.A) * 8})
 	case bytecode.IInc:
-		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RSP, Imm: int64(ins.A) * 8})
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: int64(ins.B)})
-		e(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: isa.RTmp0, Imm: int64(ins.A) * 8})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RSP, Imm: int64(ins.A) * 8})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: int64(ins.B)})
+		g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: isa.RTmp0, Imm: int64(ins.A) * 8})
 
 	case bytecode.Pop:
 		// Value dies in its register: no code.
 	case bytecode.Dup:
 		t := g.stk(i, top)
 		if t == bytecode.TFloat {
-			e(isa.Inst{Op: isa.OpFMov, Rd: floatReg(depth), Rs1: floatReg(top)})
+			g.emit(isa.Inst{Op: isa.OpFMov, Rd: floatReg(depth), Rs1: floatReg(top)})
 		} else {
-			e(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: intReg(top)})
+			g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: intReg(top)})
 		}
 	case bytecode.Swap:
 		a, b := intReg(top-1), intReg(top)
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: a})
-		e(isa.Inst{Op: isa.OpAddi, Rd: a, Rs1: b})
-		e(isa.Inst{Op: isa.OpAddi, Rd: b, Rs1: isa.RTmp0})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: a})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: a, Rs1: b})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: b, Rs1: isa.RTmp0})
 
 	case bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv,
 		bytecode.IRem, bytecode.IAnd, bytecode.IOr, bytecode.IXor,
 		bytecode.IShl, bytecode.IShr, bytecode.IUshr:
-		e(isa.Inst{Op: intOpFor(op), Rd: intReg(top - 1), Rs1: intReg(top - 1), Rs2: intReg(top)})
+		g.emit(isa.Inst{Op: intOpFor(op), Rd: intReg(top - 1), Rs1: intReg(top - 1), Rs2: intReg(top)})
 	case bytecode.INeg:
-		e(isa.Inst{Op: isa.OpSub, Rd: intReg(top), Rs1: isa.RZero, Rs2: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpSub, Rd: intReg(top), Rs1: isa.RZero, Rs2: intReg(top)})
 
 	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv:
-		e(isa.Inst{Op: floatOpFor(op), Rd: floatReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
+		g.emit(isa.Inst{Op: floatOpFor(op), Rd: floatReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
 	case bytecode.FNeg:
-		e(isa.Inst{Op: isa.OpFNeg, Rd: floatReg(top), Rs1: floatReg(top)})
+		g.emit(isa.Inst{Op: isa.OpFNeg, Rd: floatReg(top), Rs1: floatReg(top)})
 	case bytecode.FCmp:
-		e(isa.Inst{Op: isa.OpFCmp, Rd: intReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
+		g.emit(isa.Inst{Op: isa.OpFCmp, Rd: intReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
 	case bytecode.I2F:
-		e(isa.Inst{Op: isa.OpI2F, Rd: floatReg(top), Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpI2F, Rd: floatReg(top), Rs1: intReg(top)})
 	case bytecode.F2I:
-		e(isa.Inst{Op: isa.OpF2I, Rd: intReg(top), Rs1: floatReg(top)})
+		g.emit(isa.Inst{Op: isa.OpF2I, Rd: intReg(top), Rs1: floatReg(top)})
 
 	case bytecode.NewArray:
-		e(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(ins.A)})
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0 + 1, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNewArray})
-		e(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
+		g.emit(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(ins.A)})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0 + 1, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNewArray})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
 	case bytecode.ArrayLength:
-		e(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: 16})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: 16})
 
 	case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad, bytecode.CALoad:
-		g.arrayLoad(i, op, ts)
+		g.arrayLoad(i, op)
 	case bytecode.IAStore, bytecode.FAStore, bytecode.AAStore, bytecode.CAStore:
-		g.arrayStore(i, op, ts)
+		g.arrayStore(i, op)
 
 	case bytecode.Goto:
-		e(isa.Inst{Op: isa.OpJ, Target: g.target(int(ins.A))})
+		g.emit(isa.Inst{Op: isa.OpJ, Target: g.target(int(ins.A))})
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe,
 		bytecode.IfGt, bytecode.IfLe, bytecode.IfNull, bytecode.IfNonNull:
-		e(isa.Inst{Op: unaryBranchFor(op), Rs1: intReg(top), Rs2: isa.RZero,
+		g.emit(isa.Inst{Op: unaryBranchFor(op), Rs1: intReg(top), Rs2: isa.RZero,
 			Target: g.target(int(ins.A))})
 	case bytecode.IfICmpEq, bytecode.IfICmpNe, bytecode.IfICmpLt,
 		bytecode.IfICmpGe, bytecode.IfICmpGt, bytecode.IfICmpLe,
 		bytecode.IfACmpEq, bytecode.IfACmpNe:
-		e(isa.Inst{Op: binBranchFor(op), Rs1: intReg(top - 1), Rs2: intReg(top),
+		g.emit(isa.Inst{Op: binBranchFor(op), Rs1: intReg(top - 1), Rs2: intReg(top),
 			Target: g.target(int(ins.A))})
 
 	case bytecode.New:
 		cr := cls.Pool.Classes[ins.A].Resolved
-		e(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(cr.ID)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNew})
-		e(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: isa.RRet})
+		g.emit(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(cr.ID)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNew})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: isa.RRet})
 
 	case bytecode.GetField:
 		fr := &cls.Pool.Fields[ins.A]
 		off := int64(vm.ObjHeaderBytes + fr.Resolved.Slot*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(top), Rs1: intReg(top), Imm: off})
+			g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(top), Rs1: intReg(top), Imm: off})
 		} else {
-			e(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: off})
+			g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: off})
 		}
 	case bytecode.PutField:
 		fr := &cls.Pool.Fields[ins.A]
 		off := int64(vm.ObjHeaderBytes + fr.Resolved.Slot*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			e(isa.Inst{Op: isa.OpFSt, Rs1: intReg(top - 1), Rs2: floatReg(top), Imm: off})
+			g.emit(isa.Inst{Op: isa.OpFSt, Rs1: intReg(top - 1), Rs2: floatReg(top), Imm: off})
 		} else {
-			e(isa.Inst{Op: isa.OpSt, Rs1: intReg(top - 1), Rs2: intReg(top), Imm: off})
+			g.emit(isa.Inst{Op: isa.OpSt, Rs1: intReg(top - 1), Rs2: intReg(top), Imm: off})
 		}
 	case bytecode.GetStatic:
 		fr := &cls.Pool.Fields[ins.A]
 		addr := int64(fr.Owner.StaticBase + uint64(fr.Resolved.Slot)*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero, Imm: addr})
+			g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero, Imm: addr})
 		} else {
-			e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero, Imm: addr})
+			g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero, Imm: addr})
 		}
 	case bytecode.PutStatic:
 		fr := &cls.Pool.Fields[ins.A]
 		addr := int64(fr.Owner.StaticBase + uint64(fr.Resolved.Slot)*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			e(isa.Inst{Op: isa.OpFSt, Rs1: isa.RZero, Rs2: floatReg(top), Imm: addr})
+			g.emit(isa.Inst{Op: isa.OpFSt, Rs1: isa.RZero, Rs2: floatReg(top), Imm: addr})
 		} else {
-			e(isa.Inst{Op: isa.OpSt, Rs1: isa.RZero, Rs2: intReg(top), Imm: addr})
+			g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RZero, Rs2: intReg(top), Imm: addr})
 		}
 
 	case bytecode.InvokeVirtual, bytecode.InvokeStatic, bytecode.InvokeSpecial:
-		return g.invoke(i, ins, ts)
+		return g.invoke(i, ins)
 
 	case bytecode.Return:
-		e(isa.Inst{Op: isa.OpRet})
+		g.emit(isa.Inst{Op: isa.OpRet})
 	case bytecode.IReturn, bytecode.AReturn:
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RRet, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpRet})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RRet, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpRet})
 	case bytecode.FReturn:
-		e(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
-		e(isa.Inst{Op: isa.OpRet})
+		g.emit(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
+		g.emit(isa.Inst{Op: isa.OpRet})
 
 	case bytecode.MonitorEnter:
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonEnter})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonEnter})
 	case bytecode.MonitorExit:
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonExit})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonExit})
 
 	default:
 		return fmt.Errorf("%s @%d: jit: unhandled opcode %v", m.FullName(), i, op)
@@ -702,10 +729,9 @@ func (g *gen) noteElided(ec ElidedCheck) {
 }
 
 // arrayLoad generates the bounds-checked element load.
-func (g *gen) arrayLoad(i int, op bytecode.Op, ts *emit.Seq) {
+func (g *gen) arrayLoad(i int, op bytecode.Op) {
 	depth := len(g.types[i])
 	arr, idx := intReg(depth-2), intReg(depth-1)
-	e := func(in isa.Inst) { g.emit(in, ts) }
 	if g.elideBounds(i) {
 		// Proven in-range on a non-null array: skip the length load and
 		// both trap branches. The anchor (address-computation) instruction
@@ -713,60 +739,58 @@ func (g *gen) arrayLoad(i int, op bytecode.Op, ts *emit.Seq) {
 		g.noteElided(ElidedCheck{PC: i, Kind: vm.BoundsCheck, Arr: arr, Idx: idx})
 	} else {
 		// Bounds: idx < 0 or idx >= len traps.
-		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
-		e(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
-		e(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
+		g.emit(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
+		g.emit(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
 	}
 	if op == bytecode.CALoad {
-		e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
-		e(isa.Inst{Op: isa.OpLdb, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
+		g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
+		g.emit(isa.Inst{Op: isa.OpLdb, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
 		return
 	}
-	e(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
-	e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
+	g.emit(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
+	g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
 	if op == bytecode.FALoad {
-		e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
+		g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
 	} else {
-		e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
 	}
 }
 
 // arrayStore generates the bounds-checked element store.
-func (g *gen) arrayStore(i int, op bytecode.Op, ts *emit.Seq) {
+func (g *gen) arrayStore(i int, op bytecode.Op) {
 	depth := len(g.types[i])
 	arr, idx := intReg(depth-3), intReg(depth-2)
-	e := func(in isa.Inst) { g.emit(in, ts) }
 	if g.elideBounds(i) {
 		g.noteElided(ElidedCheck{PC: i, Kind: vm.BoundsCheck, Arr: arr, Idx: idx})
 	} else {
-		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
-		e(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
-		e(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
+		g.emit(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
+		g.emit(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
 	}
 	if op == bytecode.CAStore {
-		e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
-		e(isa.Inst{Op: isa.OpStb, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
+		g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
+		g.emit(isa.Inst{Op: isa.OpStb, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
 		return
 	}
-	e(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
-	e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
+	g.emit(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
+	g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
 	if op == bytecode.FAStore {
-		e(isa.Inst{Op: isa.OpFSt, Rs1: isa.RTmp0 + 1, Rs2: floatReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
+		g.emit(isa.Inst{Op: isa.OpFSt, Rs1: isa.RTmp0 + 1, Rs2: floatReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
 	} else {
-		e(isa.Inst{Op: isa.OpSt, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
+		g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
 	}
 }
 
 // invoke generates a call site.
-func (g *gen) invoke(i int, ins bytecode.Instr, ts *emit.Seq) error {
+func (g *gen) invoke(i int, ins bytecode.Instr) error {
 	cls := g.cls
 	ref := &cls.Pool.Methods[ins.A]
 	callee := ref.Resolved
-	e := func(in isa.Inst) { g.emit(in, ts) }
 	depth := len(g.types[i])
 
 	if callee.Class.Name == "Sys" {
-		return g.intrinsic(i, callee, ts)
+		return g.intrinsic(i, callee)
 	}
 
 	nargs := len(callee.Sig.Params)
@@ -781,9 +805,9 @@ func (g *gen) invoke(i int, ins bytecode.Instr, ts *emit.Seq) error {
 	for k, r := range regs {
 		src := g.regFor(base+k, g.stk(i, base+k))
 		if r >= isa.FReg0 {
-			e(isa.Inst{Op: isa.OpFMov, Rd: r, Rs1: src})
+			g.emit(isa.Inst{Op: isa.OpFMov, Rd: r, Rs1: src})
 		} else {
-			e(isa.Inst{Op: isa.OpAddi, Rd: r, Rs1: src})
+			g.emit(isa.Inst{Op: isa.OpAddi, Rd: r, Rs1: src})
 		}
 	}
 
@@ -802,22 +826,22 @@ func (g *gen) invoke(i int, ins bytecode.Instr, ts *emit.Seq) error {
 	if virtual {
 		// classid load, vtable address arithmetic, entry load, jalr.
 		recv := intReg(base)
-		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: recv, Imm: 0})
-		e(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 12})
-		e(isa.Inst{Op: isa.OpLui, Rd: isa.RTmp0 + 1, Imm: int64(vm.VTableEntryAddr(0, callee.VIndex))})
-		e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Rs2: isa.RTmp0 + 1})
-		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 0})
-		e(isa.Inst{Op: isa.OpJalr, Rs1: isa.RTmp0})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: recv, Imm: 0})
+		g.emit(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 12})
+		g.emit(isa.Inst{Op: isa.OpLui, Rd: isa.RTmp0 + 1, Imm: int64(vm.VTableEntryAddr(0, callee.VIndex))})
+		g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Rs2: isa.RTmp0 + 1})
+		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 0})
+		g.emit(isa.Inst{Op: isa.OpJalr, Rs1: isa.RTmp0})
 	} else {
-		e(isa.Inst{Op: isa.OpJal, Target: vm.StubAddr(callee.ID)})
+		g.emit(isa.Inst{Op: isa.OpJal, Target: vm.StubAddr(callee.ID)})
 	}
 
 	// Capture the return value into the result stack slot.
 	if callee.Sig.Ret != bytecode.TVoid {
 		if callee.Sig.Ret == bytecode.TFloat {
-			e(isa.Inst{Op: isa.OpFMov, Rd: floatReg(base), Rs1: isa.FReg0})
+			g.emit(isa.Inst{Op: isa.OpFMov, Rd: floatReg(base), Rs1: isa.FReg0})
 		} else {
-			e(isa.Inst{Op: isa.OpAddi, Rd: intReg(base), Rs1: isa.RRet})
+			g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(base), Rs1: isa.RRet})
 		}
 	}
 	return nil
@@ -856,32 +880,31 @@ func descendsFrom(c, anc *bytecode.Class) bool {
 }
 
 // intrinsic generates Sys.* calls as runtime services.
-func (g *gen) intrinsic(i int, callee *bytecode.Method, ts *emit.Seq) error {
-	e := func(in isa.Inst) { g.emit(in, ts) }
+func (g *gen) intrinsic(i int, callee *bytecode.Method) error {
 	depth := len(g.types[i])
 	top := depth - 1
 	switch callee.Name {
 	case "print":
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintStr})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintStr})
 	case "printi":
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintInt})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintInt})
 	case "printf":
-		e(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintFloat})
+		g.emit(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintFloat})
 	case "printc":
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintChar})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintChar})
 	case "spawn":
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcSpawn})
-		e(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcSpawn})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
 	case "join":
-		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcJoin})
+		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcJoin})
 	case "yield":
-		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcYield})
+		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcYield})
 	default:
 		return fmt.Errorf("jit: unknown intrinsic Sys.%s", callee.Name)
 	}

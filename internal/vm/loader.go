@@ -45,6 +45,8 @@ type Program struct {
 	ipa    func() *ipa.Result
 	races  func() *conc.Report
 	ranges func() *vrange.Result
+	// translations is the JIT's slot (see Translations).
+	translations sync.Map
 }
 
 // Verdict returns the error full verification (VerifyFull) reports for
@@ -62,6 +64,12 @@ func (p *Program) Races() *conc.Report { return p.races() }
 // Ranges returns the program's value-range and nullness verdicts
 // (vrange.Analyze over IPA), built on the first call and read-only.
 func (p *Program) Ranges() *vrange.Result { return p.ranges() }
+
+// Translations is where the JIT keeps the translations it records for
+// the program's methods (see internal/jit), shared by every engine that
+// installs the program and freed with it. Its keys and values are the
+// JIT's own; vm never reads them.
+func (p *Program) Translations() *sync.Map { return &p.translations }
 
 // staticBase is where a fresh VM lays out the first class's statics.
 const staticBase = mem.VMBase + 0x100_0000
