@@ -86,10 +86,6 @@ func relocate(code []isa.Inst, rel []int32, delta uint64) []isa.Inst {
 // there is one; otherwise it runs the generator and records the result.
 func (c *Compiler) translate(m *bytecode.Method, opt Options, tier int) (*Compiled, error) {
 	p := c.VM.Program()
-	if p == nil {
-		cm, _, err := c.generate(m, opt)
-		return cm, err
-	}
 	k := keyOf(m, opt, tier)
 	if r, ok := p.Translations().Load(k); ok {
 		return c.replay(m, r.(*record)), nil
