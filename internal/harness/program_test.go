@@ -217,7 +217,10 @@ func TestSharedProgramConcurrentEngines(t *testing.T) {
 			if err != nil {
 				return result{}, err
 			}
-			if p := e.VM.Program(); p == shared || records(p) == 0 {
+			switch p := e.VM.Program(); {
+			case p == shared:
+				return result{}, errors.New("the private run installed the shared program")
+			case records(p) == 0:
 				return result{}, errors.New("the private run recorded no translation on its own program")
 			}
 			return result{e.VM.Out.String(), e.TotalInstrs()}, nil

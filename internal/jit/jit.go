@@ -555,78 +555,79 @@ func (g *gen) stk(i, d int) bytecode.Type {
 func (g *gen) instr(i int, ins bytecode.Instr) error {
 	m, cls := g.m, g.cls
 	depth := len(g.types[i])
+	e := g.emit
 	// Shorthands for the slot registers around the current depth.
 	top := depth - 1
 
 	switch op := ins.Op; op {
 	case bytecode.Nop:
-		g.emit(isa.Inst{Op: isa.OpNop})
+		e(isa.Inst{Op: isa.OpNop})
 
 	case bytecode.IConst:
-		g.emit(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: int64(ins.A)})
+		e(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: int64(ins.A)})
 	case bytecode.FConst:
 		// Load the constant from the materialized class pool.
-		g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero,
+		e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero,
 			Imm: int64(vm.PoolFloatAddr(cls, ins.A))})
 	case bytecode.SConst:
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero,
+		e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero,
 			Imm: int64(vm.PoolStringAddr(cls, ins.A))})
 	case bytecode.AConstNull:
-		g.emit(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: 0})
+		e(isa.Inst{Op: isa.OpLui, Rd: intReg(depth), Imm: 0})
 
 	case bytecode.ILoad, bytecode.ALoad:
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
+		e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
 	case bytecode.FLoad:
-		g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
+		e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RSP, Imm: int64(ins.A) * 8})
 	case bytecode.IStore, bytecode.AStore:
-		g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: intReg(top), Imm: int64(ins.A) * 8})
+		e(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: intReg(top), Imm: int64(ins.A) * 8})
 	case bytecode.FStore:
-		g.emit(isa.Inst{Op: isa.OpFSt, Rs1: isa.RSP, Rs2: floatReg(top), Imm: int64(ins.A) * 8})
+		e(isa.Inst{Op: isa.OpFSt, Rs1: isa.RSP, Rs2: floatReg(top), Imm: int64(ins.A) * 8})
 	case bytecode.IInc:
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RSP, Imm: int64(ins.A) * 8})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: int64(ins.B)})
-		g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: isa.RTmp0, Imm: int64(ins.A) * 8})
+		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RSP, Imm: int64(ins.A) * 8})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: int64(ins.B)})
+		e(isa.Inst{Op: isa.OpSt, Rs1: isa.RSP, Rs2: isa.RTmp0, Imm: int64(ins.A) * 8})
 
 	case bytecode.Pop:
 		// Value dies in its register: no code.
 	case bytecode.Dup:
 		t := g.stk(i, top)
 		if t == bytecode.TFloat {
-			g.emit(isa.Inst{Op: isa.OpFMov, Rd: floatReg(depth), Rs1: floatReg(top)})
+			e(isa.Inst{Op: isa.OpFMov, Rd: floatReg(depth), Rs1: floatReg(top)})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: intReg(top)})
+			e(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: intReg(top)})
 		}
 	case bytecode.Swap:
 		a, b := intReg(top-1), intReg(top)
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: a})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: a, Rs1: b})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: b, Rs1: isa.RTmp0})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RTmp0, Rs1: a})
+		e(isa.Inst{Op: isa.OpAddi, Rd: a, Rs1: b})
+		e(isa.Inst{Op: isa.OpAddi, Rd: b, Rs1: isa.RTmp0})
 
 	case bytecode.IAdd, bytecode.ISub, bytecode.IMul, bytecode.IDiv,
 		bytecode.IRem, bytecode.IAnd, bytecode.IOr, bytecode.IXor,
 		bytecode.IShl, bytecode.IShr, bytecode.IUshr:
-		g.emit(isa.Inst{Op: intOpFor(op), Rd: intReg(top - 1), Rs1: intReg(top - 1), Rs2: intReg(top)})
+		e(isa.Inst{Op: intOpFor(op), Rd: intReg(top - 1), Rs1: intReg(top - 1), Rs2: intReg(top)})
 	case bytecode.INeg:
-		g.emit(isa.Inst{Op: isa.OpSub, Rd: intReg(top), Rs1: isa.RZero, Rs2: intReg(top)})
+		e(isa.Inst{Op: isa.OpSub, Rd: intReg(top), Rs1: isa.RZero, Rs2: intReg(top)})
 
 	case bytecode.FAdd, bytecode.FSub, bytecode.FMul, bytecode.FDiv:
-		g.emit(isa.Inst{Op: floatOpFor(op), Rd: floatReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
+		e(isa.Inst{Op: floatOpFor(op), Rd: floatReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
 	case bytecode.FNeg:
-		g.emit(isa.Inst{Op: isa.OpFNeg, Rd: floatReg(top), Rs1: floatReg(top)})
+		e(isa.Inst{Op: isa.OpFNeg, Rd: floatReg(top), Rs1: floatReg(top)})
 	case bytecode.FCmp:
-		g.emit(isa.Inst{Op: isa.OpFCmp, Rd: intReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
+		e(isa.Inst{Op: isa.OpFCmp, Rd: intReg(top - 1), Rs1: floatReg(top - 1), Rs2: floatReg(top)})
 	case bytecode.I2F:
-		g.emit(isa.Inst{Op: isa.OpI2F, Rd: floatReg(top), Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpI2F, Rd: floatReg(top), Rs1: intReg(top)})
 	case bytecode.F2I:
-		g.emit(isa.Inst{Op: isa.OpF2I, Rd: intReg(top), Rs1: floatReg(top)})
+		e(isa.Inst{Op: isa.OpF2I, Rd: intReg(top), Rs1: floatReg(top)})
 
 	case bytecode.NewArray:
-		g.emit(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(ins.A)})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0 + 1, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNewArray})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
+		e(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(ins.A)})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0 + 1, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNewArray})
+		e(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
 	case bytecode.ArrayLength:
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: 16})
+		e(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: 16})
 
 	case bytecode.IALoad, bytecode.FALoad, bytecode.AALoad, bytecode.CALoad:
 		g.arrayLoad(i, op)
@@ -634,74 +635,74 @@ func (g *gen) instr(i int, ins bytecode.Instr) error {
 		g.arrayStore(i, op)
 
 	case bytecode.Goto:
-		g.emit(isa.Inst{Op: isa.OpJ, Target: g.target(int(ins.A))})
+		e(isa.Inst{Op: isa.OpJ, Target: g.target(int(ins.A))})
 	case bytecode.IfEq, bytecode.IfNe, bytecode.IfLt, bytecode.IfGe,
 		bytecode.IfGt, bytecode.IfLe, bytecode.IfNull, bytecode.IfNonNull:
-		g.emit(isa.Inst{Op: unaryBranchFor(op), Rs1: intReg(top), Rs2: isa.RZero,
+		e(isa.Inst{Op: unaryBranchFor(op), Rs1: intReg(top), Rs2: isa.RZero,
 			Target: g.target(int(ins.A))})
 	case bytecode.IfICmpEq, bytecode.IfICmpNe, bytecode.IfICmpLt,
 		bytecode.IfICmpGe, bytecode.IfICmpGt, bytecode.IfICmpLe,
 		bytecode.IfACmpEq, bytecode.IfACmpNe:
-		g.emit(isa.Inst{Op: binBranchFor(op), Rs1: intReg(top - 1), Rs2: intReg(top),
+		e(isa.Inst{Op: binBranchFor(op), Rs1: intReg(top - 1), Rs2: intReg(top),
 			Target: g.target(int(ins.A))})
 
 	case bytecode.New:
 		cr := cls.Pool.Classes[ins.A].Resolved
-		g.emit(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(cr.ID)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNew})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: isa.RRet})
+		e(isa.Inst{Op: isa.OpLui, Rd: isa.RArg0, Imm: int64(cr.ID)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcNew})
+		e(isa.Inst{Op: isa.OpAddi, Rd: intReg(depth), Rs1: isa.RRet})
 
 	case bytecode.GetField:
 		fr := &cls.Pool.Fields[ins.A]
 		off := int64(vm.ObjHeaderBytes + fr.Resolved.Slot*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(top), Rs1: intReg(top), Imm: off})
+			e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(top), Rs1: intReg(top), Imm: off})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: off})
+			e(isa.Inst{Op: isa.OpLd, Rd: intReg(top), Rs1: intReg(top), Imm: off})
 		}
 	case bytecode.PutField:
 		fr := &cls.Pool.Fields[ins.A]
 		off := int64(vm.ObjHeaderBytes + fr.Resolved.Slot*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			g.emit(isa.Inst{Op: isa.OpFSt, Rs1: intReg(top - 1), Rs2: floatReg(top), Imm: off})
+			e(isa.Inst{Op: isa.OpFSt, Rs1: intReg(top - 1), Rs2: floatReg(top), Imm: off})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpSt, Rs1: intReg(top - 1), Rs2: intReg(top), Imm: off})
+			e(isa.Inst{Op: isa.OpSt, Rs1: intReg(top - 1), Rs2: intReg(top), Imm: off})
 		}
 	case bytecode.GetStatic:
 		fr := &cls.Pool.Fields[ins.A]
 		addr := int64(fr.Owner.StaticBase + uint64(fr.Resolved.Slot)*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero, Imm: addr})
+			e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth), Rs1: isa.RZero, Imm: addr})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero, Imm: addr})
+			e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth), Rs1: isa.RZero, Imm: addr})
 		}
 	case bytecode.PutStatic:
 		fr := &cls.Pool.Fields[ins.A]
 		addr := int64(fr.Owner.StaticBase + uint64(fr.Resolved.Slot)*8)
 		if fr.Resolved.Type == bytecode.TFloat {
-			g.emit(isa.Inst{Op: isa.OpFSt, Rs1: isa.RZero, Rs2: floatReg(top), Imm: addr})
+			e(isa.Inst{Op: isa.OpFSt, Rs1: isa.RZero, Rs2: floatReg(top), Imm: addr})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RZero, Rs2: intReg(top), Imm: addr})
+			e(isa.Inst{Op: isa.OpSt, Rs1: isa.RZero, Rs2: intReg(top), Imm: addr})
 		}
 
 	case bytecode.InvokeVirtual, bytecode.InvokeStatic, bytecode.InvokeSpecial:
 		return g.invoke(i, ins)
 
 	case bytecode.Return:
-		g.emit(isa.Inst{Op: isa.OpRet})
+		e(isa.Inst{Op: isa.OpRet})
 	case bytecode.IReturn, bytecode.AReturn:
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RRet, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpRet})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RRet, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpRet})
 	case bytecode.FReturn:
-		g.emit(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
-		g.emit(isa.Inst{Op: isa.OpRet})
+		e(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
+		e(isa.Inst{Op: isa.OpRet})
 
 	case bytecode.MonitorEnter:
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonEnter})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonEnter})
 	case bytecode.MonitorExit:
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonExit})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcMonExit})
 
 	default:
 		return fmt.Errorf("%s @%d: jit: unhandled opcode %v", m.FullName(), i, op)
@@ -732,6 +733,7 @@ func (g *gen) noteElided(ec ElidedCheck) {
 func (g *gen) arrayLoad(i int, op bytecode.Op) {
 	depth := len(g.types[i])
 	arr, idx := intReg(depth-2), intReg(depth-1)
+	e := g.emit
 	if g.elideBounds(i) {
 		// Proven in-range on a non-null array: skip the length load and
 		// both trap branches. The anchor (address-computation) instruction
@@ -739,21 +741,21 @@ func (g *gen) arrayLoad(i int, op bytecode.Op) {
 		g.noteElided(ElidedCheck{PC: i, Kind: vm.BoundsCheck, Arr: arr, Idx: idx})
 	} else {
 		// Bounds: idx < 0 or idx >= len traps.
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
-		g.emit(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
-		g.emit(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
+		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
+		e(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
+		e(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
 	}
 	if op == bytecode.CALoad {
-		g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
-		g.emit(isa.Inst{Op: isa.OpLdb, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
+		e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
+		e(isa.Inst{Op: isa.OpLdb, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
 		return
 	}
-	g.emit(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
-	g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
+	e(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
+	e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
 	if op == bytecode.FALoad {
-		g.emit(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
+		e(isa.Inst{Op: isa.OpFLd, Rd: floatReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
 	} else {
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
+		e(isa.Inst{Op: isa.OpLd, Rd: intReg(depth - 2), Rs1: isa.RTmp0 + 1, Imm: int64(vm.ArrHeaderBytes)})
 	}
 }
 
@@ -761,24 +763,25 @@ func (g *gen) arrayLoad(i int, op bytecode.Op) {
 func (g *gen) arrayStore(i int, op bytecode.Op) {
 	depth := len(g.types[i])
 	arr, idx := intReg(depth-3), intReg(depth-2)
+	e := g.emit
 	if g.elideBounds(i) {
 		g.noteElided(ElidedCheck{PC: i, Kind: vm.BoundsCheck, Arr: arr, Idx: idx})
 	} else {
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
-		g.emit(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
-		g.emit(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
+		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: arr, Imm: 16})
+		e(isa.Inst{Op: isa.OpBlt, Rs1: idx, Rs2: isa.RZero, Target: vm.TrapPC})
+		e(isa.Inst{Op: isa.OpBge, Rs1: idx, Rs2: isa.RTmp0, Target: vm.TrapPC})
 	}
 	if op == bytecode.CAStore {
-		g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
-		g.emit(isa.Inst{Op: isa.OpStb, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
+		e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: idx})
+		e(isa.Inst{Op: isa.OpStb, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
 		return
 	}
-	g.emit(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
-	g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
+	e(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0 + 1, Rs1: idx, Imm: 3})
+	e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0 + 1, Rs1: arr, Rs2: isa.RTmp0 + 1})
 	if op == bytecode.FAStore {
-		g.emit(isa.Inst{Op: isa.OpFSt, Rs1: isa.RTmp0 + 1, Rs2: floatReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
+		e(isa.Inst{Op: isa.OpFSt, Rs1: isa.RTmp0 + 1, Rs2: floatReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
 	} else {
-		g.emit(isa.Inst{Op: isa.OpSt, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
+		e(isa.Inst{Op: isa.OpSt, Rs1: isa.RTmp0 + 1, Rs2: intReg(depth - 1), Imm: int64(vm.ArrHeaderBytes)})
 	}
 }
 
@@ -787,6 +790,7 @@ func (g *gen) invoke(i int, ins bytecode.Instr) error {
 	cls := g.cls
 	ref := &cls.Pool.Methods[ins.A]
 	callee := ref.Resolved
+	e := g.emit
 	depth := len(g.types[i])
 
 	if callee.Class.Name == "Sys" {
@@ -805,9 +809,9 @@ func (g *gen) invoke(i int, ins bytecode.Instr) error {
 	for k, r := range regs {
 		src := g.regFor(base+k, g.stk(i, base+k))
 		if r >= isa.FReg0 {
-			g.emit(isa.Inst{Op: isa.OpFMov, Rd: r, Rs1: src})
+			e(isa.Inst{Op: isa.OpFMov, Rd: r, Rs1: src})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpAddi, Rd: r, Rs1: src})
+			e(isa.Inst{Op: isa.OpAddi, Rd: r, Rs1: src})
 		}
 	}
 
@@ -826,22 +830,22 @@ func (g *gen) invoke(i int, ins bytecode.Instr) error {
 	if virtual {
 		// classid load, vtable address arithmetic, entry load, jalr.
 		recv := intReg(base)
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: recv, Imm: 0})
-		g.emit(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 12})
-		g.emit(isa.Inst{Op: isa.OpLui, Rd: isa.RTmp0 + 1, Imm: int64(vm.VTableEntryAddr(0, callee.VIndex))})
-		g.emit(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Rs2: isa.RTmp0 + 1})
-		g.emit(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 0})
-		g.emit(isa.Inst{Op: isa.OpJalr, Rs1: isa.RTmp0})
+		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: recv, Imm: 0})
+		e(isa.Inst{Op: isa.OpShli, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 12})
+		e(isa.Inst{Op: isa.OpLui, Rd: isa.RTmp0 + 1, Imm: int64(vm.VTableEntryAddr(0, callee.VIndex))})
+		e(isa.Inst{Op: isa.OpAdd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Rs2: isa.RTmp0 + 1})
+		e(isa.Inst{Op: isa.OpLd, Rd: isa.RTmp0, Rs1: isa.RTmp0, Imm: 0})
+		e(isa.Inst{Op: isa.OpJalr, Rs1: isa.RTmp0})
 	} else {
-		g.emit(isa.Inst{Op: isa.OpJal, Target: vm.StubAddr(callee.ID)})
+		e(isa.Inst{Op: isa.OpJal, Target: vm.StubAddr(callee.ID)})
 	}
 
 	// Capture the return value into the result stack slot.
 	if callee.Sig.Ret != bytecode.TVoid {
 		if callee.Sig.Ret == bytecode.TFloat {
-			g.emit(isa.Inst{Op: isa.OpFMov, Rd: floatReg(base), Rs1: isa.FReg0})
+			e(isa.Inst{Op: isa.OpFMov, Rd: floatReg(base), Rs1: isa.FReg0})
 		} else {
-			g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(base), Rs1: isa.RRet})
+			e(isa.Inst{Op: isa.OpAddi, Rd: intReg(base), Rs1: isa.RRet})
 		}
 	}
 	return nil
@@ -881,30 +885,31 @@ func descendsFrom(c, anc *bytecode.Class) bool {
 
 // intrinsic generates Sys.* calls as runtime services.
 func (g *gen) intrinsic(i int, callee *bytecode.Method) error {
+	e := g.emit
 	depth := len(g.types[i])
 	top := depth - 1
 	switch callee.Name {
 	case "print":
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintStr})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintStr})
 	case "printi":
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintInt})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintInt})
 	case "printf":
-		g.emit(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintFloat})
+		e(isa.Inst{Op: isa.OpFMov, Rd: isa.FReg0, Rs1: floatReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintFloat})
 	case "printc":
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintChar})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcPrintChar})
 	case "spawn":
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcSpawn})
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcSpawn})
+		e(isa.Inst{Op: isa.OpAddi, Rd: intReg(top), Rs1: isa.RRet})
 	case "join":
-		g.emit(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcJoin})
+		e(isa.Inst{Op: isa.OpAddi, Rd: isa.RArg0, Rs1: intReg(top)})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcJoin})
 	case "yield":
-		g.emit(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcYield})
+		e(isa.Inst{Op: isa.OpCallRT, Imm: isa.SvcYield})
 	default:
 		return fmt.Errorf("jit: unknown intrinsic Sys.%s", callee.Name)
 	}
